@@ -17,18 +17,9 @@ from importlib import resources
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from . import cohomology, verdict
-from .connection import available_connections
-from .graph import (
-    DirectedEdge,
-    GkmGraph,
-    GraphSemanticError,
-    GraphSyntaxError,
-    parse_graph,
-    validate,
-)
-from .orientation import is_orientable
-from .surface import classify_surface
+from . import cohomology
+from .graph import DirectedEdge, GraphSemanticError, GraphSyntaxError, parse_graph
+from .verdict import Analysis, NoSuchConnection, realizability_report
 
 CORPUS_ENV = "GKM3_CORPUS"
 
@@ -37,26 +28,26 @@ class InputError(Exception):
     """User-input problem; reported on stderr with exit code 2."""
 
 
-def _load(path: str) -> GkmGraph:
+def _open(args, path: str) -> Analysis:
+    """The load path of every subcommand and corpus entry.  A bad connection
+    block or index is raised later, by the analysis's connection stage."""
+    cap = getattr(args, "degree_cap", cohomology.DEFAULT_DEGREE_CAP)
+    if cap % 2 or cap < 0:
+        raise InputError("--degree-cap must be even and nonnegative")
+    if args.command == "verdict" and cap < 6:
+        raise InputError("verdict needs --degree-cap 6 or more (it reads b_6)")
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse_graph(text)
+        g = parse_graph(text)
     except (GraphSyntaxError, GraphSemanticError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def _pick_connection(g: GkmGraph, index: int):
-    conns, _ = available_connections(g)
-    if not conns:
-        raise InputError("graph admits no compatible connection")
-    if index < 0 or index >= len(conns):
-        raise InputError(
-            f"--connection {index} out of range (found {len(conns)})"
-        )
-    return conns[index]
+    a = Analysis(g, cap, getattr(args, "connection", 0))
+    if args.command not in ("validate", "verdict", "corpus") and not a.validity.ok:
+        raise InputError("graph is invalid; run `validate` for details")
+    return a
 
 
 def _dumps(data) -> str:
@@ -109,37 +100,32 @@ def _emit(data, fmt: str) -> None:
 # Subcommand implementations: each returns (payload, negative)
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args) -> Tuple[dict, bool]:
-    g = _load(args.file)
-    rep = validate(g)
+def _cmd_validate(a: Analysis, args) -> Tuple[dict, bool]:
+    rep = a.validity
     payload = {
-        "name": g.name,
+        "name": a.graph.name,
         "ok": rep.ok,
         "failures": [dict(f) for f in rep.failures],
-        "warnings": list(g.warnings),
+        "warnings": list(a.graph.warnings),
     }
     return payload, not rep.ok
 
 
-def _cmd_connections(args) -> Tuple[dict, bool]:
-    g = _load(args.file)
-    rep = validate(g)
-    if not rep.ok:
-        raise InputError("graph is invalid; run `validate` for details")
-    conns, explicit = available_connections(g)
+def _cmd_connections(a: Analysis, args) -> Tuple[dict, bool]:
+    conns, explicit = a.connections
     payload = {
-        "name": g.name,
+        "name": a.graph.name,
         "count": len(conns),
         "explicit": explicit,
         "connections": [
             {
                 str(eid): {
                     "forward": {
-                        str(a): b
-                        for a, b in c.as_dict(DirectedEdge(eid, True)).items()
+                        str(x): y
+                        for x, y in c.as_dict(DirectedEdge(eid, True)).items()
                     }
                 }
-                for eid in range(len(g.edges))
+                for eid in range(len(a.graph.edges))
             }
             for c in conns
         ],
@@ -147,59 +133,29 @@ def _cmd_connections(args) -> Tuple[dict, bool]:
     return payload, len(conns) == 0
 
 
-def _cmd_orientability(args) -> Tuple[dict, bool]:
-    g = _load(args.file)
-    rep = validate(g)
-    if not rep.ok:
-        raise InputError("graph is invalid; run `validate` for details")
-    conn = _pick_connection(g, args.connection)
-    res = is_orientable(g, conn)
-    payload = {
-        "name": g.name,
-        "connection": args.connection,
-        "orientable": res.orientable,
-        "eta": {str(k): v for k, v in sorted(res.eta.items())},
-        "potential": dict(res.potential) if res.potential else None,
-        "violating_cycle": (
-            list(res.violating_cycle) if res.violating_cycle is not None else None
-        ),
-    }
-    return payload, not res.orientable
+def _cmd_orientability(a: Analysis, args) -> Tuple[dict, bool]:
+    payload = dict(
+        a.orientability_section(), name=a.graph.name, connection=args.connection
+    )
+    return payload, not a.orientability.orientable
 
 
-def _cmd_cohomology(args) -> Tuple[dict, bool]:
-    g = _load(args.file)
-    rep = validate(g)
-    if not rep.ok:
-        raise InputError("graph is invalid; run `validate` for details")
-    table = []
-    betti = cohomology.betti_numbers(g, args.degree_cap)
-    for d, b in enumerate(betti.betti):
-        entry = {"degree": 2 * d, "betti": int(b)}
-        if args.ring in ("q", "both"):
-            entry["dim_q"] = int(cohomology.ht_basis_q(g, d).shape[0])
-        if args.ring in ("z", "both"):
-            entry["rank_z"] = int(cohomology.ht_basis_z(g, d).shape[0])
-        table.append(entry)
+def _cmd_cohomology(a: Analysis, args) -> Tuple[dict, bool]:
     payload = {
-        "name": g.name,
+        "name": a.graph.name,
         "degree_cap": args.degree_cap,
         "ring": args.ring,
-        "stabilized": betti.stabilized,
-        "total_rank": betti.total,
-        "table": table,
+        "stabilized": a.betti.stabilized,
+        "total_rank": a.betti.total,
+        "table": cohomology._degree_table(a.graph, a.betti.betti, args.ring),
     }
     return payload, False
 
 
-def _cmd_freeness(args) -> Tuple[dict, bool]:
-    g = _load(args.file)
-    rep = validate(g)
-    if not rep.ok:
-        raise InputError("graph is invalid; run `validate` for details")
-    res = cohomology.z_freeness(g, args.degree_cap)
+def _cmd_freeness(a: Analysis, args) -> Tuple[dict, bool]:
+    res = a.freeness
     payload = {
-        "name": g.name,
+        "name": a.graph.name,
         "degree_cap": args.degree_cap,
         "status": res.status,
         "checked_degrees": list(res.checked_degrees),
@@ -208,29 +164,19 @@ def _cmd_freeness(args) -> Tuple[dict, bool]:
     return payload, res.status != "certified"
 
 
-def _cmd_surface(args) -> Tuple[dict, bool]:
-    g = _load(args.file)
-    rep = validate(g)
-    if not rep.ok:
-        raise InputError("graph is invalid; run `validate` for details")
-    conn = _pick_connection(g, args.connection)
-    s = classify_surface(g, conn)
-    payload = {
-        "name": g.name,
-        "connection": args.connection,
-        "closed": s.closed,
-        "cells": {
-            "vertices": len(g.vertices),
-            "edges": len(g.edges),
+def _cmd_surface(a: Analysis, args) -> Tuple[dict, bool]:
+    s = a.surface
+    payload = dict(
+        a.surface_section(),
+        name=a.graph.name,  # the surface's name moves to classification
+        connection=args.connection,
+        cells={
+            "vertices": len(a.graph.vertices),
+            "edges": len(a.graph.edges),
             "faces": len(s.faces),
         },
-        "face_lengths": list(s.face_lengths),
-        "euler_characteristic": s.euler_characteristic,
-        "orientable": s.orientable,
-        "genus": s.genus,
-        "crosscaps": s.crosscaps,
-        "classification": s.name,
-    }
+        classification=s.name,
+    )
     if args.emit_complex:
         payload["complex"] = {
             "polygons": [
@@ -244,16 +190,10 @@ def _cmd_surface(args) -> Tuple[dict, bool]:
     return payload, not s.closed
 
 
-def _cmd_verdict(args) -> Tuple[dict, bool]:
-    g = _load(args.file)
-    try:
-        report = verdict.realizability_report(
-            g, args.degree_cap, connection_index=args.connection
-        )
-    except IndexError as exc:
-        raise InputError(str(exc)) from exc
-    negative = report["tier"] in ("invalid", "not-gkm", "not-realizable")
-    return report, negative
+def _cmd_verdict(a: Analysis, args) -> Tuple[dict, bool]:
+    # Through the public function, which traced runs time as the verdict.
+    report = realizability_report(a.graph, a.degree_cap, a.connection_index)
+    return report, report["tier"] in ("invalid", "not-gkm", "not-realizable")
 
 
 def _corpus_root(args) -> Path:
@@ -304,8 +244,7 @@ def _cmd_corpus(args) -> Tuple[dict, bool]:
         golden_path = gf.with_name(gf.stem + ".golden.json")
         entry = {"name": gf.stem, "file": str(gf)}
         try:
-            g = _load(str(gf))
-            report = verdict.realizability_report(g)
+            report = realizability_report(_open(args, str(gf)).graph)
             if not golden_path.exists():
                 entry.update(status="fail", error="missing golden file")
                 ok = False
@@ -317,7 +256,7 @@ def _cmd_corpus(args) -> Tuple[dict, bool]:
                 else:
                     entry.update(status="fail", first_diverging_field=diverging)
                     ok = False
-        except (InputError, GraphSyntaxError, GraphSemanticError) as exc:
+        except (InputError, GraphSemanticError) as exc:
             entry.update(status="fail", error=str(exc))
             ok = False
         entries.append(entry)
@@ -378,19 +317,18 @@ _COMMANDS = {
     "freeness": _cmd_freeness,
     "surface": _cmd_surface,
     "verdict": _cmd_verdict,
-    "corpus": _cmd_corpus,
 }
 
 
 def run(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "degree_cap", 0) % 2:
-        print("error: --degree-cap must be even", file=sys.stderr)
-        return 2
     try:
-        payload, negative = _COMMANDS[args.command](args)
-    except InputError as exc:
+        if args.command == "corpus":
+            payload, negative = _cmd_corpus(args)
+        else:
+            payload, negative = _COMMANDS[args.command](_open(args, args.file), args)
+    except (InputError, GraphSemanticError, NoSuchConnection) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args.format)

@@ -94,7 +94,8 @@ def _blocks(g: GkmGraph, vec: Sequence, d: int) -> List[Tuple]:
 
 def _basis_cache(g: GkmGraph) -> dict:
     # GkmGraph is a frozen dataclass, but instances still own a __dict__
-    # (cached_property relies on it), so memoized bases can live there.
+    # (cached_property relies on it), so memoized bases, and the Betti
+    # numbers computed from them, can live there.
     return g.__dict__.setdefault("_cohomology_basis_cache", {})
 
 
@@ -209,10 +210,13 @@ class BettiResult:
 
 def betti_numbers(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> BettiResult:
     """Combinatorial Betti numbers b_{2d} = dim H^{2d}_T - dim (x, y) H^{2(d-1)}_T."""
-    dmax = degree_cap // 2
+    cache = _basis_cache(g)
+    if ("betti", degree_cap) in cache:
+        return cache[("betti", degree_cap)]
     betti: List[int] = []
     prev_basis = None
-    for d in range(dmax + 1):
+    stabilized = False
+    for d in range(degree_cap // 2 + 1):
         basis = ht_basis_q(g, d)
         if d == 0:
             b = basis.shape[0]
@@ -228,23 +232,28 @@ def betti_numbers(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> BettiRes
             and betti[-1] == 0
             and betti[-2] == 0
         ):
-            return BettiResult(tuple(betti), True, sum(betti))
-    return BettiResult(tuple(betti), False, sum(betti))
+            stabilized = True
+            break
+    res = BettiResult(tuple(betti), stabilized, sum(betti))
+    cache[("betti", degree_cap)] = res
+    return res
 
 
 def cohomology_table(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> List[dict]:
     """Per-degree summary: Q-dimension, Z-rank and Betti number."""
-    res = betti_numbers(g, degree_cap)
+    return _degree_table(g, betti_numbers(g, degree_cap).betti, "both")
+
+
+def _degree_table(g: GkmGraph, betti: Sequence[int], ring: str) -> List[dict]:
+    """cohomology_table's rows; ring "q" or "z" never computes the other's bases."""
     out = []
-    for d, b in enumerate(res.betti):
-        out.append(
-            {
-                "degree": 2 * d,
-                "dim_q": int(ht_basis_q(g, d).shape[0]),
-                "rank_z": int(ht_basis_z(g, d).shape[0]),
-                "betti": int(b),
-            }
-        )
+    for d, b in enumerate(betti):
+        row = {"degree": 2 * d, "betti": int(b)}
+        if ring != "z":
+            row["dim_q"] = int(ht_basis_q(g, d).shape[0])
+        if ring != "q":
+            row["rank_z"] = int(ht_basis_z(g, d).shape[0])
+        out.append(row)
     return out
 
 
@@ -255,7 +264,7 @@ def cohomology_table(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> List[
 def thom_class_vertex(g: GkmGraph, v: str) -> list:
     """Degree-6 class: product of the three incident weights at v, 0 elsewhere.
 
-    Membership in the integral class lattice is asserted.
+    Membership in the integral class lattice is checked.
     """
     d = g.valence
     prod: Tuple = (1,)
@@ -265,7 +274,8 @@ def thom_class_vertex(g: GkmGraph, v: str) -> list:
     base = g.vertex_index[v] * (d + 1)
     for j, c in enumerate(prod):
         vec[base + j] = c
-    assert linalg.lattice_solve(ht_basis_z(g, d), vec) is not None
+    if linalg.lattice_solve(ht_basis_z(g, d), vec) is None:
+        raise RuntimeError(f"Thom class of vertex {v!r} escaped the class lattice")
     return vec
 
 
@@ -274,7 +284,7 @@ def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
 
     At the source it is the product of the other two incident weights; at
     the target the same product is scaled by the product of the transport
-    signs.  Membership in the integral class lattice is asserted.
+    signs.  Membership in the integral class lattice is checked.
     """
     d = g.valence - 1
     e = g.edges[edge_id]
@@ -297,7 +307,8 @@ def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
         base = g.vertex_index[v] * (d + 1)
         for j, c in enumerate(side_product(v)):
             vec[base + j] += scale * c
-    assert linalg.lattice_solve(ht_basis_z(g, d), vec) is not None
+    if linalg.lattice_solve(ht_basis_z(g, d), vec) is None:
+        raise RuntimeError(f"Thom class of edge {edge_id} escaped the class lattice")
     return vec
 
 
@@ -318,7 +329,8 @@ def _quotient_projector(
     coords = []
     for r in sub_rows:
         c = linalg.solve_left(ambient_basis, r)
-        assert c is not None, "subspace generator outside ambient space"
+        if c is None:
+            raise RuntimeError("subspace generator outside ambient space")
         coords.append(list(c))
     R, pivots = linalg.rref(linalg.qmat(coords, dim)) if coords else (
         linalg.zeros(0, dim),
@@ -328,7 +340,8 @@ def _quotient_projector(
 
     def project(vec: Sequence) -> list:
         c = linalg.solve_left(ambient_basis, vec)
-        assert c is not None, "class outside ambient space"
+        if c is None:
+            raise RuntimeError("class outside ambient space")
         c = [Fraction(x) for x in c]
         for r, pc in enumerate(pivots):
             if c[pc] != 0:
@@ -380,7 +393,8 @@ def poincare_duality(
         sub = _raised(g, bases[d - 1], d - 1)
         reduced.append(_quotient_projector(sub, bases[d]))
     (b2, p2), (b4, p4), (b6, p6) = reduced
-    assert (b2, b4, b6) == (padded[1], padded[2], padded[3])
+    if (b2, b4, b6) != (padded[1], padded[2], padded[3]):
+        raise RuntimeError("reduced dimensions disagree with the Betti numbers")
 
     # Representatives of the reduced parts: basis rows whose projections are
     # linearly independent.
@@ -394,7 +408,8 @@ def poincare_duality(
                 chosen.append(list(basis[i]))
             if len(chosen) == want:
                 break
-        assert len(chosen) == want
+        if len(chosen) != want:
+            raise RuntimeError("too few independent classes in a reduced part")
         return chosen
 
     reps2 = pick(bases[1], p2, b2)
@@ -446,7 +461,8 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
             coords = []
             for r in gens:
                 c = linalg.hnf_solve(L, r)
-                assert c is not None, "product class escaped the class lattice"
+                if c is None:
+                    raise RuntimeError("product class escaped the class lattice")
                 coords.append(c)
             C = linalg.zmat(coords, L.shape[0])
             D, _, T = linalg.snf_transform(C)

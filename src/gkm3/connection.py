@@ -15,6 +15,7 @@ and then filters for eps in {±1} and integral k.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -129,23 +130,37 @@ def enumerate_connections(g: GkmGraph) -> List[Connection]:
     return out
 
 
+def _edge_id(x) -> int:
+    """An edge id of a connection block: an int or a string of digits."""
+    if type(x) is int or (isinstance(x, str) and re.fullmatch("-?[0-9]+", x)):
+        return int(x)
+    raise GraphSemanticError(f"connection: edge id {x!r} is not an integer")
+
+
+def _id_map(eid: int, raw) -> Optional[Dict[int, int]]:
+    if raw is not None and not isinstance(raw, dict):
+        raise GraphSemanticError(f"connection: edge {eid} map must be an object")
+    return None if raw is None else {_edge_id(a): _edge_id(b) for a, b in raw.items()}
+
+
 def connection_from_block(g: GkmGraph, block: Mapping) -> Connection:
     """Builds and checks a connection from a graph file `connection` block.
 
     The block maps stringified edge ids to {"forward": {src id: tgt id},
     "backward": {...}} where backward is optional and checked as the
-    inverse.  Compatibility is validated on load.
+    inverse.  Compatibility is validated on load; every defect of the block
+    raises GraphSemanticError.
     """
     forward: Dict[int, Dict[int, int]] = {}
+    backward: Dict[int, Optional[Dict[int, int]]] = {}
     for key, entry in block.items():
-        try:
-            eid = int(key)
-        except ValueError:
-            raise GraphSemanticError(f"connection: bad edge id {key!r}")
+        eid = _edge_id(key)
         if eid < 0 or eid >= len(g.edges):
             raise GraphSemanticError(f"connection: edge id {eid} out of range")
-        fmap = {int(a): int(b) for a, b in entry.get("forward", {}).items()}
-        forward[eid] = fmap
+        if not isinstance(entry, dict):
+            raise GraphSemanticError(f"connection: edge {eid} entry must be an object")
+        forward[eid] = _id_map(eid, entry.get("forward")) or {}
+        backward[eid] = _id_map(eid, entry.get("backward"))
     if set(forward) != set(range(len(g.edges))):
         raise GraphSemanticError("connection: every edge needs a forward map")
 
@@ -170,16 +185,12 @@ def connection_from_block(g: GkmGraph, block: Mapping) -> Connection:
                 raise GraphSemanticError(
                     f"connection: edge {eid} transports {f} -> {fp} incompatibly"
                 )
-        back = block[str(eid)].get("backward")
-        if back is not None:
-            if {int(a): int(b) for a, b in back.items()} != {
-                b: a for a, b in fmap.items()
-            }:
-                raise GraphSemanticError(
-                    f"connection: edge {eid} backward map is not the inverse"
-                )
-    conn = Connection.from_forward_maps(g, forward)
-    return conn
+        back = backward[eid]
+        if back is not None and back != {b: a for a, b in fmap.items()}:
+            raise GraphSemanticError(
+                f"connection: edge {eid} backward map is not the inverse"
+            )
+    return Connection.from_forward_maps(g, forward)
 
 
 def available_connections(g: GkmGraph) -> Tuple[List[Connection], bool]:
@@ -256,7 +267,7 @@ def transition(g: GkmGraph, conn: Connection, e: DirectedEdge) -> TransitionData
     The matrix entries follow the bookkeeping recipe: column j /= m carries
     eps_j in row sigma(j); column m carries 1 in row sigma(m) and the
     integers k in the remaining rows.  The weight-transport identity and
-    det phi = ±1 are asserted.
+    det phi = ±1 are checked (ConnectionInconsistency).
     """
     v, w = g.source(e), g.target(e)
     src_ids, tgt_ids = g.incident[v], g.incident[w]
@@ -317,13 +328,6 @@ class ConnectionPath:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    @property
-    def edge_ids(self) -> Tuple[int, ...]:
-        return tuple(s.edge_id for s in self.steps)
-
-    def reversed_steps(self) -> Tuple[DirectedEdge, ...]:
-        return tuple(s.reversed() for s in reversed(self.steps))
 
     @staticmethod
     def canonical(steps: Sequence[DirectedEdge]) -> "ConnectionPath":

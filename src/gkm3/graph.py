@@ -167,6 +167,8 @@ def parse_graph(text: str) -> GkmGraph:
         raise GraphSyntaxError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past int's digit limit
+        raise GraphSyntaxError(str(exc)) from exc
     if not isinstance(data, dict):
         raise GraphSyntaxError("top-level value must be an object")
 
@@ -189,10 +191,9 @@ def parse_graph(text: str) -> GkmGraph:
             f"edge {i}: unknown field {k!r}" for k in rec if k not in _KNOWN_FIELDS
         ]
         u, v, w = rec.get("from"), rec.get("to"), rec.get("weight")
-        if u not in vset:
-            raise GraphSemanticError(f"edge {i}: unknown vertex name {u!r}")
-        if v not in vset:
-            raise GraphSemanticError(f"edge {i}: unknown vertex name {v!r}")
+        for end in (u, v):
+            if not isinstance(end, str) or end not in vset:
+                raise GraphSemanticError(f"edge {i}: unknown vertex name {end!r}")
         if (
             not isinstance(w, list)
             or len(w) != 2
@@ -253,10 +254,10 @@ def _components(g: GkmGraph) -> list:
 def validate(g: GkmGraph) -> ValidationReport:
     """Checks the abstract-graph axioms and effectivity.
 
-    Covered: constant valence, loop-freeness, connectivity, pairwise linear
-    independence of the weights at every vertex, and effectivity (the
-    incident weights at every vertex generate the full lattice Z^2, i.e.
-    both elementary divisors of the 2xn weight matrix are 1).
+    Covered: valence 3 (the paper's scope), loop-freeness, connectivity,
+    pairwise linear independence of the weights at every vertex, and
+    effectivity (the incident weights at every vertex generate the full
+    lattice Z^2, i.e. both elementary divisors of the 2x3 weight matrix are 1).
     """
     from . import linalg
 
@@ -268,12 +269,11 @@ def validate(g: GkmGraph) -> ValidationReport:
         if e.u == e.v:
             failures.append({"kind": "loop", "edge": i})
 
-    n = g.valence
     for v in g.vertices:
-        if len(g.incident[v]) != n:
+        if len(g.incident[v]) != 3:
             failures.append(
                 {"kind": "valence", "vertex": v, "found": len(g.incident[v]),
-                 "expected": n}
+                 "expected": 3}
             )
 
     comps = _components(g)

@@ -110,16 +110,6 @@ def solve_left(B: np.ndarray, b: Sequence) -> Optional[np.ndarray]:
     return c
 
 
-def row_space_contains(B: np.ndarray, v: Sequence) -> bool:
-    return solve_left(B, v) is not None
-
-
-def row_spaces_equal(A: np.ndarray, B: np.ndarray) -> bool:
-    if q_rank(A) != q_rank(B):
-        return False
-    return all(row_space_contains(B, A[i]) for i in range(A.shape[0]))
-
-
 # ---------------------------------------------------------------------------
 # Integer routines
 # ---------------------------------------------------------------------------
@@ -312,7 +302,8 @@ def hnf_solve(H: np.ndarray, v: Sequence) -> Optional[list]:
     coords = [0] * m
     for i in range(m):
         pj = next((j for j in range(n) if H[i, j] != 0), None)
-        assert pj is not None, "HNF basis must have no zero rows"
+        if pj is None:
+            raise ValueError("HNF basis must have no zero rows")
         q, r = divmod(res[pj], int(H[i, pj]))
         if r:
             return None

@@ -112,7 +112,8 @@ def potential_from_eta(
             prod = 1
             for c in cycle:
                 prod *= eta_map[c]
-            assert prod == -1, "violating cycle must have eta-product -1"
+            if prod != -1:
+                raise ConnectionInconsistency("violating cycle has eta-product 1")
             return None, cycle
     return tau, None
 

@@ -99,16 +99,17 @@ def classify_surface(g: GkmGraph, conn: Connection) -> SurfaceResult:
     if not s.closed:
         return s
     chi = s.euler_characteristic
-    assert chi is not None
     if s.orientable:
-        assert chi % 2 == 0 and chi <= 2
+        if chi % 2 or chi > 2:
+            raise RuntimeError(f"orientable closed surface with chi = {chi}")
         genus = (2 - chi) // 2
         name = "sphere" if genus == 0 else f"genus-{genus} surface"
         return SurfaceResult(
             True, s.faces, s.face_lengths, chi, True, genus=genus, name=name
         )
     crosscaps = 2 - chi
-    assert crosscaps >= 1
+    if crosscaps < 1:
+        raise RuntimeError(f"nonorientable closed surface with chi = {chi}")
     name = f"crosscap-{crosscaps} surface"
     return SurfaceResult(
         True, s.faces, s.face_lengths, chi, False, crosscaps=crosscaps, name=name

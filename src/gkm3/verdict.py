@@ -16,150 +16,198 @@ the ladder.  All numeric content is exact.
 
 from __future__ import annotations
 
-from . import cohomology
-from .connection import available_connections, loop_holonomy
+from functools import cached_property
+
+import numpy as np
+
+from .cohomology import DEFAULT_DEGREE_CAP, betti_numbers, poincare_duality, z_freeness
+from .connection import Connection, available_connections, loop_holonomy
 from .graph import GkmGraph, connected_isotropy_check, validate
 from .orientation import is_orientable
 from .surface import classify_surface
 
-__all__ = ["SCHEMA", "realizability_report"]
+__all__ = ["SCHEMA", "Analysis", "NoSuchConnection", "realizability_report"]
 
 SCHEMA = "gkm3.verdict/1"
 
 
-def _identity(mat) -> bool:
-    n = mat.shape[0]
-    return all(
-        mat[i, j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-    )
+class NoSuchConnection(IndexError):
+    """The selected connection index is not that of a compatible connection."""
+
+
+class Analysis:
+    """One graph's analysis; each stage is computed on first use, at most once.
+
+    connection_index selects the compatible connection behind orientability,
+    surface and holonomy; a file-supplied connection is always index 0.
+    """
+
+    def __init__(self, g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP,
+                 connection_index: int = 0):
+        self.graph = g
+        self.degree_cap = degree_cap
+        self.connection_index = connection_index
+
+    # Each stage calls the public function that tests and tracing know by
+    # name.  connections is (connections, explicit) and raises
+    # GraphSemanticError for a bad connection block.
+    validity = cached_property(lambda a: validate(a.graph))
+    connections = cached_property(lambda a: available_connections(a.graph))
+    betti = cached_property(lambda a: betti_numbers(a.graph, a.degree_cap))
+    poincare = cached_property(lambda a: poincare_duality(a.graph, a.degree_cap))
+    freeness = cached_property(lambda a: z_freeness(a.graph, a.degree_cap))
+    isotropy = cached_property(lambda a: connected_isotropy_check(a.graph))
+    orientability = cached_property(lambda a: is_orientable(a.graph, a.connection))
+    surface = cached_property(lambda a: classify_surface(a.graph, a.connection))
+
+    @cached_property
+    def connection(self) -> Connection:
+        conns, _ = self.connections
+        if not 0 <= self.connection_index < len(conns):
+            raise NoSuchConnection(
+                f"connection index {self.connection_index} out of range "
+                f"({len(conns)} compatible connections)"
+            )
+        return conns[self.connection_index]
+
+    @cached_property
+    def orientability_consistent(self) -> bool:
+        """Whether all compatible connections agree on orientability.  Keeps
+        one boolean each: thousands of full results cost megabytes."""
+        seen = {self.orientability.orientable}
+        for i, c in enumerate(self.connections[0]):
+            if i != self.connection_index:
+                seen.add(is_orientable(self.graph, c).orientable)
+        return len(seen) == 1
+
+    def orientability_section(self) -> dict:
+        orient = self.orientability
+        cycle = orient.violating_cycle
+        return {
+            "orientable": orient.orientable,
+            "eta": {str(k): v for k, v in sorted(orient.eta.items())},
+            "potential": dict(orient.potential) if orient.potential else None,
+            "violating_cycle": None if cycle is None else list(cycle),
+        }
+
+    def surface_section(self) -> dict:
+        surf = self.surface
+        return {
+            "name": surf.name,
+            "closed": surf.closed,
+            "euler_characteristic": surf.euler_characteristic,
+            "orientable": surf.orientable,
+            "genus": surf.genus,
+            "crosscaps": surf.crosscaps,
+            "face_lengths": list(surf.face_lengths),
+        }
+
+    def report(self) -> dict:
+        """The verdict report; see the module docstring for the tiers."""
+        g = self.graph
+        report: dict = {
+            "schema": SCHEMA,
+            "name": g.name,
+            "options": {
+                "degree_cap": self.degree_cap,
+                "connection_index": self.connection_index,
+            },
+            "warnings": list(g.warnings),
+            "findings": [],
+        }
+
+        validity = self.validity
+        report["validity"] = {
+            "ok": validity.ok,
+            "failures": [dict(f) for f in validity.failures],
+        }
+        if not validity.ok:
+            report.update(
+                connections=None, orientability=None, betti=None,
+                poincare_duality=None, z_freeness=None,
+                connected_isotropy=None, surface=None, tier="invalid",
+            )
+            return report
+
+        conns, explicit = self.connections
+        report["connections"] = {"count": len(conns), "explicit": explicit}
+
+        betti = self.betti
+        report["betti"] = list(betti.betti)
+        if not betti.stabilized:
+            report["warnings"].append(
+                "betti numbers did not stabilize below the degree cap"
+            )
+        pd = self.poincare
+        report["poincare_duality"] = {
+            "ok": pd.ok,
+            "pairing_rank": pd.pairing_rank,
+            "reasons": list(pd.reasons),
+        }
+        freeness = self.freeness
+        report["z_freeness"] = {
+            "status": freeness.status,
+            "witness": freeness.witness,
+        }
+        report["connected_isotropy"] = self.isotropy
+
+        if not conns:
+            report.update(orientability=None, surface=None, tier="not-gkm")
+            if pd.ok:
+                report["findings"].append(
+                    "poincare duality holds but no compatible connection exists"
+                )
+            return report
+
+        orient = self.orientability
+        report["orientability"] = dict(
+            self.orientability_section(),
+            consistent_across_connections=self.orientability_consistent,
+        )
+        if not self.orientability_consistent:
+            report["warnings"].append(
+                "orientability differs between compatible connections"
+            )
+
+        report["surface"] = self.surface_section()
+        holonomy_trivial = all(
+            np.array_equal(loop_holonomy(g, self.connection, p), np.eye(3, dtype=int))
+            for p in self.surface.faces
+        )
+        report["connections"]["loop_holonomy_trivial"] = holonomy_trivial
+        if orient.orientable and not holonomy_trivial:
+            report["findings"].append(
+                "internal inconsistency: orientable but nontrivial loop "
+                "holonomy"
+            )
+
+        if pd.ok and not orient.orientable:
+            raise RuntimeError(
+                "poincare duality certified for a nonorientable connection; "
+                "this combination should be impossible"
+            )
+
+        if not pd.ok:
+            tier = "not-realizable"
+        elif freeness.status != "certified":
+            tier = "rational-gkm-realizable"
+        elif not self.isotropy["ok"]:
+            tier = "integer-gkm-realizable"
+            report["warnings"].append(
+                "disconnected isotropy: the integral realization need not be "
+                "unique up to equivalence"
+            )
+        else:
+            tier = "rigid-class"
+        report["tier"] = tier
+        return report
 
 
 def realizability_report(
     g: GkmGraph,
-    degree_cap: int = cohomology.DEFAULT_DEGREE_CAP,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
     connection_index: int = 0,
 ) -> dict:
-    """Full JSON-serializable report; see the module docstring for the tiers.
-
-    connection_index selects which compatible connection drives the
-    connection-dependent sections (orientability, surface, holonomy); a
-    file-supplied connection is always index 0.
-    """
-    report: dict = {
-        "schema": SCHEMA,
-        "name": g.name,
-        "options": {"degree_cap": degree_cap, "connection_index": connection_index},
-        "warnings": list(g.warnings),
-        "findings": [],
-    }
-
-    validity = validate(g)
-    report["validity"] = {
-        "ok": validity.ok,
-        "failures": [dict(f) for f in validity.failures],
-    }
-    if not validity.ok:
-        report.update(
-            connections=None, orientability=None, betti=None,
-            poincare_duality=None, z_freeness=None, connected_isotropy=None,
-            surface=None, tier="invalid",
-        )
-        return report
-
-    conns, explicit = available_connections(g)
-    report["connections"] = {"count": len(conns), "explicit": explicit}
-
-    betti = cohomology.betti_numbers(g, degree_cap)
-    report["betti"] = list(betti.betti)
-    if not betti.stabilized:
-        report["warnings"].append(
-            "betti numbers did not stabilize below the degree cap"
-        )
-    pd = cohomology.poincare_duality(g, degree_cap)
-    report["poincare_duality"] = {
-        "ok": pd.ok,
-        "pairing_rank": pd.pairing_rank,
-        "reasons": list(pd.reasons),
-    }
-    freeness = cohomology.z_freeness(g, degree_cap)
-    report["z_freeness"] = {
-        "status": freeness.status,
-        "witness": freeness.witness,
-    }
-    isotropy = connected_isotropy_check(g)
-    report["connected_isotropy"] = isotropy
-
-    if not conns:
-        report.update(orientability=None, surface=None, tier="not-gkm")
-        if pd.ok:
-            report["findings"].append(
-                "poincare duality holds but no compatible connection exists"
-            )
-        return report
-
-    if not 0 <= connection_index < len(conns):
-        raise IndexError(
-            f"connection index {connection_index} out of range ({len(conns)})"
-        )
-    primary = conns[connection_index]
-    orient_all = [is_orientable(g, c).orientable for c in conns]
-    orient = is_orientable(g, primary)
-    report["orientability"] = {
-        "orientable": orient.orientable,
-        "eta": {str(k): v for k, v in sorted(orient.eta.items())},
-        "potential": dict(orient.potential) if orient.potential else None,
-        "violating_cycle": (
-            list(orient.violating_cycle)
-            if orient.violating_cycle is not None
-            else None
-        ),
-        "consistent_across_connections": len(set(orient_all)) == 1,
-    }
-    if len(set(orient_all)) != 1:
-        report["warnings"].append(
-            "orientability differs between compatible connections"
-        )
-
-    surf = classify_surface(g, primary)
-    report["surface"] = {
-        "closed": surf.closed,
-        "euler_characteristic": surf.euler_characteristic,
-        "orientable": surf.orientable,
-        "genus": surf.genus,
-        "crosscaps": surf.crosscaps,
-        "name": surf.name,
-        "face_lengths": list(surf.face_lengths),
-    }
-    holonomy_trivial = all(
-        _identity(loop_holonomy(g, primary, p)) for p in surf.faces
-    )
-    report["connections"]["loop_holonomy_trivial"] = holonomy_trivial
-    if orient.orientable and not holonomy_trivial:
-        report["findings"].append(
-            "internal inconsistency: orientable but nontrivial loop holonomy"
-        )
-
-    if pd.ok and not orient.orientable:
-        report["findings"].append(
-            "internal inconsistency: poincare duality holds for a "
-            "nonorientable connection"
-        )
-        raise RuntimeError(
-            "poincare duality certified for a nonorientable connection; "
-            "this combination should be impossible"
-        )
-
-    if not pd.ok:
-        tier = "not-realizable"
-    elif freeness.status != "certified":
-        tier = "rational-gkm-realizable"
-    elif not isotropy["ok"]:
-        tier = "integer-gkm-realizable"
-        report["warnings"].append(
-            "disconnected isotropy: the integral realization need not be "
-            "unique up to equivalence"
-        )
-    else:
-        tier = "rigid-class"
-    report["tier"] = tier
-    return report
+    """Full JSON-serializable report; see the module docstring for the tiers
+    and Analysis for connection_index."""
+    return Analysis(g, degree_cap, connection_index).report()

@@ -3,6 +3,8 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gkm3 import cli
 
@@ -46,10 +48,34 @@ def test_input_errors_exit_2(capsys, tmp_path):
     mangled.write_text("{not json")
     code, _, err = run(capsys, "validate", str(mangled))
     assert code == 2 and "syntax error" in err
+    mangled.write_bytes(b"\xf6\xff not utf-8")
+    code, _, err = run(capsys, "validate", str(mangled))
+    assert code == 2 and "cannot read" in err
+    mangled.write_text('{"vertices": [], "edges": [], "name": ' + "1" * 5000 + "}")
+    code, _, err = run(capsys, "validate", str(mangled))
+    assert code == 2 and "limit" in err
     code, _, err = run(capsys, "verdict", cpath("theta"), "--connection", "99")
     assert code == 2 and "out of range" in err
     code, _, err = run(capsys, "verdict", cpath("theta"), "--degree-cap", "7")
     assert code == 2 and "even" in err
+    for cap in ("-4", "2", "4"):  # the verdict needs b_6
+        code, out, err = run(capsys, "verdict", cpath("theta"), "--degree-cap", cap)
+        assert code == 2 and out == "" and "degree-cap" in err
+    code, _, err = run(capsys, "cohomology", cpath("theta"), "--degree-cap", "-2")
+    assert code == 2 and "negative" in err
+    code, _, _ = run(capsys, "cohomology", cpath("theta"), "--degree-cap", "2")
+    assert code == 0
+
+    # A rejected connection block exits 2 from every command that reads it.
+    doc = json.loads((CORPUS_DIR / "nonorientable.json").read_text())
+    not_bijection = json.loads(json.dumps(doc["connection"]))
+    not_bijection["0"]["forward"]["3"] = 5
+    for block in (not_bijection, {"0": 5}, {"0": {"forward": {"x": 1}}}):
+        bad = tmp_path / "bad_block.json"
+        bad.write_text(json.dumps(dict(doc, connection=block)))
+        for cmd in ("verdict", "connections", "orientability", "surface"):
+            code, out, err = run(capsys, cmd, str(bad))
+            assert code == 2 and out == "" and "connection" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -169,3 +195,84 @@ def test_corpus_missing_golden(capsys, tmp_path):
     data = json.loads(out)
     assert code == 1
     assert data["entries"][0]["error"] == "missing golden file"
+
+
+# Documents for the fuzz test: at most 4 vertices, weights in [-3, 3], and
+# arbitrary JSON in place of one field the parser reads.  Most documents are
+# built on a 3-valent shape so that many of them pass validation and reach
+# the connection, cohomology and surface stages.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("abxy0129", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("0129fx", max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+_ids = st.integers(0, 5)
+_block = st.dictionaries(
+    _ids.map(str),
+    st.fixed_dictionaries(
+        {"forward": st.dictionaries(_ids.map(str), _ids | _json, max_size=4)}
+    ) | _json,
+    max_size=6,
+)
+_SHAPES = (
+    ("ab", "ab", "ab"),
+    ("ab", "ac", "ad", "bc", "bd", "cd"),
+    ("ab", "ab", "cd", "cd", "ac", "bd"),
+)
+# Drawn uniformly: integers() would favour 0 and so zero or parallel weights.
+_weights = st.sampled_from([[a, b] for a in range(-3, 4) for b in range(-3, 4)])
+_shapes = st.sampled_from(_SHAPES) | st.lists(
+    st.sampled_from(["ab", "ba", "ac", "bc", "cd", "da", "bd", "aa"]), max_size=6
+)
+
+
+@st.composite
+def _documents(draw):
+    shape = draw(_shapes)
+    doc = {
+        "vertices": sorted(set("".join(shape))),
+        "edges": [
+            {"from": u, "to": v, "weight": draw(_weights)}
+            for u, v in shape
+        ],
+    }
+    if draw(st.booleans()):
+        doc["connection"] = draw(_block)
+    field = draw(st.sampled_from(
+        [None] * 3 + ["vertices", "edges", "from", "weight", "connection", "name"]
+    ))
+    if field in ("from", "weight"):
+        if doc["edges"]:
+            doc["edges"][draw(st.integers(0, len(doc["edges"]) - 1))][field] = draw(_json)
+    elif field is not None:
+        doc[field] = draw(_json)
+    return doc
+
+
+@given(_documents())
+@example({"vertices": ["a", "b", "c", "d"], "edges": [
+    {"from": "a", "to": "b", "weight": [1, 0]},
+    {"from": "b", "to": "c", "weight": [0, 1]},
+    {"from": "c", "to": "d", "weight": [1, 0]},
+    {"from": "d", "to": "a", "weight": [0, 1]}]})
+@example({"vertices": ["u", "w"], "edges": [
+    {"from": "u", "to": "w", "weight": [1, 0]},
+    {"from": "u", "to": "w", "weight": [0, 1]},
+    {"from": "u", "to": "w", "weight": [1, 1]}], "connection": {"0": 5}})
+@example({"vertices": ["u", "w"], "edges": [
+    {"from": "u", "to": "w", "weight": [1, 0]},
+    {"from": "u", "to": "w", "weight": [0, 1]},
+    {"from": "u", "to": "w", "weight": [1, 1]}],
+    "connection": {"0": {"forward": {"x": 1}}}})
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_json_gives_exit_0_1_or_2(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    # The lowest cap the verdict accepts: at the default cap, integral
+    # freeness of some 4-vertex graphs runs into the coefficient growth of
+    # linalg.hnf (over a minute each), which is the kernel's problem, not
+    # the input contract's.
+    assert cli.run(["verdict", str(path), "--degree-cap", "6"]) in (0, 1, 2)
+    capsys.readouterr()

@@ -101,6 +101,25 @@ def test_connection_block_validation(nonorientable):
     with pytest.raises(GraphSemanticError, match="inverse"):
         connection_from_block(g, good)
 
+    # Entries that are not objects and ids that are not integers are
+    # semantic errors too, never AttributeError or ValueError.
+    for entry, match in (
+        (5, "must be an object"),
+        ({"forward": [0, 1, 2]}, "must be an object"),
+        ({"forward": {"x": 1}}, "not an integer"),
+        ({"forward": {"0": 1.5}}, "not an integer"),
+        ({"forward": {"0": None}}, "not an integer"),
+        ({"forward": {"0": True}}, "not an integer"),
+    ):
+        bad = json.loads(json.dumps(doc["connection"]))
+        bad["0"] = entry
+        with pytest.raises(GraphSemanticError, match=match):
+            connection_from_block(g, bad)
+    bad = json.loads(json.dumps(doc["connection"]))
+    bad["zero"] = bad.pop("0")
+    with pytest.raises(GraphSemanticError, match="not an integer"):
+        connection_from_block(g, bad)
+
 
 def test_connection_block_incompatible_transport(cube):
     # Start from the unique compatible connection and swap two transport

@@ -1,9 +1,12 @@
 import json
+import time
 
 import pytest
 
+from gkm3 import cohomology
+from gkm3 import verdict
 from gkm3.graph import parse_graph
-from gkm3.verdict import SCHEMA, realizability_report
+from gkm3.verdict import SCHEMA, Analysis, realizability_report
 
 from conftest import corpus_graph
 
@@ -118,3 +121,55 @@ def test_orientability_consistency_flag(theta):
     )
     if not rep["orientability"]["consistent_across_connections"]:
         assert any("differs" in w for w in rep["warnings"])
+
+
+SQUARE = {  # CP^1 x CP^1 as a 2-valent graph
+    "vertices": ["a", "b", "c", "d"],
+    "edges": [
+        {"from": "a", "to": "b", "weight": [1, 0]},
+        {"from": "b", "to": "c", "weight": [0, 1]},
+        {"from": "c", "to": "d", "weight": [1, 0]},
+        {"from": "d", "to": "a", "weight": [0, 1]},
+    ],
+}
+
+K5 = {  # CP^4 as a 4-valent graph, edge ij labelled by images of e_j - e_i
+    "vertices": ["v1", "v2", "v3", "v4", "v5"],
+    "edges": [
+        {"from": f"v{i + 1}", "to": f"v{j + 1}",
+         "weight": [c[0] - b[0], c[1] - b[1]]}
+        for i, b in enumerate([(0, 0), (1, 0), (0, 1), (1, 2), (2, 1)])
+        for j, c in enumerate([(0, 0), (1, 0), (0, 1), (1, 2), (2, 1)])
+        if i < j
+    ],
+}
+
+
+@pytest.mark.parametrize("doc, found", [(SQUARE, 2), (K5, 4)])
+def test_valence_other_than_3_is_invalid(doc, found):
+    t0 = time.perf_counter()
+    rep = realizability_report(parse_graph(json.dumps(doc)))
+    assert time.perf_counter() - t0 < 1.0
+    assert rep["tier"] == "invalid"
+    valence = [f for f in rep["validity"]["failures"] if f["kind"] == "valence"]
+    assert len(valence) == len(doc["vertices"])
+    assert all(f["expected"] == 3 and f["found"] == found for f in valence)
+
+
+def test_analysis_runs_each_stage_once(theta, monkeypatch):
+    calls = []
+    real = verdict.is_orientable
+
+    def counting(g, conn):
+        calls.append(conn)
+        return real(g, conn)
+
+    monkeypatch.setattr(verdict, "is_orientable", counting)
+    a = Analysis(theta, connection_index=3)
+    rep = a.report()
+    assert a.report() == rep
+    conns, _ = a.connections
+    assert len(calls) == len(conns)  # the selected connection is decided once
+    assert {id(c) for c in calls} == {id(c) for c in conns}
+    # The Betti stage is the memo entry that poincare_duality reads too.
+    assert cohomology.betti_numbers(theta, a.degree_cap) is a.betti
