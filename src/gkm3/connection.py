@@ -15,6 +15,8 @@ and then filters for eps in {±1} and integral k.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +28,7 @@ from .graph import DirectedEdge, GkmGraph, GraphSemanticError, Weight, det2
 
 __all__ = [
     "Connection",
+    "ConnectionSpace",
     "TransitionData",
     "ConnectionPath",
     "transport_coefficients",
@@ -111,23 +114,72 @@ def _compatible_bijections(g: GkmGraph, eid: int) -> List[Dict[int, int]]:
     return out
 
 
-def enumerate_connections(g: GkmGraph) -> List[Connection]:
+class ConnectionSpace(Sequence[Connection]):
+    """The compatible connections of g, a lazy product of per-edge options.
+
+    options[eid] lists the compatible forward maps of edge eid; the choices
+    at different edges are independent (the reverse direction is the
+    inverse).  Connection j of the product writes j in mixed radix with the
+    option counts as digits, the last edge varying fastest, as
+    itertools.product orders it.  A file-supplied connection comes first and
+    the product skips its own position, so the length is always the product
+    of the option counts.  Connections are built on access, never stored.
+    """
+
+    def __init__(self, g: GkmGraph,
+                 options: Sequence[Sequence[Dict[int, int]]],
+                 explicit: Optional[Connection] = None):
+        self.graph = g
+        self.options = options
+        self.explicit = explicit
+        self._len = math.prod(len(opts) for opts in options)
+        self._skip = None if explicit is None else self._position(explicit)
+
+    def _position(self, conn: Connection) -> int:
+        j = 0
+        for eid, opts in enumerate(self.options):
+            fmap = dict(conn.maps[(eid, True)])
+            if fmap not in opts:
+                raise ConnectionInconsistency(
+                    f"connection map of edge {eid} is not a compatible option"
+                )
+            j = j * len(opts) + opts.index(fmap)
+        return j
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._len))]
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"connection index {i} out of range")
+        if self.explicit is not None:
+            if i == 0:
+                return self.explicit
+            i -= 1
+            if i >= self._skip:
+                i += 1
+        choice = []
+        for opts in reversed(self.options):
+            i, digit = divmod(i, len(opts))
+            choice.append(opts[digit])
+        return Connection.from_forward_maps(
+            self.graph, dict(enumerate(reversed(choice)))
+        )
+
+
+def enumerate_connections(g: GkmGraph) -> ConnectionSpace:
     """All compatible connections of g, in a deterministic order.
 
-    Per-edge choices are independent, so the result is the cartesian product
-    of the per-edge compatible bijections (one direction per edge; the
-    reverse direction is determined by inversion).  An empty list is the
-    verdict that g is not a GKM graph.
+    An empty sequence is the verdict that g is not a GKM graph.
     """
-    per_edge = [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
-    if any(not options for options in per_edge):
-        return []
-    out = []
-    for choice in itertools.product(*per_edge):
-        out.append(
-            Connection.from_forward_maps(g, {eid: m for eid, m in enumerate(choice)})
-        )
-    return out
+    return ConnectionSpace(
+        g, [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
+    )
 
 
 def _edge_id(x) -> int:
@@ -193,14 +245,13 @@ def connection_from_block(g: GkmGraph, block: Mapping) -> Connection:
     return Connection.from_forward_maps(g, forward)
 
 
-def available_connections(g: GkmGraph) -> Tuple[List[Connection], bool]:
+def available_connections(g: GkmGraph) -> Tuple[ConnectionSpace, bool]:
     """(connections, explicit) with a file-supplied connection first."""
-    enumerated = enumerate_connections(g)
+    space = enumerate_connections(g)
     if g.connection_block is None:
-        return enumerated, False
+        return space, False
     explicit = connection_from_block(g, g.connection_block)
-    rest = [c for c in enumerated if c.maps != explicit.maps]
-    return [explicit] + rest, True
+    return ConnectionSpace(g, space.options, explicit), True
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,20 @@ transition data of e; both formulas are computed and cross-checked.  The
 pair (graph, connection) is orientable when the product of eta over every
 closed edge path is +1, equivalently when a potential tau: V -> {±1} with
 eta(e) = tau(v) * tau(w) exists.
+
+Lemma: eta(e) does not depend on the connection.  Proof: for e: v -> w with
+bijection sigma, eps_f = det(w(sigma f), w(e)) / det(w(f), w(e)), so
+eps_2 * eps_3 = prod_{f' in E_w - e} det(w(f'), w(e)) /
+prod_{f in E_v - e} det(w(f), w(e)), in which sigma does not appear.  Hence
+every compatible connection has the same eta vector and the same
+orientability; eta_all_connections checks this per edge option instead of
+visiting the product of the options.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .connection import Connection, ConnectionInconsistency, transition
 from .graph import DirectedEdge, GkmGraph
@@ -21,6 +29,7 @@ __all__ = [
     "OrientabilityResult",
     "eta",
     "eta_assignment",
+    "eta_all_connections",
     "potential_from_eta",
     "is_orientable",
 ]
@@ -56,6 +65,30 @@ def eta(g: GkmGraph, conn: Connection, edge_id: int) -> int:
 
 def eta_assignment(g: GkmGraph, conn: Connection) -> Dict[int, int]:
     return {eid: eta(g, conn, eid) for eid in range(len(g.edges))}
+
+
+def eta_all_connections(
+    g: GkmGraph, conn: Connection, options: Sequence[Sequence[Mapping[int, int]]]
+) -> Dict[int, int]:
+    """The eta vector of every connection in the product of the per-edge
+    options (ConnectionSpace.options), from one eta per (edge, option).
+
+    eta(e) reads the connection at e alone, so each option is evaluated on
+    conn with only that edge's map replaced.  Options of one edge that give
+    different signs contradict the lemma and raise ConnectionInconsistency.
+    """
+    out = {}
+    for eid, opts in enumerate(options):
+        values = set()
+        for m in opts:
+            edge_maps = Connection.from_forward_maps(g, {eid: m}).maps
+            values.add(eta(g, Connection({**conn.maps, **edge_maps}), eid))
+        if len(values) != 1:
+            raise ConnectionInconsistency(
+                f"eta of edge {eid} depends on the connection: {sorted(values)}"
+            )
+        out[eid] = values.pop()
+    return out
 
 
 def potential_from_eta(

@@ -23,7 +23,7 @@ import numpy as np
 from .cohomology import DEFAULT_DEGREE_CAP, betti_numbers, poincare_duality, z_freeness
 from .connection import Connection, available_connections, loop_holonomy
 from .graph import GkmGraph, connected_isotropy_check, validate
-from .orientation import is_orientable
+from .orientation import eta_all_connections, is_orientable
 from .surface import classify_surface
 
 __all__ = ["SCHEMA", "Analysis", "NoSuchConnection", "realizability_report"]
@@ -72,13 +72,12 @@ class Analysis:
 
     @cached_property
     def orientability_consistent(self) -> bool:
-        """Whether all compatible connections agree on orientability.  Keeps
-        one boolean each: thousands of full results cost megabytes."""
-        seen = {self.orientability.orientable}
-        for i, c in enumerate(self.connections[0]):
-            if i != self.connection_index:
-                seen.add(is_orientable(self.graph, c).orientable)
-        return len(seen) == 1
+        """Whether every compatible connection has the selected one's eta
+        vector, and so its orientability; decided per edge option."""
+        options = self.connections[0].options
+        return eta_all_connections(self.graph, self.connection, options) == (
+            self.orientability.eta
+        )
 
     def orientability_section(self) -> dict:
         orient = self.orientability
@@ -131,6 +130,8 @@ class Analysis:
 
         conns, explicit = self.connections
         report["connections"] = {"count": len(conns), "explicit": explicit}
+        # An out-of-range index fails here, before any cohomology stage.
+        conn = self.connection if conns else None
 
         betti = self.betti
         report["betti"] = list(betti.betti)
@@ -164,14 +165,10 @@ class Analysis:
             self.orientability_section(),
             consistent_across_connections=self.orientability_consistent,
         )
-        if not self.orientability_consistent:
-            report["warnings"].append(
-                "orientability differs between compatible connections"
-            )
 
         report["surface"] = self.surface_section()
         holonomy_trivial = all(
-            np.array_equal(loop_holonomy(g, self.connection, p), np.eye(3, dtype=int))
+            np.array_equal(loop_holonomy(g, conn, p), np.eye(3, dtype=int))
             for p in self.surface.faces
         )
         report["connections"]["loop_holonomy_trivial"] = holonomy_trivial

@@ -1,9 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from gkm3.graph import parse_graph
+from gkm3.graph import parse_graph, validate
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "src" / "gkm3" / "corpus"
 CORPUS_NAMES = ["cube", "flag", "nonorientable", "theta"]
@@ -44,3 +47,63 @@ def nonorientable():
 @pytest.fixture
 def theta():
     return corpus_graph("theta")
+
+
+_LABELS = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
+
+
+def _fits(w, placed) -> bool:
+    """Whether w is independent of the weights placed at a vertex and, as
+    its third weight, completes a set that generates Z^2 (effectivity)."""
+    dets = [w[0] * x[1] - w[1] * x[0] for x in placed]
+    if 0 in dets:
+        return False
+    if len(placed) == 2:
+        dets.append(placed[0][0] * placed[1][1] - placed[0][1] * placed[1][0])
+        return math.gcd(*dets) == 1
+    return True
+
+
+@st.composite
+def small_graph_docs(draw):
+    """Documents of valid 3-valent graphs: 2, 4 or 6 vertices, weights in
+    [-2, 2].  Each edge joins the first free stub to a free stub at another
+    vertex, and its weight is drawn among those that fit at both ends, so
+    that most drawn graphs pass validation."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    # A few labels per graph, so that labels recur and transports match.
+    palette = draw(st.lists(st.sampled_from(_LABELS), min_size=3, max_size=5))
+    stubs = [v for v in range(n) for _ in range(3)]
+    at = {v: [] for v in range(n)}
+    edges = []
+    while stubs:
+        u = stubs.pop(0)
+        others = [i for i, v in enumerate(stubs) if v != u]
+        assume(others)
+        v = stubs.pop(draw(st.sampled_from(others)))
+        free = [w for w in palette if _fits(w, at[u]) and _fits(w, at[v])]
+        assume(free)
+        w = draw(st.sampled_from(free))
+        at[u].append(w)
+        at[v].append(w)
+        edges.append({"from": f"v{u}", "to": f"v{v}", "weight": list(w)})
+    doc = {"vertices": [f"v{v}" for v in range(n)], "edges": edges}
+    assume(validate(parse_graph(json.dumps(doc))).ok)
+    return doc
+
+
+def prism_graph(n: int):
+    """The standard-label prism: two n-gons with edges labelled (1, 0), (0, 1)
+    alternately, joined by n edges labelled (1, 1).  For n = 4 it is the GKM
+    graph of (CP^1)^3; every edge has two compatible transports, so there
+    are 2^(3n) connections."""
+    edges = []
+    for layer in "bt":
+        edges += [{"from": f"{layer}{i}", "to": f"{layer}{(i + 1) % n}",
+                   "weight": [1, 0] if i % 2 == 0 else [0, 1]}
+                  for i in range(n)]
+    edges += [{"from": f"b{i}", "to": f"t{i}", "weight": [1, 1]}
+              for i in range(n)]
+    vertices = [f"{layer}{i}" for layer in "bt" for i in range(n)]
+    return parse_graph(json.dumps(
+        {"name": f"prism{n}", "vertices": vertices, "edges": edges}))

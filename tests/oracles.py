@@ -1,16 +1,28 @@
 """Independent oracles used to freeze expected values in the test suite.
 
-Everything here goes through sympy's symbolic machinery (polynomial
+The cohomology oracles go through sympy's symbolic machinery (polynomial
 division, symbolic linear algebra, Smith normal form) rather than the
 package's own exact-arithmetic routines, so agreement between the two is
-meaningful evidence of correctness.
+meaningful evidence of correctness.  The connection oracles build every
+connection as a list with itertools.product, without the package's lazy
+connection sequence, and the label-only eta formula uses det2 alone.
 """
 
+import itertools
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
+
+from gkm3.connection import (
+    Connection,
+    _compatible_bijections,
+    connection_from_block,
+)
+from gkm3.graph import det2
+from gkm3.orientation import is_orientable
 
 x, y = sympy.symbols("x y")
 
@@ -146,3 +158,35 @@ def snf_divisors(rows: List[Sequence], ncols: int) -> List[int]:
 def hnf_rows(rows: List[Sequence]) -> sympy.Matrix:
     M = sympy.Matrix([[sympy.Integer(c) for c in r] for r in rows])
     return hermite_normal_form(M)
+
+
+def brute_force_connections(g) -> List[Connection]:
+    """Every compatible connection, a file-supplied one first, as a list."""
+    per_edge = [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
+    conns = [
+        Connection.from_forward_maps(g, dict(enumerate(choice)))
+        for choice in itertools.product(*per_edge)
+    ]
+    if g.connection_block is None:
+        return conns
+    explicit = connection_from_block(g, g.connection_block)
+    return [explicit] + [c for c in conns if c.maps != explicit.maps]
+
+
+def brute_force_consistent(g) -> bool:
+    """Whether every compatible connection has the same orientability."""
+    conns = brute_force_connections(g)
+    return len({is_orientable(g, c).orientable for c in conns}) == 1
+
+
+def label_eta(g, eid: int) -> Fraction:
+    """eta(e) = -eps_2 * eps_3 from the labels alone: for e: v -> w, minus
+    prod_{f' in E_w - e} det(w(f'), w(e)) / prod_{f in E_v - e} det(w(f), w(e))."""
+    e = g.edges[eid]
+
+    def dets(v):
+        return math.prod(
+            det2(g.edges[f].weight, e.weight) for f in g.incident[v] if f != eid
+        )
+
+    return -Fraction(dets(e.v), dets(e.u))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gkm3 import cli
+from gkm3 import cli, verdict
 
 from conftest import CORPUS_DIR
 
@@ -76,6 +76,16 @@ def test_input_errors_exit_2(capsys, tmp_path):
         for cmd in ("verdict", "connections", "orientability", "surface"):
             code, out, err = run(capsys, cmd, str(bad))
             assert code == 2 and out == "" and "connection" in err
+
+
+def test_bad_connection_index_exits_before_cohomology(capsys, monkeypatch):
+    def no_cohomology(*args):
+        raise AssertionError("cohomology computed for an out-of-range index")
+
+    monkeypatch.setattr(verdict, "betti_numbers", no_cohomology)
+    code, out, err = run(capsys, "verdict", cpath("cube"), "--connection", "99")
+    assert code == 2 and out == ""
+    assert "connection index 99 out of range" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkm3.connection import (
     Connection,
@@ -14,8 +17,16 @@ from gkm3.connection import (
     transport_coefficients,
 )
 from gkm3.graph import DirectedEdge, GraphSemanticError, Weight, parse_graph
+from gkm3.verdict import Analysis
 
-from conftest import corpus_json
+import oracles
+from conftest import (
+    CORPUS_NAMES,
+    corpus_graph,
+    corpus_json,
+    prism_graph,
+    small_graph_docs,
+)
 
 
 def W(a, b):
@@ -218,3 +229,62 @@ def test_paths_require_trivalent(theta):
     conns = enumerate_connections(g)
     with pytest.raises(ValueError, match="3-valent"):
         connection_paths(g, conns[0])
+
+
+def _maps(conns):
+    return [c.maps for c in conns]
+
+
+def _check_against_brute_force(g):
+    """The lazy sequence, iterated, indexed and sliced, lists the brute-force
+    connections in their order, a file-supplied connection first."""
+    conns, explicit = available_connections(g)
+    brute = oracles.brute_force_connections(g)
+    assert explicit == (g.connection_block is not None)
+    assert len(conns) == len(brute)
+    assert _maps(conns) == _maps(brute)
+    assert _maps(conns[i] for i in range(len(conns))) == _maps(brute)
+    assert _maps(conns[1::3]) == _maps(brute[1::3])
+    assert _maps(conns[-2:]) == _maps(brute[-2:])
+    plain = dataclasses.replace(g, connection_block=None)
+    assert _maps(enumerate_connections(g)) == _maps(
+        oracles.brute_force_connections(plain)
+    )
+    for i in (len(conns), -len(conns) - 1):
+        with pytest.raises(IndexError):
+            conns[i]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_lazy_connections_match_brute_force(name):
+    _check_against_brute_force(corpus_graph(name))
+
+
+def _block(g, conn):
+    return {
+        str(eid): {"forward": {str(a): b for a, b in conn.maps[(eid, True)]}}
+        for eid in range(len(g.edges))
+    }
+
+
+@given(small_graph_docs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lazy_connections_match_brute_force_random(doc, data):
+    g = parse_graph(json.dumps(doc))
+    brute = oracles.brute_force_connections(g)
+    if brute and data.draw(st.booleans(), label="explicit"):
+        conn = brute[data.draw(st.integers(0, len(brute) - 1), label="index")]
+        g = parse_graph(json.dumps(dict(doc, connection=_block(g, conn))))
+    _check_against_brute_force(g)
+    if brute:
+        assert Analysis(g).orientability_consistent == (
+            oracles.brute_force_consistent(g)
+        )
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["prism4"])
+def test_orientability_consistency_matches_brute_force(name):
+    g = prism_graph(4) if name == "prism4" else corpus_graph(name)
+    assert Analysis(g).orientability_consistent == (
+        oracles.brute_force_consistent(g)
+    )

@@ -1,13 +1,26 @@
+import json
 import random
 
-from gkm3.connection import available_connections, enumerate_connections
-from gkm3.graph import Weight
+import pytest
+from hypothesis import given, settings
+
+from gkm3.connection import (
+    Connection,
+    _compatible_bijections,
+    available_connections,
+    enumerate_connections,
+)
+from gkm3.graph import Weight, parse_graph
 from gkm3.orientation import (
     eta,
+    eta_all_connections,
     eta_assignment,
     is_orientable,
     potential_from_eta,
 )
+
+import oracles
+from conftest import CORPUS_NAMES, corpus_graph, small_graph_docs
 
 
 def test_eta_cube_all_minus_one(cube):
@@ -89,3 +102,30 @@ def test_orientability_invariant_under_relifting(any_corpus_graph):
                 p1 *= base.eta[s.edge_id]
                 p2 *= res.eta[s.edge_id]
             assert p1 == p2
+
+
+def _check_eta_lemma(g):
+    """eta of every edge under every compatible option is the label-only
+    value, whatever the options at the other edges."""
+    options = [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
+    first = {eid: opts[0] for eid, opts in enumerate(options) if opts}
+    for eid, opts in enumerate(options):
+        for m in opts:
+            conn = Connection.from_forward_maps(g, {**first, eid: m})
+            assert eta(g, conn, eid) == oracles.label_eta(g, eid)
+    if all(options):
+        conn = Connection.from_forward_maps(g, first)
+        assert eta_all_connections(g, conn, options) == {
+            eid: oracles.label_eta(g, eid) for eid in range(len(g.edges))
+        }
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_eta_is_label_only(name):
+    _check_eta_lemma(corpus_graph(name))
+
+
+@given(small_graph_docs())
+@settings(max_examples=60, deadline=None)
+def test_eta_is_label_only_random(doc):
+    _check_eta_lemma(parse_graph(json.dumps(doc)))

@@ -5,10 +5,11 @@ import pytest
 
 from gkm3 import cohomology
 from gkm3 import verdict
+from gkm3.connection import Connection, _compatible_bijections
 from gkm3.graph import parse_graph
 from gkm3.verdict import SCHEMA, Analysis, realizability_report
 
-from conftest import corpus_graph
+from conftest import corpus_graph, prism_graph
 
 NOT_GKM_K4 = {
     "vertices": ["A", "B", "C", "D"],
@@ -113,8 +114,8 @@ def test_report_is_json_serializable(any_corpus_graph):
 
 
 def test_orientability_consistency_flag(theta):
-    # The theta graph has both orientable and nonorientable connections, so
-    # the report flags the discrepancy instead of assuming invariance.
+    # eta is the same under every compatible connection (see the orientation
+    # module), so all eight theta connections agree; the report states it.
     rep = realizability_report(theta)
     assert rep["orientability"]["consistent_across_connections"] in (
         True, False,
@@ -169,7 +170,30 @@ def test_analysis_runs_each_stage_once(theta, monkeypatch):
     rep = a.report()
     assert a.report() == rep
     conns, _ = a.connections
-    assert len(calls) == len(conns)  # the selected connection is decided once
-    assert {id(c) for c in calls} == {id(c) for c in conns}
+    assert len(calls) == 1  # exactly one call, on the selected connection
+    assert calls[0] is a.connection and calls[0].maps == conns[3].maps
     # The Betti stage is the memo entry that poincare_duality reads too.
     assert cohomology.betti_numbers(theta, a.degree_cap) is a.betti
+
+
+def test_prism6_verdict_never_builds_the_product(monkeypatch):
+    # The hexagon toric surface times CP^1: 2^18 connections, Betti (1,5,5,1).
+    g = prism_graph(6)
+    edge_options = sum(
+        len(_compatible_bijections(g, eid)) for eid in range(len(g.edges))
+    )
+    calls = []
+    real = Connection.from_forward_maps
+
+    def counting(g, forward):
+        calls.append(forward)
+        return real(g, forward)
+
+    monkeypatch.setattr(Connection, "from_forward_maps", staticmethod(counting))
+    t0 = time.perf_counter()
+    rep = realizability_report(g, degree_cap=8)
+    assert time.perf_counter() - t0 < 10.0
+    assert rep["connections"]["count"] == 2 ** 18 == 262144
+    assert rep["betti"][:4] == [1, 5, 5, 1] and not any(rep["betti"][4:])
+    assert rep["orientability"]["consistent_across_connections"]
+    assert len(calls) <= edge_options + 4
