@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from . import cohomology
 from .graph import DirectedEdge, GraphSemanticError, GraphSyntaxError, parse_graph
-from .verdict import Analysis, NoSuchConnection, realizability_report
+from .verdict import MIN_DEGREE_CAP, Analysis, NoSuchConnection, realizability_report
 
 CORPUS_ENV = "GKM3_CORPUS"
 
@@ -34,8 +34,11 @@ def _open(args, path: str) -> Analysis:
     cap = getattr(args, "degree_cap", cohomology.DEFAULT_DEGREE_CAP)
     if cap % 2 or cap < 0:
         raise InputError("--degree-cap must be even and nonnegative")
-    if args.command == "verdict" and cap < 6:
-        raise InputError("verdict needs --degree-cap 6 or more (it reads b_6)")
+    if args.command == "verdict" and cap < MIN_DEGREE_CAP:
+        raise InputError(
+            f"verdict needs --degree-cap {MIN_DEGREE_CAP} or more (Betti "
+            "numbers stabilize only once b_8 = b_10 = 0)"
+        )
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:

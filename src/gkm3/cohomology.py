@@ -7,18 +7,17 @@ weight alpha: f_u - f_v must be divisible by alpha.  Classes are stored as
 flat coefficient vectors, one block of d + 1 coefficients per vertex in the
 graph's vertex order.
 
-Over Q the congruence for alpha = (a, b) is equivalent to the vanishing of
-f_u - f_v at the point (b, -a), one scalar condition per edge.  Over Z the
-divisibility is encoded exactly: f_u - f_v = alpha * g for an integer
-polynomial g, and the class lattice is the projection onto the f-block of
-the integer kernel of the combined system.
+The divisibility is encoded exactly over Z: f_u - f_v = alpha * g for an
+integer polynomial g, and the class lattice is the projection onto the
+f-block of the integer kernel of the combined system.  The lattice also
+spans the rational classes (see ht_basis_q), so one integral quotient per
+degree gives the Betti numbers, the duality pairing and the torsion test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,41 +93,24 @@ def _blocks(g: GkmGraph, vec: Sequence, d: int) -> List[Tuple]:
 
 def _basis_cache(g: GkmGraph) -> dict:
     # GkmGraph is a frozen dataclass, but instances still own a __dict__
-    # (cached_property relies on it), so memoized bases, and the Betti
-    # numbers computed from them, can live there.
+    # (cached_property relies on it), so memoized bases, and the quotients
+    # and Betti numbers computed from them, can live there.
     return g.__dict__.setdefault("_cohomology_basis_cache", {})
 
 
 def ht_basis_q(g: GkmGraph, d: int) -> np.ndarray:
-    """RREF-canonical Q-basis (rows) of the degree-2d classes.
+    """A Q-basis (rows) of the degree-2d classes: the Z-basis ht_basis_z.
 
-    Coordinates are the flat coefficient vectors described in the module
-    docstring; the ambient dimension is |V| * (d + 1).
+    The class lattice L spans the rational class space V.  Clearly L lies
+    in V.  Conversely, take f in V and an integer N with N f integral.  For
+    each edge, N (f_u - f_v) = alpha * h with h rational; write
+    alpha = c * alpha' with c the content of alpha and alpha' primitive.  By
+    Gauss's lemma the quotient c * h of the integral N (f_u - f_v) by the
+    primitive alpha' is integral, so c N (f_u - f_v) = alpha * (c h) meets
+    the integral condition.  With C the product of the contents, C N f lies
+    in L.  Hence L (x) Q = V, and dim_Q V = rank_Z L.
     """
-    cache = _basis_cache(g)
-    if ("q", d) in cache:
-        return cache[("q", d)]
-    nv, k = len(g.vertices), d + 1
-    if nv == 0:
-        return linalg.zeros(0, 0)
-    rows = []
-    for e in g.edges:
-        a, b = e.weight.vector
-        iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
-        row = [Fraction(0)] * (nv * k)
-        for j in range(k):
-            c = Fraction(b) ** (d - j) * Fraction(-a) ** j
-            row[iu + j] += c
-            row[iv + j] -= c
-        rows.append(row)
-    if not rows:
-        basis = linalg.eye(nv * k)
-    else:
-        basis = linalg.nullspace(linalg.qmat(rows, nv * k))
-        if basis.shape[0]:
-            basis = linalg.rref(basis)[0]
-    cache[("q", d)] = basis
-    return basis
+    return ht_basis_z(g, d)
 
 
 def ht_basis_z(g: GkmGraph, d: int) -> np.ndarray:
@@ -190,6 +172,74 @@ def _raised(g: GkmGraph, basis: np.ndarray, d: int) -> list:
     return out
 
 
+@dataclass(frozen=True)
+class _Quotient:
+    """The degree-2d class lattice L modulo the x- and y-multiples of L_{d-1}.
+
+    With C the coordinates in L of the raised L_{d-1} rows and S C T = D its
+    Smith form, the submodule is spanned by d_i times row i of T^-1 (as
+    coordinates in L) for i < rank.  So a class with lattice coordinates c
+    reduces to (c T)[rank:] in the free part of the quotient, and rows
+    rank.. of T^-1 L lift a basis of that free part.
+    """
+
+    lattice: np.ndarray
+    transform: np.ndarray
+    divisors: Tuple[int, ...]  # the nonzero d_i, in order
+
+    @property
+    def rank(self) -> int:
+        return len(self.divisors)
+
+    @property
+    def betti(self) -> int:
+        return self.lattice.shape[0] - self.rank
+
+    def lift(self, coords: Sequence) -> list:
+        """The class with the given coordinates in the lattice basis."""
+        L = self.lattice
+        return [
+            sum(int(c) * int(L[i, j]) for i, c in enumerate(coords))
+            for j in range(L.shape[1])
+        ]
+
+    def project(self, vec: Sequence) -> list:
+        """Image of a class in the free part of the quotient, (c T)[rank:]."""
+        c = linalg.hnf_solve(self.lattice, vec)
+        if c is None:
+            raise RuntimeError("class outside the class lattice")
+        T = self.transform
+        return [
+            sum(ci * int(T[i, j]) for i, ci in enumerate(c))
+            for j in range(self.rank, T.shape[1])
+        ]
+
+    def reduced_lifts(self) -> list:
+        """Classes lifting a basis of the free part of the quotient."""
+        Tinv = linalg.unimodular_inverse(self.transform)
+        return [self.lift(Tinv[i]) for i in range(self.rank, Tinv.shape[0])]
+
+
+def _quotient(g: GkmGraph, d: int) -> _Quotient:
+    """The reduced degree-2d part, from one Smith form; memoized per graph."""
+    cache = _basis_cache(g)
+    if ("quotient", d) in cache:
+        return cache[("quotient", d)]
+    L = ht_basis_z(g, d)
+    coords = []
+    if d > 0:
+        for r in _raised(g, ht_basis_z(g, d - 1), d - 1):
+            c = linalg.hnf_solve(L, r)
+            if c is None:
+                raise RuntimeError("product class escaped the class lattice")
+            coords.append(c)
+    D, _, T = linalg.snf_transform(linalg.zmat(coords, L.shape[0]))
+    divisors = tuple(int(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0)
+    q = _Quotient(L, T, divisors)
+    cache[("quotient", d)] = q
+    return q
+
+
 # ---------------------------------------------------------------------------
 # Betti numbers
 # ---------------------------------------------------------------------------
@@ -209,23 +259,14 @@ class BettiResult:
 
 
 def betti_numbers(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> BettiResult:
-    """Combinatorial Betti numbers b_{2d} = dim H^{2d}_T - dim (x, y) H^{2(d-1)}_T."""
+    """Combinatorial Betti numbers b_{2d} = rank H^{2d}_T - rank (x, y) H^{2(d-1)}_T."""
     cache = _basis_cache(g)
     if ("betti", degree_cap) in cache:
         return cache[("betti", degree_cap)]
     betti: List[int] = []
-    prev_basis = None
     stabilized = False
     for d in range(degree_cap // 2 + 1):
-        basis = ht_basis_q(g, d)
-        if d == 0:
-            b = basis.shape[0]
-        else:
-            raised = _raised(g, prev_basis, d - 1)
-            sub = linalg.q_rank(linalg.qmat(raised, basis.shape[1])) if raised else 0
-            b = basis.shape[0] - sub
-        betti.append(b)
-        prev_basis = basis
+        betti.append(_quotient(g, d).betti)
         if (
             sum(betti) == len(g.vertices)
             and len(betti) >= 2
@@ -245,14 +286,16 @@ def cohomology_table(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> List[
 
 
 def _degree_table(g: GkmGraph, betti: Sequence[int], ring: str) -> List[dict]:
-    """cohomology_table's rows; ring "q" or "z" never computes the other's bases."""
+    """cohomology_table's rows.  dim_q = rank_z (see ht_basis_q), so both
+    columns read one basis and ring "q", "z" or "both" only picks them."""
     out = []
     for d, b in enumerate(betti):
         row = {"degree": 2 * d, "betti": int(b)}
+        rank = int(ht_basis_z(g, d).shape[0])
         if ring != "z":
-            row["dim_q"] = int(ht_basis_q(g, d).shape[0])
+            row["dim_q"] = rank
         if ring != "q":
-            row["rank_z"] = int(ht_basis_z(g, d).shape[0])
+            row["rank_z"] = rank
         out.append(row)
     return out
 
@@ -274,7 +317,7 @@ def thom_class_vertex(g: GkmGraph, v: str) -> list:
     base = g.vertex_index[v] * (d + 1)
     for j, c in enumerate(prod):
         vec[base + j] = c
-    if linalg.lattice_solve(ht_basis_z(g, d), vec) is None:
+    if linalg.hnf_solve(ht_basis_z(g, d), vec) is None:
         raise RuntimeError(f"Thom class of vertex {v!r} escaped the class lattice")
     return vec
 
@@ -307,7 +350,7 @@ def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
         base = g.vertex_index[v] * (d + 1)
         for j, c in enumerate(side_product(v)):
             vec[base + j] += scale * c
-    if linalg.lattice_solve(ht_basis_z(g, d), vec) is None:
+    if linalg.hnf_solve(ht_basis_z(g, d), vec) is None:
         raise RuntimeError(f"Thom class of edge {edge_id} escaped the class lattice")
     return vec
 
@@ -315,43 +358,6 @@ def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
 # ---------------------------------------------------------------------------
 # Poincare duality
 # ---------------------------------------------------------------------------
-
-def _quotient_projector(
-    sub_rows: list, ambient_basis: np.ndarray
-) -> Tuple[int, Callable[[Sequence], list]]:
-    """Projection onto a complement of a subspace inside a based space.
-
-    Classes are first expressed in coordinates with respect to
-    ambient_basis; the quotient coordinates are the non-pivot entries after
-    reduction against the RREF of the subspace generators.
-    """
-    dim = ambient_basis.shape[0]
-    coords = []
-    for r in sub_rows:
-        c = linalg.solve_left(ambient_basis, r)
-        if c is None:
-            raise RuntimeError("subspace generator outside ambient space")
-        coords.append(list(c))
-    R, pivots = linalg.rref(linalg.qmat(coords, dim)) if coords else (
-        linalg.zeros(0, dim),
-        [],
-    )
-    free = [c for c in range(dim) if c not in pivots]
-
-    def project(vec: Sequence) -> list:
-        c = linalg.solve_left(ambient_basis, vec)
-        if c is None:
-            raise RuntimeError("class outside ambient space")
-        c = [Fraction(x) for x in c]
-        for r, pc in enumerate(pivots):
-            if c[pc] != 0:
-                f = c[pc]
-                for j in range(dim):
-                    c[j] -= f * R[r, j]
-        return [c[j] for j in free]
-
-    return len(free), project
-
 
 @dataclass(frozen=True)
 class PoincareResult:
@@ -387,37 +393,16 @@ def poincare_duality(
     if reasons:
         return PoincareResult(False, betti, reasons=tuple(reasons))
 
-    bases = [ht_basis_q(g, d) for d in range(4)]
-    reduced: List[Tuple[int, Callable]] = []
-    for d in (1, 2, 3):
-        sub = _raised(g, bases[d - 1], d - 1)
-        reduced.append(_quotient_projector(sub, bases[d]))
-    (b2, p2), (b4, p4), (b6, p6) = reduced
-    if (b2, b4, b6) != (padded[1], padded[2], padded[3]):
-        raise RuntimeError("reduced dimensions disagree with the Betti numbers")
-
-    # Representatives of the reduced parts: basis rows whose projections are
-    # linearly independent.
-    def pick(basis: np.ndarray, proj: Callable, want: int) -> list:
-        chosen: list = []
-        images: list = []
-        for i in range(basis.shape[0]):
-            img = proj(basis[i])
-            if linalg.q_rank(linalg.qmat(images + [img], want)) > len(images):
-                images.append(img)
-                chosen.append(list(basis[i]))
-            if len(chosen) == want:
-                break
-        if len(chosen) != want:
-            raise RuntimeError("too few independent classes in a reduced part")
-        return chosen
-
-    reps2 = pick(bases[1], p2, b2)
-    reps4 = pick(bases[2], p4, b4)
+    # Classes lifting a basis of the reduced H^2 and H^4, paired into the
+    # reduced H^6, which has rank 1.
+    reps2, reps4 = (_quotient(g, d).reduced_lifts() for d in (1, 2))
+    h6 = _quotient(g, 3)
     pairing = [
-        [p6(class_product(g, u, 1, v, 2))[0] for v in reps4] for u in reps2
+        [h6.project(class_product(g, u, 1, v, 2))[0] for v in reps4]
+        for u in reps2
     ]
-    rank = linalg.q_rank(linalg.qmat(pairing, b4)) if b2 else 0
+    b2 = len(reps2)
+    rank = linalg.q_rank(linalg.zmat(pairing, b2)) if b2 else 0
     if rank != b2:
         return PoincareResult(
             False,
@@ -446,43 +431,20 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
     """Degreewise torsion test of the integral classes modulo (x, y).
 
     For each degree the quotient of the class lattice by the x- and
-    y-multiples of the previous degree's lattice is computed by Smith
-    normal form of the coordinate matrix; any elementary divisor > 1 yields
-    a torsion witness and the verdict "not-free".
+    y-multiples of the previous degree's lattice is read from its Smith
+    normal form (_quotient); any elementary divisor > 1 yields a torsion
+    witness and the verdict "not-free".
     """
-    dmax = degree_cap // 2
-    prev = None
     checked = []
-    for d in range(dmax + 1):
-        L = ht_basis_z(g, d)
+    for d in range(degree_cap // 2 + 1):
         checked.append(2 * d)
-        if d > 0 and L.shape[0] and prev is not None and prev.shape[0]:
-            gens = _raised(g, prev, d - 1)
-            coords = []
-            for r in gens:
-                c = linalg.hnf_solve(L, r)
-                if c is None:
-                    raise RuntimeError("product class escaped the class lattice")
-                coords.append(c)
-            C = linalg.zmat(coords, L.shape[0])
-            D, _, T = linalg.snf_transform(C)
-            for i in range(min(C.shape)):
-                di = int(D[i, i])
-                if di > 1:
-                    Vinv = linalg.unimodular_inverse(T)
-                    wit_coords = list(Vinv[i])
-                    wit = [
-                        sum(wit_coords[j] * int(L[j, c]) for j in range(L.shape[0]))
-                        for c in range(L.shape[1])
-                    ]
-                    return FreenessResult(
-                        "not-free",
-                        tuple(checked),
-                        witness={
-                            "degree": 2 * d,
-                            "order": di,
-                            "class": wit,
-                        },
-                    )
-        prev = L
+        q = _quotient(g, d)
+        for i, di in enumerate(q.divisors):
+            if di > 1:
+                wit = q.lift(linalg.unimodular_inverse(q.transform)[i])
+                return FreenessResult(
+                    "not-free",
+                    tuple(checked),
+                    witness={"degree": 2 * d, "order": di, "class": wit},
+                )
     return FreenessResult("certified", tuple(checked))

@@ -3,6 +3,13 @@
 All matrices are numpy arrays with dtype=object holding Python ints or
 fractions.Fraction, so every computation here is exact.  Vectors are rows;
 a "basis matrix" has one basis vector per row.
+
+The integer routines (HNF, kernel, Smith form, HNF back-substitution,
+unimodular inverse) carry the cohomology.  Fraction arithmetic is left in
+the rational routines only: rref behind q_rank, which the package calls
+once per Poincare pairing, and nullspace, solve_left and lattice_solve,
+which the package no longer calls; they stay because the benchmark's
+traced runs (benchmark/spans.py) look them up by name.
 """
 
 from __future__ import annotations
@@ -258,24 +265,15 @@ def elementary_divisors(A: np.ndarray) -> list:
 
 
 def unimodular_inverse(U: np.ndarray) -> np.ndarray:
-    """Exact inverse of a unimodular integer matrix."""
-    n = U.shape[0]
-    aug = zeros(n, 2 * n)
-    for i in range(n):
-        for j in range(n):
-            aug[i, j] = Fraction(int(U[i, j]))
-        aug[i, n + i] = Fraction(1)
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            x = R[i, n + j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            inv[i, j] = int(x)
-    return inv
+    """Exact inverse of a unimodular integer matrix.
+
+    The HNF of a unimodular matrix is the identity, so its transform is the
+    inverse; any other HNF means U is singular or not unimodular.
+    """
+    H, V = hnf_transform(U)
+    if not np.array_equal(H, eye(U.shape[0])):
+        raise ValueError("matrix is not unimodular")
+    return V
 
 
 def lattice_solve(B: np.ndarray, v: Sequence) -> Optional[np.ndarray]:
@@ -316,10 +314,3 @@ def hnf_solve(H: np.ndarray, v: Sequence) -> Optional[list]:
         return None
     return coords
 
-
-def lattices_equal(A: np.ndarray, B: np.ndarray) -> bool:
-    """True iff the rows of A and B generate the same sublattice of Z^n."""
-    if A.shape[1] != B.shape[1]:
-        return False
-    HA, HB = hnf(A), hnf(B)
-    return HA.shape == HB.shape and bool(np.all(HA == HB))

@@ -26,9 +26,14 @@ from .graph import GkmGraph, connected_isotropy_check, validate
 from .orientation import eta_all_connections, is_orientable
 from .surface import classify_surface
 
-__all__ = ["SCHEMA", "Analysis", "NoSuchConnection", "realizability_report"]
+__all__ = ["SCHEMA", "MIN_DEGREE_CAP", "Analysis", "NoSuchConnection",
+           "realizability_report"]
 
 SCHEMA = "gkm3.verdict/1"
+
+# Duality needs b_6 = 1 and stabilized Betti numbers, which takes
+# b_8 = b_10 = 0; below this cap every verdict would be "not-realizable".
+MIN_DEGREE_CAP = 10
 
 
 class NoSuchConnection(IndexError):
@@ -102,7 +107,15 @@ class Analysis:
         }
 
     def report(self) -> dict:
-        """The verdict report; see the module docstring for the tiers."""
+        """The verdict report; see the module docstring for the tiers.
+
+        Raises ValueError for a degree cap below MIN_DEGREE_CAP.
+        """
+        if self.degree_cap < MIN_DEGREE_CAP:
+            raise ValueError(
+                f"the verdict needs a degree cap of {MIN_DEGREE_CAP} or more, "
+                f"got {self.degree_cap}"
+            )
         g = self.graph
         report: dict = {
             "schema": SCHEMA,

@@ -86,8 +86,7 @@ def test_criterion_3_nonorientable(capsys):
     orient = is_orientable(g, conns[0])
     pd = coh.poincare_duality(g)
     # Image of every vertex Thom class in the degree-6 quotient.
-    sub = coh._raised(g, coh.ht_basis_q(g, 2), 2)
-    _, proj = coh._quotient_projector(sub, coh.ht_basis_q(g, 3))
+    proj = coh._quotient(g, 3).project
     thoms_vanish = all(
         all(c == 0 for c in proj(coh.thom_class_vertex(g, v)))
         for v in g.vertices

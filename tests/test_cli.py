@@ -58,7 +58,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "out of range" in err
     code, _, err = run(capsys, "verdict", cpath("theta"), "--degree-cap", "7")
     assert code == 2 and "even" in err
-    for cap in ("-4", "2", "4"):  # the verdict needs b_6
+    for cap in ("-4", "2", "4", "6", "8"):  # stable Betti numbers need b_10
         code, out, err = run(capsys, "verdict", cpath("theta"), "--degree-cap", cap)
         assert code == 2 and out == "" and "degree-cap" in err
     code, _, err = run(capsys, "cohomology", cpath("theta"), "--degree-cap", "-2")
@@ -284,5 +284,5 @@ def test_any_json_gives_exit_0_1_or_2(tmp_path, capsys, doc):
     # freeness of some 4-vertex graphs runs into the coefficient growth of
     # linalg.hnf (over a minute each), which is the kernel's problem, not
     # the input contract's.
-    assert cli.run(["verdict", str(path), "--degree-cap", "6"]) in (0, 1, 2)
+    assert cli.run(["verdict", str(path), "--degree-cap", "10"]) in (0, 1, 2)
     capsys.readouterr()

@@ -161,8 +161,8 @@ def test_lattice_solve_and_equality():
     B = linalg.zmat([[2, 0], [0, 3]])
     assert list(linalg.lattice_solve(B, [4, 3])) == [2, 1]
     assert linalg.lattice_solve(B, [1, 0]) is None
-    assert linalg.lattices_equal(B, linalg.zmat([[2, 3], [0, 3]]))
-    assert not linalg.lattices_equal(B, linalg.zmat([[1, 0], [0, 3]]))
+    assert oracles.lattice_equal([[2, 0], [0, 3]], [[2, 3], [0, 3]])
+    assert not oracles.lattice_equal([[2, 0], [0, 3]], [[1, 0], [0, 3]])
 
 
 def test_solve_left():

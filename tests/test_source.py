@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gkm3"
@@ -13,3 +15,20 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_traced_names_resolve():
+    # The benchmark's traced runs wrap these functions by name; a deleted or
+    # renamed one would break `benchmark/run.py --trace 1`.
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_spans", SRC.parents[1] / "benchmark" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in spans.TRACED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"gkm3.{layer}"), name, None))
+    ]
+    assert missing == []

@@ -3,13 +3,13 @@ import time
 
 import pytest
 
-from gkm3 import cohomology
+from gkm3 import cohomology, linalg
 from gkm3 import verdict
 from gkm3.connection import Connection, _compatible_bijections
 from gkm3.graph import parse_graph
 from gkm3.verdict import SCHEMA, Analysis, realizability_report
 
-from conftest import corpus_graph, prism_graph
+from conftest import CORPUS_NAMES, corpus_graph, prism_graph
 
 NOT_GKM_K4 = {
     "vertices": ["A", "B", "C", "D"],
@@ -191,9 +191,36 @@ def test_prism6_verdict_never_builds_the_product(monkeypatch):
 
     monkeypatch.setattr(Connection, "from_forward_maps", staticmethod(counting))
     t0 = time.perf_counter()
-    rep = realizability_report(g, degree_cap=8)
+    rep = realizability_report(g, degree_cap=10)
     assert time.perf_counter() - t0 < 10.0
     assert rep["connections"]["count"] == 2 ** 18 == 262144
-    assert rep["betti"][:4] == [1, 5, 5, 1] and not any(rep["betti"][4:])
+    assert rep["betti"] == [1, 5, 5, 1, 0, 0]
+    assert rep["tier"] == "rigid-class"
     assert rep["orientability"]["consistent_across_connections"]
     assert len(calls) <= edge_options + 4
+
+
+def test_verdict_below_min_degree_cap_raises(theta):
+    # Below cap 10 the Betti numbers of a manifold cannot stabilize
+    # (that takes b_8 = b_10 = 0), so any verdict would be "not-realizable".
+    for cap in (-2, 0, 6, 8):
+        with pytest.raises(ValueError, match="degree cap"):
+            realizability_report(theta, degree_cap=cap)
+    rep = realizability_report(theta, degree_cap=verdict.MIN_DEGREE_CAP)
+    assert rep["tier"] == "rigid-class"
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_verdict_makes_at_most_one_rational_elimination(name, monkeypatch):
+    # Bases, Betti numbers, duality and freeness all come from integer
+    # normal forms; the only rational elimination left is the pairing rank.
+    calls = []
+    real = linalg.rref
+
+    def counting(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    b2 = realizability_report(corpus_graph(name))["betti"][1]
+    assert calls in ([], [(b2, b2)])
