@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import linalg
 from .connection import Connection, DirectedEdge, transition
 from .graph import GkmGraph, Weight
@@ -98,7 +96,7 @@ def _basis_cache(g: GkmGraph) -> dict:
     return g.__dict__.setdefault("_cohomology_basis_cache", {})
 
 
-def ht_basis_q(g: GkmGraph, d: int) -> np.ndarray:
+def ht_basis_q(g: GkmGraph, d: int) -> linalg.Matrix:
     """A Q-basis (rows) of the degree-2d classes: the Z-basis ht_basis_z.
 
     The class lattice L spans the rational class space V.  Clearly L lies
@@ -113,7 +111,7 @@ def ht_basis_q(g: GkmGraph, d: int) -> np.ndarray:
     return ht_basis_z(g, d)
 
 
-def ht_basis_z(g: GkmGraph, d: int) -> np.ndarray:
+def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     """HNF-canonical Z-basis (rows) of the degree-2d class lattice.
 
     Solves f_u - f_v = alpha * g_e exactly over Z with one auxiliary
@@ -145,11 +143,7 @@ def ht_basis_z(g: GkmGraph, d: int) -> np.ndarray:
     if not rows:
         basis = linalg.eye(nf)
     else:
-        kernel = linalg.z_kernel(linalg.zmat(rows, nf + ng))
-        if kernel.shape[0] == 0:
-            basis = linalg.zeros(0, nf)
-        else:
-            basis = linalg.hnf(kernel[:, :nf])
+        basis = linalg.hnf([r[:nf] for r in linalg.z_kernel(rows)])
     cache[("z", d)] = basis
     return basis
 
@@ -162,11 +156,11 @@ def class_product(g: GkmGraph, u: Sequence, du: int, v: Sequence, dv: int) -> li
     return out
 
 
-def _raised(g: GkmGraph, basis: np.ndarray, d: int) -> list:
+def _raised(g: GkmGraph, basis: linalg.Matrix, d: int) -> list:
     """x- and y-multiples of degree-2d basis rows, as degree-2(d+1) vectors."""
     out = []
-    for i in range(basis.shape[0]):
-        blocks = _blocks(g, basis[i], d)
+    for row in basis:
+        blocks = _blocks(g, row, d)
         out.append([c for b in blocks for c in mult_x(b)])
         out.append([c for b in blocks for c in mult_y(b)])
     return out
@@ -183,8 +177,8 @@ class _Quotient:
     rank.. of T^-1 L lift a basis of that free part.
     """
 
-    lattice: np.ndarray
-    transform: np.ndarray
+    lattice: linalg.Matrix
+    transform: linalg.Matrix
     divisors: Tuple[int, ...]  # the nonzero d_i, in order
 
     @property
@@ -193,31 +187,24 @@ class _Quotient:
 
     @property
     def betti(self) -> int:
-        return self.lattice.shape[0] - self.rank
+        return len(self.lattice) - self.rank
 
-    def lift(self, coords: Sequence) -> list:
+    def lift(self, coords: Sequence[int]) -> list:
         """The class with the given coordinates in the lattice basis."""
-        L = self.lattice
-        return [
-            sum(int(c) * int(L[i, j]) for i, c in enumerate(coords))
-            for j in range(L.shape[1])
-        ]
+        return [sum(c * x for c, x in zip(coords, col)) for col in zip(*self.lattice)]
 
     def project(self, vec: Sequence) -> list:
         """Image of a class in the free part of the quotient, (c T)[rank:]."""
         c = linalg.hnf_solve(self.lattice, vec)
         if c is None:
             raise RuntimeError("class outside the class lattice")
-        T = self.transform
-        return [
-            sum(ci * int(T[i, j]) for i, ci in enumerate(c))
-            for j in range(self.rank, T.shape[1])
-        ]
+        cols = list(zip(*self.transform))[self.rank:]
+        return [sum(ci * t for ci, t in zip(c, col)) for col in cols]
 
     def reduced_lifts(self) -> list:
         """Classes lifting a basis of the free part of the quotient."""
         Tinv = linalg.unimodular_inverse(self.transform)
-        return [self.lift(Tinv[i]) for i in range(self.rank, Tinv.shape[0])]
+        return [self.lift(row) for row in Tinv[self.rank:]]
 
 
 def _quotient(g: GkmGraph, d: int) -> _Quotient:
@@ -233,8 +220,8 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
             if c is None:
                 raise RuntimeError("product class escaped the class lattice")
             coords.append(c)
-    D, _, T = linalg.snf_transform(linalg.zmat(coords, L.shape[0]))
-    divisors = tuple(int(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0)
+    D, _, T = linalg.snf_transform(coords, len(L))
+    divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
     q = _Quotient(L, T, divisors)
     cache[("quotient", d)] = q
     return q
@@ -290,8 +277,8 @@ def _degree_table(g: GkmGraph, betti: Sequence[int], ring: str) -> List[dict]:
     columns read one basis and ring "q", "z" or "both" only picks them."""
     out = []
     for d, b in enumerate(betti):
-        row = {"degree": 2 * d, "betti": int(b)}
-        rank = int(ht_basis_z(g, d).shape[0])
+        row = {"degree": 2 * d, "betti": b}
+        rank = len(ht_basis_z(g, d))
         if ring != "z":
             row["dim_q"] = rank
         if ring != "q":
@@ -402,7 +389,7 @@ def poincare_duality(
         for u in reps2
     ]
     b2 = len(reps2)
-    rank = linalg.q_rank(linalg.zmat(pairing, b2)) if b2 else 0
+    rank = linalg.q_rank(pairing)
     if rank != b2:
         return PoincareResult(
             False,

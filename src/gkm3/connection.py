@@ -9,7 +9,9 @@ k an integer.  The coefficient solver uses exact determinant formulas
     eps = det(w(f'), w(e)) / det(w(f), w(e))
     k   = det(w(f),  w(f')) / det(w(f), w(e))
 
-and then filters for eps in {±1} and integral k.
+and keeps eps in {±1} and integral k.  Both tests stay in the integers:
+eps = ±1 exactly when the two determinants agree up to sign, and k is
+integral exactly when det(w(f), w(e)) divides det(w(f), w(f')).
 """
 
 from __future__ import annotations
@@ -19,10 +21,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .graph import DirectedEdge, GkmGraph, GraphSemanticError, Weight, det2
 
@@ -52,11 +51,13 @@ def transport_coefficients(
     den = det2(wf, we)
     if den == 0:
         raise ValueError("weights of f and e are linearly dependent")
-    eps = Fraction(det2(wfp, we), den)
-    k = Fraction(det2(wf, wfp), den)
-    if eps not in (1, -1) or k.denominator != 1:
+    num = det2(wfp, we)
+    if num not in (den, -den):
         return None
-    return int(eps), int(k)
+    k, r = divmod(det2(wf, wfp), den)
+    if r:
+        return None
+    return num // den, k
 
 
 @dataclass(frozen=True)
@@ -433,7 +434,7 @@ def connection_paths(g: GkmGraph, conn: Connection) -> List[ConnectionPath]:
 
 def loop_holonomy(
     g: GkmGraph, conn: Connection, path: ConnectionPath
-) -> np.ndarray:
+) -> List[List[int]]:
     """Ordered product of the transition matrices around a connection path.
 
     Transition matrices are expressed in the stored incidence orders, so
@@ -441,9 +442,9 @@ def loop_holonomy(
     coordinates at the starting vertex to themselves.
     """
     n = g.valence
-    acc = np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                   dtype=object)
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
     for step in path.steps:
-        phi = np.array(transition(g, conn, step).phi, dtype=object)
-        acc = phi @ acc
+        phi = transition(g, conn, step).phi
+        acc = [[sum(p * a for p, a in zip(row, col)) for col in zip(*acc)]
+               for row in phi]
     return acc

@@ -294,7 +294,7 @@ def validate(g: GkmGraph) -> ValidationReport:
         cols = [g.edges[i].weight.vector for i in ids]
         if cols:
             divisors = linalg.elementary_divisors(
-                linalg.zmat([[c[0] for c in cols], [c[1] for c in cols]])
+                [[c[0] for c in cols], [c[1] for c in cols]]
             )
             if divisors != [1, 1]:
                 failures.append(

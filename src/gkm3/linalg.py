@@ -1,119 +1,72 @@
-"""Exact linear algebra over Q and Z.
+"""Exact linear algebra over Z, with two rational routines.
 
-All matrices are numpy arrays with dtype=object holding Python ints or
-fractions.Fraction, so every computation here is exact.  Vectors are rows;
-a "basis matrix" has one basis vector per row.
+A matrix is a list of rows, each a list of Python ints, so every
+computation here is exact.  Vectors are rows; a "basis matrix" has one basis
+vector per row.  A matrix with no rows has no column count of its own, so
+snf_transform, which meets one in the degree-0 quotient, takes it
+explicitly.
 
-The integer routines (HNF, kernel, Smith form, HNF back-substitution,
-unimodular inverse) carry the cohomology.  Fraction arithmetic is left in
-the rational routines only: rref behind q_rank, which the package calls
-once per Poincare pairing, and nullspace, solve_left and lattice_solve,
-which the package no longer calls; they stay because the benchmark's
-traced runs (benchmark/spans.py) look them up by name.
+The integer routines (HNF, rank, kernel, Smith form, HNF back-substitution,
+unimodular inverse) carry the package.  rref and solve_left are the only
+Fraction arithmetic left.  They, nullspace (an alias of z_kernel) and
+lattice_solve have no caller in the package; they stay because the
+benchmark's traced runs (benchmark/spans.py) look them up by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-
-def qmat(rows: Iterable[Iterable], ncols: Optional[int] = None) -> np.ndarray:
-    """Builds an exact rational matrix (dtype=object, Fraction entries)."""
-    data = [[Fraction(x) for x in row] for row in rows]
-    if not data:
-        return np.zeros((0, ncols or 0), dtype=object)
-    return np.array(data, dtype=object)
+Matrix = List[List[int]]
 
 
-def zmat(rows: Iterable[Iterable], ncols: Optional[int] = None) -> np.ndarray:
-    """Builds an exact integer matrix (dtype=object, int entries)."""
-    data = [[int(x) for x in row] for row in rows]
-    if not data:
-        return np.zeros((0, ncols or 0), dtype=object)
-    return np.array(data, dtype=object)
-
-
-def zeros(m: int, n: int) -> np.ndarray:
-    return np.zeros((m, n), dtype=object)
-
-
-def eye(n: int) -> np.ndarray:
-    M = zeros(n, n)
-    for i in range(n):
-        M[i, i] = 1
-    return M
+def eye(n: int) -> Matrix:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # Rational routines
 # ---------------------------------------------------------------------------
 
-def rref(A: np.ndarray) -> Tuple[np.ndarray, list]:
+def rref(A: Sequence[Sequence]) -> Tuple[List[List[Fraction]], list]:
     """Reduced row echelon form over Q.
 
     Returns (R, pivot_columns).  A is not modified.
     """
-    R = qmat(A.tolist(), A.shape[1] if A.ndim == 2 else 0)
-    if R.size == 0:
-        return R, []
-    m, n = R.shape
+    R = [[Fraction(x) for x in row] for row in A]
+    m, n = len(R), len(R[0]) if R else 0
     pivots = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        p = next((i for i in range(r, m) if R[i, c] != 0), None)
+        p = next((i for i in range(r, m) if R[i][c] != 0), None)
         if p is None:
             continue
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        R[r] = R[r] / R[r, c]
+        R[r], R[p] = R[p], R[r]
+        piv = R[r][c]
+        R[r] = [x / piv for x in R[r]]
         for i in range(m):
-            if i != r and R[i, c] != 0:
-                R[i] = R[i] - R[i, c] * R[r]
+            f = R[i][c]
+            if i != r and f != 0:
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
     return R, pivots
 
 
-def q_rank(A: np.ndarray) -> int:
-    return len(rref(A)[1])
-
-
-def nullspace(A: np.ndarray) -> np.ndarray:
-    """Basis (rows) of the right kernel {x : A x = 0} over Q."""
-    if A.shape[0] == 0:
-        return eye(A.shape[1]) if A.shape[1] else zeros(0, 0)
-    R, pivots = rref(A)
-    n = A.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    basis = zeros(len(free), n)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            basis[bi, pc] = -R[r, fc]
-    return basis
-
-
-def solve_left(B: np.ndarray, b: Sequence) -> Optional[np.ndarray]:
-    """Solves c @ B == b for a row vector c, or returns None if inconsistent."""
-    m, n = B.shape
-    if m == 0:
-        return zeros(1, 0)[0] if all(x == 0 for x in b) else None
-    aug = zeros(n, m + 1)
-    for i in range(n):
-        for j in range(m):
-            aug[i, j] = Fraction(B[j, i])
-        aug[i, m] = Fraction(b[i])
+def solve_left(B: Sequence[Sequence], b: Sequence) -> Optional[List[Fraction]]:
+    """Solves c @ B == b for a row vector c over Q, or returns None if
+    inconsistent."""
+    m = len(B)
+    aug = [[B[j][i] for j in range(m)] + [b[i]] for i in range(len(b))]
     R, pivots = rref(aug)
     if m in pivots:
         return None
-    c = zeros(1, m)[0]
+    c = [Fraction(0)] * m
     for r, pc in enumerate(pivots):
-        c[pc] = R[r, m]
+        c[pc] = R[r][m]
     return c
 
 
@@ -136,14 +89,14 @@ def exgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def hnf_transform(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def hnf_transform(A: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
     """Row Hermite normal form with transform: returns (H, U), U @ A == H.
 
     U is unimodular, H is in row HNF (pivots positive, entries above a pivot
     reduced into [0, pivot), zero rows at the bottom).
     """
-    m, n = A.shape
-    H = zmat(A.tolist(), n)
+    H = [list(row) for row in A]
+    m, n = len(H), len(H[0]) if H else 0
     U = eye(m)
     r = 0
     for c in range(n):
@@ -151,166 +104,178 @@ def hnf_transform(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             break
         # Combine rows r..m-1 so that row r holds the column gcd.
         for i in range(r + 1, m):
-            if H[i, c] == 0:
+            if H[i][c] == 0:
                 continue
-            if H[r, c] == 0:
-                H[[r, i]] = H[[i, r]]
-                U[[r, i]] = U[[i, r]]
+            if H[r][c] == 0:
+                H[r], H[i] = H[i], H[r]
+                U[r], U[i] = U[i], U[r]
                 continue
-            g, x, y = exgcd(int(H[r, c]), int(H[i, c]))
-            p, q = H[r, c] // g, H[i, c] // g
-            Hr, Hi = x * H[r] + y * H[i], -q * H[r] + p * H[i]
-            Ur, Ui = x * U[r] + y * U[i], -q * U[r] + p * U[i]
-            H[r], H[i] = Hr, Hi
-            U[r], U[i] = Ur, Ui
-        if H[r, c] == 0:
+            g, x, y = exgcd(H[r][c], H[i][c])
+            p, q = H[r][c] // g, H[i][c] // g
+            for M in (H, U):
+                a, b = M[r], M[i]
+                M[r] = [x * s + y * t for s, t in zip(a, b)]
+                M[i] = [p * t - q * s for s, t in zip(a, b)]
+        piv = H[r][c]
+        if piv == 0:
             continue
-        if H[r, c] < 0:
-            H[r] = -H[r]
-            U[r] = -U[r]
+        if piv < 0:
+            piv = -piv
+            H[r] = [-s for s in H[r]]
+            U[r] = [-s for s in U[r]]
         for j in range(r):
-            q = H[j, c] // H[r, c]
+            q = H[j][c] // piv
             if q != 0:
-                H[j] = H[j] - q * H[r]
-                U[j] = U[j] - q * U[r]
+                H[j] = [s - q * t for s, t in zip(H[j], H[r])]
+                U[j] = [s - q * t for s, t in zip(U[j], U[r])]
         r += 1
     return H, U
 
 
-def hnf(A: np.ndarray) -> np.ndarray:
+def hnf(A: Sequence[Sequence[int]]) -> Matrix:
     """Row HNF with zero rows dropped: the canonical basis of the row lattice."""
     H, _ = hnf_transform(A)
-    keep = [i for i in range(H.shape[0]) if any(x != 0 for x in H[i])]
-    return H[keep] if keep else zeros(0, A.shape[1])
+    return [row for row in H if any(row)]
 
 
-def z_kernel(A: np.ndarray) -> np.ndarray:
+def q_rank(A: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix: the row count of its HNF."""
+    return len(hnf(A))
+
+
+def z_kernel(A: Sequence[Sequence[int]]) -> Matrix:
     """Basis (rows) of the integer right kernel {x in Z^n : A x = 0}.
 
-    The result generates the full kernel lattice (it is saturated by
-    construction, being an actual kernel).
+    A has at least one row.  The result generates the full kernel lattice
+    (it is saturated by construction, being an actual kernel), so it is
+    also a basis of the rational kernel.
     """
-    m, n = A.shape
-    if m == 0:
-        return eye(n)
-    H, U = hnf_transform(A.T)
-    keep = [i for i in range(n) if all(x == 0 for x in H[i])]
-    return U[keep] if keep else zeros(0, n)
+    H, U = hnf_transform(list(zip(*A)))
+    return [u for h, u in zip(H, U) if not any(h)]
 
 
-def snf_transform(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+nullspace = z_kernel
+
+
+def snf_transform(
+    A: Sequence[Sequence[int]], ncols: int = 0
+) -> Tuple[Matrix, Matrix, Matrix]:
     """Smith normal form with transforms: returns (D, S, T), S @ A @ T == D.
 
     S and T are unimodular; D is diagonal with nonnegative entries satisfying
-    d_1 | d_2 | ... .
+    d_1 | d_2 | ... .  ncols is the column count when A has no rows.
     """
-    m, n = A.shape
-    D = zmat(A.tolist(), n)
+    D = [list(row) for row in A]
+    m, n = len(D), len(D[0]) if D else ncols
     S, T = eye(m), eye(n)
-
     for k in range(min(m, n)):
         while True:
             # Smallest-magnitude pivot keeps the intermediate entries tame.
             pos = min(
-                ((i, j) for i in range(k, m) for j in range(k, n) if D[i, j] != 0),
-                key=lambda ij: abs(int(D[ij[0], ij[1]])),
+                ((i, j) for i in range(k, m) for j in range(k, n) if D[i][j] != 0),
+                key=lambda ij: abs(D[ij[0]][ij[1]]),
                 default=None,
             )
             if pos is None:
                 break
             i, j = pos
             if i != k:
-                D[[k, i]] = D[[i, k]]
-                S[[k, i]] = S[[i, k]]
+                D[k], D[i] = D[i], D[k]
+                S[k], S[i] = S[i], S[k]
             if j != k:
-                D[:, [k, j]] = D[:, [j, k]]
-                T[:, [k, j]] = T[:, [j, k]]
+                for row in D + T:
+                    row[k], row[j] = row[j], row[k]
+            piv = D[k][k]
             clean = True
             for i in range(k + 1, m):
-                q = D[i, k] // D[k, k]
+                q = D[i][k] // piv
                 if q:
-                    D[i] = D[i] - q * D[k]
-                    S[i] = S[i] - q * S[k]
-                if D[i, k] != 0:
+                    D[i] = [s - q * t for s, t in zip(D[i], D[k])]
+                    S[i] = [s - q * t for s, t in zip(S[i], S[k])]
+                if D[i][k] != 0:
                     clean = False
             for j in range(k + 1, n):
-                q = D[k, j] // D[k, k]
+                q = D[k][j] // piv
                 if q:
-                    D[:, j] = D[:, j] - q * D[:, k]
-                    T[:, j] = T[:, j] - q * T[:, k]
-                if D[k, j] != 0:
+                    for row in D + T:
+                        row[j] -= q * row[k]
+                if D[k][j] != 0:
                     clean = False
             if not clean:
                 continue  # leftovers are smaller than the pivot; re-pick
+            if piv in (1, -1):
+                break  # every entry is a multiple of a unit
             # Divisibility: fold a non-multiple row into the corner row.
             bad = next(
-                ((i, j) for i in range(k + 1, m) for j in range(k + 1, n)
-                 if D[i, j] % D[k, k] != 0),
+                (i for i in range(k + 1, m) for j in range(k + 1, n)
+                 if D[i][j] % piv != 0),
                 None,
             )
             if bad is None:
                 break
-            D[k] = D[k] + D[bad[0]]
-            S[k] = S[k] + S[bad[0]]
-        if D[k, k] < 0:
-            D[k] = -D[k]
-            S[k] = -S[k]
+            D[k] = [s + t for s, t in zip(D[k], D[bad])]
+            S[k] = [s + t for s, t in zip(S[k], S[bad])]
+        if D[k][k] < 0:
+            D[k] = [-s for s in D[k]]
+            S[k] = [-s for s in S[k]]
     return D, S, T
 
 
-def elementary_divisors(A: np.ndarray) -> list:
+def elementary_divisors(A: Sequence[Sequence[int]]) -> list:
     """Nonzero diagonal entries of the Smith normal form of A."""
     D, _, _ = snf_transform(A)
-    return [int(D[i, i]) for i in range(min(A.shape)) if D[i, i] != 0]
+    return [row[i] for i, row in enumerate(D) if i < len(row) and row[i] != 0]
 
 
-def unimodular_inverse(U: np.ndarray) -> np.ndarray:
+def unimodular_inverse(U: Sequence[Sequence[int]]) -> Matrix:
     """Exact inverse of a unimodular integer matrix.
 
     The HNF of a unimodular matrix is the identity, so its transform is the
     inverse; any other HNF means U is singular or not unimodular.
     """
     H, V = hnf_transform(U)
-    if not np.array_equal(H, eye(U.shape[0])):
+    if H != eye(len(U)):
         raise ValueError("matrix is not unimodular")
     return V
 
 
-def lattice_solve(B: np.ndarray, v: Sequence) -> Optional[np.ndarray]:
-    """Integer coordinates of v in the row lattice spanned by B, or None."""
-    c = solve_left(qmat(B.tolist(), B.shape[1]), [Fraction(int(x)) for x in v])
+def lattice_solve(B: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list]:
+    """Integer coordinates of v in the row lattice spanned by B, or None.
+
+    Solves against the HNF of B and maps the coordinates back through the
+    transform, so B may have dependent rows.
+    """
+    H, U = hnf_transform(B)
+    r = sum(1 for row in H if any(row))
+    c = hnf_solve(H[:r], v)
     if c is None:
         return None
-    out = zeros(1, len(c))[0]
-    for i, x in enumerate(c):
-        if Fraction(x).denominator != 1:
-            return None
-        out[i] = int(x)
-    return out
+    return [sum(ci * U[i][j] for i, ci in enumerate(c)) for j in range(len(B))]
 
 
-def hnf_solve(H: np.ndarray, v: Sequence) -> Optional[list]:
+def hnf_solve(H: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list]:
     """Integer coordinates of v in the row lattice of a row-HNF basis H.
 
     Back-substitution along the pivot columns; returns None when v is not in
     the lattice.  Much faster than lattice_solve but requires H in HNF.
+    Pivots of a row HNF strictly increase, so each row's pivot search starts
+    one column after the previous row's pivot.
     """
-    m, n = H.shape
-    res = [int(x) for x in v]
-    coords = [0] * m
-    for i in range(m):
-        pj = next((j for j in range(n) if H[i, j] != 0), None)
+    res = list(v)
+    n = len(res)
+    coords = []
+    pj = -1
+    for row in H:
+        pj = next((j for j in range(pj + 1, n) if row[j] != 0), None)
         if pj is None:
             raise ValueError("HNF basis must have no zero rows")
-        q, r = divmod(res[pj], int(H[i, pj]))
+        q, r = divmod(res[pj], row[pj])
         if r:
             return None
-        coords[i] = q
+        coords.append(q)
         if q:
-            row = H[i]
             for j in range(pj, n):
-                res[j] -= q * int(row[j])
+                res[j] -= q * row[j]
     if any(res):
         return None
     return coords
-

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
 from .cohomology import DEFAULT_DEGREE_CAP, betti_numbers, poincare_duality, z_freeness
 from .connection import Connection, available_connections, loop_holonomy
 from .graph import GkmGraph, connected_isotropy_check, validate
@@ -181,7 +179,7 @@ class Analysis:
 
         report["surface"] = self.surface_section()
         holonomy_trivial = all(
-            np.array_equal(loop_holonomy(g, conn, p), np.eye(3, dtype=int))
+            loop_holonomy(g, conn, p) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
             for p in self.surface.faces
         )
         report["connections"]["loop_holonomy_trivial"] = holonomy_trivial

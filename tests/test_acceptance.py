@@ -119,7 +119,7 @@ def test_criterion_4_property_suite(capsys):
             predicted = sum(
                 b * (d - j + 1) for j, b in enumerate(betti.betti) if j <= d
             )
-            if coh.ht_basis_q(g, d).shape[0] != predicted:
+            if len(coh.ht_basis_q(g, d)) != predicted:
                 violations.append((name, "h", d))
         # (g) H^4 spanning, connection-independent.
         spanning = [
@@ -128,7 +128,7 @@ def test_criterion_4_property_suite(capsys):
         ]
         for mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
             spanning.append([c for _ in g.vertices for c in mono])
-        if oracles.q_rank_rows(spanning) != coh.ht_basis_q(g, 2).shape[0]:
+        if oracles.q_rank_rows(spanning) != len(coh.ht_basis_q(g, 2)):
             violations.append((name, "g", None))
         # (e) edge Thom classes across all connections.
         for eid in range(len(g.edges)):
@@ -155,7 +155,7 @@ def test_criterion_4_property_suite(capsys):
                 for path in paths:
                     h = loop_holonomy(g, conn, path)
                     if not all(
-                        h[i, j] == (1 if i == j else 0)
+                        h[i][j] == (1 if i == j else 0)
                         for i in range(3)
                         for j in range(3)
                     ):
@@ -192,7 +192,7 @@ def test_criterion_5_oracle_equivalence(capsys):
             bq = coh.ht_basis_q(g, d)
             dim = oracles.q_dimension(g, d)
             rows_q = [list(r) for r in bq]
-            if bq.shape[0] != dim or oracles.q_rank_rows(rows_q) != dim:
+            if len(bq) != dim or oracles.q_rank_rows(rows_q) != dim:
                 ok = False
             if not all(
                 oracles.class_satisfies(g, r, d, over_z=False) for r in rows_q
@@ -200,13 +200,13 @@ def test_criterion_5_oracle_equivalence(capsys):
                 ok = False
             bz = coh.ht_basis_z(g, d)
             rows_z = [[int(c) for c in r] for r in bz]
-            if bz.shape[0] != dim:
+            if len(bz) != dim:
                 ok = False
             if not all(
                 oracles.class_satisfies(g, r, d, over_z=True) for r in rows_z
             ):
                 ok = False
-            if rows_z and oracles.snf_divisors(rows_z, bz.shape[1]) != [1] * len(
+            if rows_z and oracles.snf_divisors(rows_z, len(bz[0])) != [1] * len(
                 rows_z
             ):
                 ok = False

@@ -36,13 +36,13 @@ def test_poly_helpers():
 
 
 def test_dimensions_theta(theta):
-    assert [coh.ht_basis_q(theta, d).shape[0] for d in range(4)] == [1, 2, 3, 5]
-    assert [coh.ht_basis_z(theta, d).shape[0] for d in range(4)] == [1, 2, 3, 5]
+    assert [len(coh.ht_basis_q(theta, d)) for d in range(4)] == [1, 2, 3, 5]
+    assert [len(coh.ht_basis_z(theta, d)) for d in range(4)] == [1, 2, 3, 5]
 
 
 def test_dimensions_cube(cube):
-    assert coh.ht_basis_q(cube, 1).shape[0] == 5
-    assert coh.ht_basis_q(cube, 2).shape[0] == 12
+    assert len(coh.ht_basis_q(cube, 1)) == 5
+    assert len(coh.ht_basis_q(cube, 2)) == 12
 
 
 EXPECTED_BETTI = {
@@ -81,9 +81,9 @@ def test_oracle_equivalence_q(name, d):
     """Criterion: Q bases match an independent symbolic solver, degrees <= 10."""
     g = corpus_graph(name)
     basis = coh.ht_basis_q(g, d)
-    assert basis.shape[0] == oracles.q_dimension(g, d)
+    assert len(basis) == oracles.q_dimension(g, d)
     rows = [list(r) for r in basis]
-    assert oracles.q_rank_rows(rows) == basis.shape[0]
+    assert oracles.q_rank_rows(rows) == len(basis)
     for r in rows:
         assert oracles.class_satisfies(g, r, d, over_z=False)
 
@@ -103,11 +103,11 @@ def test_oracle_equivalence_z(name, d):
     assert all(e.weight.is_primitive() for e in g.edges)
     basis = coh.ht_basis_z(g, d)
     rows = [[int(c) for c in r] for r in basis]
-    assert basis.shape[0] == oracles.q_dimension(g, d)
+    assert len(basis) == oracles.q_dimension(g, d)
     for r in rows:
         assert oracles.class_satisfies(g, r, d, over_z=True)
     if rows:
-        assert oracles.snf_divisors(rows, basis.shape[1]) == [1] * len(rows)
+        assert oracles.snf_divisors(rows, len(basis[0])) == [1] * len(rows)
 
 
 def test_z_lattice_imprimitive_weight():
@@ -120,7 +120,7 @@ def test_z_lattice_imprimitive_weight():
     assert oracles.lattice_equal([list(r) for r in L], expected)
     # Over Q the divisibility by 2x is just divisibility by x: dimension 3,
     # but the integral lattice has index 2 in the integer points.
-    assert coh.ht_basis_q(g, 1).shape[0] == 3
+    assert len(coh.ht_basis_q(g, 1)) == 3
     assert oracles.class_satisfies(g, [1, 0, 1, 0], 1, over_z=True)
     assert not oracles.class_satisfies(g, [1, 0, 0, 0], 1, over_z=True)
 
@@ -189,7 +189,7 @@ def test_h4_spanned_by_edge_thoms_and_scalars(name):
         for _ in g.vertices:
             vec.extend(mono)
         spanning.append(vec)
-    dim = coh.ht_basis_q(g, 2).shape[0]
+    dim = len(coh.ht_basis_q(g, 2))
     assert oracles.q_rank_rows(spanning) == dim
 
 
@@ -267,7 +267,7 @@ def test_z_freeness_torsion_witness():
     # ... not in the product ideal, while order * witness is.
     gens = coh._raised(g, coh.ht_basis_z(g, d - 1), d - 1)
     gen_rows = [[int(c) for c in r] for r in gens]
-    n = L.shape[1]
+    n = len(L[0])
     assert not oracles.in_lattice(gen_rows, wit["class"], n)
     assert oracles.in_lattice(
         gen_rows, [wit["order"] * c for c in wit["class"]], n

@@ -41,6 +41,10 @@ def test_transport_coefficients_known_values():
     assert transport_coefficients(W(1, 2), W(1, 5), W(1, 0)) is None  # eps 5/2
     assert transport_coefficients(W(1, 0), W(1, 5), W(1, 2)) is None  # eps -3/2
     assert transport_coefficients(W(1, 0), W(1, 2), W(1, 5)) is None  # eps 3/5
+    # Unit eps, with k integral only when det(w(f), w(e)) = ±2 divides it.
+    assert transport_coefficients(W(1, 0), W(1, 1), W(0, 2)) is None  # k 1/2
+    assert transport_coefficients(W(1, 0), W(1, 2), W(0, 2)) == (1, 1)
+    assert transport_coefficients(W(1, 0), W(1, 2), W(0, -2)) == (1, -1)
     # Theta weights: both bijections along the (1,0) edge are compatible.
     assert transport_coefficients(W(0, 1), W(1, 1), W(1, 0)) == (1, 1)
     assert transport_coefficients(W(1, 1), W(0, 1), W(1, 0)) == (1, -1)
@@ -214,7 +218,7 @@ def test_loop_holonomy_identity_on_cube(cube):
     for path in connection_paths(cube, conn):
         h = loop_holonomy(cube, conn, path)
         assert all(
-            h[i, j] == (1 if i == j else 0) for i in range(3) for j in range(3)
+            h[i][j] == (1 if i == j else 0) for i in range(3) for j in range(3)
         )
 
 

@@ -17,6 +17,25 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_src_does_not_import_numpy():
+    # The kernel is plain lists of ints; Fraction is left only in linalg's
+    # two rational routines.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top == "numpy" or (top == "fractions" and path.name != "linalg.py"):
+                    found.append(f"{path.name}:{node.lineno} {module}")
+    assert found == []
+
+
 def test_benchmark_traced_names_resolve():
     # The benchmark's traced runs wrap these functions by name; a deleted or
     # renamed one would break `benchmark/run.py --trace 1`.
