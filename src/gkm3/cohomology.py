@@ -12,16 +12,21 @@ integer polynomial g, and the class lattice is the projection onto the
 f-block of the integer kernel of the combined system.  The lattice also
 spans the rational classes (see ht_basis_q), so one integral quotient per
 degree gives the Betti numbers, the duality pairing and the torsion test.
+A flow-up basis, when the graph has one (z_freeness), proves freeness and
+the Betti numbers in every degree at once, so the quotients above its top
+degree are never formed.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .connection import Connection, DirectedEdge, transition
-from .graph import GkmGraph, Weight
+from .graph import GkmGraph, Weight, det2
 
 __all__ = [
     "DEFAULT_DEGREE_CAP",
@@ -89,13 +94,6 @@ def _blocks(g: GkmGraph, vec: Sequence, d: int) -> List[Tuple]:
 # Bases
 # ---------------------------------------------------------------------------
 
-def _basis_cache(g: GkmGraph) -> dict:
-    # GkmGraph is a frozen dataclass, but instances still own a __dict__
-    # (cached_property relies on it), so memoized bases, and the quotients
-    # and Betti numbers computed from them, can live there.
-    return g.__dict__.setdefault("_cohomology_basis_cache", {})
-
-
 def ht_basis_q(g: GkmGraph, d: int) -> linalg.Matrix:
     """A Q-basis (rows) of the degree-2d classes: the Z-basis ht_basis_z.
 
@@ -119,7 +117,7 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     the class coordinates.  Imprimitive weights are handled by the same
     system with no special casing.
     """
-    cache = _basis_cache(g)
+    cache = g.memo
     if ("z", d) in cache:
         return cache[("z", d)]
     nv, k = len(g.vertices), d + 1
@@ -209,7 +207,7 @@ class _Quotient:
 
 def _quotient(g: GkmGraph, d: int) -> _Quotient:
     """The reduced degree-2d part, from one Smith form; memoized per graph."""
-    cache = _basis_cache(g)
+    cache = g.memo
     if ("quotient", d) in cache:
         return cache[("quotient", d)]
     L = ht_basis_z(g, d)
@@ -225,6 +223,121 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
     q = _Quotient(L, T, divisors)
     cache[("quotient", d)] = q
     return q
+
+
+# ---------------------------------------------------------------------------
+# Flow-up basis
+# ---------------------------------------------------------------------------
+
+# The most (earlier set, vertex) checks one flow-up search makes; a graph
+# whose search needs more gets no certificate and is scanned degree by degree.
+FLOW_UP_CHECKS = 2000
+
+
+class _OutOfChecks(Exception):
+    pass
+
+
+def _other_end(g: GkmGraph, eid: int, v: str) -> str:
+    e = g.edges[eid]
+    return e.v if e.u == v else e.u
+
+
+def _flow_up_value(g: GkmGraph, down: Sequence[int]) -> Tuple:
+    """D(v) = lcm of the contents times the product of the primitive parts
+    of the labels on the edges `down`: a generator of the intersection of
+    the ideals (alpha_e), when the labels are pairwise independent."""
+    lcm, prod = 1, (1,)
+    for eid in down:
+        w = g.edges[eid].weight
+        c = w.content()
+        lcm = math.lcm(lcm, c)
+        prod = poly_mul(prod, (w.a // c, w.b // c))
+    return tuple(lcm * x for x in prod)
+
+
+def _vanishing_classes(g: GkmGraph, earlier: frozenset, d: int) -> linalg.Matrix:
+    """A Z-basis (rows) of the degree-2d classes that vanish at `earlier`."""
+    basis, k = ht_basis_z(g, d), d + 1
+    cols = [g.vertex_index[w] * k + j for w in earlier for j in range(k)]
+    if not cols:
+        return basis
+    kernel = linalg.z_kernel([[row[c] for row in basis] for c in cols])
+    return [[sum(c * x for c, x in zip(kv, col)) for col in zip(*basis)]
+            for kv in kernel]
+
+
+def _flow_up_search(g: GkmGraph) -> Optional[Tuple[str, ...]]:
+    """A vertex order whose flow-up classes exist (see z_freeness), or None.
+
+    The order is searched depth first.  Whether v may follow the set S of
+    earlier vertices depends on (S, v) alone, so a set S that has no
+    completion is remembered and never expanded again; as a search ends at
+    the first complete order, each S is expanded at most once, and each
+    (S, v) is decided at most once.  The classes vanishing on S are shared
+    by the candidates with the same number of down edges.
+    """
+    for ids in g.incident.values():
+        ws = [g.edges[eid].weight for eid in ids]
+        if any(det2(a, b) == 0 for i, a in enumerate(ws) for b in ws[i + 1:]):
+            return None  # the spanning argument needs independent labels
+    checks = 0
+    failed: set = set()
+
+    def passing(earlier: frozenset):
+        nonlocal checks
+        vanishing: dict = {}
+        for v in g.vertices:
+            if v in earlier or (earlier | {v}) in failed:
+                continue
+            checks += 1
+            if checks > FLOW_UP_CHECKS:
+                raise _OutOfChecks
+            down = [eid for eid in g.incident[v]
+                    if _other_end(g, eid, v) in earlier]
+            d = len(down)
+            if d not in vanishing:
+                vanishing[d] = _vanishing_classes(g, earlier, d)
+            base = g.vertex_index[v] * (d + 1)
+            values = linalg.hnf([row[base : base + d + 1] for row in vanishing[d]])
+            if linalg.hnf_solve(values, _flow_up_value(g, down)) is not None:
+                yield v
+
+    order: List[str] = []
+    earlier = frozenset()
+    frames = [passing(earlier)]
+    try:
+        while len(order) < len(g.vertices):
+            v = next(frames[-1], None)
+            if v is None:
+                failed.add(earlier)
+                frames.pop()
+                if not frames:
+                    return None
+                earlier = earlier - {order.pop()}
+                continue
+            order.append(v)
+            earlier = earlier | {v}
+            frames.append(passing(earlier))
+    except _OutOfChecks:
+        return None
+    return tuple(order)
+
+
+def _flow_up_order(g: GkmGraph) -> Optional[Tuple[str, ...]]:
+    """The flow-up order of g, or None; searched once per graph."""
+    if ("flow_up",) not in g.memo:
+        g.memo[("flow_up",)] = _flow_up_search(g)
+    return g.memo[("flow_up",)]
+
+
+def _down_counts(g: GkmGraph, order: Sequence[str]) -> List[int]:
+    """|down(v)| for each vertex v of a flow-up order, in that order."""
+    pos = {v: i for i, v in enumerate(order)}
+    return [
+        sum(1 for eid in g.incident[v] if pos[_other_end(g, eid, v)] < pos[v])
+        for v in order
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +359,34 @@ class BettiResult:
 
 
 def betti_numbers(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> BettiResult:
-    """Combinatorial Betti numbers b_{2d} = rank H^{2d}_T - rank (x, y) H^{2(d-1)}_T."""
-    cache = _basis_cache(g)
+    """Combinatorial Betti numbers b_{2d} = rank H^{2d}_T - rank (x, y) H^{2(d-1)}_T.
+
+    b_{2d} is the Betti number of the degree-2d quotient (_quotient).  With a
+    flow-up basis (z_freeness), the reduced module H_T / (x, y) H_T has one
+    generator per basis class, so b_{2d} = #{v : |down(v)| = d}.  The
+    quotients up to the largest |down(v)| are still formed, as the duality
+    pairing reads them; each must agree with the count, or RuntimeError is
+    raised.  Above that degree every b_{2d} is 0 and no quotient is formed.
+    """
+    cache = g.memo
     if ("betti", degree_cap) in cache:
         return cache[("betti", degree_cap)]
+    order = _flow_up_order(g)
+    counts = None if order is None else Counter(_down_counts(g, order))
+    top = None if counts is None else max(counts, default=-1)
     betti: List[int] = []
     stabilized = False
     for d in range(degree_cap // 2 + 1):
-        betti.append(_quotient(g, d).betti)
+        if counts is None or d <= top:
+            b = _quotient(g, d).betti
+            if counts is not None and b != counts[d]:
+                raise RuntimeError(
+                    f"flow-up basis has {counts[d]} classes of degree {2 * d}, "
+                    f"but b_{2 * d} = {b}"
+                )
+        else:
+            b = 0
+        betti.append(b)
         if (
             sum(betti) == len(g.vertices)
             and len(betti) >= 2
@@ -274,11 +407,19 @@ def cohomology_table(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> List[
 
 def _degree_table(g: GkmGraph, betti: Sequence[int], ring: str) -> List[dict]:
     """cohomology_table's rows.  dim_q = rank_z (see ht_basis_q), so both
-    columns read one basis and ring "q", "z" or "both" only picks them."""
+    columns read one rank and ring "q", "z" or "both" only picks them.
+    With a flow-up basis (z_freeness) the degree-2d classes are the sums
+    h_v c_v with h_v of degree d - |down(v)|, so the rank is counted, not
+    read from a basis."""
+    order = _flow_up_order(g)
+    down = None if order is None else _down_counts(g, order)
     out = []
     for d, b in enumerate(betti):
         row = {"degree": 2 * d, "betti": b}
-        rank = len(ht_basis_z(g, d))
+        if down is None:
+            rank = len(ht_basis_z(g, d))
+        else:
+            rank = sum(d - k + 1 for k in down if k <= d)
         if ring != "z":
             row["dim_q"] = rank
         if ring != "q":
@@ -407,21 +548,55 @@ def poincare_duality(
 @dataclass(frozen=True)
 class FreenessResult:
     """status is "certified" or "not-free"; a torsion witness names a class
-    vector and the smallest multiplier that lands it in the product ideal."""
+    vector and the smallest multiplier that lands it in the product ideal.
+    order is the flow-up order behind a certificate, if one was found; the
+    reports leave it out."""
 
     status: str
     checked_degrees: Tuple[int, ...]
     witness: Optional[dict] = None
+    order: Optional[Tuple[str, ...]] = None
 
 
 def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessResult:
-    """Degreewise torsion test of the integral classes modulo (x, y).
+    """Whether the integral classes H_T form a free Z[x, y]-module.
 
-    For each degree the quotient of the class lattice by the x- and
-    y-multiples of the previous degree's lattice is read from its Smith
-    normal form (_quotient); any elementary divisor > 1 yields a torsion
-    witness and the verdict "not-free".
+    First, a flow-up basis.  Fix an order of the vertices, and let down(v)
+    be the edges from v to earlier vertices.  Write each label as
+    alpha_e = c_e alpha'_e with c_e its content and alpha'_e primitive, and
+    let D(v) = lcm(c_e) * prod alpha'_e over e in down(v).  If each v has a
+    class c_v of degree 2 |down(v)| that vanishes at every earlier vertex
+    and equals D(v) at v, and the labels at every vertex are pairwise
+    independent, then {c_v} is a free Z[x, y]-basis of H_T:
+
+    - independent: a relation sum h_v c_v = 0 with some h_v != 0, read at
+      the first such v, gives h_v D(v) = 0 (the later c_u vanish there), so
+      h_v = 0 in the domain Z[x, y];
+    - spanning: take f != 0 in H_T and the first vertex v with f(v) != 0.
+      For each e in down(v) the other end w has f(w) = 0, so alpha_e
+      divides f(v).  The alpha'_e are linear and primitive, so prime, and
+      pairwise non-associate because the labels at v are independent; by
+      Gauss's lemma f(v) is divisible by their product times the lcm of
+      the contents, which is D(v).  So f(v) = h D(v), and f - h c_v
+      vanishes at v and at every earlier vertex.  Repeat.
+
+    The lcm is needed: with two labels of content 2 at v, 2 alpha'_1
+    alpha'_2 is divisible by both labels but not by their product, so a
+    basis built on the product would not span.  Such a basis proves every
+    degree at once: the result is "certified", with every even degree up to
+    the cap in checked_degrees and the order in `order`.  The search for
+    the order is bounded (_flow_up_search, FLOW_UP_CHECKS).
+
+    Otherwise, degree by degree up to the cap: the quotient of the class
+    lattice by the x- and y-multiples of the previous degree's lattice is
+    read from its Smith normal form (_quotient); any elementary divisor > 1
+    yields a torsion witness and the verdict "not-free", and checked_degrees
+    lists the degrees scanned.
     """
+    order = _flow_up_order(g)
+    if order is not None:
+        degrees = tuple(2 * d for d in range(degree_cap // 2 + 1))
+        return FreenessResult("certified", degrees, order=order)
     checked = []
     for d in range(degree_cap // 2 + 1):
         checked.append(2 * d)

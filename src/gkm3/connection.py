@@ -275,7 +275,8 @@ class TransitionData:
 
     @property
     def det_phi(self) -> int:
-        return _det3(self.phi)
+        (a, b, c), (d, e, f), (g, h, i) = self.phi
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
     @property
     def sign_sigma(self) -> int:
@@ -298,17 +299,6 @@ def _perm_sign(sigma: Sequence[int]) -> int:
     return sign
 
 
-def _det3(m: Sequence[Sequence[int]]) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [[m[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        total += (-1) ** j * m[0][j] * _det3(minor)
-    return total
-
-
 class ConnectionInconsistency(RuntimeError):
     """A validated connection produced inconsistent transition data."""
 
@@ -320,10 +310,19 @@ def transition(g: GkmGraph, conn: Connection, e: DirectedEdge) -> TransitionData
     eps_j in row sigma(j); column m carries 1 in row sigma(m) and the
     integers k in the remaining rows.  The weight-transport identity and
     det phi = ±1 are checked (ConnectionInconsistency).
+
+    The data read the connection only through its map at e, so they are
+    memoized per graph by (e, that map): every connection that agrees at e
+    shares them, as do eta, loop_holonomy and thom_class_edge.
     """
+    key = ("transition", e, conn.maps[(e.edge_id, e.forward)])
+    if key in g.memo:
+        return g.memo[key]
     v, w = g.source(e), g.target(e)
     src_ids, tgt_ids = g.incident[v], g.incident[w]
     n = len(src_ids)
+    if n != 3:
+        raise ValueError("transition data are defined for 3-valent graphs")
     m = src_ids.index(e.edge_id)
     we = g.edges[e.edge_id].weight
 
@@ -364,6 +363,7 @@ def transition(g: GkmGraph, conn: Connection, e: DirectedEdge) -> TransitionData
     )
     if data.det_phi not in (1, -1):
         raise ConnectionInconsistency(f"det phi = {data.det_phi} along {e.edge_id}")
+    g.memo[key] = data
     return data
 
 

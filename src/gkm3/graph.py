@@ -104,6 +104,13 @@ class GkmGraph:
     warnings: Tuple[str, ...] = ()
 
     @cached_property
+    def memo(self) -> dict:
+        """Results derived from this graph alone (class lattices, quotients,
+        the flow-up order, transition data), filled on first use.  Keys are
+        tuples whose first entry names the kind of result."""
+        return {}
+
+    @cached_property
     def vertex_index(self) -> Mapping[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 

@@ -133,6 +133,16 @@ def test_freeness_strict(capsys):
     assert data["witness"]["order"] == 2
 
 
+def test_certified_freeness_report_leaves_out_the_order(capsys):
+    # The flow-up order certifies every degree; it stays out of stdout.
+    code, out, _ = run(capsys, "freeness", cpath("prism6"), "--degree-cap", "14")
+    assert code == 0
+    assert json.loads(out) == {
+        "name": "prism6", "degree_cap": 14, "status": "certified",
+        "checked_degrees": list(range(0, 15, 2)), "witness": None,
+    }
+
+
 def test_surface_emit_complex(capsys):
     code, out, _ = run(capsys, "surface", cpath("flag"), "--emit-complex")
     data = json.loads(out)
@@ -159,7 +169,7 @@ def test_corpus_check_passes(capsys):
     data = json.loads(out)
     assert code == 0 and data["ok"]
     assert {e["name"] for e in data["entries"]} == {
-        "cube", "flag", "nonorientable", "theta"
+        "cp3", "cube", "flag", "nonorientable", "prism4", "prism6", "theta"
     }
     assert all(e["status"] == "pass" for e in data["entries"])
 

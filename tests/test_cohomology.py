@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from gkm3 import cohomology as coh
 from gkm3 import linalg
@@ -9,7 +10,7 @@ from gkm3.connection import available_connections
 from gkm3.graph import parse_graph, validate
 
 import oracles
-from conftest import CORPUS_NAMES, corpus_graph
+from conftest import CORPUS_NAMES, corpus_graph, small_graph_docs
 
 # A valid K4 labelling whose integral classes have 9-torsion modulo the
 # product ideal in degree 6 (found by randomized search, then verified
@@ -279,3 +280,70 @@ def test_class_product_blockwise(theta):
     v = [0, 1, 0, 1]  # y at both vertices
     prod = coh.class_product(theta, u, 1, v, 1)
     assert prod == [0, 1, 0, 0, 1, 0]  # xy at both vertices
+
+
+# ---------------------------------------------------------------------------
+# Flow-up certificate
+# ---------------------------------------------------------------------------
+
+def _assert_certificate_agrees_with_scan(g, cap):
+    """A flow-up order must mean no torsion up to the cap and one basis
+    class per Betti number, both read from the plain quotients."""
+    order = coh._flow_up_order(g)
+    assert order is not None and sorted(order) == sorted(g.vertices)
+    counts = coh._down_counts(g, order)
+    for d in range(cap // 2 + 1):
+        q = coh._quotient(g, d)
+        assert all(di == 1 for di in q.divisors), (d, q.divisors)
+        assert q.betti == counts.count(d), d
+        assert len(q.lattice) == sum(d - k + 1 for k in counts if k <= d), d
+
+
+@given(doc=small_graph_docs())
+@settings(max_examples=40, deadline=None, database=None)
+def test_certificate_implies_free_with_down_count_betti(doc):
+    # Cap 10, not 20: the HNF of the larger class lattices swells on some
+    # of these graphs, so a cap-20 scan can take minutes.
+    g = parse_graph(json.dumps(doc))
+    if coh._flow_up_order(g) is not None:
+        _assert_certificate_agrees_with_scan(g, 10)
+
+
+@pytest.mark.parametrize(
+    "name", ["cube", "flag", "theta", "cp3", "prism4", "prism6"]
+)
+def test_certificate_agrees_with_cap_20_scan(name):
+    _assert_certificate_agrees_with_scan(corpus_graph(name), 20)
+
+
+def test_no_certificate_for_graphs_with_torsion(nonorientable):
+    for g in (nonorientable, parse_graph(json.dumps(TORSION_K4))):
+        assert coh._flow_up_order(g) is None
+        res = coh.z_freeness(g)
+        assert res.status == "not-free" and res.order is None
+
+
+def test_certified_freeness_checks_every_degree(cube):
+    res = coh.z_freeness(cube, 14)
+    assert res.status == "certified" and res.witness is None
+    assert res.checked_degrees == tuple(range(0, 15, 2))
+    assert res.order == coh._flow_up_order(cube)
+
+
+def test_betti_raises_when_down_counts_disagree(cube, monkeypatch):
+    real = coh._down_counts
+
+    def shifted(g, order):
+        counts = real(g, order)
+        return counts[:-1] + [counts[-1] + 1]  # the top class one degree up
+
+    monkeypatch.setattr(coh, "_down_counts", shifted)
+    with pytest.raises(RuntimeError, match="flow-up basis"):
+        coh.betti_numbers(cube)
+
+
+def test_flow_up_search_respects_check_budget(cube, monkeypatch):
+    monkeypatch.setattr(coh, "FLOW_UP_CHECKS", 3)
+    assert coh._flow_up_order(cube) is None
+    assert coh.z_freeness(cube, 10).order is None  # the scan decides
+    assert coh.betti_numbers(cube, 10).betti == EXPECTED_BETTI["cube"]

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from gkm3 import cohomology, linalg
+from gkm3 import cohomology, connection, linalg
 from gkm3 import verdict
 from gkm3.connection import Connection, _compatible_bijections
 from gkm3.graph import parse_graph
@@ -224,3 +224,42 @@ def test_verdict_makes_at_most_one_rational_elimination(name, monkeypatch):
     monkeypatch.setattr(linalg, "rref", counting)
     realizability_report(corpus_graph(name))
     assert calls == []
+
+
+def test_certified_verdict_stops_at_degree_6(cube, monkeypatch):
+    # The flow-up basis proves freeness and the Betti numbers above the
+    # largest down count (3), so no class lattice above degree 6 is built.
+    degrees = []
+    real = cohomology.ht_basis_z
+
+    def counting(g, d):
+        degrees.append(d)
+        return real(g, d)
+
+    monkeypatch.setattr(cohomology, "ht_basis_z", counting)
+    rep = realizability_report(cube)
+    assert rep["z_freeness"] == {"status": "certified", "witness": None}
+    assert rep["betti"] == [1, 3, 3, 1, 0, 0]
+    assert degrees and max(degrees) <= 3
+
+
+def test_verdict_builds_each_transition_once(flag, monkeypatch):
+    # eta, the per-option eta check and the loop holonomy share transition
+    # data: one TransitionData per directed edge and compatible option.
+    built = []
+    real = connection.TransitionData
+
+    def counting(*args):
+        built.append((args[0], args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(connection, "TransitionData", counting)
+    a = Analysis(flag)
+    a.report()
+    options = a.connections[0].options
+    assert len(built) == len(set(built))
+    assert len(built) <= 2 * sum(len(opts) for opts in options)
+    e = connection.DirectedEdge(0, True)
+    first = connection.transition(flag, a.connection, e)
+    assert connection.transition(flag, a.connection, e) is first
+    assert len(built) == len(set(built))
