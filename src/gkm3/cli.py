@@ -252,7 +252,10 @@ def _cmd_corpus(args) -> Tuple[dict, bool]:
                 entry.update(status="fail", error="missing golden file")
                 ok = False
             else:
-                golden = json.loads(golden_path.read_text())
+                try:
+                    golden = json.loads(golden_path.read_text())
+                except (OSError, ValueError) as exc:
+                    raise InputError(f"cannot read {golden_path}: {exc}") from exc
                 diverging = _diff_path(json.loads(_dumps(report)), golden)
                 if diverging is None:
                     entry["status"] = "pass"

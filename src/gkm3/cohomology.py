@@ -113,35 +113,33 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     """HNF-canonical Z-basis (rows) of the degree-2d class lattice.
 
     Solves f_u - f_v = alpha * g_e exactly over Z with one auxiliary
-    degree-(d-1) polynomial per edge, then projects the integer kernel onto
-    the class coordinates.  Imprimitive weights are handled by the same
-    system with no special casing.
+    degree-(d-1) polynomial per edge: one row per unknown, its equation
+    coefficients then its class coordinate.  Rows whose equation part
+    vanishes under echelon end in the class parts of the integer solutions.
+    Imprimitive weights are handled by the same system with no special
+    casing.
     """
     cache = g.memo
     if ("z", d) in cache:
         return cache[("z", d)]
-    nv, k = len(g.vertices), d + 1
-    ne = len(g.edges)
-    nf = nv * k
-    ng = ne * d  # d coefficients per auxiliary polynomial (degree d - 1)
-    rows = []
+    k = d + 1
+    nf, neq = len(g.vertices) * k, len(g.edges) * k
+    rows = [[0] * neq + r for r in linalg.eye(nf)]
+    rows += [[0] * (neq + nf) for _ in range(len(g.edges) * d)]
     for ei, e in enumerate(g.edges):
         a, b = e.weight.vector
         iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
-        ig = nf + ei * d
+        ig = nf + ei * d  # d coefficients per auxiliary polynomial (degree d - 1)
         for j in range(k):  # coefficient of x^{d-j} y^j
-            row = [0] * (nf + ng)
-            row[iu + j] += 1
-            row[iv + j] -= 1
+            c = ei * k + j
+            rows[iu + j][c] += 1
+            rows[iv + j][c] -= 1
             if j < d:
-                row[ig + j] -= a
+                rows[ig + j][c] -= a
             if j > 0:
-                row[ig + j - 1] -= b
-            rows.append(row)
-    if not rows:
-        basis = linalg.eye(nf)
-    else:
-        basis = linalg.hnf([r[:nf] for r in linalg.z_kernel(rows)])
+                rows[ig + j - 1][c] -= b
+    solved = linalg.echelon(rows, neq)
+    basis = linalg.hnf([row[neq:] for row in solved if not any(row[:neq])])
     cache[("z", d)] = basis
     return basis
 
@@ -256,26 +254,15 @@ def _flow_up_value(g: GkmGraph, down: Sequence[int]) -> Tuple:
     return tuple(lcm * x for x in prod)
 
 
-def _vanishing_classes(g: GkmGraph, earlier: frozenset, d: int) -> linalg.Matrix:
-    """A Z-basis (rows) of the degree-2d classes that vanish at `earlier`."""
-    basis, k = ht_basis_z(g, d), d + 1
-    cols = [g.vertex_index[w] * k + j for w in earlier for j in range(k)]
-    if not cols:
-        return basis
-    kernel = linalg.z_kernel([[row[c] for row in basis] for c in cols])
-    return [[sum(c * x for c, x in zip(kv, col)) for col in zip(*basis)]
-            for kv in kernel]
-
-
 def _flow_up_search(g: GkmGraph) -> Optional[Tuple[str, ...]]:
     """A vertex order whose flow-up classes exist (see z_freeness), or None.
 
-    The order is searched depth first.  Whether v may follow the set S of
-    earlier vertices depends on (S, v) alone, so a set S that has no
-    completion is remembered and never expanded again; as a search ends at
-    the first complete order, each S is expanded at most once, and each
-    (S, v) is decided at most once.  The classes vanishing on S are shared
-    by the candidates with the same number of down edges.
+    The order is searched depth first.  v may follow the set S of earlier
+    vertices when (0 on S, D(v) at v) lies in the class lattice restricted
+    to the coordinates of S and v, the values of the classes there.  A set
+    S that has no completion is remembered and never expanded again; as a
+    search ends at the first complete order, each S is expanded at most
+    once, and each (S, v) is decided at most once.
     """
     for ids in g.incident.values():
         ws = [g.edges[eid].weight for eid in ids]
@@ -286,7 +273,6 @@ def _flow_up_search(g: GkmGraph) -> Optional[Tuple[str, ...]]:
 
     def passing(earlier: frozenset):
         nonlocal checks
-        vanishing: dict = {}
         for v in g.vertices:
             if v in earlier or (earlier | {v}) in failed:
                 continue
@@ -295,12 +281,12 @@ def _flow_up_search(g: GkmGraph) -> Optional[Tuple[str, ...]]:
                 raise _OutOfChecks
             down = [eid for eid in g.incident[v]
                     if _other_end(g, eid, v) in earlier]
-            d = len(down)
-            if d not in vanishing:
-                vanishing[d] = _vanishing_classes(g, earlier, d)
-            base = g.vertex_index[v] * (d + 1)
-            values = linalg.hnf([row[base : base + d + 1] for row in vanishing[d]])
-            if linalg.hnf_solve(values, _flow_up_value(g, down)) is not None:
+            k = len(down) + 1
+            keep = [w for w in g.vertices if w in earlier] + [v]
+            cols = [g.vertex_index[w] * k + j for w in keep for j in range(k)]
+            image = linalg.hnf([[row[c] for c in cols] for row in ht_basis_z(g, k - 1)])
+            target = [0] * (len(cols) - k) + list(_flow_up_value(g, down))
+            if linalg.hnf_solve(image, target) is not None:
                 yield v
 
     order: List[str] = []

@@ -193,7 +193,10 @@ def _edge_id(x) -> int:
 def _id_map(eid: int, raw) -> Optional[Dict[int, int]]:
     if raw is not None and not isinstance(raw, dict):
         raise GraphSemanticError(f"connection: edge {eid} map must be an object")
-    return None if raw is None else {_edge_id(a): _edge_id(b) for a, b in raw.items()}
+    ids = None if raw is None else {_edge_id(a): _edge_id(b) for a, b in raw.items()}
+    if ids is not None and len(ids) != len(raw):
+        raise GraphSemanticError(f"connection: edge {eid} maps a source id twice")
+    return ids
 
 
 def connection_from_block(g: GkmGraph, block: Mapping) -> Connection:
@@ -210,6 +213,8 @@ def connection_from_block(g: GkmGraph, block: Mapping) -> Connection:
         eid = _edge_id(key)
         if eid < 0 or eid >= len(g.edges):
             raise GraphSemanticError(f"connection: edge id {eid} out of range")
+        if eid in forward:
+            raise GraphSemanticError(f"connection: edge id {eid} is repeated")
         if not isinstance(entry, dict):
             raise GraphSemanticError(f"connection: edge {eid} entry must be an object")
         forward[eid] = _id_map(eid, entry.get("forward")) or {}

@@ -7,10 +7,13 @@ snf_transform, which meets one in the degree-0 quotient, takes it
 explicitly.
 
 The integer routines (HNF, rank, kernel, Smith form, HNF back-substitution,
-unimodular inverse) carry the package.  rref and solve_left are the only
-Fraction arithmetic left.  They, nullspace (an alias of z_kernel) and
-lattice_solve have no caller in the package; they stay because the
-benchmark's traced runs (benchmark/spans.py) look them up by name.
+unimodular inverse) carry the package.  echelon is the one elimination; its
+callers append only the columns they read (hnf none, hnf_transform and so
+z_kernel an identity, cohomology.ht_basis_z the class coordinates).  rref
+and solve_left are the only Fraction arithmetic left.  They, nullspace (an
+alias of z_kernel) and lattice_solve have no caller in the package; they
+stay because the benchmark's traced runs (benchmark/spans.py) look them up
+by name.
 """
 
 from __future__ import annotations
@@ -89,15 +92,13 @@ def exgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def hnf_transform(A: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
-    """Row Hermite normal form with transform: returns (H, U), U @ A == H.
-
-    U is unimodular, H is in row HNF (pivots positive, entries above a pivot
-    reduced into [0, pivot), zero rows at the bottom).
+def echelon(rows: Sequence[Sequence[int]], n: int) -> Matrix:
+    """[H | U B] for rows [A | B] with n columns in A: U is unimodular,
+    U A = H is in row HNF (pivots positive, entries above a pivot reduced
+    into [0, pivot), zero rows at the bottom), and B is carried along.
     """
-    H = [list(row) for row in A]
-    m, n = len(H), len(H[0]) if H else 0
-    U = eye(m)
+    H = [list(row) for row in rows]
+    m = len(H)
     r = 0
     for c in range(n):
         if r == m:
@@ -108,34 +109,37 @@ def hnf_transform(A: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
                 continue
             if H[r][c] == 0:
                 H[r], H[i] = H[i], H[r]
-                U[r], U[i] = U[i], U[r]
                 continue
             g, x, y = exgcd(H[r][c], H[i][c])
             p, q = H[r][c] // g, H[i][c] // g
-            for M in (H, U):
-                a, b = M[r], M[i]
-                M[r] = [x * s + y * t for s, t in zip(a, b)]
-                M[i] = [p * t - q * s for s, t in zip(a, b)]
+            a, b = H[r], H[i]
+            H[r] = [x * s + y * t for s, t in zip(a, b)]
+            H[i] = [p * t - q * s for s, t in zip(a, b)]
         piv = H[r][c]
         if piv == 0:
             continue
         if piv < 0:
             piv = -piv
             H[r] = [-s for s in H[r]]
-            U[r] = [-s for s in U[r]]
         for j in range(r):
             q = H[j][c] // piv
             if q != 0:
                 H[j] = [s - q * t for s, t in zip(H[j], H[r])]
-                U[j] = [s - q * t for s, t in zip(U[j], U[r])]
         r += 1
-    return H, U
+    return H
+
+
+def hnf_transform(A: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
+    """Row Hermite normal form with transform: returns (H, U), U @ A == H,
+    read off the echelon of [A | I]."""
+    n = len(A[0]) if A else 0
+    E = echelon([list(row) + e for row, e in zip(A, eye(len(A)))], n)
+    return [row[:n] for row in E], [row[n:] for row in E]
 
 
 def hnf(A: Sequence[Sequence[int]]) -> Matrix:
     """Row HNF with zero rows dropped: the canonical basis of the row lattice."""
-    H, _ = hnf_transform(A)
-    return [row for row in H if any(row)]
+    return [row for row in echelon(A, len(A[0]) if A else 0) if any(row)]
 
 
 def q_rank(A: Sequence[Sequence[int]]) -> int:

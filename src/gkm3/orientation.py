@@ -68,21 +68,18 @@ def eta_assignment(g: GkmGraph, conn: Connection) -> Dict[int, int]:
 
 
 def eta_all_connections(
-    g: GkmGraph, conn: Connection, options: Sequence[Sequence[Mapping[int, int]]]
+    g: GkmGraph, options: Sequence[Sequence[Mapping[int, int]]]
 ) -> Dict[int, int]:
     """The eta vector of every connection in the product of the per-edge
     options (ConnectionSpace.options), from one eta per (edge, option).
 
     eta(e) reads the connection at e alone, so each option is evaluated on
-    conn with only that edge's map replaced.  Options of one edge that give
-    different signs contradict the lemma and raise ConnectionInconsistency.
+    its own.  Options of one edge that give different signs contradict the
+    lemma and raise ConnectionInconsistency.
     """
     out = {}
     for eid, opts in enumerate(options):
-        values = set()
-        for m in opts:
-            edge_maps = Connection.from_forward_maps(g, {eid: m}).maps
-            values.add(eta(g, Connection({**conn.maps, **edge_maps}), eid))
+        values = {eta(g, Connection.from_forward_maps(g, {eid: m}), eid) for m in opts}
         if len(values) != 1:
             raise ConnectionInconsistency(
                 f"eta of edge {eid} depends on the connection: {sorted(values)}"

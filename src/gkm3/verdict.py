@@ -78,7 +78,7 @@ class Analysis:
         """Whether every compatible connection has the selected one's eta
         vector, and so its orientability; decided per edge option."""
         options = self.connections[0].options
-        return eta_all_connections(self.graph, self.connection, options) == (
+        return eta_all_connections(self.graph, options) == (
             self.orientability.eta
         )
 

@@ -217,6 +217,20 @@ def test_corpus_missing_golden(capsys, tmp_path):
     assert data["entries"][0]["error"] == "missing golden file"
 
 
+@pytest.mark.parametrize("golden", [b"{not json", b"\xff\xfe"])
+def test_corpus_unreadable_golden(capsys, tmp_path, golden):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    shutil.copy(CORPUS_DIR / "theta.json", root / "theta.json")
+    (root / "theta.golden.json").write_bytes(golden)
+    code, out, _ = run(capsys, "corpus", "--root", str(root), "--strict")
+    data = json.loads(out)
+    assert code == 1 and not data["ok"]
+    entry = data["entries"][0]
+    assert entry["status"] == "fail"
+    assert entry["error"].startswith(f"cannot read {root / 'theta.golden.json'}")
+
+
 # Documents for the fuzz test: at most 4 vertices, weights in [-3, 3], and
 # arbitrary JSON in place of one field the parser reads.  Most documents are
 # built on a 3-valent shape so that many of them pass validation and reach

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,17 +16,7 @@ from conftest import CORPUS_NAMES, corpus_graph, small_graph_docs
 # A valid K4 labelling whose integral classes have 9-torsion modulo the
 # product ideal in degree 6 (found by randomized search, then verified
 # against the sympy oracles below).
-TORSION_K4 = {
-    "vertices": ["A", "B", "C", "D"],
-    "edges": [
-        {"from": "A", "to": "B", "weight": [3, -3]},
-        {"from": "B", "to": "C", "weight": [0, 1]},
-        {"from": "C", "to": "D", "weight": [2, -1]},
-        {"from": "D", "to": "A", "weight": [3, 1]},
-        {"from": "A", "to": "C", "weight": [1, 0]},
-        {"from": "B", "to": "D", "weight": [2, 0]},
-    ],
-}
+TORSION_K4 = json.loads((Path(__file__).parent / "torsion_k4.json").read_text())
 
 
 def test_poly_helpers():
@@ -109,6 +100,11 @@ def test_oracle_equivalence_z(name, d):
         assert oracles.class_satisfies(g, r, d, over_z=True)
     if rows:
         assert oracles.snf_divisors(rows, len(basis[0])) == [1] * len(rows)
+
+
+def test_z_lattice_of_edgeless_graph_is_everything():
+    g = parse_graph(json.dumps({"vertices": ["u"], "edges": []}))
+    assert coh.ht_basis_z(g, 2) == linalg.eye(3)
 
 
 def test_z_lattice_imprimitive_weight():
@@ -314,6 +310,26 @@ def test_certificate_implies_free_with_down_count_betti(doc):
 )
 def test_certificate_agrees_with_cap_20_scan(name):
     _assert_certificate_agrees_with_scan(corpus_graph(name), 20)
+
+
+@pytest.mark.parametrize(
+    "name", ["cube", "flag", "theta", "cp3", "prism4", "prism6"]
+)
+def test_flow_up_steps_lie_in_restricted_lattice(name):
+    # Each step of the order: 0 on the earlier vertices and D(v) at v is the
+    # value there of some class, by sympy's Hermite form of the lattice
+    # restricted to those coordinates (columns in flow-up order, not in
+    # vertex order as the search takes them).
+    g = corpus_graph(name)
+    order = coh._flow_up_order(g)
+    for i, v in enumerate(order):
+        down = [eid for eid in g.incident[v]
+                if coh._other_end(g, eid, v) in order[:i]]
+        k = len(down) + 1
+        cols = [g.vertex_index[w] * k + j for w in order[: i + 1] for j in range(k)]
+        rows = [[row[c] for c in cols] for row in coh.ht_basis_z(g, k - 1)]
+        target = [0] * (i * k) + list(coh._flow_up_value(g, down))
+        assert oracles.in_lattice(rows, target, len(cols)), (name, v)
 
 
 def test_no_certificate_for_graphs_with_torsion(nonorientable):

@@ -135,6 +135,24 @@ def test_connection_block_validation(nonorientable):
     with pytest.raises(GraphSemanticError, match="not an integer"):
         connection_from_block(g, bad)
 
+    # An id named twice, in the block or in one map, is an error, not a
+    # silent overwrite by the later entry.
+    for key, alias in (("2", "02"), ("0", "-0")):
+        bad = json.loads(json.dumps(doc["connection"]))
+        bad[alias] = bad[key]
+        with pytest.raises(GraphSemanticError, match="repeated"):
+            connection_from_block(g, bad)
+    for side in ("forward", "backward"):
+        bad = json.loads(json.dumps(doc["connection"]))
+        fmap = {str(k): int(v) for k, v in bad["0"]["forward"].items()}
+        if side == "backward":
+            fmap = {str(v): int(k) for k, v in fmap.items()}
+        src = next(iter(fmap))
+        fmap["0" + src] = fmap[src]
+        bad["0"][side] = fmap
+        with pytest.raises(GraphSemanticError, match="twice"):
+            connection_from_block(g, bad)
+
 
 def test_connection_block_incompatible_transport(cube):
     # Start from the unique compatible connection and swap two transport

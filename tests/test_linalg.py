@@ -53,8 +53,12 @@ def test_nullspace_is_right_kernel(rows):
 @given(int_matrices())
 @settings(max_examples=60, deadline=None)
 def test_hnf_transform_contract(rows):
+    # The echelon of [A | I] carries the transform in its identity columns.
     A = rows
-    H, U = linalg.hnf_transform(A)
+    n = len(A[0])
+    E = linalg.echelon([row + e for row, e in zip(A, linalg.eye(len(A)))], n)
+    H, U = [row[:n] for row in E], [row[n:] for row in E]
+    assert (H, U) == linalg.hnf_transform(A)
     assert _sym(U) * _sym(A) == _sym(H)
     assert abs(_sym(U).det()) == 1
     # Row-HNF shape: pivots strictly right of the previous, entries above a

@@ -114,8 +114,7 @@ def _check_eta_lemma(g):
             conn = Connection.from_forward_maps(g, {**first, eid: m})
             assert eta(g, conn, eid) == oracles.label_eta(g, eid)
     if all(options):
-        conn = Connection.from_forward_maps(g, first)
-        assert eta_all_connections(g, conn, options) == {
+        assert eta_all_connections(g, options) == {
             eid: oracles.label_eta(g, eid) for eid in range(len(g.edges))
         }
 
