@@ -7,11 +7,15 @@ weight alpha: f_u - f_v must be divisible by alpha.  Classes are stored as
 flat coefficient vectors, one block of d + 1 coefficients per vertex in the
 graph's vertex order.
 
-The divisibility is encoded exactly over Z: f_u - f_v = alpha * g for an
-integer polynomial g, and the class lattice is the projection onto the
-f-block of the integer kernel of the combined system.  The lattice also
-spans the rational classes (see ht_basis_q), so one integral quotient per
-degree gives the Betti numbers, the duality pairing and the torsion test.
+The divisibility is decided exactly over Z from one evaluation per edge:
+f_u - f_v must vanish at the root of the primitive part of alpha, and the
+content of alpha must divide each of its coefficients (ht_basis_z).  The
+class lattice is the integer solution set of those equations and
+congruences, and its Hermite form is reduced modulo its index on the free
+coordinates, so that reduction never meets an entry above the index.  The
+lattice also spans the rational classes (see ht_basis_q), so one integral
+quotient per degree gives the Betti numbers, the duality pairing and the
+torsion test.
 A flow-up basis, when the graph has one (z_freeness), proves freeness and
 the Betti numbers in every degree at once, so the quotients above its top
 degree are never formed.
@@ -110,38 +114,114 @@ def ht_basis_q(g: GkmGraph, d: int) -> linalg.Matrix:
 
 
 def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
-    """HNF-canonical Z-basis (rows) of the degree-2d class lattice.
+    """HNF-canonical Z-basis (rows) of the degree-2d class lattice L.
 
-    Solves f_u - f_v = alpha * g_e exactly over Z with one auxiliary
-    degree-(d-1) polynomial per edge: one row per unknown, its equation
-    coefficients then its class coordinate.  Rows whose equation part
-    vanishes under echelon end in the class parts of the integer solutions.
-    Imprimitive weights are handled by the same system with no special
-    casing.
+    The equations.  Write an edge label as alpha = c * alpha' with c its
+    content and alpha' = a' x + b' y primitive.  Then alpha divides
+    h = f_u - f_v in Z[x, y] exactly when h(b', -a') = 0 and c divides
+    every coefficient of h: the root makes alpha' divide h over Q, and by
+    Gauss's lemma the quotient h / alpha' is integral with the same content
+    as h.  So each edge gives one evaluation equation, coefficient j of h
+    weighted by b'^(d-j) (-a')^j, and an imprimitive edge also gives d + 1
+    congruences h_j + c t_j = 0, each with its own auxiliary unknown t_j.
+    L is the class part of the integer solutions, and as the t_j follow
+    from the class, no two solutions share it.
+
+    The Hermite form.  Eliminating the equations gives integer solutions
+    whose entries swell (hundreds of bits where L's basis has ten), so L is
+    not reduced from them directly.  A class coordinate is fixed when some
+    combination of the edge evaluations has its last nonzero entry there:
+    on L it is then a rational combination of the coordinates before it.  So
+    the other, free coordinates F are the pivot columns of L's Hermite
+    form, and L maps one to one onto its part Y on F.  A vector y on F
+    lifts to L when the equations on Q, the fixed coordinates and the t_j,
+    have an integer solution; the lifts of the rows of Y's Hermite form are
+    L's Hermite form.  Y is often all of Z^F: every unit vector lifts, and
+    the lifts are the basis.  Otherwise Z^F / Y is the quotient of the
+    lattice spanned by the equation rows of all unknowns by the one spanned
+    by those of Q, so its order D is the ratio of their determinants, and
+    Y's Hermite form is taken mod D (linalg.hnf_mod) from the class parts
+    of the solutions on F.
     """
     cache = g.memo
     if ("z", d) in cache:
         return cache[("z", d)]
-    k = d + 1
-    nf, neq = len(g.vertices) * k, len(g.edges) * k
-    rows = [[0] * neq + r for r in linalg.eye(nf)]
-    rows += [[0] * (neq + nf) for _ in range(len(g.edges) * d)]
-    for ei, e in enumerate(g.edges):
-        a, b = e.weight.vector
-        iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
-        ig = nf + ei * d  # d coefficients per auxiliary polynomial (degree d - 1)
-        for j in range(k):  # coefficient of x^{d-j} y^j
-            c = ei * k + j
-            rows[iu + j][c] += 1
-            rows[iv + j][c] -= 1
-            if j < d:
-                rows[ig + j][c] -= a
-            if j > 0:
-                rows[ig + j - 1][c] -= b
-    solved = linalg.echelon(rows, neq)
-    basis = linalg.hnf([row[neq:] for row in solved if not any(row[:neq])])
+    eqs, naux = _divisibility_equations(g, d)
+    nf, neq = len(eqs) - naux, naux + len(g.edges)
+    ends = linalg.hnf([[row[col] for row in reversed(eqs[:nf])]
+                       for col in range(naux, neq)])
+    fixed = sorted(nf - 1 - _pivot(row) for row in ends)
+    free = sorted(set(range(nf)) - set(fixed))
+    HQ, UQ = linalg.hnf_transform(
+        [eqs[i] for i in fixed + list(range(nf, nf + naux))]
+    )
+    terms = {i: [(col, w) for col, w in enumerate(eqs[i]) if w] for i in free}
+
+    def lifted(y: Sequence[int]) -> Optional[list]:
+        """The class with part y on F, or None if y is not in Y."""
+        f, values = [0] * nf, [0] * neq
+        for i, v in zip(free, y):
+            if v:
+                f[i] = v
+                for col, w in terms[i]:
+                    values[col] -= v * w
+        coords = linalg.hnf_solve(HQ, values)
+        if coords is None:
+            return None
+        for c, urow in zip(coords, UQ):
+            if c:
+                for i, u in zip(fixed, urow):  # the t_j are not kept
+                    f[i] += c * u
+        return f
+
+    basis = [lifted(y) for y in linalg.eye(len(free))]
+    if None in basis:  # Y is not all of Z^F
+        order, rest = divmod(
+            math.prod(row[_pivot(row)] for row in HQ),
+            math.prod(row[_pivot(row)] for row in linalg.hnf(eqs)),
+        )
+        if rest:
+            raise RuntimeError("class lattice index is not an integer")
+        solved = linalg.echelon(
+            [row + [int(i == f) for f in free] for i, row in enumerate(eqs)], neq
+        )
+        tails = [row[neq:] for row in solved if not any(row[:neq])]
+        basis = [lifted(y) for y in linalg.hnf_mod(tails, len(free), order)]
+        if None in basis:
+            raise RuntimeError("class lattice row does not lift")
     cache[("z", d)] = basis
     return basis
+
+
+def _divisibility_equations(g: GkmGraph, d: int) -> Tuple[linalg.Matrix, int]:
+    """The equations of ht_basis_z, one row per unknown (the class
+    coordinates, then the t_j): its coefficients in the congruences, then
+    in the evaluations; and the number of t_j."""
+    k = d + 1
+    nf = len(g.vertices) * k
+    contents = [e.weight.content() for e in g.edges]
+    naux = k * sum(1 for c in contents if c > 1)
+    neq = naux + len(g.edges)
+    eqs = [[0] * neq for _ in range(nf + naux)]
+    aux = 0  # congruences so far: the next one's column and auxiliary row
+    for ei, (e, c) in enumerate(zip(g.edges, contents)):
+        a, b = e.weight.a // c, e.weight.b // c
+        iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
+        for j in range(k):  # coefficient of x^{d-j} y^j
+            root = b ** (d - j) * (-a) ** j
+            eqs[iu + j][naux + ei] += root
+            eqs[iv + j][naux + ei] -= root
+            if c > 1:
+                eqs[iu + j][aux] += 1
+                eqs[iv + j][aux] -= 1
+                eqs[nf + aux][aux] = c
+                aux += 1
+    return eqs, naux
+
+
+def _pivot(row: Sequence[int]) -> int:
+    """Column of the first nonzero entry."""
+    return next(j for j, x in enumerate(row) if x)
 
 
 def class_product(g: GkmGraph, u: Sequence, du: int, v: Sequence, dv: int) -> list:

@@ -161,15 +161,29 @@ class ValidationReport:
 _KNOWN_FIELDS = {"vertices", "edges", "weight", "from", "to", "connection", "name"}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json object hook: a key written twice in one object is an error, not
+    a value silently replaced by the later one."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise GraphSyntaxError(f"key {key!r} appears twice in one object")
+        out[key] = value
+    return out
+
+
 def parse_graph(text: str) -> GkmGraph:
     """Parses a graph file, canonicalizing weight lifts.
 
-    Raises GraphSyntaxError for malformed JSON (with position) and
-    GraphSemanticError for unknown vertices, zero weights and the like.
-    Unknown fields are recorded as warnings on the returned graph.
+    Raises GraphSyntaxError for malformed JSON (with position) or a key
+    repeated in one object, and GraphSemanticError for unknown vertices,
+    zero weights and the like.  Unknown fields are recorded as warnings on
+    the returned graph.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except GraphSyntaxError:
+        raise  # a repeated key; the ValueError branch would reword it
     except json.JSONDecodeError as exc:
         raise GraphSyntaxError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -9,7 +9,9 @@ explicitly.
 The integer routines (HNF, rank, kernel, Smith form, HNF back-substitution,
 unimodular inverse) carry the package.  echelon is the one elimination; its
 callers append only the columns they read (hnf none, hnf_transform and so
-z_kernel an identity, cohomology.ht_basis_z the class coordinates).  rref
+z_kernel an identity, cohomology.ht_basis_z some class coordinates).
+hnf_mod is the Hermite form of a full-rank lattice with a known multiple of
+its determinant, all of its entries kept below that multiple.  rref
 and solve_left are the only Fraction arithmetic left.  They, nullspace (an
 alias of z_kernel) and lattice_solve have no caller in the package; they
 stay because the benchmark's traced runs (benchmark/spans.py) look them up
@@ -140,6 +142,45 @@ def hnf_transform(A: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
 def hnf(A: Sequence[Sequence[int]]) -> Matrix:
     """Row HNF with zero rows dropped: the canonical basis of the row lattice."""
     return [row for row in echelon(A, len(A[0]) if A else 0) if any(row)]
+
+
+def hnf_mod(rows: Sequence[Sequence[int]], n: int, D: int) -> Matrix:
+    """Row HNF (n x n) of the full-rank lattice spanned by rows and D Z^n,
+    for D a multiple of that lattice's determinant.
+
+    The lattice vectors that vanish on the first c columns then contain
+    R Z^(n-c), with R = D over the first c pivots; so every entry right of
+    column c is taken mod R, and no entry ever exceeds D.  This is the
+    modular HNF of Domich, Kannan and Trotter (Cohen, GTM 138, Alg. 2.4.8).
+    """
+    R = D
+    rows = [[x % R for x in row] for row in rows]
+    H = []
+    for c in range(n):
+        acc = [0] * n
+        acc[c] = R  # R e_c lies in the lattice
+        for i, row in enumerate(rows):
+            if row[c] == 0:
+                continue
+            g, x, y = exgcd(acc[c], row[c])
+            p, q = acc[c] // g, row[c] // g
+            acc, rows[i] = (
+                [(x * s + y * t) % R for s, t in zip(acc, row)],
+                [(p * t - q * s) % R for s, t in zip(acc, row)],
+            )
+            acc[c] = g
+        H.append(acc)
+        R //= acc[c]
+        if R == 1:  # the rest of the lattice is all of Z^(n-c-1)
+            H += eye(n)[c + 1:]
+            break
+        rows = [r for r in ([x % R for x in row] for row in rows) if any(r)]
+    for c in range(n):
+        for i in range(c):
+            q = H[i][c] // H[c][c]
+            if q != 0:
+                H[i] = [s - q * t for s, t in zip(H[i], H[c])]
+    return H
 
 
 def q_rank(A: Sequence[Sequence[int]]) -> int:

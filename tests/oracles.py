@@ -14,7 +14,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import sympy
-from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
+from sympy.matrices.normalforms import (
+    hermite_normal_form,
+    smith_normal_decomp,
+    smith_normal_form,
+)
 
 from gkm3.connection import (
     Connection,
@@ -100,6 +104,39 @@ def q_dimension(g, d: int) -> int:
         return len(syms)
     system, _ = sympy.linear_eq_to_matrix(equations, syms)
     return len(syms) - system.rank()
+
+
+def class_lattice(g, d: int) -> List[list]:
+    """Generators (rows) of the degree-2d integral class lattice, from the
+    auxiliary-polynomial system f_u - f_v = alpha_e * g_e.
+
+    One row per unknown: the class coefficients, then the d coefficients of
+    each degree-(d-1) polynomial g_e; one column per coefficient of each
+    edge equation.  The integer left kernel of that matrix A is spanned by
+    rows rank.. of U in sympy's Smith decomposition D = U A V, and the class
+    lattice is their class part.  No evaluation, content or Hermite step of
+    the package is involved, so imprimitive labels are checked too.
+    """
+    k = d + 1
+    nf = len(g.vertices) * k
+    if not g.edges:
+        return [[int(i == j) for j in range(nf)] for i in range(nf)]
+    A = sympy.zeros(nf + len(g.edges) * d, len(g.edges) * k)
+    for ei, e in enumerate(g.edges):
+        a, b = e.weight.vector
+        iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
+        ig = nf + ei * d
+        for j in range(k):  # coefficient of x^{d-j} y^j
+            col = ei * k + j
+            A[iu + j, col] += 1
+            A[iv + j, col] -= 1
+            if j < d:
+                A[ig + j, col] -= a  # a x * (g_e's x^{d-1-j} y^j term)
+            if j > 0:
+                A[ig + j - 1, col] -= b  # b y * (g_e's x^{d-j} y^{j-1} term)
+    D, U, _ = smith_normal_decomp(A, domain=sympy.ZZ)
+    rank = sum(1 for i in range(min(D.shape)) if D[i, i] != 0)
+    return [[int(c) for c in U.row(i)[:nf]] for i in range(rank, U.rows)]
 
 
 def q_rank_rows(rows: List[Sequence]) -> int:

@@ -1,5 +1,6 @@
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ def run(capsys, *argv):
     code = cli.run(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+TESTS_DIR = Path(__file__).parent
 
 
 def cpath(name):
@@ -77,6 +81,19 @@ def test_input_errors_exit_2(capsys, tmp_path):
             code, out, err = run(capsys, cmd, str(bad))
             assert code == 2 and out == "" and "connection" in err
 
+    # A key written twice is rejected at any depth, not overwritten.
+    text = (CORPUS_DIR / "nonorientable.json").read_text()
+    at = text.index("{", text.index('"connection"')) + 1
+    repeated = tmp_path / "repeated.json"
+    for doc in (
+        text[:at] + '"0": {"forward": {"0": 0, "1": 1, "5": 5}}, ' + text[at:],
+        '{"vertices": ["a", "b"], "vertices": [], "edges": []}',
+    ):
+        repeated.write_text(doc)
+        for cmd in ("validate", "connections"):
+            code, out, err = run(capsys, cmd, str(repeated))
+            assert code == 2 and out == "" and "appears twice" in err
+
 
 def test_bad_connection_index_exits_before_cohomology(capsys, monkeypatch):
     def no_cohomology(*args):
@@ -131,6 +148,20 @@ def test_freeness_strict(capsys):
     data = json.loads(out)
     assert data["status"] == "not-free"
     assert data["witness"]["order"] == 2
+
+
+def test_fuzz_graph_verdict_at_cap_20_is_quick(capsys):
+    # Labels in [-3, 3] with two imprimitive ones: the class lattices once
+    # swelled here, a cap-16 verdict taking minutes.
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "verdict", str(TESTS_DIR / "fuzz_k4.json"), "--degree-cap", "20"
+    )
+    assert time.perf_counter() - start < 10
+    data = json.loads(out)
+    assert code == 0 and data["tier"] == "not-gkm"
+    assert data["betti"] == [1, 1, 1, 1, 0, 0]
+    assert data["z_freeness"]["status"] == "certified"
 
 
 def test_certified_freeness_report_leaves_out_the_order(capsys):
@@ -304,9 +335,7 @@ def _documents(draw):
 def test_any_json_gives_exit_0_1_or_2(tmp_path, capsys, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    # The lowest cap the verdict accepts: at the default cap, integral
-    # freeness of some 4-vertex graphs runs into the coefficient growth of
-    # linalg.hnf (over a minute each), which is the kernel's problem, not
-    # the input contract's.
-    assert cli.run(["verdict", str(path), "--degree-cap", "10"]) in (0, 1, 2)
+    # At the default cap, so a graph the flow-up search cannot certify is
+    # scanned for torsion up to degree 20.
+    assert cli.run(["verdict", str(path)]) in (0, 1, 2)
     capsys.readouterr()

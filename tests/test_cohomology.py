@@ -11,12 +11,19 @@ from gkm3.connection import available_connections
 from gkm3.graph import parse_graph, validate
 
 import oracles
-from conftest import CORPUS_NAMES, corpus_graph, small_graph_docs
+from conftest import CORPUS_NAMES, corpus_graph, corpus_json, small_graph_docs
 
 # A valid K4 labelling whose integral classes have 9-torsion modulo the
 # product ideal in degree 6 (found by randomized search, then verified
 # against the sympy oracles below).
 TORSION_K4 = json.loads((Path(__file__).parent / "torsion_k4.json").read_text())
+# A 4-vertex graph with labels in [-3, 3], two of them imprimitive; its
+# lattices once swelled inside the elimination (minutes at degree 16).
+FUZZ_K4 = json.loads((Path(__file__).parent / "fuzz_k4.json").read_text())
+SINGLE_2X = {
+    "vertices": ["u", "w"],
+    "edges": [{"from": "u", "to": "w", "weight": [2, 0]}],
+}
 
 
 def test_poly_helpers():
@@ -108,10 +115,7 @@ def test_z_lattice_of_edgeless_graph_is_everything():
 
 
 def test_z_lattice_imprimitive_weight():
-    g = parse_graph(json.dumps({
-        "vertices": ["u", "w"],
-        "edges": [{"from": "u", "to": "w", "weight": [2, 0]}],
-    }))
+    g = parse_graph(json.dumps(SINGLE_2X))
     L = coh.ht_basis_z(g, 1)
     expected = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 2, 0]]
     assert oracles.lattice_equal([list(r) for r in L], expected)
@@ -120,6 +124,59 @@ def test_z_lattice_imprimitive_weight():
     assert len(coh.ht_basis_q(g, 1)) == 3
     assert oracles.class_satisfies(g, [1, 0, 1, 0], 1, over_z=True)
     assert not oracles.class_satisfies(g, [1, 0, 0, 0], 1, over_z=True)
+
+
+@pytest.mark.parametrize(
+    "doc", [corpus_json("cp3"), TORSION_K4, FUZZ_K4, SINGLE_2X],
+    ids=["cp3", "torsion_k4", "fuzz_k4", "single_2x"],
+)
+@pytest.mark.parametrize("d", range(6))
+def test_z_lattice_matches_smith_oracle(doc, d):
+    # Imprimitive labels included: the oracle solves the auxiliary-polynomial
+    # system through sympy's Smith decomposition.
+    g = parse_graph(json.dumps(doc))
+    assert oracles.lattice_equal(
+        [list(r) for r in coh.ht_basis_z(g, d)], oracles.class_lattice(g, d)
+    )
+
+
+@given(doc=small_graph_docs())
+@settings(max_examples=15, deadline=None)
+def test_z_lattice_matches_smith_oracle_on_random_graphs(doc):
+    g = parse_graph(json.dumps(doc))
+    for d in range(4):
+        assert oracles.lattice_equal(
+            [list(r) for r in coh.ht_basis_z(g, d)], oracles.class_lattice(g, d)
+        ), d
+
+
+@pytest.mark.parametrize(
+    "doc", [corpus_json("cube"), corpus_json("cp3"), FUZZ_K4, SINGLE_2X],
+    ids=["cube", "cp3", "fuzz_k4", "single_2x"],
+)
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_z_lattice_eliminates_one_column_per_edge(doc, d, monkeypatch):
+    # One evaluation column per edge, plus d + 1 congruence columns per
+    # imprimitive edge, each with one auxiliary row.  The first call is the
+    # Hermite form of the evaluations (one row per edge, over the class
+    # coordinates); every later one eliminates the equation columns.
+    calls = []
+    echelon = linalg.echelon
+
+    def spy(rows, n):
+        calls.append((len(rows), n))
+        return echelon(rows, n)
+
+    monkeypatch.setattr(linalg, "echelon", spy)
+    g = parse_graph(json.dumps(doc))
+    coh.ht_basis_z(g, d)
+    congruences = (d + 1) * sum(not e.weight.is_primitive() for e in g.edges)
+    unknowns = len(g.vertices) * (d + 1) + congruences
+    assert calls[0] == (len(g.edges), len(g.vertices) * (d + 1))
+    assert calls[1:] and all(
+        rows <= unknowns and n == len(g.edges) + congruences
+        for rows, n in calls[1:]
+    )
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -298,11 +355,11 @@ def _assert_certificate_agrees_with_scan(g, cap):
 @given(doc=small_graph_docs())
 @settings(max_examples=40, deadline=None, database=None)
 def test_certificate_implies_free_with_down_count_betti(doc):
-    # Cap 10, not 20: the HNF of the larger class lattices swells on some
-    # of these graphs, so a cap-20 scan can take minutes.
+    # To the default cap 20: with one evaluation per edge, even the
+    # degree-20 lattices take milliseconds on these graphs.
     g = parse_graph(json.dumps(doc))
     if coh._flow_up_order(g) is not None:
-        _assert_certificate_agrees_with_scan(g, 10)
+        _assert_certificate_agrees_with_scan(g, coh.DEFAULT_DEGREE_CAP)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkm3 import linalg
@@ -84,6 +84,22 @@ def test_hnf_row_lattice_matches_sympy(rows):
     assert oracles.lattice_equal(
         [list(r) for r in H], [list(r) for r in A]
     )
+
+
+@given(int_matrices(), st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_hnf_mod_matches_hnf_of_full_rank_lattices(rows, multiple):
+    # Any multiple of the determinant works as the modulus.
+    n = len(rows[0])
+    H = linalg.hnf(rows)
+    assume(len(H) == n)
+    D = multiple * math.prod(H[i][i] for i in range(n))
+    assert linalg.hnf_mod(rows, n, D) == H
+
+
+def test_hnf_mod_of_unit_determinant_is_identity():
+    assert linalg.hnf_mod([[2, 3], [1, 1]], 2, 1) == linalg.eye(2)
+    assert linalg.hnf_mod([], 0, 1) == []
 
 
 @given(int_matrices())
