@@ -139,9 +139,9 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     L's Hermite form.  Y is often all of Z^F: every unit vector lifts, and
     the lifts are the basis.  Otherwise Z^F / Y is the quotient of the
     lattice spanned by the equation rows of all unknowns by the one spanned
-    by those of Q, so its order D is the ratio of their determinants, and
-    Y's Hermite form is taken mod D (linalg.hnf_mod) from the class parts
-    of the solutions on F.
+    by those of Q, so its order divides det Q, the product of Q's Hermite
+    pivots, and Y's Hermite form is taken mod det Q (linalg.hnf_mod) from
+    the class parts of the solutions on F.
     """
     cache = g.memo
     if ("z", d) in cache:
@@ -176,17 +176,12 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
 
     basis = [lifted(y) for y in linalg.eye(len(free))]
     if None in basis:  # Y is not all of Z^F
-        order, rest = divmod(
-            math.prod(row[_pivot(row)] for row in HQ),
-            math.prod(row[_pivot(row)] for row in linalg.hnf(eqs)),
-        )
-        if rest:
-            raise RuntimeError("class lattice index is not an integer")
         solved = linalg.echelon(
             [row + [int(i == f) for f in free] for i, row in enumerate(eqs)], neq
         )
         tails = [row[neq:] for row in solved if not any(row[:neq])]
-        basis = [lifted(y) for y in linalg.hnf_mod(tails, len(free), order)]
+        det_q = math.prod(row[_pivot(row)] for row in HQ)
+        basis = [lifted(y) for y in linalg.hnf_mod(tails, len(free), det_q)]
         if None in basis:
             raise RuntimeError("class lattice row does not lift")
     cache[("z", d)] = basis
@@ -525,12 +520,8 @@ def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
     """
     d = g.valence - 1
     e = g.edges[edge_id]
-    data = transition(g, conn, DirectedEdge(edge_id, True))
-    m = g.incident[e.u].index(edge_id)
-    sign = 1
-    for i, s in enumerate(data.eps):
-        if i != m:
-            sign *= s
+    # eps is 1 at the edge itself, so this is the side transport sign.
+    sign = math.prod(transition(g, conn, DirectedEdge(edge_id, True)).eps)
 
     def side_product(v: str) -> Tuple:
         prod: Tuple = (1,)

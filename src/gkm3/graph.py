@@ -8,6 +8,11 @@ input list, so parallel edges are distinguishable.  Weight lifts are
 canonicalized at parse time so that the first nonzero coordinate is
 positive; all lift-dependent outputs elsewhere are relative to this
 canonical lift.
+
+signed_forest is the one graph walk of the package: a depth-first
+spanning forest of a multigraph with ±1 edge signs.  It gives validate its
+components, orientation the eta potential and surface the coherent face
+flips.
 """
 
 from __future__ import annotations
@@ -250,25 +255,51 @@ def serialize_graph(g: GkmGraph) -> str:
     return json.dumps(data, indent=2)
 
 
-def _components(g: GkmGraph) -> list:
-    seen: set = set()
-    comps = []
-    for start in g.vertices:
-        if start in seen:
+def signed_forest(
+    nodes: Sequence, edges: Sequence[Tuple[Any, Any, int]]
+) -> Tuple[dict, dict]:
+    """Depth-first spanning forest of a multigraph whose edges (a, b, s)
+    carry signs s = ±1, with one root per component at its first node.
+
+    Returns (tau, parent): tau[v] is the product of the signs on the forest
+    path from v to its root, in the order the walk reaches the nodes, and
+    parent[v] = (previous node, edge index) for every node but the roots.
+    The walk pops nodes from a stack and scans each node's edges in index
+    order.  tau satisfies tau[a] * tau[b] == s on every edge exactly when
+    some ±1 labelling does; a violated edge closes a cycle with sign
+    product -1 through the forest.
+    """
+    incident: dict = {v: [] for v in nodes}
+    for i, (a, b, _) in enumerate(edges):
+        incident[a].append(i)
+        if b != a:
+            incident[b].append(i)
+    tau: dict = {}
+    parent: dict = {}
+    for root in nodes:
+        if root in tau:
             continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
+        tau[root] = 1
+        stack = [root]
         while stack:
             v = stack.pop()
-            for eid in g.incident[v]:
-                e = g.edges[eid]
-                w = e.v if e.u == v else e.u
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
+            for i in incident[v]:
+                a, b, s = edges[i]
+                w = b if a == v else a
+                if w not in tau:
+                    tau[w] = tau[v] * s
+                    parent[w] = (v, i)
                     stack.append(w)
-        comps.append(comp)
+    return tau, parent
+
+
+def _components(g: GkmGraph) -> list:
+    tau, parent = signed_forest(g.vertices, [(e.u, e.v, 1) for e in g.edges])
+    comps: list = []
+    for v in tau:  # a component is reached in one run, from its root on
+        if v not in parent:
+            comps.append([])
+        comps[-1].append(v)
     return comps
 
 

@@ -6,7 +6,10 @@ sign is direction-independent, and equals -sign(sigma) * det(phi) for the
 transition data of e; both formulas are computed and cross-checked.  The
 pair (graph, connection) is orientable when the product of eta over every
 closed edge path is +1, equivalently when a potential tau: V -> {±1} with
-eta(e) = tau(v) * tau(w) exists.
+eta(e) = tau(v) * tau(w) exists.  potential_from_eta reads tau off the
+signed spanning forest of graph.signed_forest (the walk that also finds
+the graph's components and orients the glued surface), and an edge that
+tau violates closes a cycle of eta-product -1 through the forest.
 
 Lemma: eta(e) does not depend on the connection.  Proof: for e: v -> w with
 bijection sigma, eps_f = det(w(sigma f), w(e)) / det(w(f), w(e)), so
@@ -19,11 +22,12 @@ visiting the product of the options.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .connection import Connection, ConnectionInconsistency, transition
-from .graph import DirectedEdge, GkmGraph
+from .graph import DirectedEdge, GkmGraph, signed_forest
 
 __all__ = [
     "OrientabilityResult",
@@ -44,12 +48,7 @@ def eta(g: GkmGraph, conn: Connection, edge_id: int) -> int:
     values = []
     for forward in (True, False):
         data = transition(g, conn, DirectedEdge(edge_id, forward))
-        m = g.incident[g.source(data.edge)].index(edge_id)
-        prod = 1
-        for i, s in enumerate(data.eps):
-            if i != m:
-                prod *= s
-        direct = -prod
+        direct = -math.prod(data.eps)  # eps is 1 at the edge itself
         via_det = -data.sign_sigma * data.det_phi
         if direct != via_det:
             raise ConnectionInconsistency(
@@ -91,61 +90,41 @@ def eta_all_connections(
 def potential_from_eta(
     g: GkmGraph, eta_map: Mapping[int, int]
 ) -> Tuple[Optional[Dict[str, int]], Optional[List[int]]]:
-    """Spanning-tree search for tau with eta(e) = tau(u) * tau(v).
+    """Spanning-forest search (graph.signed_forest) for tau with
+    eta(e) = tau(u) * tau(v).
 
     Returns (potential, None) on success, or (None, cycle) where cycle is a
-    closed edge-id path whose eta-product is -1.
+    closed edge-id path whose eta-product is -1: the first violated edge
+    and the forest paths from its ends to where they meet.
     """
-    tau: Dict[str, int] = {}
-    parent: Dict[str, Tuple[str, int]] = {}
-    root = g.vertices[0]
-    tau[root] = 1
-    stack = [root]
-    order = [root]
-    while stack:
-        v = stack.pop()
-        for eid in g.incident[v]:
-            e = g.edges[eid]
-            w = e.v if e.u == v else e.u
-            if w not in tau:
-                tau[w] = tau[v] * eta_map[eid]
-                parent[w] = (v, eid)
-                stack.append(w)
-                order.append(w)
-    for eid, e in enumerate(g.edges):
-        if tau[e.u] * tau[e.v] != eta_map[eid]:
-            # Fundamental cycle: tree paths to the root plus the bad edge.
-            def path_to_root(v: str) -> List[Tuple[str, int]]:
-                out = []
-                while v in parent:
-                    p, peid = parent[v]
-                    out.append((v, peid))
-                    v = p
-                return out
+    tau, parent = signed_forest(
+        g.vertices, [(e.u, e.v, eta_map[eid]) for eid, e in enumerate(g.edges)]
+    )
+    bad = next((eid for eid, e in enumerate(g.edges)
+                if tau[e.u] * tau[e.v] != eta_map[eid]), None)
+    if bad is None:
+        return tau, None
+    e = g.edges[bad]
+    above_u, x = {e.u}, e.u
+    while x in parent:
+        x = parent[x][0]
+        above_u.add(x)
+    meet = e.v
+    while meet not in above_u:
+        meet = parent[meet][0]
 
-            pu, pv = path_to_root(e.u), path_to_root(e.v)
-            seen_u = {v for v, _ in pu} | {e.u}
-            meet = e.v
-            while meet not in seen_u and meet in parent:
-                meet = parent[meet][0]
-            cycle = [eid]
-            v = e.v
-            while v != meet:
-                cycle.append(parent[v][1])
-                v = parent[v][0]
-            up = []
-            v = e.u
-            while v != meet:
-                up.append(parent[v][1])
-                v = parent[v][0]
-            cycle += list(reversed(up))
-            prod = 1
-            for c in cycle:
-                prod *= eta_map[c]
-            if prod != -1:
-                raise ConnectionInconsistency("violating cycle has eta-product 1")
-            return None, cycle
-    return tau, None
+    def climb(x: str) -> List[int]:
+        """Edge ids of the forest path from x up to meet."""
+        out = []
+        while x != meet:
+            x, eid = parent[x]
+            out.append(eid)
+        return out
+
+    cycle = [bad] + climb(e.v) + climb(e.u)[::-1]
+    if math.prod(eta_map[c] for c in cycle) != -1:
+        raise ConnectionInconsistency("violating cycle has eta-product 1")
+    return None, cycle
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,20 @@ Each connection path bounds one polygonal face; faces are glued to the
 graph along their boundary edges.  The result is a closed surface exactly
 when every edge lies on precisely two boundary occurrences, and its
 homeomorphism type is determined by the Euler characteristic
-chi = |V| - |E| + #faces together with orientability, decided by
-propagating coherent face orientations across shared edges.
+chi = |V| - |E| + #faces together with orientability, decided by one
+signed spanning forest of the face graph (graph.signed_forest, the walk
+behind the eta potential) whose -1 edges join the faces that run through
+an edge the same way.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from .connection import Connection, ConnectionPath, connection_paths
-from .graph import GkmGraph
+from .graph import GkmGraph, signed_forest
 
 __all__ = ["SurfaceResult", "build_surface", "classify_surface"]
 
@@ -39,58 +41,26 @@ def build_surface(g: GkmGraph, conn: Connection) -> SurfaceResult:
     for fi, path in enumerate(faces):
         for step in path.steps:
             occurrences[step.edge_id].append((fi, step.forward))
-    closed = all(
-        len(occurrences[eid]) == 2 for eid in range(len(g.edges))
-    ) and len(occurrences) == len(g.edges)
+    closed = all(len(occurrences[eid]) == 2 for eid in range(len(g.edges)))
     result = SurfaceResult(closed, faces, tuple(len(p) for p in faces))
     if not closed:
         return result
-    chi = len(g.vertices) - len(g.edges) + len(faces)
-    orientable = _orientable(len(faces), occurrences)
-    return SurfaceResult(
-        closed,
-        faces,
-        result.face_lengths,
-        euler_characteristic=chi,
-        orientable=orientable,
+    return replace(
+        result,
+        euler_characteristic=len(g.vertices) - len(g.edges) + len(faces),
+        orientable=_orientable(len(faces), occurrences),
     )
 
 
 def _orientable(nfaces: int, occurrences) -> bool:
-    """Coherent-orientation propagation over the face adjacency.
-
-    Flipping a face reverses all its boundary directions; the surface is
-    orientable iff flips can be chosen so that every edge is traversed once
-    in each direction.
-    """
-    constraints = defaultdict(list)  # face -> [(other face, parity)]
-    for occ in occurrences.values():
-        (f1, d1), (f2, d2) = occ
-        if f1 == f2:
-            if d1 == d2:
-                # The same face runs through the edge twice the same way; no
-                # flip can fix that.
-                return False
-            continue
-        parity = 1 if d1 == d2 else 0
-        constraints[f1].append((f2, parity))
-        constraints[f2].append((f1, parity))
-    flip: dict = {}
-    for start in range(nfaces):
-        if start in flip:
-            continue
-        flip[start] = 0
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for other, parity in constraints[f]:
-                want = flip[f] ^ parity
-                if other not in flip:
-                    flip[other] = want
-                    stack.append(other)
-                elif flip[other] != want:
-                    return False
-    return True
+    """Whether faces can be flipped so that every edge is traversed once in
+    each direction: flips tau = ±1 with tau(f1) * tau(f2) = -1 exactly when
+    the edge's two occurrences run the same way.  A face that runs through
+    an edge twice the same way is a -1 loop, which no flip satisfies."""
+    edges = [(f1, f2, -1 if d1 == d2 else 1)
+             for (f1, d1), (f2, d2) in occurrences.values()]
+    tau, _ = signed_forest(range(nfaces), edges)
+    return all(tau[a] * tau[b] == s for a, b, s in edges)
 
 
 def classify_surface(g: GkmGraph, conn: Connection) -> SurfaceResult:
@@ -104,13 +74,8 @@ def classify_surface(g: GkmGraph, conn: Connection) -> SurfaceResult:
             raise RuntimeError(f"orientable closed surface with chi = {chi}")
         genus = (2 - chi) // 2
         name = "sphere" if genus == 0 else f"genus-{genus} surface"
-        return SurfaceResult(
-            True, s.faces, s.face_lengths, chi, True, genus=genus, name=name
-        )
+        return replace(s, genus=genus, name=name)
     crosscaps = 2 - chi
     if crosscaps < 1:
         raise RuntimeError(f"nonorientable closed surface with chi = {chi}")
-    name = f"crosscap-{crosscaps} surface"
-    return SurfaceResult(
-        True, s.faces, s.face_lengths, chi, False, crosscaps=crosscaps, name=name
-    )
+    return replace(s, crosscaps=crosscaps, name=f"crosscap-{crosscaps} surface")

@@ -5,7 +5,9 @@ division, symbolic linear algebra, Smith normal form) rather than the
 package's own exact-arithmetic routines, so agreement between the two is
 meaningful evidence of correctness.  The connection oracles build every
 connection as a list with itertools.product, without the package's lazy
-connection sequence, and the label-only eta formula uses det2 alone.
+connection sequence, and the label-only eta formula uses det2 alone.  The
+sign oracles try every ±1 labelling of the nodes and every set of face
+flips, without a spanning forest.
 """
 
 import itertools
@@ -227,3 +229,26 @@ def label_eta(g, eid: int) -> Fraction:
         )
 
     return -Fraction(dets(e.v), dets(e.u))
+
+
+def has_sign_labelling(nodes: Sequence, edges: Sequence) -> bool:
+    """Whether some tau: nodes -> {±1} has tau(a) * tau(b) == s on every
+    edge (a, b, s), by trying all 2^n labellings."""
+    for signs in itertools.product((1, -1), repeat=len(nodes)):
+        tau = dict(zip(nodes, signs))
+        if all(tau[a] * tau[b] == s for a, b, s in edges):
+            return True
+    return False
+
+
+def faces_flip_coherently(faces) -> bool:
+    """Whether some choice of face flips makes every edge of the glued
+    surface run once in each direction, by trying all 2^#faces flips."""
+    for flips in itertools.product((False, True), repeat=len(faces)):
+        runs: dict = {}
+        for path, flip in zip(faces, flips):
+            for step in path.steps:
+                runs.setdefault(step.edge_id, []).append(step.forward != flip)
+        if all(sorted(r) == [False, True] for r in runs.values()):
+            return True
+    return False

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkm3.graph import (
     GraphSemanticError,
@@ -9,9 +11,11 @@ from gkm3.graph import (
     connected_isotropy_check,
     parse_graph,
     serialize_graph,
+    signed_forest,
     validate,
 )
 
+import oracles
 from conftest import corpus_text
 
 
@@ -169,3 +173,39 @@ def test_directed_edge_helpers(theta):
     assert theta.source(r) == "w" and theta.target(r) == "u"
     with pytest.raises(ValueError):
         theta.directed(0, "nope")
+
+
+@st.composite
+def signed_multigraphs(draw):
+    """Up to 8 nodes in a random order, and signed edges that may be
+    self-loops or parallel, so that graphs often have several components."""
+    n = draw(st.integers(1, 8))
+    nodes = draw(st.permutations([f"n{i}" for i in range(n)]))
+    ends = st.sampled_from(nodes)
+    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from((1, -1))),
+                          max_size=12))
+    return nodes, edges
+
+
+@given(signed_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_signed_forest_against_brute_force(graph):
+    nodes, edges = graph
+    tau, parent = signed_forest(nodes, edges)
+    assert set(tau) == set(nodes)
+    for v, (p, i) in parent.items():
+        a, b, s = edges[i]
+        assert {a, b} == {v, p} and tau[v] == tau[p] * s
+
+    def root(v):
+        while v in parent:
+            v = parent[v][0]
+        return v
+
+    # One tree per component, rooted at the component's first node.
+    for v in nodes:
+        assert nodes.index(root(v)) <= nodes.index(v)
+    for a, b, _ in edges:
+        assert root(a) == root(b)
+    satisfied = all(tau[a] * tau[b] == s for a, b, s in edges)
+    assert satisfied == oracles.has_sign_labelling(nodes, edges)

@@ -1,8 +1,10 @@
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkm3.connection import (
     Connection,
@@ -20,7 +22,7 @@ from gkm3.orientation import (
 )
 
 import oracles
-from conftest import CORPUS_NAMES, corpus_graph, small_graph_docs
+from conftest import CORPUS_NAMES, corpus_graph, corpus_json, small_graph_docs
 
 
 def test_eta_cube_all_minus_one(cube):
@@ -66,6 +68,58 @@ def test_potential_from_eta_trivial_assignment(cube):
     tau, cycle = potential_from_eta(cube, {e: 1 for e in range(len(cube.edges))})
     assert cycle is None
     assert set(tau.values()) == {1}
+
+
+def _is_closed_walk(g, cycle):
+    """Whether the edge ids, in order, can be walked from one vertex back
+    to it."""
+    e0 = g.edges[cycle[0]]
+    for start in {e0.u, e0.v}:
+        at = start
+        for eid in cycle:
+            e = g.edges[eid]
+            if at not in (e.u, e.v):
+                break
+            at = e.v if at == e.u else e.u
+        else:
+            if at == start:
+                return True
+    return False
+
+
+@given(small_graph_docs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_potential_from_eta_against_brute_force(doc, data):
+    g = parse_graph(json.dumps(doc))
+    eta_map = {eid: data.draw(st.sampled_from((1, -1)), label=f"eta{eid}")
+               for eid in range(len(g.edges))}
+    signed = [(e.u, e.v, eta_map[eid]) for eid, e in enumerate(g.edges)]
+    tau, cycle = potential_from_eta(g, eta_map)
+    if cycle is None:
+        assert set(tau) == set(g.vertices)
+        assert all(tau[a] * tau[b] == s for a, b, s in signed)
+    else:
+        assert tau is None
+        assert _is_closed_walk(g, cycle)
+        assert math.prod(eta_map[eid] for eid in cycle) == -1
+        assert not oracles.has_sign_labelling(g.vertices, signed)
+
+
+def test_potential_from_eta_on_two_components():
+    # Two copies of theta side by side: the potential covers both.
+    theta = corpus_json("theta")
+    doc = {"vertices": [], "edges": []}
+    for side in "LR":
+        doc["vertices"] += [side + v for v in theta["vertices"]]
+        doc["edges"] += [dict(e, **{"from": side + e["from"], "to": side + e["to"]})
+                         for e in theta["edges"]]
+    g = parse_graph(json.dumps(doc))
+    eta_map = {eid: int(oracles.label_eta(g, eid)) for eid in range(len(g.edges))}
+    tau, cycle = potential_from_eta(g, eta_map)
+    assert cycle is None
+    assert set(tau) == set(g.vertices) and len(tau) == 4
+    for eid, e in enumerate(g.edges):
+        assert tau[e.u] * tau[e.v] == eta_map[eid]
 
 
 def test_eta_well_defined_per_edge(any_corpus_graph):

@@ -1,11 +1,14 @@
 import json
 import random
 
+import pytest
+
 from gkm3.connection import available_connections, enumerate_connections
 from gkm3.graph import parse_graph, serialize_graph
 from gkm3.surface import build_surface, classify_surface
 
-from conftest import corpus_json
+import oracles
+from conftest import corpus_graph, corpus_json
 
 
 def test_cube_surface_is_sphere(cube):
@@ -95,3 +98,13 @@ def test_chi_at_most_two(any_corpus_graph):
         assert s.euler_characteristic <= 2
         if s.euler_characteristic == 2:
             assert s.orientable and s.name == "sphere"
+
+
+@pytest.mark.parametrize("name", ["theta", "nonorientable", "flag"])
+def test_orientable_against_face_flips(name):
+    # Every connection: 8 of theta, 64 of nonorientable, 512 of flag.
+    g = corpus_graph(name)
+    for conn in available_connections(g)[0]:
+        s = classify_surface(g, conn)
+        assert s.closed
+        assert s.orientable == oracles.faces_flip_coherently(s.faces)

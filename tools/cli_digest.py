@@ -7,6 +7,9 @@ Run from a checkout root:
 It imports gkm3 from the checkout's src/ and calls gkm3.cli.run in-process
 for every subcommand, in --format json and text, on the corpus graphs and
 on tests/torsion_k4.json; the --degree-cap commands run at caps 10 and 20.
+`orientability` and `surface --emit-complex` also run at every
+--connection index of theta and nonorientable, whose 72 connections glue
+spheres, genus-1 surfaces and crosscap-1 to crosscap-3 surfaces.
 Each line holds the exit code, the argv (paths relative to the checkout
 root) and the sha256 of stdout, so a diff of the lines printed in two
 checkouts shows whether their output is byte-identical.
@@ -25,6 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from gkm3 import cli  # noqa: E402
+from gkm3.connection import available_connections  # noqa: E402
+from gkm3.graph import parse_graph  # noqa: E402
 
 
 def calls() -> List[List[str]]:
@@ -34,6 +39,10 @@ def calls() -> List[List[str]]:
         f"{corpus}/{p.name}" for p in (ROOT / corpus).glob("*.json")
         if not p.name.endswith(".golden.json")
     ) + ["tests/torsion_k4.json"]
+    every_connection = [
+        (path, len(available_connections(parse_graph((ROOT / path).read_text()))[0]))
+        for path in (f"{corpus}/theta.json", f"{corpus}/nonorientable.json")
+    ]
     out = []
     for fmt in ("json", "text"):
         for path in graphs:
@@ -42,6 +51,11 @@ def calls() -> List[List[str]]:
             for cmd in ("cohomology", "freeness", "verdict"):
                 for cap in ("10", "20"):
                     out.append([cmd, path, "--degree-cap", cap, "--format", fmt])
+        for path, count in every_connection:
+            for i in map(str, range(count)):
+                out.append(["orientability", path, "--connection", i, "--format", fmt])
+                out.append(["surface", path, "--connection", i, "--emit-complex",
+                            "--format", fmt])
         out.append(["corpus", "--root", corpus, "--format", fmt])
     return out
 
