@@ -16,21 +16,22 @@ coordinates, so that reduction never meets an entry above the index.  The
 lattice also spans the rational classes (see ht_basis_q), so one integral
 quotient per degree gives the Betti numbers, the duality pairing and the
 torsion test.
-A flow-up basis, when the graph has one (z_freeness), proves freeness and
-the Betti numbers in every degree at once, so the quotients above its top
-degree are never formed.
+When the lifts of the quotients' bases up to the valence are a free basis
+of all classes, one determinant proves it (z_freeness), and with it
+freeness and the Betti numbers in every degree, so the quotients above are
+never formed.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .connection import Connection, DirectedEdge, transition
-from .graph import GkmGraph, Weight, det2
+from .graph import GkmGraph, det2
 
 __all__ = [
     "DEFAULT_DEGREE_CAP",
@@ -83,10 +84,6 @@ def mult_x(p: Sequence) -> Tuple:
 def mult_y(p: Sequence) -> Tuple:
     """y * p: the coefficient list gains a leading zero."""
     return (0,) + tuple(p)
-
-
-def _weight_poly(w: Weight) -> Tuple[int, int]:
-    return (w.a, w.b)
 
 
 def _blocks(g: GkmGraph, vec: Sequence, d: int) -> List[Tuple]:
@@ -180,7 +177,7 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
             [row + [int(i == f) for f in free] for i, row in enumerate(eqs)], neq
         )
         tails = [row[neq:] for row in solved if not any(row[:neq])]
-        det_q = math.prod(row[_pivot(row)] for row in HQ)
+        det_q = _pivot_product(HQ)
         basis = [lifted(y) for y in linalg.hnf_mod(tails, len(free), det_q)]
         if None in basis:
             raise RuntimeError("class lattice row does not lift")
@@ -217,6 +214,12 @@ def _divisibility_equations(g: GkmGraph, d: int) -> Tuple[linalg.Matrix, int]:
 def _pivot(row: Sequence[int]) -> int:
     """Column of the first nonzero entry."""
     return next(j for j, x in enumerate(row) if x)
+
+
+def _pivot_product(H: linalg.Matrix) -> int:
+    """The product of a Hermite form's pivots: the index of its row lattice
+    when it has full rank, the absolute determinant when it is square."""
+    return math.prod(row[_pivot(row)] for row in H)
 
 
 def class_product(g: GkmGraph, u: Sequence, du: int, v: Sequence, dv: int) -> list:
@@ -272,10 +275,15 @@ class _Quotient:
         cols = list(zip(*self.transform))[self.rank:]
         return [sum(ci * t for ci, t in zip(c, col)) for col in cols]
 
+    @cached_property
+    def inverse(self) -> linalg.Matrix:
+        """T^-1, whose rows are the lattice coordinates of the adapted basis."""
+        return linalg.unimodular_inverse(self.transform)
+
+    @cached_property
     def reduced_lifts(self) -> list:
         """Classes lifting a basis of the free part of the quotient."""
-        Tinv = linalg.unimodular_inverse(self.transform)
-        return [self.lift(row) for row in Tinv[self.rank:]]
+        return [self.lift(row) for row in self.inverse[self.rank:]]
 
 
 def _quotient(g: GkmGraph, d: int) -> _Quotient:
@@ -299,106 +307,54 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
 
 
 # ---------------------------------------------------------------------------
-# Flow-up basis
+# Free basis certificate
 # ---------------------------------------------------------------------------
 
-# The most (earlier set, vertex) checks one flow-up search makes; a graph
-# whose search needs more gets no certificate and is scanned degree by degree.
-FLOW_UP_CHECKS = 2000
+def _free_betti(g: GkmGraph) -> Optional[Tuple[int, ...]]:
+    """(b_0, ..., b_top) when the reduced lifts of the quotients up to
+    degree 2 top are a free basis of H_T (see z_freeness), else None;
+    decided once per graph."""
+    if ("free",) not in g.memo:
+        g.memo[("free",)] = _certify_free(g)
+    return g.memo[("free",)]
 
 
-class _OutOfChecks(Exception):
-    pass
-
-
-def _other_end(g: GkmGraph, eid: int, v: str) -> str:
-    e = g.edges[eid]
-    return e.v if e.u == v else e.u
-
-
-def _flow_up_value(g: GkmGraph, down: Sequence[int]) -> Tuple:
-    """D(v) = lcm of the contents times the product of the primitive parts
-    of the labels on the edges `down`: a generator of the intersection of
-    the ideals (alpha_e), when the labels are pairwise independent."""
-    lcm, prod = 1, (1,)
-    for eid in down:
-        w = g.edges[eid].weight
-        c = w.content()
-        lcm = math.lcm(lcm, c)
-        prod = poly_mul(prod, (w.a // c, w.b // c))
-    return tuple(lcm * x for x in prod)
-
-
-def _flow_up_search(g: GkmGraph) -> Optional[Tuple[str, ...]]:
-    """A vertex order whose flow-up classes exist (see z_freeness), or None.
-
-    The order is searched depth first.  v may follow the set S of earlier
-    vertices when (0 on S, D(v) at v) lies in the class lattice restricted
-    to the coordinates of S and v, the values of the classes there.  A set
-    S that has no completion is remembered and never expanded again; as a
-    search ends at the first complete order, each S is expanded at most
-    once, and each (S, v) is decided at most once.
-    """
+def _certify_free(g: GkmGraph) -> Optional[Tuple[int, ...]]:
+    if any(e.u == e.v for e in g.edges):
+        return None
     for ids in g.incident.values():
         ws = [g.edges[eid].weight for eid in ids]
         if any(det2(a, b) == 0 for i, a in enumerate(ws) for b in ws[i + 1:]):
-            return None  # the spanning argument needs independent labels
-    checks = 0
-    failed: set = set()
-
-    def passing(earlier: frozenset):
-        nonlocal checks
-        for v in g.vertices:
-            if v in earlier or (earlier | {v}) in failed:
-                continue
-            checks += 1
-            if checks > FLOW_UP_CHECKS:
-                raise _OutOfChecks
-            down = [eid for eid in g.incident[v]
-                    if _other_end(g, eid, v) in earlier]
-            k = len(down) + 1
-            keep = [w for w in g.vertices if w in earlier] + [v]
-            cols = [g.vertex_index[w] * k + j for w in keep for j in range(k)]
-            image = linalg.hnf([[row[c] for c in cols] for row in ht_basis_z(g, k - 1)])
-            target = [0] * (len(cols) - k) + list(_flow_up_value(g, down))
-            if linalg.hnf_solve(image, target) is not None:
-                yield v
-
-    order: List[str] = []
-    earlier = frozenset()
-    frames = [passing(earlier)]
-    try:
-        while len(order) < len(g.vertices):
-            v = next(frames[-1], None)
-            if v is None:
-                failed.add(earlier)
-                frames.pop()
-                if not frames:
-                    return None
-                earlier = earlier - {order.pop()}
-                continue
-            order.append(v)
-            earlier = earlier | {v}
-            frames.append(passing(earlier))
-    except _OutOfChecks:
+            return None  # the index argument needs independent labels
+    n = len(g.vertices)
+    gens: list = []  # (degree, class)
+    betti: List[int] = []
+    for d in range(g.valence + 1):
+        q = _quotient(g, d)
+        if any(di > 1 for di in q.divisors):
+            return None
+        gens += [(d, f) for f in q.reduced_lifts]
+        betti.append(q.betti)
+        if len(gens) >= n:
+            break
+    if len(gens) != n or sum(d for d, _ in gens) != len(g.edges):
         return None
-    return tuple(order)
-
-
-def _flow_up_order(g: GkmGraph) -> Optional[Tuple[str, ...]]:
-    """The flow-up order of g, or None; searched once per graph."""
-    if ("flow_up",) not in g.memo:
-        g.memo[("flow_up",)] = _flow_up_search(g)
-    return g.memo[("flow_up",)]
-
-
-def _down_counts(g: GkmGraph, order: Sequence[str]) -> List[int]:
-    """|down(v)| for each vertex v of a flow-up order, in that order."""
-    pos = {v: i for i, v in enumerate(order)}
-    return [
-        sum(1 for eid in g.incident[v] if pos[_other_end(g, eid, v)] < pos[v])
-        for v in order
-    ]
+    contents = [e.weight.content() for e in g.edges]
+    prims = [(e.weight.a // c, e.weight.b // c) for e, c in zip(g.edges, contents)]
+    t = 1 + max((abs(a) for a, _ in prims), default=0)  # off every alpha' = 0
+    values = [[poly_eval(p, 1, t) for p in _blocks(g, f, d)] for d, f in gens]
+    # N is the order of the image of f -> (f_u - f_v mod c_e): prod c_e
+    # over the index of the incidence rows and the c_e unit vectors.
+    moduli = [(e, c) for e, c in zip(g.edges, contents) if c > 1]
+    incidence = [[(v == e.u) - (v == e.v) for e, _ in moduli] for v in g.vertices]
+    scaled = [[c * (i == j) for j in range(len(moduli))]
+              for i, (_, c) in enumerate(moduli)]
+    index = math.prod(c for _, c in moduli) // _pivot_product(
+        linalg.hnf(incidence + scaled)
+    )
+    H = linalg.hnf(values)
+    target = index * abs(math.prod(a + b * t for a, b in prims))
+    return tuple(betti) if len(H) == n and _pivot_product(H) == target else None
 
 
 # ---------------------------------------------------------------------------
@@ -422,32 +378,22 @@ class BettiResult:
 def betti_numbers(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> BettiResult:
     """Combinatorial Betti numbers b_{2d} = rank H^{2d}_T - rank (x, y) H^{2(d-1)}_T.
 
-    b_{2d} is the Betti number of the degree-2d quotient (_quotient).  With a
-    flow-up basis (z_freeness), the reduced module H_T / (x, y) H_T has one
-    generator per basis class, so b_{2d} = #{v : |down(v)| = d}.  The
-    quotients up to the largest |down(v)| are still formed, as the duality
-    pairing reads them; each must agree with the count, or RuntimeError is
-    raised.  Above that degree every b_{2d} is 0 and no quotient is formed.
+    b_{2d} is the Betti number of the degree-2d quotient (_quotient).  When
+    the lifts of the quotients' bases up to some degree 2 top are certified
+    a free basis of H_T (z_freeness), every later quotient is 0, so
+    b_{2d} = 0 above 2 top and no quotient there is formed.
     """
     cache = g.memo
     if ("betti", degree_cap) in cache:
         return cache[("betti", degree_cap)]
-    order = _flow_up_order(g)
-    counts = None if order is None else Counter(_down_counts(g, order))
-    top = None if counts is None else max(counts, default=-1)
+    free = _free_betti(g)
     betti: List[int] = []
     stabilized = False
     for d in range(degree_cap // 2 + 1):
-        if counts is None or d <= top:
-            b = _quotient(g, d).betti
-            if counts is not None and b != counts[d]:
-                raise RuntimeError(
-                    f"flow-up basis has {counts[d]} classes of degree {2 * d}, "
-                    f"but b_{2 * d} = {b}"
-                )
+        if free is None:
+            betti.append(_quotient(g, d).betti)
         else:
-            b = 0
-        betti.append(b)
+            betti.append(free[d] if d < len(free) else 0)
         if (
             sum(betti) == len(g.vertices)
             and len(betti) >= 2
@@ -469,18 +415,17 @@ def cohomology_table(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> List[
 def _degree_table(g: GkmGraph, betti: Sequence[int], ring: str) -> List[dict]:
     """cohomology_table's rows.  dim_q = rank_z (see ht_basis_q), so both
     columns read one rank and ring "q", "z" or "both" only picks them.
-    With a flow-up basis (z_freeness) the degree-2d classes are the sums
-    h_v c_v with h_v of degree d - |down(v)|, so the rank is counted, not
-    read from a basis."""
-    order = _flow_up_order(g)
-    down = None if order is None else _down_counts(g, order)
+    With a certified free basis (z_freeness), b_{2k} of whose classes have
+    degree 2k, the degree-2d classes are the sums h_c c with h_c of degree
+    d - k, so the rank is counted, not read from a basis."""
+    free = _free_betti(g)
     out = []
     for d, b in enumerate(betti):
         row = {"degree": 2 * d, "betti": b}
-        if down is None:
+        if free is None:
             rank = len(ht_basis_z(g, d))
         else:
-            rank = sum(d - k + 1 for k in down if k <= d)
+            rank = sum(bk * (d - k + 1) for k, bk in enumerate(free[: d + 1]))
         if ring != "z":
             row["dim_q"] = rank
         if ring != "q":
@@ -501,7 +446,7 @@ def thom_class_vertex(g: GkmGraph, v: str) -> list:
     d = g.valence
     prod: Tuple = (1,)
     for eid in g.incident[v]:
-        prod = poly_mul(prod, _weight_poly(g.edges[eid].weight))
+        prod = poly_mul(prod, g.edges[eid].weight.vector)
     vec = [0] * (len(g.vertices) * (d + 1))
     base = g.vertex_index[v] * (d + 1)
     for j, c in enumerate(prod):
@@ -527,7 +472,7 @@ def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
         prod: Tuple = (1,)
         for eid in g.incident[v]:
             if eid != edge_id:
-                prod = poly_mul(prod, _weight_poly(g.edges[eid].weight))
+                prod = poly_mul(prod, g.edges[eid].weight.vector)
         return prod
 
     vec = [0] * (len(g.vertices) * (d + 1))
@@ -569,8 +514,8 @@ def poincare_duality(
     padded = list(betti) + [0] * max(0, 4 - len(betti))
     if padded[0] != 1:
         reasons.append(f"b_0 = {padded[0]}, expected 1")
-    if len(padded) < 4 or padded[3] != 1:
-        reasons.append(f"b_6 = {padded[3] if len(padded) > 3 else 0}, expected 1")
+    if padded[3] != 1:
+        reasons.append(f"b_6 = {padded[3]}, expected 1")
     if padded[1] != padded[2]:
         reasons.append(f"b_2 = {padded[1]} differs from b_4 = {padded[2]}")
     if any(b != 0 for b in padded[4:]):
@@ -580,7 +525,7 @@ def poincare_duality(
 
     # Classes lifting a basis of the reduced H^2 and H^4, paired into the
     # reduced H^6, which has rank 1.
-    reps2, reps4 = (_quotient(g, d).reduced_lifts() for d in (1, 2))
+    reps2, reps4 = (_quotient(g, d).reduced_lifts for d in (1, 2))
     h6 = _quotient(g, 3)
     pairing = [
         [h6.project(class_product(g, u, 1, v, 2))[0] for v in reps4]
@@ -605,44 +550,48 @@ def poincare_duality(
 @dataclass(frozen=True)
 class FreenessResult:
     """status is "certified" or "not-free"; a torsion witness names a class
-    vector and the smallest multiplier that lands it in the product ideal.
-    order is the flow-up order behind a certificate, if one was found; the
-    reports leave it out."""
+    vector and the smallest multiplier that lands it in the product ideal."""
 
     status: str
     checked_degrees: Tuple[int, ...]
     witness: Optional[dict] = None
-    order: Optional[Tuple[str, ...]] = None
 
 
 def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessResult:
     """Whether the integral classes H_T form a free Z[x, y]-module.
 
-    First, a flow-up basis.  Fix an order of the vertices, and let down(v)
-    be the edges from v to earlier vertices.  Write each label as
+    First, one determinant.  Let F be spanned by the classes lifting the
+    bases of the quotients (_quotient) of degree 0, 2, ..., stopping once
+    there are |V| of them and at the valence.  Write each label as
     alpha_e = c_e alpha'_e with c_e its content and alpha'_e primitive, and
-    let D(v) = lcm(c_e) * prod alpha'_e over e in down(v).  If each v has a
-    class c_v of degree 2 |down(v)| that vanishes at every earlier vertex
-    and equals D(v) at v, and the labels at every vertex are pairwise
-    independent, then {c_v} is a free Z[x, y]-basis of H_T:
+    let N = [Z^V : {f : c_e | f_u - f_v}].  F is tested when no quotient so
+    far has an elementary divisor > 1, there is no loop, the labels at
+    every vertex are pairwise independent (so the edges whose labels are
+    multiples of one alpha' form a matching), and F has |V| generators whose
+    degrees sum to |E|.  Then G, the |V| x |V| matrix of their values, has
+    det G = +-N prod_e alpha'_e exactly when F = H_T:
 
-    - independent: a relation sum h_v c_v = 0 with some h_v != 0, read at
-      the first such v, gives h_v D(v) = 0 (the later c_u vanish there), so
-      h_v = 0 in the domain Z[x, y];
-    - spanning: take f != 0 in H_T and the first vertex v with f(v) != 0.
-      For each e in down(v) the other end w has f(w) = 0, so alpha_e
-      divides f(v).  The alpha'_e are linear and primitive, so prime, and
-      pairwise non-associate because the labels at v are independent; by
-      Gauss's lemma f(v) is divisible by their product times the lcm of
-      the contents, which is D(v).  So f(v) = h D(v), and f - h c_v
-      vanishes at v and at every earlier vertex.  Repeat.
+    1. At a height-one prime P of Z[x, y], (H_T)_P is free over the
+       discrete valuation ring Z[x, y]_P, and its index in Z[x, y]_P^V is
+       alpha'^m at P = (alpha'), m the number of labels that are multiples
+       of alpha' (one congruence per edge of the matching); p^{v_p(N)} at
+       P = (p), where the primitive alpha'_e are units; and 1 at every
+       other P.  As F lies in H_T, N prod alpha'_e divides det G.
+    2. det G is homogeneous of degree sum(deg) = |E|, so
+       det G = c N prod alpha'_e with c in Z, and one evaluation off every
+       line alpha'_e = 0, at (x, y) = (1, 1 + max |a'_e|), reads |c|.
+    3. If |c| = 1, then F_P = (H_T)_P at every height-one P.  A free module
+       is the intersection of these localizations, so H_T lies in F; hence
+       H_T = F is free, no quotient has torsion, and b_{2d} = 0 above the
+       top generator degree.  The result is "certified", with every even
+       degree up to the cap in checked_degrees.
+    4. Conversely, if H_T is free with generators of degree at most twice
+       the valence, graded Nakayama makes the lifts a basis, and the test
+       passes.
 
-    The lcm is needed: with two labels of content 2 at v, 2 alpha'_1
-    alpha'_2 is divisible by both labels but not by their product, so a
-    basis built on the product would not span.  Such a basis proves every
-    degree at once: the result is "certified", with every even degree up to
-    the cap in checked_degrees and the order in `order`.  The search for
-    the order is bounded (_flow_up_search, FLOW_UP_CHECKS).
+    N is prod c_e over the index of the lattice spanned by the imprimitive
+    edges' signed incidence rows and c_e times their unit vectors, and both
+    determinants are products of Hermite pivots (linalg.hnf).
 
     Otherwise, degree by degree up to the cap: the quotient of the class
     lattice by the x- and y-multiples of the previous degree's lattice is
@@ -650,17 +599,16 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
     yields a torsion witness and the verdict "not-free", and checked_degrees
     lists the degrees scanned.
     """
-    order = _flow_up_order(g)
-    if order is not None:
+    if _free_betti(g) is not None:
         degrees = tuple(2 * d for d in range(degree_cap // 2 + 1))
-        return FreenessResult("certified", degrees, order=order)
+        return FreenessResult("certified", degrees)
     checked = []
     for d in range(degree_cap // 2 + 1):
         checked.append(2 * d)
         q = _quotient(g, d)
         for i, di in enumerate(q.divisors):
             if di > 1:
-                wit = q.lift(linalg.unimodular_inverse(q.transform)[i])
+                wit = q.lift(q.inverse[i])
                 return FreenessResult(
                     "not-free",
                     tuple(checked),

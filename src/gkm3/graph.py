@@ -111,8 +111,8 @@ class GkmGraph:
     @cached_property
     def memo(self) -> dict:
         """Results derived from this graph alone (class lattices, quotients,
-        the flow-up order, transition data), filled on first use.  Keys are
-        tuples whose first entry names the kind of result."""
+        the free-basis certificate, transition data), filled on first use.
+        Keys are tuples whose first entry names the kind of result."""
         return {}
 
     @cached_property

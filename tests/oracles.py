@@ -199,6 +199,40 @@ def hnf_rows(rows: List[Sequence]) -> sympy.Matrix:
     return hermite_normal_form(M)
 
 
+def content_index(g) -> int:
+    """[Z^V : {f : c_e | f_u - f_v}], c_e the content of edge e's label, by
+    counting the vectors of (Z/L)^V that satisfy every congruence, L the
+    lcm of the contents."""
+    contents = [e.weight.content() for e in g.edges]
+    L = math.lcm(1, *contents)
+    at = {v: i for i, v in enumerate(g.vertices)}
+    kept = sum(
+        all((f[at[e.u]] - f[at[e.v]]) % c == 0 for e, c in zip(g.edges, contents))
+        for f in itertools.product(range(L), repeat=len(g.vertices))
+    )
+    return L ** len(g.vertices) // kept
+
+
+def value_determinant(g, classes) -> sympy.Expr:
+    """The determinant of the polynomial values of (degree, class vector)
+    pairs at the vertices, one row per class."""
+    M = sympy.Matrix([
+        [poly_from_coeffs(blocks(g, vec, d)[v]) for v in g.vertices]
+        for d, vec in classes
+    ])
+    return sympy.expand(M.det())
+
+
+def primitive_label_product(g) -> sympy.Expr:
+    """The product over the edges of the primitive part a' x + b' y of the
+    label."""
+    out = sympy.Integer(1)
+    for e in g.edges:
+        c = e.weight.content()
+        out *= e.weight.a // c * x + e.weight.b // c * y
+    return sympy.expand(out)
+
+
 def brute_force_connections(g) -> List[Connection]:
     """Every compatible connection, a file-supplied one first, as a list."""
     per_edge = [_compatible_bijections(g, eid) for eid in range(len(g.edges))]

@@ -165,7 +165,7 @@ def test_fuzz_graph_verdict_at_cap_20_is_quick(capsys):
 
 
 def test_certified_freeness_report_leaves_out_the_order(capsys):
-    # The flow-up order certifies every degree; it stays out of stdout.
+    # The free-basis certificate covers every degree up to the cap.
     code, out, _ = run(capsys, "freeness", cpath("prism6"), "--degree-cap", "14")
     assert code == 0
     assert json.loads(out) == {
@@ -335,7 +335,7 @@ def _documents(draw):
 def test_any_json_gives_exit_0_1_or_2(tmp_path, capsys, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    # At the default cap, so a graph the flow-up search cannot certify is
-    # scanned for torsion up to degree 20.
+    # At the default cap, so a graph the free-basis certificate does not
+    # cover is scanned for torsion up to degree 20.
     assert cli.run(["verdict", str(path)]) in (0, 1, 2)
     capsys.readouterr()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from gkm3 import cohomology as coh
 from gkm3 import linalg
 from gkm3.connection import available_connections
-from gkm3.graph import parse_graph, validate
+from gkm3.graph import parse_graph, serialize_graph, validate
 
 import oracles
 from conftest import CORPUS_NAMES, corpus_graph, corpus_json, small_graph_docs
@@ -20,6 +20,11 @@ TORSION_K4 = json.loads((Path(__file__).parent / "torsion_k4.json").read_text())
 # A 4-vertex graph with labels in [-3, 3], two of them imprimitive; its
 # lattices once swelled inside the elimination (minutes at degree 16).
 FUZZ_K4 = json.loads((Path(__file__).parent / "fuzz_k4.json").read_text())
+# A free 6-vertex graph, three of whose labels have content 2, with no
+# vertex order whose flow-up classes exist.
+FREE_NO_FLOW_UP = json.loads(
+    (Path(__file__).parent / "free_no_flow_up.json").read_text()
+)
 SINGLE_2X = {
     "vertices": ["u", "w"],
     "edges": [{"from": "u", "to": "w", "weight": [2, 0]}],
@@ -336,87 +341,124 @@ def test_class_product_blockwise(theta):
 
 
 # ---------------------------------------------------------------------------
-# Flow-up certificate
+# Free basis certificate
 # ---------------------------------------------------------------------------
 
+CERTIFIED = ["cube", "flag", "theta", "cp3", "prism4", "prism6", "free_no_flow_up"]
+
+
+def _certified_graph(name):
+    if name == "free_no_flow_up":
+        return parse_graph(json.dumps(FREE_NO_FLOW_UP))
+    return corpus_graph(name)
+
+
 def _assert_certificate_agrees_with_scan(g, cap):
-    """A flow-up order must mean no torsion up to the cap and one basis
-    class per Betti number, both read from the plain quotients."""
-    order = coh._flow_up_order(g)
-    assert order is not None and sorted(order) == sorted(g.vertices)
-    counts = coh._down_counts(g, order)
+    """A certificate must mean no torsion up to the cap, its Betti numbers
+    and lattice ranks sum b_k (d - k + 1), all read from quotients formed
+    on a fresh copy of the graph."""
+    free = coh._free_betti(g)
+    assert free is not None and sum(free) == len(g.vertices)
+    betti = list(free) + [0] * (cap // 2 + 1 - len(free))
+    fresh = parse_graph(serialize_graph(g))
     for d in range(cap // 2 + 1):
-        q = coh._quotient(g, d)
+        q = coh._quotient(fresh, d)
         assert all(di == 1 for di in q.divisors), (d, q.divisors)
-        assert q.betti == counts.count(d), d
-        assert len(q.lattice) == sum(d - k + 1 for k in counts if k <= d), d
+        assert q.betti == betti[d], d
+        assert len(q.lattice) == sum(
+            b * (d - k + 1) for k, b in enumerate(betti[: d + 1])
+        ), d
 
 
 @given(doc=small_graph_docs())
 @settings(max_examples=40, deadline=None, database=None)
-def test_certificate_implies_free_with_down_count_betti(doc):
+def test_certificate_implies_free_with_its_betti(doc):
     # To the default cap 20: with one evaluation per edge, even the
     # degree-20 lattices take milliseconds on these graphs.
     g = parse_graph(json.dumps(doc))
-    if coh._flow_up_order(g) is not None:
+    if coh._free_betti(g) is not None:
         _assert_certificate_agrees_with_scan(g, coh.DEFAULT_DEGREE_CAP)
 
 
-@pytest.mark.parametrize(
-    "name", ["cube", "flag", "theta", "cp3", "prism4", "prism6"]
-)
+@pytest.mark.parametrize("name", CERTIFIED)
 def test_certificate_agrees_with_cap_20_scan(name):
-    _assert_certificate_agrees_with_scan(corpus_graph(name), 20)
+    _assert_certificate_agrees_with_scan(_certified_graph(name), 20)
 
 
-@pytest.mark.parametrize(
-    "name", ["cube", "flag", "theta", "cp3", "prism4", "prism6"]
-)
-def test_flow_up_steps_lie_in_restricted_lattice(name):
-    # Each step of the order: 0 on the earlier vertices and D(v) at v is the
-    # value there of some class, by sympy's Hermite form of the lattice
-    # restricted to those coordinates (columns in flow-up order, not in
-    # vertex order as the search takes them).
-    g = corpus_graph(name)
-    order = coh._flow_up_order(g)
-    for i, v in enumerate(order):
-        down = [eid for eid in g.incident[v]
-                if coh._other_end(g, eid, v) in order[:i]]
-        k = len(down) + 1
-        cols = [g.vertex_index[w] * k + j for w in order[: i + 1] for j in range(k)]
-        rows = [[row[c] for c in cols] for row in coh.ht_basis_z(g, k - 1)]
-        target = [0] * (i * k) + list(coh._flow_up_value(g, down))
-        assert oracles.in_lattice(rows, target, len(cols)), (name, v)
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_certificate_determinant_matches_sympy(name):
+    # sympy's symbolic determinant of the generators' values is
+    # +-N prod alpha'_e, N counted over (Z/lcm c_e)^V.
+    g = _certified_graph(name)
+    free = coh._free_betti(g)
+    assert free is not None
+    gens = [(d, f) for d in range(len(free)) for f in coh._quotient(g, d).reduced_lifts]
+    assert [d for d, _ in gens] == [d for d, b in enumerate(free) for _ in range(b)]
+    det = oracles.value_determinant(g, gens)
+    expected = oracles.content_index(g) * oracles.primitive_label_product(g)
+    assert det in (expected, -expected)
+
+
+def test_content_index_of_the_fixtures():
+    assert oracles.content_index(corpus_graph("cp3")) == 2
+    assert oracles.content_index(parse_graph(json.dumps(FREE_NO_FLOW_UP))) == 8
 
 
 def test_no_certificate_for_graphs_with_torsion(nonorientable):
     for g in (nonorientable, parse_graph(json.dumps(TORSION_K4))):
-        assert coh._flow_up_order(g) is None
-        res = coh.z_freeness(g)
-        assert res.status == "not-free" and res.order is None
+        assert coh._free_betti(g) is None
+        assert coh.z_freeness(g).status == "not-free"
 
 
 def test_certified_freeness_checks_every_degree(cube):
     res = coh.z_freeness(cube, 14)
     assert res.status == "certified" and res.witness is None
     assert res.checked_degrees == tuple(range(0, 15, 2))
-    assert res.order == coh._flow_up_order(cube)
 
 
-def test_betti_raises_when_down_counts_disagree(cube, monkeypatch):
-    real = coh._down_counts
+@pytest.mark.parametrize("name", ["cube", "cp3", "free_no_flow_up"])
+def test_scan_without_certificate_gives_same_answers(name, monkeypatch):
+    certified = _certified_graph(name)
+    expected = (coh.betti_numbers(certified, 12), coh.z_freeness(certified, 12),
+                coh.cohomology_table(certified, 12))
+    monkeypatch.setattr(coh, "_free_betti", lambda g: None)
+    scanned = _certified_graph(name)
+    assert (coh.betti_numbers(scanned, 12), coh.z_freeness(scanned, 12),
+            coh.cohomology_table(scanned, 12)) == expected
+    assert ("quotient", 6) in scanned.memo and ("quotient", 6) not in certified.memo
 
-    def shifted(g, order):
-        counts = real(g, order)
-        return counts[:-1] + [counts[-1] + 1]  # the top class one degree up
 
-    monkeypatch.setattr(coh, "_down_counts", shifted)
-    with pytest.raises(RuntimeError, match="flow-up basis"):
-        coh.betti_numbers(cube)
+@pytest.mark.parametrize("doc, betti", [
+    ({"vertices": [], "edges": []}, (0, 0)),
+    ({"vertices": ["a"], "edges": []}, (1, 0, 0)),
+    ({"vertices": ["a", "b"], "edges": []}, (2, 0, 0)),
+])
+def test_edgeless_graphs_are_certified(doc, betti):
+    g = parse_graph(json.dumps(doc))
+    assert coh._free_betti(g) is not None
+    assert coh.betti_numbers(g).betti == betti
+    assert coh.z_freeness(g).status == "certified"
 
 
-def test_flow_up_search_respects_check_budget(cube, monkeypatch):
-    monkeypatch.setattr(coh, "FLOW_UP_CHECKS", 3)
-    assert coh._flow_up_order(cube) is None
-    assert coh.z_freeness(cube, 10).order is None  # the scan decides
-    assert coh.betti_numbers(cube, 10).betti == EXPECTED_BETTI["cube"]
+@pytest.mark.parametrize("edges, status", [
+    # A loop at v0.
+    ([(0, 0, [1, 0]), (0, 1, [0, 1]), (1, 1, [1, 1])], "certified"),
+    # Dependent labels at v0 and v1.
+    ([(0, 1, [1, 0]), (0, 1, [2, 0])], "certified"),
+    # Not free, with a loop at v0: without the loop check and the degree
+    # count, the determinant would certify it.
+    ([(2, 0, [-2, -2]), (0, 0, [3, -3]), (1, 0, [2, -1]), (2, 1, [-1, 2]),
+      (1, 2, [1, 2])], "not-free"),
+    # Not free, with dependent labels at v0 and v1: without the
+    # independence check and the degree count, likewise.
+    ([(1, 0, [-3, 3]), (2, 1, [-1, 1]), (2, 0, [2, -2]), (2, 1, [1, 0]),
+      (1, 0, [-2, 1])], "not-free"),
+])
+def test_no_certificate_for_loops_or_dependent_labels(edges, status):
+    ends = {i for u, v, _ in edges for i in (u, v)}
+    g = parse_graph(json.dumps({
+        "vertices": [f"v{i}" for i in range(max(ends) + 1)],
+        "edges": [{"from": f"v{u}", "to": f"v{v}", "weight": w} for u, v, w in edges],
+    }))
+    assert coh._free_betti(g) is None
+    assert coh.z_freeness(g).status == status

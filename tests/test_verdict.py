@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from gkm3.verdict import SCHEMA, Analysis, realizability_report
 
 from conftest import CORPUS_NAMES, corpus_graph, prism_graph
 
+# Free, but no vertex order of it has flow-up classes.
+FREE_NO_FLOW_UP = (Path(__file__).parent / "free_no_flow_up.json").read_text()
 NOT_GKM_K4 = {
     "vertices": ["A", "B", "C", "D"],
     "edges": [
@@ -225,8 +228,8 @@ def test_verdict_makes_at_most_one_rational_elimination(name, monkeypatch):
 
 
 def test_certified_verdict_stops_at_degree_6(cube, monkeypatch):
-    # The flow-up basis proves freeness and the Betti numbers above the
-    # largest down count (3), so no class lattice above degree 6 is built.
+    # The free-basis certificate proves freeness and the Betti numbers above
+    # degree 6, so no class lattice above degree 6 is built.
     degrees = []
     real = cohomology.ht_basis_z
 
@@ -239,6 +242,22 @@ def test_certified_verdict_stops_at_degree_6(cube, monkeypatch):
     assert rep["z_freeness"] == {"status": "certified", "witness": None}
     assert rep["betti"] == [1, 3, 3, 1, 0, 0]
     assert degrees and max(degrees) <= 3
+
+
+def test_free_graph_without_flow_up_order_is_certified():
+    g = parse_graph(FREE_NO_FLOW_UP)
+    rep = realizability_report(g)
+    assert rep["tier"] == "integer-gkm-realizable"
+    assert rep["betti"] == [1, 2, 2, 1, 0, 0]
+    assert rep["z_freeness"] == {"status": "certified", "witness": None}
+    # The determinant certifies freeness from the quotients up to degree 6.
+    assert max(key[1] for key in g.memo if key[0] == "quotient") == 3
+
+
+def test_certified_report_equals_scanned_report(monkeypatch):
+    certified = realizability_report(parse_graph(FREE_NO_FLOW_UP))
+    monkeypatch.setattr(cohomology, "_free_betti", lambda g: None)
+    assert realizability_report(parse_graph(FREE_NO_FLOW_UP)) == certified
 
 
 def test_verdict_builds_each_transition_once(flag, monkeypatch):

@@ -5,8 +5,9 @@ Run from a checkout root:
     python3 tools/cli_digest.py > digest.txt
 
 It imports gkm3 from the checkout's src/ and calls gkm3.cli.run in-process
-for every subcommand, in --format json and text, on the corpus graphs and
-on tests/torsion_k4.json; the --degree-cap commands run at caps 10 and 20.
+for every subcommand, in --format json and text, on the corpus graphs,
+tests/torsion_k4.json and tests/free_no_flow_up.json; the --degree-cap
+commands run at caps 10 and 20.
 `orientability` and `surface --emit-complex` also run at every
 --connection index of theta and nonorientable, whose 72 connections glue
 spheres, genus-1 surfaces and crosscap-1 to crosscap-3 surfaces.
@@ -38,7 +39,7 @@ def calls() -> List[List[str]]:
     graphs = sorted(
         f"{corpus}/{p.name}" for p in (ROOT / corpus).glob("*.json")
         if not p.name.endswith(".golden.json")
-    ) + ["tests/torsion_k4.json"]
+    ) + ["tests/torsion_k4.json", "tests/free_no_flow_up.json"]
     every_connection = [
         (path, len(available_connections(parse_graph((ROOT / path).read_text()))[0]))
         for path in (f"{corpus}/theta.json", f"{corpus}/nonorientable.json")
