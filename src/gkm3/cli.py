@@ -144,13 +144,17 @@ def _cmd_orientability(a: Analysis, args) -> Tuple[dict, bool]:
 
 
 def _cmd_cohomology(a: Analysis, args) -> Tuple[dict, bool]:
+    drop = {"q": "rank_z", "z": "dim_q"}.get(args.ring)
     payload = {
         "name": a.graph.name,
         "degree_cap": args.degree_cap,
         "ring": args.ring,
         "stabilized": a.betti.stabilized,
         "total_rank": a.betti.total,
-        "table": cohomology._degree_table(a.graph, a.betti.betti, args.ring),
+        "table": [
+            {k: v for k, v in row.items() if k != drop}
+            for row in cohomology.cohomology_table(a.graph, a.degree_cap)
+        ],
     }
     return payload, False
 

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .connection import Connection, DirectedEdge, transition
-from .graph import GkmGraph, det2
+from .graph import GkmGraph
 
 __all__ = [
     "DEFAULT_DEGREE_CAP",
@@ -248,11 +248,13 @@ class _Quotient:
     Smith form, the submodule is spanned by d_i times row i of T^-1 (as
     coordinates in L) for i < rank.  So a class with lattice coordinates c
     reduces to (c T)[rank:] in the free part of the quotient, and rows
-    rank.. of T^-1 L lift a basis of that free part.
+    rank.. of T^-1 L lift a basis of that free part.  T and T^-1 both come
+    from the one Smith elimination (linalg.snf_transform).
     """
 
     lattice: linalg.Matrix
     transform: linalg.Matrix
+    inverse: linalg.Matrix  # T^-1: its rows are the adapted basis's coordinates
     divisors: Tuple[int, ...]  # the nonzero d_i, in order
 
     @property
@@ -276,11 +278,6 @@ class _Quotient:
         return [sum(ci * t for ci, t in zip(c, col)) for col in cols]
 
     @cached_property
-    def inverse(self) -> linalg.Matrix:
-        """T^-1, whose rows are the lattice coordinates of the adapted basis."""
-        return linalg.unimodular_inverse(self.transform)
-
-    @cached_property
     def reduced_lifts(self) -> list:
         """Classes lifting a basis of the free part of the quotient."""
         return [self.lift(row) for row in self.inverse[self.rank:]]
@@ -299,9 +296,9 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
             if c is None:
                 raise RuntimeError("product class escaped the class lattice")
             coords.append(c)
-    D, _, T = linalg.snf_transform(coords, len(L))
+    D, T, Tinv = linalg.snf_transform(coords, len(L))
     divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
-    q = _Quotient(L, T, divisors)
+    q = _Quotient(L, T, Tinv, divisors)
     cache[("quotient", d)] = q
     return q
 
@@ -322,10 +319,8 @@ def _free_betti(g: GkmGraph) -> Optional[Tuple[int, ...]]:
 def _certify_free(g: GkmGraph) -> Optional[Tuple[int, ...]]:
     if any(e.u == e.v for e in g.edges):
         return None
-    for ids in g.incident.values():
-        ws = [g.edges[eid].weight for eid in ids]
-        if any(det2(a, b) == 0 for i, a in enumerate(ws) for b in ws[i + 1:]):
-            return None  # the index argument needs independent labels
+    if any(det == 0 for pairs in g.label_pairs.values() for _, _, det in pairs):
+        return None  # the index argument needs independent labels
     n = len(g.vertices)
     gens: list = []  # (degree, class)
     betti: List[int] = []
@@ -408,29 +403,21 @@ def betti_numbers(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> BettiRes
 
 
 def cohomology_table(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> List[dict]:
-    """Per-degree summary: Q-dimension, Z-rank and Betti number."""
-    return _degree_table(g, betti_numbers(g, degree_cap).betti, "both")
+    """Per-degree summary: Q-dimension, Z-rank and Betti number.
 
-
-def _degree_table(g: GkmGraph, betti: Sequence[int], ring: str) -> List[dict]:
-    """cohomology_table's rows.  dim_q = rank_z (see ht_basis_q), so both
-    columns read one rank and ring "q", "z" or "both" only picks them.
-    With a certified free basis (z_freeness), b_{2k} of whose classes have
-    degree 2k, the degree-2d classes are the sums h_c c with h_c of degree
-    d - k, so the rank is counted, not read from a basis."""
+    dim_q = rank_z (see ht_basis_q), so both columns read one rank.  With a
+    certified free basis (z_freeness), b_{2k} of whose classes have degree
+    2k, the degree-2d classes are the sums h_c c with h_c of degree d - k,
+    so the rank is counted, not read from a basis.
+    """
     free = _free_betti(g)
     out = []
-    for d, b in enumerate(betti):
-        row = {"degree": 2 * d, "betti": b}
+    for d, b in enumerate(betti_numbers(g, degree_cap).betti):
         if free is None:
             rank = len(ht_basis_z(g, d))
         else:
             rank = sum(bk * (d - k + 1) for k, bk in enumerate(free[: d + 1]))
-        if ring != "z":
-            row["dim_q"] = rank
-        if ring != "q":
-            row["rank_z"] = rank
-        out.append(row)
+        out.append({"degree": 2 * d, "betti": b, "dim_q": rank, "rank_z": rank})
     return out
 
 

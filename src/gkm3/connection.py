@@ -289,19 +289,9 @@ class TransitionData:
 
 
 def _perm_sign(sigma: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1) to the number of inversions."""
+    inversions = sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 class ConnectionInconsistency(RuntimeError):

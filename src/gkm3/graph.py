@@ -129,6 +129,20 @@ class GkmGraph:
                 inc[e.v].append(i)
         return {v: tuple(ids) for v, ids in inc.items()}
 
+    @cached_property
+    def label_pairs(self) -> Mapping[str, Tuple[Tuple[int, int, int], ...]]:
+        """Per vertex, (edge id, edge id, det2 of their labels) for every
+        pair of incident edges, in incidence order.  The labels' dependence,
+        effectivity and isotropy are all read from these determinants."""
+        out = {}
+        for v, ids in self.incident.items():
+            ws = [self.edges[i].weight for i in ids]
+            out[v] = tuple(
+                (ids[x], ids[y], det2(ws[x], ws[y]))
+                for x in range(len(ids)) for y in range(x + 1, len(ids))
+            )
+        return out
+
     @property
     def valence(self) -> int:
         if not self.vertices:
@@ -310,9 +324,11 @@ def validate(g: GkmGraph) -> ValidationReport:
     pairwise linear independence of the weights at every vertex, and
     effectivity (the incident weights at every vertex generate the full
     lattice Z^2, i.e. both elementary divisors of the 2x3 weight matrix are 1).
+    The divisors need no Smith form: d_1 is the gcd of the matrix entries
+    and d_1 d_2 the gcd of its 2x2 minors, the pair determinants of
+    g.label_pairs; when every minor is 0 the rank is 1 and d_1 is the only
+    divisor.
     """
-    from . import linalg
-
     failures = []
     if not g.vertices:
         return ValidationReport(False, ({"kind": "disconnected", "components": []},))
@@ -335,19 +351,16 @@ def validate(g: GkmGraph) -> ValidationReport:
         )
 
     for v in g.vertices:
+        pairs = g.label_pairs[v]
+        failures += [
+            {"kind": "dependence-at-vertex", "vertex": v, "edges": [x, y]}
+            for x, y, det in pairs if det == 0
+        ]
         ids = g.incident[v]
-        for x in range(len(ids)):
-            for y in range(x + 1, len(ids)):
-                if det2(g.edges[ids[x]].weight, g.edges[ids[y]].weight) == 0:
-                    failures.append(
-                        {"kind": "dependence-at-vertex", "vertex": v,
-                         "edges": [ids[x], ids[y]]}
-                    )
-        cols = [g.edges[i].weight.vector for i in ids]
-        if cols:
-            divisors = linalg.elementary_divisors(
-                [[c[0] for c in cols], [c[1] for c in cols]]
-            )
+        if ids:
+            d1 = math.gcd(*(c for i in ids for c in g.edges[i].weight.vector))
+            minors = math.gcd(*(det for _, _, det in pairs))
+            divisors = [d1, minors // d1] if minors else [d1]
             if divisors != [1, 1]:
                 failures.append(
                     {"kind": "ineffective", "vertex": v,
@@ -368,13 +381,8 @@ def connected_isotropy_check(g: GkmGraph) -> dict:
             failing.append({"kind": "imprimitive", "edge": i,
                             "content": e.weight.content()})
     for v in g.vertices:
-        ids = g.incident[v]
-        for x in range(len(ids)):
-            for y in range(x + 1, len(ids)):
-                d = det2(g.edges[ids[x]].weight, g.edges[ids[y]].weight)
-                if abs(d) != 1:
-                    failing.append(
-                        {"kind": "pair", "vertex": v,
-                         "edges": [ids[x], ids[y]], "det": d}
-                    )
+        failing += [
+            {"kind": "pair", "vertex": v, "edges": [x, y], "det": d}
+            for x, y, d in g.label_pairs[v] if abs(d) != 1
+        ]
     return {"ok": not failing, "failing_pairs": failing}

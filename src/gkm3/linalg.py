@@ -6,14 +6,16 @@ vector per row.  A matrix with no rows has no column count of its own, so
 snf_transform, which meets one in the degree-0 quotient, takes it
 explicitly.
 
-The integer routines (HNF, rank, kernel, Smith form, HNF back-substitution,
-unimodular inverse) carry the package.  echelon is the one elimination; its
-callers append only the columns they read (hnf none, hnf_transform and so
-z_kernel an identity, cohomology.ht_basis_z some class coordinates).
-hnf_mod is the Hermite form of a full-rank lattice with a known multiple of
-its determinant, all of its entries kept below that multiple.  rref
-and solve_left are the only Fraction arithmetic left.  They, nullspace (an
-alias of z_kernel) and lattice_solve have no caller in the package; they
+The integer routines (HNF, rank, Smith form, HNF back-substitution) carry
+the package.  echelon is the one elimination; its callers append only the
+columns they read (hnf none, hnf_transform an identity,
+cohomology.ht_basis_z some class coordinates).  hnf_mod is the Hermite form
+of a full-rank lattice with a known multiple of its determinant, all of its
+entries kept below that multiple.  snf_transform is the one Smith
+elimination; it carries T and T^-1, the two transforms cohomology's
+quotients read.  rref and solve_left are the only Fraction arithmetic
+left.  They, z_kernel and its alias nullspace, elementary_divisors,
+unimodular_inverse and lattice_solve have no caller in the package; they
 stay because the benchmark's traced runs (benchmark/spans.py) look them up
 by name.
 """
@@ -205,14 +207,17 @@ nullspace = z_kernel
 def snf_transform(
     A: Sequence[Sequence[int]], ncols: int = 0
 ) -> Tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form with transforms: returns (D, S, T), S @ A @ T == D.
+    """Smith normal form with its column transform: returns (D, T, T^-1).
 
-    S and T are unimodular; D is diagonal with nonnegative entries satisfying
-    d_1 | d_2 | ... .  ncols is the column count when A has no rows.
+    S @ A @ T == D for a unimodular S that no caller reads, so it is not
+    kept; T is unimodular, and each column operation on T is mirrored by
+    its inverse row operation on T^-1.  D is diagonal with nonnegative
+    entries satisfying d_1 | d_2 | ... .  ncols is the column count when A
+    has no rows.
     """
     D = [list(row) for row in A]
     m, n = len(D), len(D[0]) if D else ncols
-    S, T = eye(m), eye(n)
+    T, Tinv = eye(n), eye(n)
     for k in range(min(m, n)):
         while True:
             # Smallest-magnitude pivot keeps the intermediate entries tame.
@@ -226,17 +231,16 @@ def snf_transform(
             i, j = pos
             if i != k:
                 D[k], D[i] = D[i], D[k]
-                S[k], S[i] = S[i], S[k]
             if j != k:
                 for row in D + T:
                     row[k], row[j] = row[j], row[k]
+                Tinv[k], Tinv[j] = Tinv[j], Tinv[k]
             piv = D[k][k]
             clean = True
             for i in range(k + 1, m):
                 q = D[i][k] // piv
                 if q:
                     D[i] = [s - q * t for s, t in zip(D[i], D[k])]
-                    S[i] = [s - q * t for s, t in zip(S[i], S[k])]
                 if D[i][k] != 0:
                     clean = False
             for j in range(k + 1, n):
@@ -244,6 +248,7 @@ def snf_transform(
                 if q:
                     for row in D + T:
                         row[j] -= q * row[k]
+                    Tinv[k] = [s + q * t for s, t in zip(Tinv[k], Tinv[j])]
                 if D[k][j] != 0:
                     clean = False
             if not clean:
@@ -259,16 +264,14 @@ def snf_transform(
             if bad is None:
                 break
             D[k] = [s + t for s, t in zip(D[k], D[bad])]
-            S[k] = [s + t for s, t in zip(S[k], S[bad])]
         if D[k][k] < 0:
             D[k] = [-s for s in D[k]]
-            S[k] = [-s for s in S[k]]
-    return D, S, T
+    return D, T, Tinv
 
 
 def elementary_divisors(A: Sequence[Sequence[int]]) -> list:
     """Nonzero diagonal entries of the Smith normal form of A."""
-    D, _, _ = snf_transform(A)
+    D = snf_transform(A)[0]
     return [row[i] for i, row in enumerate(D) if i < len(row) and row[i] != 0]
 
 

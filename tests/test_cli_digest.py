@@ -15,6 +15,10 @@ def test_digest_lines(monkeypatch):
     assert ["verdict", theta, "--degree-cap", "20", "--format", "json"] in (
         cli_digest.calls()
     )
+    # The invalid fixtures pin validate's failure lists.
+    assert ["validate", "tests/invalid/divisors_2_6.json", "--format", "json"] in (
+        cli_digest.calls()
+    )
     # A verdict's stdout is its golden file, byte for byte.
     golden = (ROOT / "src/gkm3/corpus/theta.golden.json").read_bytes()
     assert cli_digest.digest_line(["verdict", theta]) == (

@@ -333,6 +333,20 @@ def test_z_freeness_torsion_witness():
     )
 
 
+ALL_CORPUS = ["cp3", "cube", "flag", "nonorientable", "prism4", "prism6", "theta"]
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS + ["torsion_k4"])
+def test_quotient_carries_the_inverse_transform(name):
+    # The Smith elimination carries T^-1; a second elimination, the HNF of
+    # [T | I] in unimodular_inverse, is the oracle.
+    doc = TORSION_K4 if name == "torsion_k4" else corpus_json(name)
+    g = parse_graph(json.dumps(doc))
+    for d in range(4):
+        q = coh._quotient(g, d)
+        assert q.inverse == linalg.unimodular_inverse(q.transform), d
+
+
 def test_class_product_blockwise(theta):
     u = [1, 0, 1, 0]  # x at both vertices (degree 2)
     v = [0, 1, 0, 1]  # y at both vertices

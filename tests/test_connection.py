@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation
 
 from gkm3.connection import (
     Connection,
@@ -15,6 +17,7 @@ from gkm3.connection import (
     loop_holonomy,
     transition,
     transport_coefficients,
+    _perm_sign,
 )
 from gkm3.graph import DirectedEdge, GraphSemanticError, Weight, parse_graph
 from gkm3.verdict import Analysis
@@ -180,6 +183,12 @@ def test_transition_data_contract(any_corpus_graph):
             assert sorted(data.sigma) == [0, 1, 2]
             m = g.incident[g.source(data.edge)].index(eid)
             assert (data.eps[m], data.k[m]) == (1, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_perm_sign_matches_sympy(n):
+    for sigma in itertools.permutations(range(n)):
+        assert _perm_sign(sigma) == Permutation(list(sigma)).signature(), sigma
 
 
 def test_path_canonical_form_rotation_reversal():

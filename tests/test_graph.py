@@ -159,6 +159,53 @@ def test_connected_isotropy_imprimitive():
                for f in res["failing_pairs"])
 
 
+_NONZERO = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
+    lambda w: w != (0, 0)
+)
+
+
+@st.composite
+def parallel_labels(draw):
+    """1 to 4 labels in [-6, 6]^2 for parallel edges a-b; in rank-1 draws
+    every label is a multiple of one vector."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return draw(st.lists(_NONZERO, min_size=k, max_size=k))
+    base = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+        lambda w: w != (0, 0)))
+    ms = draw(st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=k, max_size=k))
+    return [(m * base[0], m * base[1]) for m in ms]
+
+
+@given(parallel_labels())
+@settings(max_examples=300, deadline=None)
+def test_label_table_against_brute_force(labels):
+    g = parse_graph(mini(["a", "b"], [
+        {"from": "a", "to": "b", "weight": list(w)} for w in labels
+    ]))
+    ws = [e.weight.vector for e in g.edges]
+    pairs = [
+        (x, y, ws[x][0] * ws[y][1] - ws[x][1] * ws[y][0])
+        for x in range(len(ws)) for y in range(x + 1, len(ws))
+    ]
+    snf = oracles.snf_divisors([[w[0] for w in ws], [w[1] for w in ws]], len(ws))
+    failures = validate(g).failures
+    for v in ("a", "b"):
+        assert [f["edges"] for f in failures
+                if f["kind"] == "dependence-at-vertex" and f["vertex"] == v] == [
+            [x, y] for x, y, det in pairs if det == 0
+        ]
+        assert [f["elementary_divisors"] for f in failures
+                if f["kind"] == "ineffective" and f["vertex"] == v] == (
+            [] if snf == [1, 1] else [snf]
+        )
+        assert [(f["edges"], f["det"])
+                for f in connected_isotropy_check(g)["failing_pairs"]
+                if f["kind"] == "pair" and f["vertex"] == v] == [
+            ([x, y], det) for x, y, det in pairs if abs(det) != 1
+        ]
+
+
 def test_incidence_is_input_ordered(cube):
     for v in cube.vertices:
         ids = cube.incident[v]

@@ -117,22 +117,43 @@ def test_z_kernel_contract(rows):
         ] * len(K)
 
 
+def _check_snf(A, ncols):
+    """(D, T, T^-1) is a Smith form of A: T T^-1 = I, |det T| = 1, D
+    diagonal with d_1 | d_2 | ..., and the rows of A T span the lattice of
+    D's rows.  With equal row counts that last holds exactly when some
+    unimodular S has S A T = D, the S that snf_transform does not keep."""
+    D, T, Tinv = linalg.snf_transform(A, ncols)
+    assert _sym(T) * _sym(Tinv) == sympy.eye(ncols)
+    assert abs(_sym(T).det()) == 1
+    assert len(D) == len(A) and all(len(row) == ncols for row in D)
+    for i, row in enumerate(D):
+        assert all(x == 0 for j, x in enumerate(row) if j != i)
+    diag = [row[i] for i, row in enumerate(D) if i < ncols]
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0 if a else b == 0
+    AT = [[sum(a * t for a, t in zip(row, col)) for col in zip(*T)] for row in A]
+    assert oracles.lattice_equal(AT, D)
+    return D
+
+
 @given(int_matrices())
 @settings(max_examples=60, deadline=None)
 def test_snf_matches_sympy(rows):
     A = rows
-    D, S, T = linalg.snf_transform(A)
-    assert _sym(S) * _sym(A) * _sym(T) == _sym(D)
-    assert abs(_sym(S).det()) == 1
-    assert abs(_sym(T).det()) == 1
-    for i in range(len(D)):
-        for j in range(len(D[0])):
-            if i != j:
-                assert D[i][j] == 0
+    _check_snf(A, len(A[0]))
     mine = linalg.elementary_divisors(A)
     assert mine == oracles.snf_divisors(rows, len(rows[0]))
-    for a, b in zip(mine, mine[1:]):
-        assert b % a == 0
+
+
+def test_snf_explicit_inputs():
+    # 2 and 3 are each their column's gcd, so only the divisibility fold
+    # (adding row 1 to row 0) reaches diag(1, 6).
+    assert _check_snf([[2, 0], [0, 3]], 2) == [[1, 0], [0, 6]]
+    assert linalg.elementary_divisors([[2, 0], [0, 3]]) == [1, 6]
+    # The degree-0 quotient: no rows, so the column count is given.
+    assert linalg.snf_transform([], 3) == ([], linalg.eye(3), linalg.eye(3))
+    assert _check_snf([], 3) == []
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))

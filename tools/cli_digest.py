@@ -6,8 +6,11 @@ Run from a checkout root:
 
 It imports gkm3 from the checkout's src/ and calls gkm3.cli.run in-process
 for every subcommand, in --format json and text, on the corpus graphs,
-tests/torsion_k4.json and tests/free_no_flow_up.json; the --degree-cap
-commands run at caps 10 and 20.
+tests/torsion_k4.json, tests/free_no_flow_up.json and the invalid graphs
+in tests/invalid/ (dependent labels, elementary divisors [2, 2], [1, 2]
+and [2, 6], loops, a 2-valent square, K5, two components and an isolated
+vertex); the --degree-cap commands run at caps 10 and 20, and
+`cohomology` also runs with --ring q and --ring z.
 `orientability` and `surface --emit-complex` also run at every
 --connection index of theta and nonorientable, whose 72 connections glue
 spheres, genus-1 surfaces and crosscap-1 to crosscap-3 surfaces.
@@ -39,7 +42,9 @@ def calls() -> List[List[str]]:
     graphs = sorted(
         f"{corpus}/{p.name}" for p in (ROOT / corpus).glob("*.json")
         if not p.name.endswith(".golden.json")
-    ) + ["tests/torsion_k4.json", "tests/free_no_flow_up.json"]
+    ) + ["tests/torsion_k4.json", "tests/free_no_flow_up.json"] + sorted(
+        f"tests/invalid/{p.name}" for p in (ROOT / "tests/invalid").glob("*.json")
+    )
     every_connection = [
         (path, len(available_connections(parse_graph((ROOT / path).read_text()))[0]))
         for path in (f"{corpus}/theta.json", f"{corpus}/nonorientable.json")
@@ -52,6 +57,8 @@ def calls() -> List[List[str]]:
             for cmd in ("cohomology", "freeness", "verdict"):
                 for cap in ("10", "20"):
                     out.append([cmd, path, "--degree-cap", cap, "--format", fmt])
+            for ring in ("q", "z"):
+                out.append(["cohomology", path, "--ring", ring, "--format", fmt])
         for path, count in every_connection:
             for i in map(str, range(count)):
                 out.append(["orientability", path, "--connection", i, "--format", fmt])
