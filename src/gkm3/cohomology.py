@@ -216,6 +216,14 @@ def _pivot(row: Sequence[int]) -> int:
     return next(j for j, x in enumerate(row) if x)
 
 
+def _located(L: linalg.Matrix, vec: Sequence, what: str) -> list:
+    """Coordinates of vec in the lattice basis L; RuntimeError if outside."""
+    c = linalg.hnf_solve(L, vec)
+    if c is None:
+        raise RuntimeError(f"{what} escaped the class lattice")
+    return c
+
+
 def _pivot_product(H: linalg.Matrix) -> int:
     """The product of a Hermite form's pivots: the index of its row lattice
     when it has full rank, the absolute determinant when it is square."""
@@ -271,9 +279,7 @@ class _Quotient:
 
     def project(self, vec: Sequence) -> list:
         """Image of a class in the free part of the quotient, (c T)[rank:]."""
-        c = linalg.hnf_solve(self.lattice, vec)
-        if c is None:
-            raise RuntimeError("class outside the class lattice")
+        c = _located(self.lattice, vec, "class")
         cols = list(zip(*self.transform))[self.rank:]
         return [sum(ci * t for ci, t in zip(c, col)) for col in cols]
 
@@ -289,13 +295,10 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
     if ("quotient", d) in cache:
         return cache[("quotient", d)]
     L = ht_basis_z(g, d)
-    coords = []
-    if d > 0:
-        for r in _raised(g, ht_basis_z(g, d - 1), d - 1):
-            c = linalg.hnf_solve(L, r)
-            if c is None:
-                raise RuntimeError("product class escaped the class lattice")
-            coords.append(c)
+    coords = [] if d == 0 else [
+        _located(L, r, "product class")
+        for r in _raised(g, ht_basis_z(g, d - 1), d - 1)
+    ]
     D, T, Tinv = linalg.snf_transform(coords, len(L))
     divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
     q = _Quotient(L, T, Tinv, divisors)
@@ -430,17 +433,7 @@ def thom_class_vertex(g: GkmGraph, v: str) -> list:
 
     Membership in the integral class lattice is checked.
     """
-    d = g.valence
-    prod: Tuple = (1,)
-    for eid in g.incident[v]:
-        prod = poly_mul(prod, g.edges[eid].weight.vector)
-    vec = [0] * (len(g.vertices) * (d + 1))
-    base = g.vertex_index[v] * (d + 1)
-    for j, c in enumerate(prod):
-        vec[base + j] = c
-    if linalg.hnf_solve(ht_basis_z(g, d), vec) is None:
-        raise RuntimeError(f"Thom class of vertex {v!r} escaped the class lattice")
-    return vec
+    return _thom_class(g, [(v, 1)], None, f"Thom class of vertex {v!r}")
 
 
 def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
@@ -450,25 +443,28 @@ def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
     the target the same product is scaled by the product of the transport
     signs.  Membership in the integral class lattice is checked.
     """
-    d = g.valence - 1
     e = g.edges[edge_id]
     # eps is 1 at the edge itself, so this is the side transport sign.
     sign = math.prod(transition(g, conn, DirectedEdge(edge_id, True)).eps)
+    return _thom_class(g, [(e.u, 1), (e.v, sign)], edge_id,
+                       f"Thom class of edge {edge_id}")
 
-    def side_product(v: str) -> Tuple:
+
+def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
+                skip: Optional[int], what: str) -> list:
+    """Sum over (v, scale) in ends of scale times the product of the weights
+    at v but skip's, placed at v; checked to lie in the class lattice."""
+    d = g.valence - (skip is not None)
+    vec = [0] * (len(g.vertices) * (d + 1))
+    for v, scale in ends:
         prod: Tuple = (1,)
         for eid in g.incident[v]:
-            if eid != edge_id:
+            if eid != skip:
                 prod = poly_mul(prod, g.edges[eid].weight.vector)
-        return prod
-
-    vec = [0] * (len(g.vertices) * (d + 1))
-    for v, scale in ((e.u, 1), (e.v, sign)):
         base = g.vertex_index[v] * (d + 1)
-        for j, c in enumerate(side_product(v)):
+        for j, c in enumerate(prod):
             vec[base + j] += scale * c
-    if linalg.hnf_solve(ht_basis_z(g, d), vec) is None:
-        raise RuntimeError(f"Thom class of edge {edge_id} escaped the class lattice")
+    _located(ht_basis_z(g, d), vec, what)
     return vec
 
 

@@ -139,12 +139,7 @@ class ConnectionSpace(Sequence[Connection]):
     def _position(self, conn: Connection) -> int:
         j = 0
         for eid, opts in enumerate(self.options):
-            fmap = dict(conn.maps[(eid, True)])
-            if fmap not in opts:
-                raise ConnectionInconsistency(
-                    f"connection map of edge {eid} is not a compatible option"
-                )
-            j = j * len(opts) + opts.index(fmap)
+            j = j * len(opts) + opts.index(dict(conn.maps[(eid, True)]))
         return j
 
     def __len__(self) -> int:
@@ -204,8 +199,9 @@ def connection_from_block(g: GkmGraph, block: Mapping) -> Connection:
 
     The block maps stringified edge ids to {"forward": {src id: tgt id},
     "backward": {...}} where backward is optional and checked as the
-    inverse.  Compatibility is validated on load; every defect of the block
-    raises GraphSemanticError.
+    inverse.  A forward map is accepted exactly when it is one of the
+    edge's enumerated compatible bijections (those enumerate_connections
+    chooses from); every defect of the block raises GraphSemanticError.
     """
     forward: Dict[int, Dict[int, int]] = {}
     backward: Dict[int, Optional[Dict[int, int]]] = {}
@@ -223,26 +219,12 @@ def connection_from_block(g: GkmGraph, block: Mapping) -> Connection:
         raise GraphSemanticError("connection: every edge needs a forward map")
 
     for eid, fmap in forward.items():
-        e = g.edges[eid]
-        src, tgt = g.incident[e.u], g.incident[e.v]
-        if sorted(fmap) != sorted(src) or sorted(fmap.values()) != sorted(tgt):
+        if fmap not in _compatible_bijections(g, eid):
             raise GraphSemanticError(
-                f"connection: edge {eid} map is not a bijection E_u -> E_v"
+                f"connection: edge {eid} map is not a compatible bijection E_u"
+                " -> E_v: it moves the edge, misses E_v or transports a label"
+                " incompatibly"
             )
-        if fmap[eid] != eid:
-            raise GraphSemanticError(f"connection: edge {eid} must be fixed")
-        for f, fp in fmap.items():
-            if f == eid:
-                continue
-            if (
-                transport_coefficients(
-                    g.edges[f].weight, g.edges[fp].weight, e.weight
-                )
-                is None
-            ):
-                raise GraphSemanticError(
-                    f"connection: edge {eid} transports {f} -> {fp} incompatibly"
-                )
         back = backward[eid]
         if back is not None and back != {b: a for a, b in fmap.items()}:
             raise GraphSemanticError(
@@ -390,35 +372,35 @@ class ConnectionPath:
 def connection_paths(g: GkmGraph, conn: Connection) -> List[ConnectionPath]:
     """All connection paths, deduplicated up to starting point and orientation.
 
-    Iterates e_{i+1} = transport of e_{i-1} along e_i from every seed state
-    (predecessor edge, directed edge) until the seed recurs.  For a 3-valent
-    graph the path lengths sum to 2|E|.
+    Iterates e_{i+1} = transport of e_{i-1} along e_i from each seed state
+    (predecessor edge, directed edge) on no face yet until the seed recurs,
+    and marks the reverse walk's states too, so each face is walked once.
+    For a 3-valent graph the path lengths sum to 2|E|.
     """
     if g.valence != 3:
         raise ValueError("connection paths are defined for 3-valent graphs")
     seen: set = set()
-    out: Dict[Tuple, ConnectionPath] = {}
+    paths = []
     for v in g.vertices:
-        for prev in g.incident[v]:
-            for cur in g.incident[v]:
-                if cur == prev:
-                    continue
-                seed = (prev, g.directed(cur, v))
-                if seed in seen:
-                    continue
-                steps = []
-                state = seed
-                while True:
-                    p, d = state
-                    seen.add(state)
-                    steps.append(d)
-                    nxt = conn.apply(d, p)
-                    state = (d.edge_id, g.directed(nxt, g.target(d)))
-                    if state == seed:
-                        break
-                path = ConnectionPath.canonical(steps)
-                out.setdefault(tuple((s.edge_id, s.forward) for s in path.steps), path)
-    paths = sorted(out.values(), key=lambda p: [(s.edge_id, s.forward) for s in p.steps])
+        for prev, cur in itertools.permutations(g.incident[v], 2):
+            seed = (prev, g.directed(cur, v))
+            if seed in seen:
+                continue
+            steps = []
+            state = seed
+            while True:
+                p, d = state
+                seen.add(state)
+                steps.append(d)
+                nxt = conn.apply(d, p)
+                state = (d.edge_id, g.directed(nxt, g.target(d)))
+                if state == seed:
+                    break
+            n = len(steps)
+            seen.update((steps[(i + 1) % n].edge_id, steps[i].reversed())
+                        for i in range(n))
+            paths.append(ConnectionPath.canonical(steps))
+    paths.sort(key=lambda p: [(s.edge_id, s.forward) for s in p.steps])
     total = sum(len(p) for p in paths)
     if total != 2 * len(g.edges):
         raise ConnectionInconsistency(

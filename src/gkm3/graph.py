@@ -111,8 +111,10 @@ class GkmGraph:
     @cached_property
     def memo(self) -> dict:
         """Results derived from this graph alone (class lattices, quotients,
-        the free-basis certificate, transition data), filled on first use.
-        Keys are tuples whose first entry names the kind of result."""
+        the free-basis certificate, Betti results per degree cap, transition
+        data), filled on first use.  Keys are tuples whose first entry names
+        the kind of result: ("z", d), ("quotient", d), ("free",),
+        ("betti", cap) and ("transition", edge, map)."""
         return {}
 
     @cached_property

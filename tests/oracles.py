@@ -5,9 +5,12 @@ division, symbolic linear algebra, Smith normal form) rather than the
 package's own exact-arithmetic routines, so agreement between the two is
 meaningful evidence of correctness.  The connection oracles build every
 connection as a list with itertools.product, without the package's lazy
-connection sequence, and the label-only eta formula uses det2 alone.  The
-sign oracles try every ±1 labelling of the nodes and every set of face
-flips, without a spanning forest.
+connection sequence, test a connection map pair by pair instead of against
+the enumerated options, and walk every face from both orientations,
+deduplicating the canonical forms; the label-only eta formula uses det2
+alone.  The edge Thom class is multiplied out by sympy.  The sign oracles
+try every ±1 labelling of the nodes and every set of face flips, without a
+spanning forest.
 """
 
 import itertools
@@ -24,10 +27,13 @@ from sympy.matrices.normalforms import (
 
 from gkm3.connection import (
     Connection,
+    ConnectionPath,
     _compatible_bijections,
     connection_from_block,
+    transition,
+    transport_coefficients,
 )
-from gkm3.graph import det2
+from gkm3.graph import DirectedEdge, det2
 from gkm3.orientation import is_orientable
 
 x, y = sympy.symbols("x y")
@@ -244,6 +250,73 @@ def brute_force_connections(g) -> List[Connection]:
         return conns
     explicit = connection_from_block(g, g.connection_block)
     return [explicit] + [c for c in conns if c.maps != explicit.maps]
+
+
+def block_map_compatible(g, eid: int, fmap: dict) -> bool:
+    """Whether fmap is a bijection E_u -> E_v for edge eid: u -> v that
+    fixes eid and transports every other edge with integral coefficients
+    (transport_coefficients not None), checked pair by pair."""
+    e = g.edges[eid]
+    src, tgt = g.incident[e.u], g.incident[e.v]
+    if sorted(fmap) != sorted(src) or sorted(fmap.values()) != sorted(tgt):
+        return False
+    if fmap[eid] != eid:
+        return False
+    return all(
+        transport_coefficients(g.edges[f].weight, g.edges[fp].weight, e.weight)
+        is not None
+        for f, fp in fmap.items()
+        if f != eid
+    )
+
+
+def two_orientation_paths(g, conn) -> List[ConnectionPath]:
+    """Every connection path: a walk from every seed state (predecessor
+    edge, directed edge), so each face is walked once per orientation, with
+    the canonical forms deduplicated in a dict and sorted."""
+    seen: set = set()
+    out: dict = {}
+    for v in g.vertices:
+        for prev in g.incident[v]:
+            for cur in g.incident[v]:
+                if cur == prev:
+                    continue
+                seed = (prev, g.directed(cur, v))
+                if seed in seen:
+                    continue
+                steps = []
+                state = seed
+                while True:
+                    p, d = state
+                    seen.add(state)
+                    steps.append(d)
+                    nxt = conn.apply(d, p)
+                    state = (d.edge_id, g.directed(nxt, g.target(d)))
+                    if state == seed:
+                        break
+                path = ConnectionPath.canonical(steps)
+                out.setdefault(tuple((s.edge_id, s.forward) for s in path.steps), path)
+    return sorted(out.values(), key=lambda p: [(s.edge_id, s.forward) for s in p.steps])
+
+
+def edge_thom_class(g, conn, eid: int) -> list:
+    """The degree-4 edge Thom class as a flat vector: at the source the
+    product of the other two labels, at the target that product times the
+    transport signs, multiplied out by sympy."""
+    e = g.edges[eid]
+    sign = math.prod(transition(g, conn, DirectedEdge(eid, True)).eps)
+    vec = [0] * (3 * len(g.vertices))
+    for v, scale in ((e.u, 1), (e.v, sign)):
+        prod = sympy.Integer(1)
+        for f in g.incident[v]:
+            if f != eid:
+                a, b = g.edges[f].weight.vector
+                prod *= a * x + b * y
+        poly = sympy.Poly(sympy.expand(prod), x, y)
+        base = 3 * g.vertex_index[v]
+        for j in range(3):  # coefficient of x^{2-j} y^j
+            vec[base + j] += scale * int(poly.coeff_monomial(x ** (2 - j) * y ** j))
+    return vec
 
 
 def brute_force_consistent(g) -> bool:

@@ -19,6 +19,10 @@ def test_digest_lines(monkeypatch):
     assert ["validate", "tests/invalid/divisors_2_6.json", "--format", "json"] in (
         cli_digest.calls()
     )
+    # Every connection of flag, whose faces are the longest, glues a surface.
+    flag = "src/gkm3/corpus/flag.json"
+    assert ["surface", flag, "--connection", "511", "--emit-complex",
+            "--format", "json"] in cli_digest.calls()
     # A verdict's stdout is its golden file, byte for byte.
     golden = (ROOT / "src/gkm3/corpus/theta.golden.json").read_bytes()
     assert cli_digest.digest_line(["verdict", theta]) == (

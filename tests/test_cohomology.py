@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,6 +229,42 @@ def test_edge_thom_connection_independent(theta, nonorientable, flag):
                 tuple(coh.thom_class_edge(g, c, eid)) for c in conns
             }
             assert len(classes) == 1
+
+
+@pytest.mark.parametrize("name", ["cp3", "cube", "flag", "nonorientable",
+                                  "prism4", "theta"])
+def test_edge_thom_class_matches_sympy(name):
+    g = corpus_graph(name)
+    for conn in available_connections(g)[0][:8]:
+        for eid in range(len(g.edges)):
+            assert coh.thom_class_edge(g, conn, eid) == (
+                oracles.edge_thom_class(g, conn, eid)
+            ), eid
+
+
+def test_project_rejects_a_class_outside_the_lattice(cube):
+    vec = [0] * (4 * len(cube.vertices))
+    vec[0] = 1  # x^3 at the first vertex, 0 elsewhere
+    assert not oracles.class_satisfies(cube, vec, 3, over_z=True)
+    with pytest.raises(RuntimeError, match="escaped the class lattice"):
+        coh._quotient(cube, 3).project(vec)
+
+
+def test_thom_classes_outside_a_sublattice_raise(cube, monkeypatch):
+    """With the class lattice replaced by 2L, whose classes have only even
+    coefficients, each Thom class (leading coefficient 1) escapes it."""
+    conn = available_connections(cube)[0][0]
+    full = coh.ht_basis_z
+    monkeypatch.setattr(
+        coh, "ht_basis_z",
+        lambda g, d: [[2 * c for c in row] for row in full(g, d)],
+    )
+    v = cube.vertices[0]
+    with pytest.raises(RuntimeError,
+                       match=re.escape(f"Thom class of vertex {v!r} escaped")):
+        coh.thom_class_vertex(cube, v)
+    with pytest.raises(RuntimeError, match="Thom class of edge 0 escaped"):
+        coh.thom_class_edge(cube, conn, 0)
 
 
 def _reduced_projector(g, d):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,26 @@ def test_paths_iterate_connection_rule(any_corpus_graph):
             assert conn.apply(cur, prev.edge_id) == nxt.edge_id
 
 
+@pytest.mark.parametrize(
+    "name, count",
+    [("theta", 8), ("nonorientable", 64), ("flag", 512), ("cube", 1),
+     ("cp3", None), ("prism4", 4096)],
+)
+def test_paths_match_two_orientation_walk(name, count):
+    """One walk per face lists the faces that walking both orientations and
+    deduplicating lists, on every connection (200 seeded ones of prism4)."""
+    g = corpus_graph(name)
+    conns, _ = available_connections(g)
+    assert count is None or len(conns) == count
+    indices = range(len(conns))
+    if name == "prism4":
+        indices = sorted(random.Random(0).sample(indices, 200))
+    for i in indices:
+        assert connection_paths(g, conns[i]) == (
+            oracles.two_orientation_paths(g, conns[i])
+        ), i
+
+
 def test_loop_holonomy_identity_on_cube(cube):
     conn = enumerate_connections(cube)[0]
     for path in connection_paths(cube, conn):
@@ -296,6 +317,35 @@ def _block(g, conn):
         str(eid): {"forward": {str(a): b for a, b in conn.maps[(eid, True)]}}
         for eid in range(len(g.edges))
     }
+
+
+@given(st.sampled_from(["cube", "flag", "theta", "nonorientable", "cp3"]),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_block_acceptance_matches_pairwise_oracle(name, data):
+    """A drawn map E_u -> E_v, a bijection or not, fixing the edge or not,
+    is accepted exactly when the pair-by-pair oracle finds it compatible,
+    and a rejection names the edge."""
+    g = corpus_graph(name)
+    eid = data.draw(st.integers(0, len(g.edges) - 1), label="edge")
+    e = g.edges[eid]
+    src, tgt = g.incident[e.u], g.incident[e.v]
+    if data.draw(st.booleans(), label="bijective"):
+        targets = data.draw(st.permutations(tgt), label="targets")
+    else:
+        targets = data.draw(
+            st.lists(st.sampled_from(tgt), min_size=len(src), max_size=len(src)),
+            label="targets",
+        )
+    fmap = dict(zip(src, targets))
+    block = _block(g, available_connections(g)[0][0])
+    block[str(eid)] = {"forward": {str(a): b for a, b in fmap.items()}}
+    if oracles.block_map_compatible(g, eid, fmap):
+        conn = connection_from_block(g, block)
+        assert conn.as_dict(DirectedEdge(eid, True)) == fmap
+    else:
+        with pytest.raises(GraphSemanticError, match=f"edge {eid} map is not"):
+            connection_from_block(g, block)
 
 
 @given(small_graph_docs(), st.data())

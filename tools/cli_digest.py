@@ -13,7 +13,9 @@ vertex); the --degree-cap commands run at caps 10 and 20, and
 `cohomology` also runs with --ring q and --ring z.
 `orientability` and `surface --emit-complex` also run at every
 --connection index of theta and nonorientable, whose 72 connections glue
-spheres, genus-1 surfaces and crosscap-1 to crosscap-3 surfaces.
+spheres, genus-1 surfaces and crosscap-1 to crosscap-3 surfaces, and
+`surface --emit-complex --format json` at every --connection index of
+flag, whose 512 connections have the longest faces of the corpus.
 Each line holds the exit code, the argv (paths relative to the checkout
 root) and the sha256 of stdout, so a diff of the lines printed in two
 checkouts shows whether their output is byte-identical.
@@ -45,10 +47,16 @@ def calls() -> List[List[str]]:
     ) + ["tests/torsion_k4.json", "tests/free_no_flow_up.json"] + sorted(
         f"tests/invalid/{p.name}" for p in (ROOT / "tests/invalid").glob("*.json")
     )
+
+    def connections(path: str) -> List[str]:
+        graph = parse_graph((ROOT / path).read_text())
+        return list(map(str, range(len(available_connections(graph)[0]))))
+
     every_connection = [
-        (path, len(available_connections(parse_graph((ROOT / path).read_text()))[0]))
+        (path, connections(path))
         for path in (f"{corpus}/theta.json", f"{corpus}/nonorientable.json")
     ]
+    flag = f"{corpus}/flag.json"
     out = []
     for fmt in ("json", "text"):
         for path in graphs:
@@ -59,12 +67,14 @@ def calls() -> List[List[str]]:
                     out.append([cmd, path, "--degree-cap", cap, "--format", fmt])
             for ring in ("q", "z"):
                 out.append(["cohomology", path, "--ring", ring, "--format", fmt])
-        for path, count in every_connection:
-            for i in map(str, range(count)):
+        for path, indices in every_connection:
+            for i in indices:
                 out.append(["orientability", path, "--connection", i, "--format", fmt])
                 out.append(["surface", path, "--connection", i, "--emit-complex",
                             "--format", fmt])
         out.append(["corpus", "--root", corpus, "--format", fmt])
+    out += [["surface", flag, "--connection", i, "--emit-complex", "--format", "json"]
+            for i in connections(flag)]
     return out
 
 

@@ -1,5 +1,8 @@
 """Generates the flag-manifold corpus graph (corpus/flag.json).
 
+Run from anywhere as `python3 tools/gen_flag.py`; it overwrites
+src/gkm3/corpus/flag.json with flag_document().
+
 Vertices are the permutations of {1,2,3} in one-line notation; an edge
 joins w and w*s for each transposition s of two positions, labelled by the
 image of e_{w(i)} - e_{w(j)} under e1 -> (0,0), e2 -> (-1,0), e3 -> (0,-1).
@@ -15,13 +18,14 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from gkm3.connection import DirectedEdge, connection_paths, enumerate_connections
+from gkm3.connection import connection_paths, enumerate_connections
 from gkm3.graph import parse_graph
 
 E = {1: (0, 0), 2: (-1, 0), 3: (0, -1)}
 
 
-def main() -> None:
+def flag_document() -> str:
+    """The text of corpus/flag.json, embedded connection included."""
     perms = ["".join(p) for p in itertools.permutations("123")]
     edges = []
     swaps = [(0, 1), (0, 2), (1, 2)]  # positions, 0-based
@@ -52,15 +56,20 @@ def main() -> None:
         if all(s.edge_id not in vertical for s in six.steps):
             found = conn
             break
-    assert found is not None, "no fibration connection found"
+    if found is None:
+        raise RuntimeError("no fibration connection found")
 
     block = {}
     for eid in range(len(edges)):
         fwd = dict(found.maps[(eid, True)])
         block[str(eid)] = {"forward": {str(a): b for a, b in sorted(fwd.items())}}
     doc["connection"] = block
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def main() -> None:
     out = pathlib.Path(__file__).resolve().parents[1] / "src/gkm3/corpus/flag.json"
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    out.write_text(flag_document())
     print(f"wrote {out}")
 
 
