@@ -80,9 +80,7 @@ class Connection:
         return dict(self.maps[(e.edge_id, e.forward)])
 
     @staticmethod
-    def from_forward_maps(
-        g: GkmGraph, forward: Mapping[int, Mapping[int, int]]
-    ) -> "Connection":
+    def from_forward_maps(forward: Mapping[int, Mapping[int, int]]) -> "Connection":
         maps = {}
         for eid, fmap in forward.items():
             items = tuple(sorted(fmap.items()))
@@ -123,17 +121,17 @@ class ConnectionSpace(Sequence[Connection]):
     inverse).  Connection j of the product writes j in mixed radix with the
     option counts as digits, the last edge varying fastest, as
     itertools.product orders it.  A file-supplied connection comes first and
-    the product skips its own position, so the length is always the product
-    of the option counts.  Connections are built on access, never stored.
+    the product skips its own position, so count is always the product of
+    the option counts.  It is a plain int, as large as it needs to be: len()
+    returns it too, but raises OverflowError above sys.maxsize.  Connections
+    are built on access, never stored.
     """
 
-    def __init__(self, g: GkmGraph,
-                 options: Sequence[Sequence[Dict[int, int]]],
+    def __init__(self, options: Sequence[Sequence[Dict[int, int]]],
                  explicit: Optional[Connection] = None):
-        self.graph = g
         self.options = options
         self.explicit = explicit
-        self._len = math.prod(len(opts) for opts in options)
+        self.count = math.prod(len(opts) for opts in options)
         self._skip = None if explicit is None else self._position(explicit)
 
     def _position(self, conn: Connection) -> int:
@@ -143,15 +141,15 @@ class ConnectionSpace(Sequence[Connection]):
         return j
 
     def __len__(self) -> int:
-        return self._len
+        return self.count
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._len))]
+            return [self[j] for j in range(*i.indices(self.count))]
         i = operator.index(i)
         if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
+            i += self.count
+        if not 0 <= i < self.count:
             raise IndexError(f"connection index {i} out of range")
         if self.explicit is not None:
             if i == 0:
@@ -163,9 +161,7 @@ class ConnectionSpace(Sequence[Connection]):
         for opts in reversed(self.options):
             i, digit = divmod(i, len(opts))
             choice.append(opts[digit])
-        return Connection.from_forward_maps(
-            self.graph, dict(enumerate(reversed(choice)))
-        )
+        return Connection.from_forward_maps(dict(enumerate(reversed(choice))))
 
 
 def enumerate_connections(g: GkmGraph) -> ConnectionSpace:
@@ -174,7 +170,7 @@ def enumerate_connections(g: GkmGraph) -> ConnectionSpace:
     An empty sequence is the verdict that g is not a GKM graph.
     """
     return ConnectionSpace(
-        g, [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
+        [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
     )
 
 
@@ -194,14 +190,17 @@ def _id_map(eid: int, raw) -> Optional[Dict[int, int]]:
     return ids
 
 
-def connection_from_block(g: GkmGraph, block: Mapping) -> Connection:
+def connection_from_block(
+    g: GkmGraph, block: Mapping, options: Sequence[Sequence[Dict[int, int]]]
+) -> Connection:
     """Builds and checks a connection from a graph file `connection` block.
 
     The block maps stringified edge ids to {"forward": {src id: tgt id},
     "backward": {...}} where backward is optional and checked as the
     inverse.  A forward map is accepted exactly when it is one of the
-    edge's enumerated compatible bijections (those enumerate_connections
-    chooses from); every defect of the block raises GraphSemanticError.
+    edge's compatible bijections in options, the per-edge options of
+    enumerate_connections(g); every defect of the block raises
+    GraphSemanticError.
     """
     forward: Dict[int, Dict[int, int]] = {}
     backward: Dict[int, Optional[Dict[int, int]]] = {}
@@ -219,7 +218,7 @@ def connection_from_block(g: GkmGraph, block: Mapping) -> Connection:
         raise GraphSemanticError("connection: every edge needs a forward map")
 
     for eid, fmap in forward.items():
-        if fmap not in _compatible_bijections(g, eid):
+        if fmap not in options[eid]:
             raise GraphSemanticError(
                 f"connection: edge {eid} map is not a compatible bijection E_u"
                 " -> E_v: it moves the edge, misses E_v or transports a label"
@@ -230,7 +229,7 @@ def connection_from_block(g: GkmGraph, block: Mapping) -> Connection:
             raise GraphSemanticError(
                 f"connection: edge {eid} backward map is not the inverse"
             )
-    return Connection.from_forward_maps(g, forward)
+    return Connection.from_forward_maps(forward)
 
 
 def available_connections(g: GkmGraph) -> Tuple[ConnectionSpace, bool]:
@@ -238,8 +237,8 @@ def available_connections(g: GkmGraph) -> Tuple[ConnectionSpace, bool]:
     space = enumerate_connections(g)
     if g.connection_block is None:
         return space, False
-    explicit = connection_from_block(g, g.connection_block)
-    return ConnectionSpace(g, space.options, explicit), True
+    explicit = connection_from_block(g, g.connection_block, space.options)
+    return ConnectionSpace(space.options, explicit), True
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,7 @@ def transition(g: GkmGraph, conn: Connection, e: DirectedEdge) -> TransitionData
 
     The data read the connection only through its map at e, so they are
     memoized per graph by (e, that map): every connection that agrees at e
-    shares them, as do eta, loop_holonomy and thom_class_edge.
+    shares them, as do loop_holonomy and thom_class_edge.
     """
     key = ("transition", e, conn.maps[(e.edge_id, e.forward)])
     if key in g.memo:

@@ -135,7 +135,8 @@ class GkmGraph:
     def label_pairs(self) -> Mapping[str, Tuple[Tuple[int, int, int], ...]]:
         """Per vertex, (edge id, edge id, det2 of their labels) for every
         pair of incident edges, in incidence order.  The labels' dependence,
-        effectivity and isotropy are all read from these determinants."""
+        effectivity, isotropy and the edge signs eta are all read from these
+        determinants."""
         out = {}
         for v, ids in self.incident.items():
             ws = [self.edges[i].weight for i in ids]

@@ -1,90 +1,72 @@
-"""Edge signs and orientability of a 3-valent graph with a connection.
+"""Edge signs and orientability of a 3-valent GKM graph.
 
-Every directed edge e carries the sign eta(e) = -eps_2 * eps_3, the product
-of the two transport signs of the edges other than e itself, negated.  The
-sign is direction-independent, and equals -sign(sigma) * det(phi) for the
-transition data of e; both formulas are computed and cross-checked.  The
-pair (graph, connection) is orientable when the product of eta over every
-closed edge path is +1, equivalently when a potential tau: V -> {±1} with
-eta(e) = tau(v) * tau(w) exists.  potential_from_eta reads tau off the
-signed spanning forest of graph.signed_forest (the walk that also finds
-the graph's components and orients the glued surface), and an edge that
-tau violates closes a cycle of eta-product -1 through the forest.
+Every edge e carries the sign eta(e) = -eps_2 * eps_3, the product of the
+transport signs of the edges other than e itself, negated.  The graph is
+orientable when the product of eta over every closed edge path is +1,
+equivalently when a potential tau: V -> {±1} with eta(e) = tau(v) * tau(w)
+exists.  potential_from_eta reads tau off the signed spanning forest of
+graph.signed_forest (the walk that also finds the graph's components and
+orients the glued surface), and an edge that tau violates closes a cycle of
+eta-product -1 through the forest.
 
 Lemma: eta(e) does not depend on the connection.  Proof: for e: v -> w with
 bijection sigma, eps_f = det(w(sigma f), w(e)) / det(w(f), w(e)), so
 eps_2 * eps_3 = prod_{f' in E_w - e} det(w(f'), w(e)) /
-prod_{f in E_v - e} det(w(f), w(e)), in which sigma does not appear.  Hence
-every compatible connection has the same eta vector and the same
-orientability; eta_all_connections checks this per edge option instead of
-visiting the product of the options.
+prod_{f in E_v - e} det(w(f), w(e)), in which sigma does not appear.
+
+The lemma is the definition here: eta reads the label determinants of
+GkmGraph.label_pairs and no connection, so every compatible connection has
+the same eta vector and the same orientability.  The transition-data route
+(both directions, the eps product against -sign(sigma) * det(phi), and
+agreement across the options of each edge) is the test oracle
+transition_eta in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .connection import Connection, ConnectionInconsistency, transition
-from .graph import DirectedEdge, GkmGraph, signed_forest
+from .connection import ConnectionInconsistency
+from .graph import GkmGraph, signed_forest
 
 __all__ = [
     "OrientabilityResult",
     "eta",
     "eta_assignment",
-    "eta_all_connections",
     "potential_from_eta",
     "is_orientable",
 ]
 
 
-def eta(g: GkmGraph, conn: Connection, edge_id: int) -> int:
-    """The sign eta of an edge: minus the product of its side transport signs.
+def eta(g: GkmGraph, edge_id: int) -> int:
+    """The sign eta of an edge, -sgn(N * D) for the products
+    N = prod_{f' in E_w - e} det(w(f'), w(e)) and
+    D = prod_{f in E_v - e} det(w(f), w(e)) at its two ends.
 
-    Computed from both directions and from the determinant formula
-    eta = -sign(sigma) * det(phi); any disagreement is an inconsistency.
+    |N| != |D| means that no bijection E_v -> E_w transports every label
+    with eps = ±1, so no compatible connection exists:
+    ConnectionInconsistency.
     """
-    values = []
-    for forward in (True, False):
-        data = transition(g, conn, DirectedEdge(edge_id, forward))
-        direct = -math.prod(data.eps)  # eps is 1 at the edge itself
-        via_det = -data.sign_sigma * data.det_phi
-        if direct != via_det:
-            raise ConnectionInconsistency(
-                f"eta formulas disagree on edge {edge_id}: {direct} vs {via_det}"
-            )
-        values.append(direct)
-    if values[0] != values[1]:
+    e = g.edges[edge_id]
+
+    def side(v: str) -> int:
+        # det(w(f), w(e)) over the pairs (f, e) and (e, f) at v.
+        return math.prod(d if y == edge_id else -d
+                         for x, y, d in g.label_pairs[v] if edge_id in (x, y))
+
+    num, den = side(e.v), side(e.u)
+    if not den or num not in (den, -den):
         raise ConnectionInconsistency(
-            f"eta is direction-dependent on edge {edge_id}"
+            f"no compatible transport along edge {edge_id}: the label "
+            f"determinants at its ends are {num} and {den}"
         )
-    return values[0]
+    return -1 if num * den > 0 else 1
 
 
-def eta_assignment(g: GkmGraph, conn: Connection) -> Dict[int, int]:
-    return {eid: eta(g, conn, eid) for eid in range(len(g.edges))}
-
-
-def eta_all_connections(
-    g: GkmGraph, options: Sequence[Sequence[Mapping[int, int]]]
-) -> Dict[int, int]:
-    """The eta vector of every connection in the product of the per-edge
-    options (ConnectionSpace.options), from one eta per (edge, option).
-
-    eta(e) reads the connection at e alone, so each option is evaluated on
-    its own.  Options of one edge that give different signs contradict the
-    lemma and raise ConnectionInconsistency.
-    """
-    out = {}
-    for eid, opts in enumerate(options):
-        values = {eta(g, Connection.from_forward_maps(g, {eid: m}), eid) for m in opts}
-        if len(values) != 1:
-            raise ConnectionInconsistency(
-                f"eta of edge {eid} depends on the connection: {sorted(values)}"
-            )
-        out[eid] = values.pop()
-    return out
+def eta_assignment(g: GkmGraph) -> Dict[int, int]:
+    return {eid: eta(g, eid) for eid in range(len(g.edges))}
 
 
 def potential_from_eta(
@@ -135,14 +117,14 @@ class OrientabilityResult:
     violating_cycle: Optional[Tuple[int, ...]] = None
 
 
-def is_orientable(g: GkmGraph, conn: Connection) -> OrientabilityResult:
+def is_orientable(g: GkmGraph) -> OrientabilityResult:
     """Decides orientability, with a potential or a violating cycle witness.
 
     The closed-path sign product is invariant under re-lifting the weights,
     so deciding it over the canonical lifts decides it for the unsigned
     labelling.
     """
-    eta_map = eta_assignment(g, conn)
+    eta_map = eta_assignment(g)
     tau, cycle = potential_from_eta(g, eta_map)
     if tau is not None:
         return OrientabilityResult(True, eta_map, potential=tau)

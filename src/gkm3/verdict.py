@@ -21,7 +21,7 @@ from functools import cached_property
 from .cohomology import DEFAULT_DEGREE_CAP, betti_numbers, poincare_duality, z_freeness
 from .connection import Connection, available_connections, loop_holonomy
 from .graph import GkmGraph, connected_isotropy_check, validate
-from .orientation import eta_all_connections, is_orientable
+from .orientation import OrientabilityResult, is_orientable
 from .surface import classify_surface
 
 __all__ = ["SCHEMA", "MIN_DEGREE_CAP", "Analysis", "NoSuchConnection",
@@ -41,8 +41,9 @@ class NoSuchConnection(IndexError):
 class Analysis:
     """One graph's analysis; each stage is computed on first use, at most once.
 
-    connection_index selects the compatible connection behind orientability,
-    surface and holonomy; a file-supplied connection is always index 0.
+    connection_index selects the compatible connection behind the surface
+    and holonomy; a file-supplied connection is always index 0.
+    Orientability reads no connection but checks the index all the same.
     """
 
     def __init__(self, g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP,
@@ -60,27 +61,22 @@ class Analysis:
     poincare = cached_property(lambda a: poincare_duality(a.graph, a.degree_cap))
     freeness = cached_property(lambda a: z_freeness(a.graph, a.degree_cap))
     isotropy = cached_property(lambda a: connected_isotropy_check(a.graph))
-    orientability = cached_property(lambda a: is_orientable(a.graph, a.connection))
     surface = cached_property(lambda a: classify_surface(a.graph, a.connection))
 
     @cached_property
     def connection(self) -> Connection:
         conns, _ = self.connections
-        if not 0 <= self.connection_index < len(conns):
+        if not 0 <= self.connection_index < conns.count:
             raise NoSuchConnection(
                 f"connection index {self.connection_index} out of range "
-                f"({len(conns)} compatible connections)"
+                f"({conns.count} compatible connections)"
             )
         return conns[self.connection_index]
 
     @cached_property
-    def orientability_consistent(self) -> bool:
-        """Whether every compatible connection has the selected one's eta
-        vector, and so its orientability; decided per edge option."""
-        options = self.connections[0].options
-        return eta_all_connections(self.graph, options) == (
-            self.orientability.eta
-        )
+    def orientability(self) -> OrientabilityResult:
+        self.connection  # raises NoSuchConnection, as the surface stage does
+        return is_orientable(self.graph)
 
     def orientability_section(self) -> dict:
         orient = self.orientability
@@ -140,9 +136,9 @@ class Analysis:
             return report
 
         conns, explicit = self.connections
-        report["connections"] = {"count": len(conns), "explicit": explicit}
+        report["connections"] = {"count": conns.count, "explicit": explicit}
         # An out-of-range index fails here, before any cohomology stage.
-        conn = self.connection if conns else None
+        conn = self.connection if conns.count else None
 
         betti = self.betti
         report["betti"] = list(betti.betti)
@@ -163,7 +159,7 @@ class Analysis:
         }
         report["connected_isotropy"] = self.isotropy
 
-        if not conns:
+        if not conns.count:
             report.update(orientability=None, surface=None, tier="not-gkm")
             if pd.ok:
                 report["findings"].append(
@@ -172,9 +168,9 @@ class Analysis:
             return report
 
         orient = self.orientability
+        # eta, and so orientability, reads the labels and no connection.
         report["orientability"] = dict(
-            self.orientability_section(),
-            consistent_across_connections=self.orientability_consistent,
+            self.orientability_section(), consistent_across_connections=True
         )
 
         report["surface"] = self.surface_section()

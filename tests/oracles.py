@@ -7,10 +7,11 @@ meaningful evidence of correctness.  The connection oracles build every
 connection as a list with itertools.product, without the package's lazy
 connection sequence, test a connection map pair by pair instead of against
 the enumerated options, and walk every face from both orientations,
-deduplicating the canonical forms; the label-only eta formula uses det2
-alone.  The edge Thom class is multiplied out by sympy.  The sign oracles
-try every ±1 labelling of the nodes and every set of face flips, without a
-spanning forest.
+deduplicating the canonical forms.  eta is read in two ways that share
+nothing with the package's label-table eta: from det2 alone, and from each
+connection's transition data in both directions.  The edge Thom class is
+multiplied out by sympy.  The sign oracles try every ±1 labelling of the
+nodes and every set of face flips, without a spanning forest.
 """
 
 import itertools
@@ -34,7 +35,6 @@ from gkm3.connection import (
     transport_coefficients,
 )
 from gkm3.graph import DirectedEdge, det2
-from gkm3.orientation import is_orientable
 
 x, y = sympy.symbols("x y")
 
@@ -243,12 +243,12 @@ def brute_force_connections(g) -> List[Connection]:
     """Every compatible connection, a file-supplied one first, as a list."""
     per_edge = [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
     conns = [
-        Connection.from_forward_maps(g, dict(enumerate(choice)))
+        Connection.from_forward_maps(dict(enumerate(choice)))
         for choice in itertools.product(*per_edge)
     ]
     if g.connection_block is None:
         return conns
-    explicit = connection_from_block(g, g.connection_block)
+    explicit = connection_from_block(g, g.connection_block, per_edge)
     return [explicit] + [c for c in conns if c.maps != explicit.maps]
 
 
@@ -319,10 +319,26 @@ def edge_thom_class(g, conn, eid: int) -> list:
     return vec
 
 
-def brute_force_consistent(g) -> bool:
-    """Whether every compatible connection has the same orientability."""
-    conns = brute_force_connections(g)
-    return len({is_orientable(g, c).orientable for c in conns}) == 1
+def transition_eta(g, conn, eid: int) -> int:
+    """eta(e) = -eps_2 * eps_3 from the transition data of conn at e, read
+    in both directions, each checked against -sign(sigma) * det(phi)."""
+    values = set()
+    for forward in (True, False):
+        data = transition(g, conn, DirectedEdge(eid, forward))
+        direct = -math.prod(data.eps)  # eps is 1 at the edge itself
+        assert direct == -data.sign_sigma * data.det_phi, (eid, forward)
+        values.add(direct)
+    assert len(values) == 1, f"eta is direction-dependent on edge {eid}"
+    return values.pop()
+
+
+def brute_force_etas(g) -> set:
+    """The set of eta vectors, one per compatible connection, from the
+    transition data of each."""
+    return {
+        tuple(transition_eta(g, c, eid) for eid in range(len(g.edges)))
+        for c in brute_force_connections(g)
+    }
 
 
 def label_eta(g, eid: int) -> Fraction:

@@ -82,8 +82,7 @@ def test_criterion_2_flag(capsys):
 def test_criterion_3_nonorientable(capsys):
     g = corpus_graph("nonorientable")
     t0 = time.monotonic()
-    conns, _ = available_connections(g)
-    orient = is_orientable(g, conns[0])
+    orient = is_orientable(g)
     pd = coh.poincare_duality(g)
     # Image of every vertex Thom class in the degree-6 quotient.
     proj = coh._quotient(g, 3).project
@@ -134,18 +133,18 @@ def test_criterion_4_property_suite(capsys):
         for eid in range(len(g.edges)):
             if len({tuple(coh.thom_class_edge(g, c, eid)) for c in conns}) != 1:
                 violations.append((name, "e", eid))
+        # (i) PD implies orientable; eta reads no connection.
+        orientable = is_orientable(g).orientable
+        if pd_ok and not orientable:
+            violations.append((name, "i", None))
         for conn in conns:
-            orientable = is_orientable(g, conn).orientable
-            # (i) PD implies orientable.
-            if pd_ok and not orientable:
-                violations.append((name, "i", None))
             # (a), (b) per directed edge.
             for eid in range(len(g.edges)):
                 for forward in (True, False):
                     data = transition(g, conn, DirectedEdge(eid, forward))
                     if data.det_phi not in (1, -1):
                         violations.append((name, "b", eid))
-                    if eta(g, conn, eid) != -data.sign_sigma * data.det_phi:
+                    if eta(g, eid) != -data.sign_sigma * data.det_phi:
                         violations.append((name, "a", eid))
             # (d) path length sum; (c) holonomy.
             paths = connection_paths(g, conn)

@@ -60,6 +60,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "limit" in err
     code, _, err = run(capsys, "verdict", cpath("theta"), "--connection", "99")
     assert code == 2 and "out of range" in err
+    # eta reads no connection, but a graph without one still exits 2.
+    for cmd in ("orientability", "surface"):
+        code, out, err = run(capsys, cmd, str(TESTS_DIR / "fuzz_k4.json"))
+        assert code == 2 and out == ""
+        assert "index 0 out of range (0 compatible connections)" in err
     code, _, err = run(capsys, "verdict", cpath("theta"), "--degree-cap", "7")
     assert code == 2 and "even" in err
     for cap in ("-4", "2", "4", "6", "8"):  # stable Betti numbers need b_10
@@ -180,6 +185,29 @@ def test_surface_emit_complex(capsys):
     assert code == 0
     assert data["classification"] == "crosscap-1 surface"
     assert sorted(len(p) for p in data["complex"]["polygons"]) == [4, 4, 4, 6]
+
+
+def test_connection_count_beyond_a_machine_word(capsys):
+    # The square-labelled prism with n = 22 (benchmark/inputs.py, prism):
+    # 2^66 connections, more than len() can return.
+    sq22 = str(TESTS_DIR / "sq22.json")
+    count = 2 ** 66
+    for cmd in ("validate", "cohomology", "freeness", "orientability", "surface"):
+        code, out, err = run(capsys, cmd, sq22)
+        assert code == 0 and out and err == "", cmd
+    code, out, _ = run(capsys, "verdict", sq22)
+    data = json.loads(out)
+    assert code == 0 and data["connections"]["count"] == count
+    assert data["betti"] == [1, 21, 21, 1, 0, 0] and data["tier"] == "rigid-class"
+    last = str(count - 1)
+    code, out, _ = run(capsys, "orientability", sq22, "--connection", last)
+    assert code == 0 and json.loads(out)["eta"] == data["orientability"]["eta"]
+    code, out, _ = run(capsys, "verdict", sq22, "--connection", last)
+    assert code == 0 and json.loads(out)["tier"] == "rigid-class"
+    for cmd in ("orientability", "verdict"):
+        code, out, err = run(capsys, cmd, sq22, "--connection", str(count))
+        assert code == 2 and out == ""
+        assert f"out of range ({count} compatible connections)" in err
 
 
 def test_verdict_text_format(capsys):

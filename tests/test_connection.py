@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation
 
+from gkm3 import connection
 from gkm3.connection import (
     Connection,
     ConnectionPath,
@@ -21,7 +22,7 @@ from gkm3.connection import (
     _perm_sign,
 )
 from gkm3.graph import DirectedEdge, GraphSemanticError, Weight, parse_graph
-from gkm3.verdict import Analysis
+from gkm3.orientation import eta_assignment
 
 import oracles
 from conftest import (
@@ -97,28 +98,29 @@ def test_available_connections_puts_explicit_first(nonorientable):
 def test_connection_block_validation(nonorientable):
     doc = corpus_json("nonorientable")
     g = nonorientable
+    options = enumerate_connections(g).options
 
     bad = json.loads(json.dumps(doc["connection"]))
     bad["0"]["forward"]["3"] = 5  # not a bijection onto E_v
     with pytest.raises(GraphSemanticError, match="bijection"):
-        connection_from_block(g, bad)
+        connection_from_block(g, bad, options)
 
     bad = json.loads(json.dumps(doc["connection"]))
     del bad["5"]
     with pytest.raises(GraphSemanticError, match="forward map"):
-        connection_from_block(g, bad)
+        connection_from_block(g, bad, options)
 
     bad = json.loads(json.dumps(doc["connection"]))
     bad["99"] = bad["0"]
     with pytest.raises(GraphSemanticError, match="out of range"):
-        connection_from_block(g, bad)
+        connection_from_block(g, bad, options)
 
     good = json.loads(json.dumps(doc["connection"]))
     good["0"]["backward"] = {str(v): int(k) for k, v in good["0"]["forward"].items()}
-    connection_from_block(g, good)  # inverse backward accepted
+    connection_from_block(g, good, options)  # inverse backward accepted
     good["0"]["backward"] = {"0": 0, "1": 4, "5": 3}
     with pytest.raises(GraphSemanticError, match="inverse"):
-        connection_from_block(g, good)
+        connection_from_block(g, good, options)
 
     # Entries that are not objects and ids that are not integers are
     # semantic errors too, never AttributeError or ValueError.
@@ -133,11 +135,11 @@ def test_connection_block_validation(nonorientable):
         bad = json.loads(json.dumps(doc["connection"]))
         bad["0"] = entry
         with pytest.raises(GraphSemanticError, match=match):
-            connection_from_block(g, bad)
+            connection_from_block(g, bad, options)
     bad = json.loads(json.dumps(doc["connection"]))
     bad["zero"] = bad.pop("0")
     with pytest.raises(GraphSemanticError, match="not an integer"):
-        connection_from_block(g, bad)
+        connection_from_block(g, bad, options)
 
     # An id named twice, in the block or in one map, is an error, not a
     # silent overwrite by the later entry.
@@ -145,7 +147,7 @@ def test_connection_block_validation(nonorientable):
         bad = json.loads(json.dumps(doc["connection"]))
         bad[alias] = bad[key]
         with pytest.raises(GraphSemanticError, match="repeated"):
-            connection_from_block(g, bad)
+            connection_from_block(g, bad, options)
     for side in ("forward", "backward"):
         bad = json.loads(json.dumps(doc["connection"]))
         fmap = {str(k): int(v) for k, v in bad["0"]["forward"].items()}
@@ -155,7 +157,7 @@ def test_connection_block_validation(nonorientable):
         fmap["0" + src] = fmap[src]
         bad["0"][side] = fmap
         with pytest.raises(GraphSemanticError, match="twice"):
-            connection_from_block(g, bad)
+            connection_from_block(g, bad, options)
 
 
 def test_connection_block_incompatible_transport(cube):
@@ -170,7 +172,7 @@ def test_connection_block_incompatible_transport(cube):
     others = [k for k in fwd0 if k != "0"]
     fwd0[others[0]], fwd0[others[1]] = fwd0[others[1]], fwd0[others[0]]
     with pytest.raises(GraphSemanticError, match="incompatibly"):
-        connection_from_block(cube, block)
+        connection_from_block(cube, block, enumerate_connections(cube).options)
 
 
 def test_transition_data_contract(any_corpus_graph):
@@ -338,14 +340,15 @@ def test_block_acceptance_matches_pairwise_oracle(name, data):
             label="targets",
         )
     fmap = dict(zip(src, targets))
-    block = _block(g, available_connections(g)[0][0])
+    space = enumerate_connections(g)
+    block = _block(g, space[0])
     block[str(eid)] = {"forward": {str(a): b for a, b in fmap.items()}}
     if oracles.block_map_compatible(g, eid, fmap):
-        conn = connection_from_block(g, block)
+        conn = connection_from_block(g, block, space.options)
         assert conn.as_dict(DirectedEdge(eid, True)) == fmap
     else:
         with pytest.raises(GraphSemanticError, match=f"edge {eid} map is not"):
-            connection_from_block(g, block)
+            connection_from_block(g, block, space.options)
 
 
 @given(small_graph_docs(), st.data())
@@ -358,14 +361,28 @@ def test_lazy_connections_match_brute_force_random(doc, data):
         g = parse_graph(json.dumps(dict(doc, connection=_block(g, conn))))
     _check_against_brute_force(g)
     if brute:
-        assert Analysis(g).orientability_consistent == (
-            oracles.brute_force_consistent(g)
-        )
+        assert oracles.brute_force_etas(g) == {tuple(eta_assignment(g).values())}
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + ["prism4"])
 def test_orientability_consistency_matches_brute_force(name):
+    """The transition data of every compatible connection give the
+    label-only eta vector: the verdict's consistent_across_connections."""
     g = prism_graph(4) if name == "prism4" else corpus_graph(name)
-    assert Analysis(g).orientability_consistent == (
-        oracles.brute_force_consistent(g)
-    )
+    assert oracles.brute_force_etas(g) == {tuple(eta_assignment(g).values())}
+
+
+def test_available_connections_enumerates_each_edge_once(flag, monkeypatch):
+    """A file-supplied block is checked against the space's options, so each
+    edge's compatible bijections are listed once."""
+    calls = []
+    real = connection._compatible_bijections
+
+    def counting(g, eid):
+        calls.append(eid)
+        return real(g, eid)
+
+    monkeypatch.setattr(connection, "_compatible_bijections", counting)
+    conns, explicit = available_connections(flag)
+    assert explicit and conns.count == 512
+    assert sorted(calls) == list(range(len(flag.edges))) == list(range(9))

@@ -3,38 +3,32 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkm3.connection import (
     Connection,
+    ConnectionInconsistency,
     _compatible_bijections,
     available_connections,
-    enumerate_connections,
+    connection_paths,
+    transition,
 )
-from gkm3.graph import Weight, parse_graph
-from gkm3.orientation import (
-    eta,
-    eta_all_connections,
-    eta_assignment,
-    is_orientable,
-    potential_from_eta,
-)
+from gkm3.graph import DirectedEdge, parse_graph, validate
+from gkm3.orientation import eta, eta_assignment, is_orientable, potential_from_eta
 
 import oracles
 from conftest import CORPUS_NAMES, corpus_graph, corpus_json, small_graph_docs
 
 
 def test_eta_cube_all_minus_one(cube):
-    conn = enumerate_connections(cube)[0]
-    assert eta_assignment(cube, conn) == {
+    assert eta_assignment(cube) == {
         eid: -1 for eid in range(len(cube.edges))
     }
 
 
 def test_cube_is_orientable_with_bipartite_potential(cube):
-    conn = enumerate_connections(cube)[0]
-    res = is_orientable(cube, conn)
+    res = is_orientable(cube)
     assert res.orientable
     tau = res.potential
     assert set(tau.values()) <= {1, -1}
@@ -47,8 +41,7 @@ def test_cube_is_orientable_with_bipartite_potential(cube):
 
 
 def test_nonorientable_witness_is_odd_eta_cycle(nonorientable):
-    conns, _ = available_connections(nonorientable)
-    res = is_orientable(nonorientable, conns[0])
+    res = is_orientable(nonorientable)
     assert not res.orientable
     assert res.potential is None
     cycle = res.violating_cycle
@@ -125,18 +118,39 @@ def test_potential_from_eta_on_two_components():
 def test_eta_well_defined_per_edge(any_corpus_graph):
     g = any_corpus_graph
     conns, _ = available_connections(g)
-    # eta() internally cross-checks both directions and the determinant
-    # formula; just exercise it on every edge of a few connections.
+    # The oracle cross-checks both directions and the determinant formula.
     for conn in conns[:4]:
         for eid in range(len(g.edges)):
-            assert eta(g, conn, eid) in (1, -1)
+            assert eta(g, eid) == oracles.transition_eta(g, conn, eid) in (1, -1)
+
+
+def test_eta_without_compatible_transport_raises():
+    # K4 whose edge ab: (1, 0) sees determinants -1, -1 at a and 1, -2 at
+    # b: no bijection transports the labels with signs ±1.
+    g = parse_graph(json.dumps({
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [
+            {"from": "a", "to": "b", "weight": [1, 0]},
+            {"from": "a", "to": "c", "weight": [0, 1]},
+            {"from": "a", "to": "d", "weight": [1, 1]},
+            {"from": "b", "to": "c", "weight": [1, -1]},
+            {"from": "b", "to": "d", "weight": [1, 2]},
+            {"from": "c", "to": "d", "weight": [1, 0]},
+        ],
+    }))
+    assert validate(g).ok and _compatible_bijections(g, 0) == []
+    assert oracles.label_eta(g, 0) == 2
+    with pytest.raises(ConnectionInconsistency, match="edge 0"):
+        eta(g, 0)
+    with pytest.raises(ConnectionInconsistency):
+        is_orientable(g)
 
 
 def test_orientability_invariant_under_relifting(any_corpus_graph):
     g = any_corpus_graph
     conns, _ = available_connections(g)
     conn = conns[0]
-    base = is_orientable(g, conn)
+    base = is_orientable(g)
     rng = random.Random(7)
     for _ in range(3):
         weights = [
@@ -144,12 +158,10 @@ def test_orientability_invariant_under_relifting(any_corpus_graph):
             for e in g.edges
         ]
         g2 = g.with_weights(weights)
-        res = is_orientable(g2, conn)
+        res = is_orientable(g2)
         assert res.orientable == base.orientable
         # Individual eta signs are lift-dependent, but products around
         # closed paths are not; compare over the face cycles.
-        from gkm3.connection import connection_paths
-
         for path in connection_paths(g2, conn):
             p1 = p2 = 1
             for s in path.steps:
@@ -159,18 +171,22 @@ def test_orientability_invariant_under_relifting(any_corpus_graph):
 
 
 def _check_eta_lemma(g):
-    """eta of every edge under every compatible option is the label-only
-    value, whatever the options at the other edges."""
-    options = [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
-    first = {eid: opts[0] for eid, opts in enumerate(options) if opts}
-    for eid, opts in enumerate(options):
-        for m in opts:
-            conn = Connection.from_forward_maps(g, {**first, eid: m})
-            assert eta(g, conn, eid) == oracles.label_eta(g, eid)
-    if all(options):
-        assert eta_all_connections(g, options) == {
-            eid: oracles.label_eta(g, eid) for eid in range(len(g.edges))
-        }
+    """eta of an edge with a compatible option is the label-only value and
+    -sign(sigma) * det(phi) of every option's transition data, both ways;
+    an edge whose label determinants differ in size raises."""
+    for eid in range(len(g.edges)):
+        options = _compatible_bijections(g, eid)
+        if not options and abs(oracles.label_eta(g, eid)) != 1:
+            with pytest.raises(ConnectionInconsistency):
+                eta(g, eid)
+            continue
+        value = eta(g, eid)
+        assert value == oracles.label_eta(g, eid)
+        for m in options:
+            conn = Connection.from_forward_maps({eid: m})
+            for forward in (True, False):
+                data = transition(g, conn, DirectedEdge(eid, forward))
+                assert value == -data.sign_sigma * data.det_phi
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -182,3 +198,17 @@ def test_eta_is_label_only(name):
 @settings(max_examples=60, deadline=None)
 def test_eta_is_label_only_random(doc):
     _check_eta_lemma(parse_graph(json.dumps(doc)))
+
+
+@given(small_graph_docs())
+@settings(max_examples=60, deadline=None)
+def test_eta_matches_transition_data_random(doc):
+    """On graphs with connections, eta agrees with the transition data of
+    every option at every edge."""
+    g = parse_graph(json.dumps(doc))
+    options = [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
+    assume(all(options))
+    for eid, opts in enumerate(options):
+        for m in opts:
+            conn = Connection.from_forward_maps({eid: m})
+            assert eta(g, eid) == oracles.transition_eta(g, conn, eid)

@@ -11,10 +11,11 @@ from gkm3.connection import (
     transition,
 )
 from gkm3.graph import DirectedEdge, parse_graph, serialize_graph, validate
-from gkm3.orientation import eta, is_orientable
+from gkm3.orientation import eta, is_orientable, potential_from_eta
 from gkm3.surface import classify_surface
 from gkm3.verdict import realizability_report
 
+import oracles
 from conftest import CORPUS_NAMES, corpus_graph
 
 
@@ -31,7 +32,7 @@ def test_eta_equals_sign_formula_everywhere(name):
         for eid in range(len(g.edges)):
             for forward in (True, False):
                 data = transition(g, conn, DirectedEdge(eid, forward))
-                assert eta(g, conn, eid) == -data.sign_sigma * data.det_phi
+                assert eta(g, eid) == -data.sign_sigma * data.det_phi
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -53,9 +54,9 @@ def test_transition_determinant_and_transport(name):
 def test_loop_holonomy_identity_when_orientable(name):
     """(c) holonomy around every connection path is Id for orientable pairs."""
     g = corpus_graph(name)
+    if not is_orientable(g).orientable:
+        return
     for conn in all_connections(g):
-        if not is_orientable(g, conn).orientable:
-            continue
         for path in connection_paths(g, conn):
             h = loop_holonomy(g, conn, path)
             assert all(
@@ -132,12 +133,16 @@ def test_free_module_prediction(name):
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_pd_implies_orientable(name):
-    """(i) Poincare duality passing forces orientability of every connection."""
+    """(i) Poincare duality passing forces orientability of every connection,
+    whose eta is read from its transition data."""
     g = corpus_graph(name)
     if not coh.poincare_duality(g).ok:
         return
+    assert is_orientable(g).orientable
     for conn in all_connections(g):
-        assert is_orientable(g, conn).orientable
+        etas = {eid: oracles.transition_eta(g, conn, eid)
+                for eid in range(len(g.edges))}
+        assert potential_from_eta(g, etas)[1] is None
 
 
 # ---------------------------------------------------------------------------

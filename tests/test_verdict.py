@@ -162,17 +162,17 @@ def test_analysis_runs_each_stage_once(theta, monkeypatch):
     calls = []
     real = verdict.is_orientable
 
-    def counting(g, conn):
-        calls.append(conn)
-        return real(g, conn)
+    def counting(g):
+        calls.append(g)
+        return real(g)
 
     monkeypatch.setattr(verdict, "is_orientable", counting)
     a = Analysis(theta, connection_index=3)
     rep = a.report()
     assert a.report() == rep
     conns, _ = a.connections
-    assert len(calls) == 1  # exactly one call, on the selected connection
-    assert calls[0] is a.connection and calls[0].maps == conns[3].maps
+    assert calls == [theta]  # exactly one call
+    assert a.connection.maps == conns[3].maps
     # The Betti stage is the memo entry that poincare_duality reads too.
     assert cohomology.betti_numbers(theta, a.degree_cap) is a.betti
 
@@ -186,9 +186,9 @@ def test_prism6_verdict_never_builds_the_product(monkeypatch):
     calls = []
     real = Connection.from_forward_maps
 
-    def counting(g, forward):
+    def counting(forward):
         calls.append(forward)
-        return real(g, forward)
+        return real(forward)
 
     monkeypatch.setattr(Connection, "from_forward_maps", staticmethod(counting))
     t0 = time.perf_counter()

@@ -16,6 +16,10 @@ vertex); the --degree-cap commands run at caps 10 and 20, and
 spheres, genus-1 surfaces and crosscap-1 to crosscap-3 surfaces, and
 `surface --emit-complex --format json` at every --connection index of
 flag, whose 512 connections have the longest faces of the corpus.
+Last, tests/sq22.json, a prism with 2^66 connections, runs validate,
+cohomology, freeness, orientability, surface and verdict in json, and
+orientability and verdict at --connection 2^66 - 1 (the last connection)
+and 2^66 (out of range).
 Each line holds the exit code, the argv (paths relative to the checkout
 root) and the sha256 of stdout, so a diff of the lines printed in two
 checkouts shows whether their output is byte-identical.
@@ -75,6 +79,11 @@ def calls() -> List[List[str]]:
         out.append(["corpus", "--root", corpus, "--format", fmt])
     out += [["surface", flag, "--connection", i, "--emit-complex", "--format", "json"]
             for i in connections(flag)]
+    sq22 = "tests/sq22.json"
+    out += [[cmd, sq22, "--format", "json"] for cmd in (
+        "validate", "cohomology", "freeness", "orientability", "surface", "verdict")]
+    out += [[cmd, sq22, "--connection", str(i), "--format", "json"]
+            for i in (2 ** 66 - 1, 2 ** 66) for cmd in ("orientability", "verdict")]
     return out
 
 
