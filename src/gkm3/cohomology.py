@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .connection import Connection, DirectedEdge, transition
@@ -153,6 +153,7 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
         [eqs[i] for i in fixed + list(range(nf, nf + naux))]
     )
     terms = {i: [(col, w) for col, w in enumerate(eqs[i]) if w] for i in free}
+    solve_q = linalg.hnf_solver(HQ)
 
     def lifted(y: Sequence[int]) -> Optional[list]:
         """The class with part y on F, or None if y is not in Y."""
@@ -162,7 +163,7 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
                 f[i] = v
                 for col, w in terms[i]:
                     values[col] -= v * w
-        coords = linalg.hnf_solve(HQ, values)
+        coords = solve_q(values)
         if coords is None:
             return None
         for c, urow in zip(coords, UQ):
@@ -216,9 +217,19 @@ def _pivot(row: Sequence[int]) -> int:
     return next(j for j, x in enumerate(row) if x)
 
 
-def _located(L: linalg.Matrix, vec: Sequence, what: str) -> list:
-    """Coordinates of vec in the lattice basis L; RuntimeError if outside."""
-    c = linalg.hnf_solve(L, vec)
+def _solver(g: GkmGraph, d: int) -> Callable[[Sequence[int]], Optional[list]]:
+    """The back-substitution against ht_basis_z(g, d) (linalg.hnf_solver),
+    built once per graph and degree."""
+    key = ("solve", d)
+    if key not in g.memo:
+        g.memo[key] = linalg.hnf_solver(ht_basis_z(g, d))
+    return g.memo[key]
+
+
+def _located(solve: Callable[[Sequence[int]], Optional[list]],
+             vec: Sequence, what: str) -> list:
+    """Coordinates of vec by a lattice's solver; RuntimeError if outside."""
+    c = solve(vec)
     if c is None:
         raise RuntimeError(f"{what} escaped the class lattice")
     return c
@@ -264,6 +275,7 @@ class _Quotient:
     transform: linalg.Matrix
     inverse: linalg.Matrix  # T^-1: its rows are the adapted basis's coordinates
     divisors: Tuple[int, ...]  # the nonzero d_i, in order
+    solve: Callable[[Sequence[int]], Optional[list]]  # coordinates in lattice
 
     @property
     def rank(self) -> int:
@@ -275,11 +287,15 @@ class _Quotient:
 
     def lift(self, coords: Sequence[int]) -> list:
         """The class with the given coordinates in the lattice basis."""
-        return [sum(c * x for c, x in zip(coords, col)) for col in zip(*self.lattice)]
+        out = [0] * (len(self.lattice[0]) if self.lattice else 0)
+        for c, row in zip(coords, self.lattice):
+            if c:
+                out = [s + c * x for s, x in zip(out, row)]
+        return out
 
     def project(self, vec: Sequence) -> list:
         """Image of a class in the free part of the quotient, (c T)[rank:]."""
-        c = _located(self.lattice, vec, "class")
+        c = _located(self.solve, vec, "class")
         cols = list(zip(*self.transform))[self.rank:]
         return [sum(ci * t for ci, t in zip(c, col)) for col in cols]
 
@@ -294,14 +310,14 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
     cache = g.memo
     if ("quotient", d) in cache:
         return cache[("quotient", d)]
-    L = ht_basis_z(g, d)
+    L, solve = ht_basis_z(g, d), _solver(g, d)
     coords = [] if d == 0 else [
-        _located(L, r, "product class")
+        _located(solve, r, "product class")
         for r in _raised(g, ht_basis_z(g, d - 1), d - 1)
     ]
     D, T, Tinv = linalg.snf_transform(coords, len(L))
     divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
-    q = _Quotient(L, T, Tinv, divisors)
+    q = _Quotient(L, T, Tinv, divisors, solve)
     cache[("quotient", d)] = q
     return q
 
@@ -464,7 +480,7 @@ def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
         base = g.vertex_index[v] * (d + 1)
         for j, c in enumerate(prod):
             vec[base + j] += scale * c
-    _located(ht_basis_z(g, d), vec, what)
+    _located(_solver(g, d), vec, what)
     return vec
 
 

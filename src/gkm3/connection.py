@@ -123,8 +123,9 @@ class ConnectionSpace(Sequence[Connection]):
     itertools.product orders it.  A file-supplied connection comes first and
     the product skips its own position, so count is always the product of
     the option counts.  It is a plain int, as large as it needs to be: len()
-    returns it too, but raises OverflowError above sys.maxsize.  Connections
-    are built on access, never stored.
+    returns it too, but raises OverflowError above sys.maxsize, so a truth
+    test reads count instead.  Connections are built on access, never
+    stored.
     """
 
     def __init__(self, options: Sequence[Sequence[Dict[int, int]]],
@@ -142,6 +143,9 @@ class ConnectionSpace(Sequence[Connection]):
 
     def __len__(self) -> int:
         return self.count
+
+    def __bool__(self) -> bool:
+        return self.count > 0
 
     def __getitem__(self, i):
         if isinstance(i, slice):

@@ -11,19 +11,23 @@ the package.  echelon is the one elimination; its callers append only the
 columns they read (hnf none, hnf_transform an identity,
 cohomology.ht_basis_z some class coordinates).  hnf_mod is the Hermite form
 of a full-rank lattice with a known multiple of its determinant, all of its
-entries kept below that multiple.  snf_transform is the one Smith
-elimination; it carries T and T^-1, the two transforms cohomology's
-quotients read.  rref and solve_left are the only Fraction arithmetic
-left.  They, z_kernel and its alias nullspace, elementary_divisors,
-unimodular_inverse and lattice_solve have no caller in the package; they
-stay because the benchmark's traced runs (benchmark/spans.py) look them up
-by name.
+entries kept below that multiple.  hnf_solver finds a Hermite basis's
+pivots once and returns the back-substitution against it, which touches
+only the basis's nonzero entries; hnf_solve is one call of it.
+snf_transform is the one Smith elimination; it carries T and T^-1, the two
+transforms cohomology's quotients read, and its pivot is the first unit
+entry when there is one, else the first entry of smallest magnitude (the
+same entry, as a unit is always smallest).  rref and solve_left are the
+only Fraction arithmetic left.  They, z_kernel and its alias nullspace,
+elementary_divisors, unimodular_inverse and lattice_solve have no caller in
+the package; they stay because the benchmark's traced runs
+(benchmark/spans.py) look them up by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
 
@@ -220,8 +224,9 @@ def snf_transform(
     T, Tinv = eye(n), eye(n)
     for k in range(min(m, n)):
         while True:
-            # Smallest-magnitude pivot keeps the intermediate entries tame.
-            pos = min(
+            # Smallest-magnitude pivot keeps the intermediate entries tame;
+            # the first such entry in row-major order, so the first unit.
+            pos = _first_unit(D, k, m, n) or min(
                 ((i, j) for i in range(k, m) for j in range(k, n) if D[i][j] != 0),
                 key=lambda ij: abs(D[ij[0]][ij[1]]),
                 default=None,
@@ -269,6 +274,21 @@ def snf_transform(
     return D, T, Tinv
 
 
+def _first_unit(D: Matrix, k: int, m: int, n: int) -> Optional[Tuple[int, int]]:
+    """Position of the first +-1 in rows k..m-1, columns k..n-1 of D, in
+    row-major order, or None."""
+    for i in range(k, m):
+        row, end = D[i], n
+        for unit in (1, -1):
+            try:
+                end = row.index(unit, k, end)
+            except ValueError:
+                pass
+        if end < n:
+            return i, end
+    return None
+
+
 def elementary_divisors(A: Sequence[Sequence[int]]) -> list:
     """Nonzero diagonal entries of the Smith normal form of A."""
     D = snf_transform(A)[0]
@@ -301,29 +321,47 @@ def lattice_solve(B: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list
     return [sum(ci * U[i][j] for i, ci in enumerate(c)) for j in range(len(B))]
 
 
-def hnf_solve(H: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list]:
-    """Integer coordinates of v in the row lattice of a row-HNF basis H.
+def hnf_solver(H: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], Optional[list]]:
+    """solve(v): the integer coordinates of v in the row lattice of a
+    row-HNF basis H, or None when v is not in the lattice.
 
-    Back-substitution along the pivot columns; returns None when v is not in
-    the lattice.  Much faster than lattice_solve but requires H in HNF.
-    Pivots of a row HNF strictly increase, so each row's pivot search starts
-    one column after the previous row's pivot.
+    H's pivot columns are found once, and each row keeps only its nonzero
+    entries right of its pivot, so a solve is a back-substitution that
+    touches no zero and skips every row whose coordinate is 0.
     """
-    res = list(v)
-    n = len(res)
-    coords = []
+    n = len(H[0]) if H else 0
+    rows = []
     pj = -1
     for row in H:
+        # Pivots of a row HNF strictly increase.
         pj = next((j for j in range(pj + 1, n) if row[j] != 0), None)
         if pj is None:
             raise ValueError("HNF basis must have no zero rows")
-        q, r = divmod(res[pj], row[pj])
-        if r:
+        rows.append((pj, row[pj], [(j, row[j]) for j in range(pj + 1, n) if row[j]]))
+
+    def solve(v: Sequence[int]) -> Optional[list]:
+        res = list(v)
+        coords = []
+        for pj, piv, tail in rows:
+            if res[pj] == 0:
+                coords.append(0)
+                continue
+            q, r = divmod(res[pj], piv)
+            if r:
+                return None
+            coords.append(q)
+            res[pj] = 0
+            for j, x in tail:
+                res[j] -= q * x
+        if any(res):
             return None
-        coords.append(q)
-        if q:
-            for j in range(pj, n):
-                res[j] -= q * row[j]
-    if any(res):
-        return None
-    return coords
+        return coords
+
+    return solve
+
+
+def hnf_solve(H: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list]:
+    """Integer coordinates of v in the row lattice of a row-HNF basis H, or
+    None when v is not in the lattice: one call of hnf_solver(H).  Callers
+    that solve against one basis many times keep the solver instead."""
+    return hnf_solver(H)(v)

@@ -11,6 +11,20 @@ from gkm3.graph import parse_graph, validate
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "src" / "gkm3" / "corpus"
 CORPUS_NAMES = ["cube", "flag", "nonorientable", "theta"]
 
+# A valid K4 labelling with no compatible connection: some edge admits no
+# transport of its side labels.
+NOT_GKM_K4 = {
+    "vertices": ["A", "B", "C", "D"],
+    "edges": [
+        {"from": "A", "to": "B", "weight": [1, -2]},
+        {"from": "B", "to": "C", "weight": [1, 2]},
+        {"from": "C", "to": "D", "weight": [0, 3]},
+        {"from": "D", "to": "A", "weight": [2, -3]},
+        {"from": "A", "to": "C", "weight": [1, 3]},
+        {"from": "B", "to": "D", "weight": [3, -1]},
+    ],
+}
+
 
 def corpus_text(name: str) -> str:
     return (CORPUS_DIR / f"{name}.json").read_text()

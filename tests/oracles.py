@@ -11,7 +11,11 @@ deduplicating the canonical forms.  eta is read in two ways that share
 nothing with the package's label-table eta: from det2 alone, and from each
 connection's transition data in both directions.  The edge Thom class is
 multiplied out by sympy.  The sign oracles try every ±1 labelling of the
-nodes and every set of face flips, without a spanning forest.
+nodes and every set of face flips, without a spanning forest.  The exact
+kernel's replaced loops stay here as oracles: the back-substitution that
+finds a basis's pivots on every call, the Smith form that scans the whole
+remaining submatrix for each pivot, and the lift that sums the transposed
+lattice's columns.
 """
 
 import itertools
@@ -375,3 +379,89 @@ def faces_flip_coherently(faces) -> bool:
         if all(sorted(r) == [False, True] for r in runs.values()):
             return True
     return False
+
+
+def dense_hnf_solve(H: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list]:
+    """Integer coordinates of v in the row lattice of a row-HNF basis H, or
+    None: each row's pivot searched for on every call, and every column
+    right of it updated, zeros included."""
+    res = list(v)
+    n = len(res)
+    coords = []
+    pj = -1
+    for row in H:
+        pj = next((j for j in range(pj + 1, n) if row[j] != 0), None)
+        if pj is None:
+            raise ValueError("HNF basis must have no zero rows")
+        q, r = divmod(res[pj], row[pj])
+        if r:
+            return None
+        coords.append(q)
+        if q:
+            for j in range(pj, n):
+                res[j] -= q * row[j]
+    if any(res):
+        return None
+    return coords
+
+
+def min_scan_snf(A: Sequence[Sequence[int]], ncols: int = 0):
+    """(D, T, T^-1) of the Smith form, each pivot the first smallest-magnitude
+    entry of the whole remaining submatrix, found by one full scan."""
+    D = [list(row) for row in A]
+    m, n = len(D), len(D[0]) if D else ncols
+    T = [[int(i == j) for j in range(n)] for i in range(n)]
+    Tinv = [list(row) for row in T]
+    for k in range(min(m, n)):
+        while True:
+            pos = min(
+                ((i, j) for i in range(k, m) for j in range(k, n) if D[i][j] != 0),
+                key=lambda ij: abs(D[ij[0]][ij[1]]),
+                default=None,
+            )
+            if pos is None:
+                break
+            i, j = pos
+            if i != k:
+                D[k], D[i] = D[i], D[k]
+            if j != k:
+                for row in D + T:
+                    row[k], row[j] = row[j], row[k]
+                Tinv[k], Tinv[j] = Tinv[j], Tinv[k]
+            piv = D[k][k]
+            clean = True
+            for i in range(k + 1, m):
+                q = D[i][k] // piv
+                if q:
+                    D[i] = [s - q * t for s, t in zip(D[i], D[k])]
+                if D[i][k] != 0:
+                    clean = False
+            for j in range(k + 1, n):
+                q = D[k][j] // piv
+                if q:
+                    for row in D + T:
+                        row[j] -= q * row[k]
+                    Tinv[k] = [s + q * t for s, t in zip(Tinv[k], Tinv[j])]
+                if D[k][j] != 0:
+                    clean = False
+            if not clean:
+                continue
+            if piv in (1, -1):
+                break
+            bad = next(
+                (i for i in range(k + 1, m) for j in range(k + 1, n)
+                 if D[i][j] % piv != 0),
+                None,
+            )
+            if bad is None:
+                break
+            D[k] = [s + t for s, t in zip(D[k], D[bad])]
+        if D[k][k] < 0:
+            D[k] = [-s for s in D[k]]
+    return D, T, Tinv
+
+
+def transposed_lift(lattice: Sequence[Sequence[int]], coords: Sequence[int]) -> list:
+    """sum_i coords_i lattice_i, one column of the transposed lattice at a
+    time."""
+    return [sum(c * a for c, a in zip(coords, col)) for col in zip(*lattice)]

@@ -23,10 +23,12 @@ def test_digest_lines(monkeypatch):
     flag = "src/gkm3/corpus/flag.json"
     assert ["surface", flag, "--connection", "511", "--emit-complex",
             "--format", "json"] in cli_digest.calls()
-    # The 2^66 connections of sq22 end the list; one past the last exits 2.
+    # After the 2^66 connections of sq22, one past the last exits 2, comes
+    # the 48-vertex hexagon prism's verdict.
     sq22 = ["verdict", "tests/sq22.json", "--connection", str(2 ** 66),
             "--format", "json"]
-    assert cli_digest.calls()[-1] == sq22
+    assert cli_digest.calls()[-2:] == [
+        sq22, ["verdict", "tests/hexprism24.json", "--format", "json"]]
     assert cli_digest.digest_line(sq22).startswith("2 verdict")
     # A verdict's stdout is its golden file, byte for byte.
     golden = (ROOT / "src/gkm3/corpus/theta.golden.json").read_bytes()

@@ -254,6 +254,9 @@ def test_thom_classes_outside_a_sublattice_raise(cube, monkeypatch):
     """With the class lattice replaced by 2L, whose classes have only even
     coefficients, each Thom class (leading coefficient 1) escapes it."""
     conn = available_connections(cube)[0][0]
+    # The solvers are memoized, so none may exist yet: each must be built
+    # from the patched lattice.
+    assert not [key for key in cube.memo if key[0] == "solve"]
     full = coh.ht_basis_z
     monkeypatch.setattr(
         coh, "ht_basis_z",
@@ -265,6 +268,24 @@ def test_thom_classes_outside_a_sublattice_raise(cube, monkeypatch):
         coh.thom_class_vertex(cube, v)
     with pytest.raises(RuntimeError, match="Thom class of edge 0 escaped"):
         coh.thom_class_edge(cube, conn, 0)
+    assert ("solve", 2) in cube.memo and ("solve", 3) in cube.memo
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_lift_matches_transposed_sum(name):
+    """Every quotient a verdict forms lifts coordinates as the sum over the
+    transposed lattice does: the adapted basis rows, the unit vectors and
+    one mixed vector."""
+    g = corpus_graph(name)
+    coh.poincare_duality(g)
+    coh.z_freeness(g)
+    quotients = [q for key, q in g.memo.items() if key[0] == "quotient"]
+    assert quotients
+    for q in quotients:
+        k = len(q.lattice)
+        mixed = [(-1) ** i * (i + 2) for i in range(k)]
+        for coords in q.inverse + linalg.eye(k) + [mixed]:
+            assert q.lift(coords) == oracles.transposed_lift(q.lattice, coords)
 
 
 def _reduced_projector(g, d):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from gkm3.orientation import eta_assignment
 import oracles
 from conftest import (
     CORPUS_NAMES,
+    NOT_GKM_K4,
     corpus_graph,
     corpus_json,
     prism_graph,
@@ -78,6 +80,15 @@ def test_cube_connection_is_unique(cube):
 
 def test_theta_has_eight_connections(theta):
     assert len(enumerate_connections(theta)) == 8
+
+
+def test_connection_space_truth_reads_the_count():
+    """A truth test never goes through len(), which overflows on sq22's
+    2^66 connections."""
+    sq22 = parse_graph((Path(__file__).parent / "sq22.json").read_text())
+    assert bool(enumerate_connections(sq22)) is True
+    not_gkm = enumerate_connections(parse_graph(json.dumps(NOT_GKM_K4)))
+    assert not_gkm.count == 0 and bool(not_gkm) is False
 
 
 def test_available_connections_puts_explicit_first(nonorientable):
@@ -222,11 +233,27 @@ def test_flag_paths_profile(flag):
     assert sorted(len(p) for p in paths) == [4, 4, 4, 6]
 
 
-def test_theta_paths_are_digons(theta):
+def test_theta_face_lengths_follow_the_swaps(theta):
+    """Theta's three edges all run u -> w, and the transport along an edge
+    fixes it and either fixes or swaps the other two.  A path that runs
+    along e_i and then e_j continues along the transport of e_i along e_j,
+    so it closes after two steps exactly when neither e_i nor e_j swaps:
+    the digon {e_i, e_j} is a face exactly when both edges fix.  The two
+    vertices alternate along every path, so every face has even length, and
+    the faces take the 2 * 3 * 2 (vertex, incoming, outgoing) steps, each
+    face once per orientation, so their lengths sum to 6.  Hence with no
+    swapping edge the faces are the three digons, with one a digon and a
+    square, and with two or three no digon is left, so one hexagon."""
+    expected = {0: [2, 2, 2], 1: [2, 4], 2: [6], 3: [6]}
+    seen = set()
     for conn in enumerate_connections(theta):
-        paths = connection_paths(theta, conn)
-        assert sum(len(p) for p in paths) == 6
-        assert all(len(p) in (2, 3, 6) or True for p in paths)
+        swaps = sum(
+            any(a != b for a, b in conn.maps[(eid, True)]) for eid in range(3)
+        )
+        seen.add(swaps)
+        lengths = sorted(len(p) for p in connection_paths(theta, conn))
+        assert lengths == expected[swaps], swaps
+    assert seen == {0, 1, 2, 3}
 
 
 def test_paths_iterate_connection_rule(any_corpus_graph):

@@ -187,6 +187,34 @@ def test_hnf_solve_membership(rows):
             ] == list(r)
 
 
+@given(int_matrices(max_dim=6, lo=-6, hi=6),
+       st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+       st.lists(st.integers(-9, 9), min_size=6, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_hnf_solver_matches_dense_oracle(rows, coeffs, noise):
+    """The solver built once per basis gives the dense loop's coordinates
+    on lattice members and its None on vectors outside the lattice."""
+    H = linalg.hnf(rows)
+    assume(H)
+    n = len(H[0])
+    solve = linalg.hnf_solver(H)
+    member = [sum(c * h[j] for c, h in zip(coeffs, H)) for j in range(n)]
+    assert solve(member) == oracles.dense_hnf_solve(H, member) == coeffs[: len(H)]
+    for v in (noise[:n], [m + e for m, e in zip(member, noise)], rows[0]):
+        assert solve(v) == oracles.dense_hnf_solve(H, v) == linalg.hnf_solve(H, v)
+    assert solve([0] * n) == [0] * len(H)
+
+
+@given(int_matrices(max_dim=6, lo=-9, hi=9), st.sampled_from([1, 2, 6]))
+@settings(max_examples=80, deadline=None)
+def test_snf_matches_min_scan_oracle(rows, scale):
+    """Taking the first unit as the pivot picks the entry the full
+    smallest-magnitude scan picks, so D, T and T^-1 are the same; scaled
+    matrices have no unit and take the scan itself."""
+    A = [[scale * a for a in row] for row in rows]
+    assert linalg.snf_transform(A) == oracles.min_scan_snf(A)
+
+
 def test_unimodular_inverse_and_errors():
     U = [[2, 1], [1, 1]]
     inv = linalg.unimodular_inverse(U)

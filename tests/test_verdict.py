@@ -10,21 +10,10 @@ from gkm3.connection import Connection, _compatible_bijections
 from gkm3.graph import parse_graph
 from gkm3.verdict import SCHEMA, Analysis, realizability_report
 
-from conftest import CORPUS_NAMES, corpus_graph, prism_graph
+from conftest import CORPUS_NAMES, NOT_GKM_K4, corpus_graph, prism_graph
 
 # Free, but no vertex order of it has flow-up classes.
 FREE_NO_FLOW_UP = (Path(__file__).parent / "free_no_flow_up.json").read_text()
-NOT_GKM_K4 = {
-    "vertices": ["A", "B", "C", "D"],
-    "edges": [
-        {"from": "A", "to": "B", "weight": [1, -2]},
-        {"from": "B", "to": "C", "weight": [1, 2]},
-        {"from": "C", "to": "D", "weight": [0, 3]},
-        {"from": "D", "to": "A", "weight": [2, -3]},
-        {"from": "A", "to": "C", "weight": [1, 3]},
-        {"from": "B", "to": "D", "weight": [3, -1]},
-    ],
-}
 
 
 def test_cube_tier_and_warning(cube):
@@ -199,6 +188,19 @@ def test_prism6_verdict_never_builds_the_product(monkeypatch):
     assert rep["tier"] == "rigid-class"
     assert rep["orientability"]["consistent_across_connections"]
     assert len(calls) <= edge_options + 4
+
+
+def test_hexagon_prism24_betti_numbers():
+    """A 48-vertex graph: the 24-gon with the hexagon's labels repeated
+    around it is the graph of a torus 4-manifold over a 24-gon, Euler
+    characteristic 24, so Betti (1, 22, 1); times CP^1 (the vertical
+    edges) gives (1, 23, 23, 1)."""
+    g = parse_graph((Path(__file__).parent / "hexprism24.json").read_text())
+    assert len(g.vertices) == 48
+    rep = realizability_report(g)
+    assert rep["betti"] == [1, 23, 23, 1, 0, 0]
+    assert rep["poincare_duality"]["ok"]
+    assert rep["z_freeness"]["status"] == "certified"
 
 
 def test_verdict_below_min_degree_cap_raises(theta):

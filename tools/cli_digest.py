@@ -19,7 +19,8 @@ flag, whose 512 connections have the longest faces of the corpus.
 Last, tests/sq22.json, a prism with 2^66 connections, runs validate,
 cohomology, freeness, orientability, surface and verdict in json, and
 orientability and verdict at --connection 2^66 - 1 (the last connection)
-and 2^66 (out of range).
+and 2^66 (out of range); then the verdict of tests/hexprism24.json, the
+48-vertex hexagon-labelled prism.
 Each line holds the exit code, the argv (paths relative to the checkout
 root) and the sha256 of stdout, so a diff of the lines printed in two
 checkouts shows whether their output is byte-identical.
@@ -84,6 +85,7 @@ def calls() -> List[List[str]]:
         "validate", "cohomology", "freeness", "orientability", "surface", "verdict")]
     out += [[cmd, sq22, "--connection", str(i), "--format", "json"]
             for i in (2 ** 66 - 1, 2 ** 66) for cmd in ("orientability", "verdict")]
+    out.append(["verdict", "tests/hexprism24.json", "--format", "json"])
     return out
 
 
