@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import cohomology
-from .graph import DirectedEdge, GraphSemanticError, GraphSyntaxError, parse_graph
+from .graph import GraphSemanticError, GraphSyntaxError, parse_graph
 from .verdict import MIN_DEGREE_CAP, Analysis, NoSuchConnection, realizability_report
 
 CORPUS_ENV = "GKM3_CORPUS"
@@ -121,15 +121,8 @@ def _cmd_connections(a: Analysis, args) -> Tuple[dict, bool]:
         "count": len(conns),
         "explicit": explicit,
         "connections": [
-            {
-                str(eid): {
-                    "forward": {
-                        str(x): y
-                        for x, y in c.as_dict(DirectedEdge(eid, True)).items()
-                    }
-                }
-                for eid in range(len(a.graph.edges))
-            }
+            {str(eid): {"forward": {str(x): y for x, y in c.maps[(eid, True)]}}
+             for eid in range(len(a.graph.edges))}
             for c in conns
         ],
     }

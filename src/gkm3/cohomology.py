@@ -34,23 +34,11 @@ from .connection import Connection, DirectedEdge, transition
 from .graph import GkmGraph
 
 __all__ = [
-    "DEFAULT_DEGREE_CAP",
-    "poly_mul",
-    "poly_eval",
-    "mult_x",
-    "mult_y",
-    "ht_basis_q",
-    "ht_basis_z",
-    "class_product",
-    "BettiResult",
-    "betti_numbers",
-    "cohomology_table",
-    "thom_class_vertex",
-    "thom_class_edge",
-    "PoincareResult",
-    "poincare_duality",
-    "FreenessResult",
-    "z_freeness",
+    "DEFAULT_DEGREE_CAP", "poly_mul", "poly_eval", "mult_x", "mult_y",
+    "ht_basis_q", "ht_basis_z", "class_product", "BettiResult",
+    "betti_numbers", "cohomology_table", "thom_class_vertex",
+    "thom_class_edge", "PoincareResult", "poincare_duality",
+    "FreenessResult", "z_freeness",
 ]
 
 DEFAULT_DEGREE_CAP = 20
@@ -132,54 +120,58 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     the other, free coordinates F are the pivot columns of L's Hermite
     form, and L maps one to one onto its part Y on F.  A vector y on F
     lifts to L when the equations on Q, the fixed coordinates and the t_j,
-    have an integer solution; the lifts of the rows of Y's Hermite form are
-    L's Hermite form.  Y is often all of Z^F: every unit vector lifts, and
-    the lifts are the basis.  Otherwise Z^F / Y is the quotient of the
+    have an integer solution, unique as they follow from F: so it is solved
+    against HQ, an unreduced echelon basis of Q's rows, not a Hermite form.
+    The lifts of the rows of Y's Hermite form are L's Hermite form.  Y is
+    often all of Z^F: every unit vector lifts, from its one nonzero entry,
+    and the lifts are the basis.  Otherwise Z^F / Y is the quotient of the
     lattice spanned by the equation rows of all unknowns by the one spanned
-    by those of Q, so its order divides det Q, the product of Q's Hermite
-    pivots, and Y's Hermite form is taken mod det Q (linalg.hnf_mod) from
-    the class parts of the solutions on F.
+    by those of Q, so its order divides det Q, the product of HQ's pivots,
+    and Y's Hermite form is taken mod det Q (linalg.hnf_mod) from the class
+    parts of the solutions on F.
     """
     cache = g.memo
     if ("z", d) in cache:
         return cache[("z", d)]
     eqs, naux = _divisibility_equations(g, d)
     nf, neq = len(eqs) - naux, naux + len(g.edges)
-    ends = linalg.hnf([[row[col] for row in reversed(eqs[:nf])]
-                       for col in range(naux, neq)])
+    ends = linalg.echelon_basis([[row[col] for row in reversed(eqs[:nf])]
+                                 for col in range(naux, neq)])
     fixed = sorted(nf - 1 - _pivot(row) for row in ends)
     free = sorted(set(range(nf)) - set(fixed))
-    HQ, UQ = linalg.hnf_transform(
-        [eqs[i] for i in fixed + list(range(nf, nf + naux))]
-    )
+    # UQ keeps only the transform's columns of the fixed coordinates.
+    solved_q = linalg.echelon([eqs[i] + [int(i == f) for f in fixed]
+                               for i in fixed + list(range(nf, nf + naux))], neq)
+    HQ, UQ = [row[:neq] for row in solved_q], [row[neq:] for row in solved_q]
     terms = {i: [(col, w) for col, w in enumerate(eqs[i]) if w] for i in free}
     solve_q = linalg.hnf_solver(HQ)
 
-    def lifted(y: Sequence[int]) -> Optional[list]:
-        """The class with part y on F, or None if y is not in Y."""
+    def lifted(y: Sequence[Tuple[int, int]]) -> Optional[list]:
+        """The class whose part on F has the nonzero entries y, as
+        (free coordinate, value) pairs; None if that part is not in Y."""
         f, values = [0] * nf, [0] * neq
-        for i, v in zip(free, y):
-            if v:
-                f[i] = v
-                for col, w in terms[i]:
-                    values[col] -= v * w
+        for i, v in y:
+            f[i] = v
+            for col, w in terms[i]:
+                values[col] -= v * w
         coords = solve_q(values)
         if coords is None:
             return None
         for c, urow in zip(coords, UQ):
             if c:
-                for i, u in zip(fixed, urow):  # the t_j are not kept
+                for i, u in zip(fixed, urow):
                     f[i] += c * u
         return f
 
-    basis = [lifted(y) for y in linalg.eye(len(free))]
+    basis = [lifted([(i, 1)]) for i in free]
     if None in basis:  # Y is not all of Z^F
         solved = linalg.echelon(
             [row + [int(i == f) for f in free] for i, row in enumerate(eqs)], neq
         )
         tails = [row[neq:] for row in solved if not any(row[:neq])]
         det_q = _pivot_product(HQ)
-        basis = [lifted(y) for y in linalg.hnf_mod(tails, len(free), det_q)]
+        basis = [lifted([(i, v) for i, v in zip(free, row) if v])
+                 for row in linalg.hnf_mod(tails, len(free), det_q)]
         if None in basis:
             raise RuntimeError("class lattice row does not lift")
     cache[("z", d)] = basis
@@ -236,7 +228,7 @@ def _located(solve: Callable[[Sequence[int]], Optional[list]],
 
 
 def _pivot_product(H: linalg.Matrix) -> int:
-    """The product of a Hermite form's pivots: the index of its row lattice
+    """The product of an echelon basis's pivots: the index of its lattice
     when it has full rank, the absolute determinant when it is square."""
     return math.prod(row[_pivot(row)] for row in H)
 
@@ -296,8 +288,11 @@ class _Quotient:
     def project(self, vec: Sequence) -> list:
         """Image of a class in the free part of the quotient, (c T)[rank:]."""
         c = _located(self.solve, vec, "class")
-        cols = list(zip(*self.transform))[self.rank:]
-        return [sum(ci * t for ci, t in zip(c, col)) for col in cols]
+        return [sum(ci * t for ci, t in zip(c, col)) for col in self._free_columns]
+
+    @cached_property
+    def _free_columns(self) -> list:
+        return list(zip(*self.transform))[self.rank:]
 
     @cached_property
     def reduced_lifts(self) -> list:
@@ -364,9 +359,9 @@ def _certify_free(g: GkmGraph) -> Optional[Tuple[int, ...]]:
     scaled = [[c * (i == j) for j in range(len(moduli))]
               for i, (_, c) in enumerate(moduli)]
     index = math.prod(c for _, c in moduli) // _pivot_product(
-        linalg.hnf(incidence + scaled)
+        linalg.echelon_basis(incidence + scaled)
     )
-    H = linalg.hnf(values)
+    H = linalg.echelon_basis(values)
     target = index * abs(math.prod(a + b * t for a, b in prims))
     return tuple(betti) if len(H) == n and _pivot_product(H) == target else None
 
@@ -590,7 +585,7 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
 
     N is prod c_e over the index of the lattice spanned by the imprimitive
     edges' signed incidence rows and c_e times their unit vectors, and both
-    determinants are products of Hermite pivots (linalg.hnf).
+    determinants are products of echelon pivots (linalg.echelon_basis).
 
     Otherwise, degree by degree up to the cap: the quotient of the class
     lattice by the x- and y-multiples of the previous degree's lattice is

@@ -76,9 +76,6 @@ class Connection:
                 return b
         raise KeyError(f"edge {f} is not incident to the source of {e}")
 
-    def as_dict(self, e: DirectedEdge) -> Dict[int, int]:
-        return dict(self.maps[(e.edge_id, e.forward)])
-
     @staticmethod
     def from_forward_maps(forward: Mapping[int, Mapping[int, int]]) -> "Connection":
         maps = {}
@@ -288,59 +285,50 @@ def transition(g: GkmGraph, conn: Connection, e: DirectedEdge) -> TransitionData
 
     The matrix entries follow the bookkeeping recipe: column j /= m carries
     eps_j in row sigma(j); column m carries 1 in row sigma(m) and the
-    integers k in the remaining rows.  The weight-transport identity and
-    det phi = ±1 are checked (ConnectionInconsistency).
+    integers k in the remaining rows.  phi is a 3 x 3 tuple built from the
+    map at e, read once as a dict (any other valence is a ValueError).  An
+    incompatible transport, a failing weight-transport identity and
+    det phi /= ±1 raise ConnectionInconsistency.
 
     The data read the connection only through its map at e, so they are
     memoized per graph by (e, that map): every connection that agrees at e
     shares them, as do loop_holonomy and thom_class_edge.
     """
-    key = ("transition", e, conn.maps[(e.edge_id, e.forward)])
+    pairs = conn.maps[(e.edge_id, e.forward)]
+    key = ("transition", e, pairs)
     if key in g.memo:
         return g.memo[key]
-    v, w = g.source(e), g.target(e)
-    src_ids, tgt_ids = g.incident[v], g.incident[w]
-    n = len(src_ids)
-    if n != 3:
+    src_ids, tgt_ids = g.incident[g.source(e)], g.incident[g.target(e)]
+    if len(src_ids) != 3:
         raise ValueError("transition data are defined for 3-valent graphs")
+    to = dict(pairs)
     m = src_ids.index(e.edge_id)
     we = g.edges[e.edge_id].weight
-
-    sigma, eps, k = [0] * n, [0] * n, [0] * n
-    for i, f in enumerate(src_ids):
-        fp = conn.apply(e, f)
-        sigma[i] = tgt_ids.index(fp)
-        if f == e.edge_id:
-            eps[i], k[i] = 1, 0
-            continue
-        coeffs = transport_coefficients(g.edges[f].weight, g.edges[fp].weight, we)
-        if coeffs is None:
-            raise ConnectionInconsistency(
-                f"incompatible transport along edge {e.edge_id}"
-            )
-        eps[i], k[i] = coeffs
-
-    phi = [[0] * n for _ in range(n)]
-    for j in range(n):
+    sigma = tuple(tgt_ids.index(to[f]) for f in src_ids)
+    eps, k, phi = [1, 1, 1], [0, 0, 0], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    for j, f in enumerate(src_ids):
+        if j != m:
+            coeffs = transport_coefficients(g.edges[f].weight,
+                                            g.edges[to[f]].weight, we)
+            if coeffs is None:
+                raise ConnectionInconsistency(
+                    f"incompatible transport along edge {e.edge_id}"
+                )
+            eps[j], k[j] = coeffs
+            phi[sigma[j]][m] = k[j]
         phi[sigma[j]][j] = eps[j]
-    for i in range(n):
-        if i != sigma[m]:
-            phi[i][m] = k[sigma.index(i)]
 
     # Weight-transport identity: phi @ (rows of weights at v) matches the
     # sigma-permuted rows of weights at w.
-    for i in range(n):
-        row = [
-            sum(phi[i][j] * g.edges[src_ids[j]].weight.vector[c] for j in range(n))
-            for c in range(2)
-        ]
-        if tuple(row) != g.edges[tgt_ids[i]].weight.vector:
+    (a0, b0), (a1, b1), (a2, b2) = (g.edges[f].weight.vector for f in src_ids)
+    for (p0, p1, p2), f in zip(phi, tgt_ids):
+        if (p0 * a0 + p1 * a1 + p2 * a2,
+                p0 * b0 + p1 * b1 + p2 * b2) != g.edges[f].weight.vector:
             raise ConnectionInconsistency(
                 f"weight transport identity fails along edge {e.edge_id}"
             )
-    data = TransitionData(
-        e, tuple(sigma), tuple(eps), tuple(k), tuple(tuple(r) for r in phi)
-    )
+    data = TransitionData(e, sigma, tuple(eps), tuple(k),
+                          tuple(tuple(r) for r in phi))
     if data.det_phi not in (1, -1):
         raise ConnectionInconsistency(f"det phi = {data.det_phi} along {e.edge_id}")
     g.memo[key] = data
@@ -415,16 +403,19 @@ def connection_paths(g: GkmGraph, conn: Connection) -> List[ConnectionPath]:
 def loop_holonomy(
     g: GkmGraph, conn: Connection, path: ConnectionPath
 ) -> List[List[int]]:
-    """Ordered product of the transition matrices around a connection path.
+    """Ordered product of the 3 x 3 transition matrices around a connection
+    path, unrolled over tuples (transition rejects other valences).
 
     Transition matrices are expressed in the stored incidence orders, so
     consecutive factors compose directly; the result maps the incident-edge
     coordinates at the starting vertex to themselves.
     """
-    n = g.valence
-    acc = [[int(i == j) for j in range(n)] for i in range(n)]
+    (a, b, c), (d, e, f), (p, q, r) = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     for step in path.steps:
-        phi = transition(g, conn, step).phi
-        acc = [[sum(p * a for p, a in zip(row, col)) for col in zip(*acc)]
-               for row in phi]
-    return acc
+        (A, B, C), (D, E, F), (P, Q, R) = transition(g, conn, step).phi
+        a, b, c, d, e, f, p, q, r = (
+            A * a + B * d + C * p, A * b + B * e + C * q, A * c + B * f + C * r,
+            D * a + E * d + F * p, D * b + E * e + F * q, D * c + E * f + F * r,
+            P * a + Q * d + R * p, P * b + Q * e + R * q, P * c + Q * f + R * r,
+        )
+    return [[a, b, c], [d, e, f], [p, q, r]]

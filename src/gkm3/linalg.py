@@ -7,13 +7,16 @@ snf_transform, which meets one in the degree-0 quotient, takes it
 explicitly.
 
 The integer routines (HNF, rank, Smith form, HNF back-substitution) carry
-the package.  echelon is the one elimination; its callers append only the
-columns they read (hnf none, hnf_transform an identity,
-cohomology.ht_basis_z some class coordinates).  hnf_mod is the Hermite form
-of a full-rank lattice with a known multiple of its determinant, all of its
-entries kept below that multiple.  hnf_solver finds a Hermite basis's
-pivots once and returns the back-substitution against it, which touches
-only the basis's nonzero entries; hnf_solve is one call of it.
+the package.  echelon is the one elimination and leaves the entries above
+its pivots unreduced, as pivots, ranks and solves read none of them; hnf
+and hnf_transform, which return the canonical form, add the reduction pass
+(_reduced).  Callers append only the columns they read (hnf none,
+hnf_transform an identity, cohomology.ht_basis_z some class coordinates).
+hnf_mod is the Hermite form of a full-rank lattice with a known multiple of
+its determinant, all of its entries kept below that multiple.  hnf_solver
+finds an echelon basis's pivots once and returns the back-substitution
+against it, touching only the basis's nonzero entries; hnf_solve is one
+call of it.
 snf_transform is the one Smith elimination; it carries T and T^-1, the two
 transforms cohomology's quotients read, and its pivot is the first unit
 entry when there is one, else the first entry of smallest magnitude (the
@@ -102,9 +105,8 @@ def exgcd(a: int, b: int) -> Tuple[int, int, int]:
 
 def echelon(rows: Sequence[Sequence[int]], n: int) -> Matrix:
     """[H | U B] for rows [A | B] with n columns in A: U is unimodular,
-    U A = H is in row HNF (pivots positive, entries above a pivot reduced
-    into [0, pivot), zero rows at the bottom), and B is carried along.
-    """
+    U A = H is a row echelon form (pivots positive, zero rows at the bottom,
+    entries above a pivot not reduced), and B is carried along."""
     H = [list(row) for row in rows]
     m = len(H)
     r = 0
@@ -127,27 +129,44 @@ def echelon(rows: Sequence[Sequence[int]], n: int) -> Matrix:
         if piv == 0:
             continue
         if piv < 0:
-            piv = -piv
             H[r] = [-s for s in H[r]]
-        for j in range(r):
-            q = H[j][c] // piv
-            if q != 0:
-                H[j] = [s - q * t for s, t in zip(H[j], H[r])]
         r += 1
     return H
 
 
+def _reduced(E: Matrix, n: int) -> Matrix:
+    """Reduces an echelon's entries above each pivot of its first n columns
+    into [0, pivot), in place, top pivot first.  Row r's reduction reads row
+    r and writes rows above it, which the elimination's later steps never
+    touch, so reducing inside the elimination made the same operations."""
+    c = -1
+    for r, row in enumerate(E):
+        c = next((j for j in range(c + 1, n) if row[j] != 0), None)
+        if c is None:
+            break  # the zero rows are at the bottom
+        for j in range(r):
+            q = E[j][c] // row[c]
+            if q != 0:
+                E[j] = [s - q * t for s, t in zip(E[j], row)]
+    return E
+
+
 def hnf_transform(A: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
     """Row Hermite normal form with transform: returns (H, U), U @ A == H,
-    read off the echelon of [A | I]."""
+    read off the reduced echelon of [A | I]."""
     n = len(A[0]) if A else 0
-    E = echelon([list(row) + e for row, e in zip(A, eye(len(A)))], n)
+    E = _reduced(echelon([list(row) + e for row, e in zip(A, eye(len(A)))], n), n)
     return [row[:n] for row in E], [row[n:] for row in E]
+
+
+def echelon_basis(A: Sequence[Sequence[int]]) -> Matrix:
+    """echelon's nonzero rows: a basis of A's row lattice with hnf's pivots."""
+    return [row for row in echelon(A, len(A[0]) if A else 0) if any(row)]
 
 
 def hnf(A: Sequence[Sequence[int]]) -> Matrix:
     """Row HNF with zero rows dropped: the canonical basis of the row lattice."""
-    return [row for row in echelon(A, len(A[0]) if A else 0) if any(row)]
+    return _reduced(echelon_basis(A), len(A[0]) if A else 0)
 
 
 def hnf_mod(rows: Sequence[Sequence[int]], n: int, D: int) -> Matrix:
@@ -190,8 +209,8 @@ def hnf_mod(rows: Sequence[Sequence[int]], n: int, D: int) -> Matrix:
 
 
 def q_rank(A: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix: the row count of its HNF."""
-    return len(hnf(A))
+    """Rank over Q of an integer matrix: the row count of its echelon basis."""
+    return len(echelon_basis(A))
 
 
 def z_kernel(A: Sequence[Sequence[int]]) -> Matrix:
@@ -237,8 +256,9 @@ def snf_transform(
             if i != k:
                 D[k], D[i] = D[i], D[k]
             if j != k:
-                for row in D + T:
-                    row[k], row[j] = row[j], row[k]
+                for M in (D, T):
+                    for row in M:
+                        row[k], row[j] = row[j], row[k]
                 Tinv[k], Tinv[j] = Tinv[j], Tinv[k]
             piv = D[k][k]
             clean = True
@@ -251,8 +271,9 @@ def snf_transform(
             for j in range(k + 1, n):
                 q = D[k][j] // piv
                 if q:
-                    for row in D + T:
-                        row[j] -= q * row[k]
+                    for M in (D, T):
+                        for row in M:
+                            row[j] -= q * row[k]
                     Tinv[k] = [s + q * t for s, t in zip(Tinv[k], Tinv[j])]
                 if D[k][j] != 0:
                     clean = False
@@ -322,8 +343,8 @@ def lattice_solve(B: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list
 
 
 def hnf_solver(H: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], Optional[list]]:
-    """solve(v): the integer coordinates of v in the row lattice of a
-    row-HNF basis H, or None when v is not in the lattice.
+    """solve(v): the integer coordinates of v in the row lattice of a row
+    echelon basis H (reduced or not), or None when v is not in it.
 
     H's pivot columns are found once, and each row keeps only its nonzero
     entries right of its pivot, so a solve is a back-substitution that

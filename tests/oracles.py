@@ -12,10 +12,13 @@ nothing with the package's label-table eta: from det2 alone, and from each
 connection's transition data in both directions.  The edge Thom class is
 multiplied out by sympy.  The sign oracles try every ±1 labelling of the
 nodes and every set of face flips, without a spanning forest.  The exact
-kernel's replaced loops stay here as oracles: the back-substitution that
+kernel's replaced loops stay here as oracles: the elimination that reduced
+above each pivot as soon as it found it, the back-substitution that
 finds a basis's pivots on every call, the Smith form that scans the whole
 remaining submatrix for each pivot, and the lift that sums the transposed
-lattice's columns.
+lattice's columns.  So do the connection's replaced loops: the transition
+data assembled as n x n lists from one map lookup per edge, without the
+memo, and the holonomy multiplied as list comprehensions over those.
 """
 
 import itertools
@@ -32,6 +35,7 @@ from sympy.matrices.normalforms import (
 
 from gkm3.connection import (
     Connection,
+    ConnectionInconsistency,
     ConnectionPath,
     _compatible_bijections,
     connection_from_block,
@@ -39,6 +43,7 @@ from gkm3.connection import (
     transport_coefficients,
 )
 from gkm3.graph import DirectedEdge, det2
+from gkm3.linalg import exgcd
 
 x, y = sympy.symbols("x y")
 
@@ -381,6 +386,42 @@ def faces_flip_coherently(faces) -> bool:
     return False
 
 
+def reducing_echelon(rows: Sequence[Sequence[int]], n: int) -> List[list]:
+    """[H | U B] for rows [A | B], H the row HNF of A, each pivot's column
+    reduced in the rows above it as soon as the pivot is found.  The row
+    combinations use the package's exgcd, so U is comparable entry by
+    entry."""
+    H = [list(row) for row in rows]
+    m = len(H)
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for i in range(r + 1, m):
+            if H[i][c] == 0:
+                continue
+            if H[r][c] == 0:
+                H[r], H[i] = H[i], H[r]
+                continue
+            g, s, t = exgcd(H[r][c], H[i][c])
+            p, q = H[r][c] // g, H[i][c] // g
+            a, b = H[r], H[i]
+            H[r] = [s * u + t * v for u, v in zip(a, b)]
+            H[i] = [p * v - q * u for u, v in zip(a, b)]
+        piv = H[r][c]
+        if piv == 0:
+            continue
+        if piv < 0:
+            piv = -piv
+            H[r] = [-u for u in H[r]]
+        for j in range(r):
+            q = H[j][c] // piv
+            if q != 0:
+                H[j] = [u - q * v for u, v in zip(H[j], H[r])]
+        r += 1
+    return H
+
+
 def dense_hnf_solve(H: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list]:
     """Integer coordinates of v in the row lattice of a row-HNF basis H, or
     None: each row's pivot searched for on every call, and every column
@@ -465,3 +506,65 @@ def transposed_lift(lattice: Sequence[Sequence[int]], coords: Sequence[int]) -> 
     """sum_i coords_i lattice_i, one column of the transposed lattice at a
     time."""
     return [sum(c * a for c, a in zip(coords, col)) for col in zip(*lattice)]
+
+
+def listed_transition(g, conn, e):
+    """(sigma, eps, k, phi) of a directed edge, phi assembled as n x n lists
+    with conn.apply per incident edge and checked by the generic
+    weight-transport product and the Leibniz determinant; nothing is
+    memoized."""
+    v, w = g.source(e), g.target(e)
+    src_ids, tgt_ids = g.incident[v], g.incident[w]
+    n = len(src_ids)
+    if n != 3:
+        raise ValueError("transition data are defined for 3-valent graphs")
+    m = src_ids.index(e.edge_id)
+    we = g.edges[e.edge_id].weight
+    sigma, eps, k = [0] * n, [0] * n, [0] * n
+    for i, f in enumerate(src_ids):
+        fp = conn.apply(e, f)
+        sigma[i] = tgt_ids.index(fp)
+        if f == e.edge_id:
+            eps[i], k[i] = 1, 0
+            continue
+        coeffs = transport_coefficients(g.edges[f].weight, g.edges[fp].weight, we)
+        if coeffs is None:
+            raise ConnectionInconsistency(
+                f"incompatible transport along edge {e.edge_id}"
+            )
+        eps[i], k[i] = coeffs
+    phi = [[0] * n for _ in range(n)]
+    for j in range(n):
+        phi[sigma[j]][j] = eps[j]
+    for i in range(n):
+        if i != sigma[m]:
+            phi[i][m] = k[sigma.index(i)]
+    for i in range(n):
+        row = [
+            sum(phi[i][j] * g.edges[src_ids[j]].weight.vector[c] for j in range(n))
+            for c in range(2)
+        ]
+        if tuple(row) != g.edges[tgt_ids[i]].weight.vector:
+            raise ConnectionInconsistency(
+                f"weight transport identity fails along edge {e.edge_id}"
+            )
+    det = sum(
+        (-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+        * math.prod(phi[i][p[i]] for i in range(n))
+        for p in itertools.permutations(range(n))
+    )
+    if det not in (1, -1):
+        raise ConnectionInconsistency(f"det phi = {det} along {e.edge_id}")
+    return tuple(sigma), tuple(eps), tuple(k), tuple(tuple(r) for r in phi)
+
+
+def listed_holonomy(g, conn, path) -> List[List[int]]:
+    """The product of listed_transition's matrices around a path, each step
+    a list-comprehension product with the running n x n list."""
+    n = g.valence
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
+    for step in path.steps:
+        phi = listed_transition(g, conn, step)[3]
+        acc = [[sum(p * a for p, a in zip(row, col)) for col in zip(*acc)]
+               for row in phi]
+    return acc

@@ -299,6 +299,95 @@ def test_loop_holonomy_identity_on_cube(cube):
         )
 
 
+IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def _relifted_prism4():
+    """prism4 with a seeded half of its labels negated (the same labels)."""
+    doc = corpus_json("prism4")
+    rng = random.Random(4)
+    for e in doc["edges"]:
+        if rng.random() < 0.5:
+            e["weight"] = [-x for x in e["weight"]]
+    return parse_graph(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "name, nontrivial",
+    [("theta", False), ("flag", False), ("nonorientable", True),
+     ("relifted prism4", False)],
+)
+def test_transitions_and_holonomy_match_listed_oracles(name, nontrivial):
+    """The 3 x 3 tuple transition data and holonomy products equal the
+    list-built oracles on every directed edge and every face of every
+    connection (256 seeded ones of the relifted prism4's 4096);
+    nonorientable has faces of both holonomy outcomes."""
+    g = _relifted_prism4() if name == "relifted prism4" else corpus_graph(name)
+    conns, _ = available_connections(g)
+    indices = range(len(conns))
+    if name == "relifted prism4":
+        indices = sorted(random.Random(0).sample(indices, 256))
+    outcomes = set()
+    for conn in (conns[i] for i in indices):
+        for eid in range(len(g.edges)):
+            for forward in (True, False):
+                e = DirectedEdge(eid, forward)
+                data = transition(g, conn, e)
+                assert (data.sigma, data.eps, data.k, data.phi) == (
+                    oracles.listed_transition(g, conn, e)
+                )
+        for path in connection_paths(g, conn):
+            h = loop_holonomy(g, conn, path)
+            assert h == oracles.listed_holonomy(g, conn, path)
+            outcomes.add(h == IDENTITY)
+    assert outcomes == ({True, False} if nontrivial else {True})
+
+
+def test_transition_keeps_its_checks(monkeypatch):
+    """Each invariant check of transition raises: an incompatible transport,
+    a failing weight-transport identity (a solver returning a wrong k) and
+    det phi /= +-1; and a valence other than 3 is a ValueError, for
+    loop_holonomy too."""
+    g = parse_graph(json.dumps({
+        "vertices": ["u", "w"],
+        "edges": [{"from": "u", "to": "w", "weight": w}
+                  for w in ([1, 0], [0, 1], [1, 2])],
+    }))
+    swap = Connection.from_forward_maps(
+        {0: {0: 0, 1: 2, 2: 1}, 1: {0: 0, 1: 1, 2: 2}, 2: {0: 0, 1: 1, 2: 2}}
+    )
+    e = DirectedEdge(0, True)
+    with pytest.raises(connection.ConnectionInconsistency, match="incompatible"):
+        transition(g, swap, e)
+
+    fixed = enumerate_connections(g)[0]
+    real = connection.transport_coefficients
+
+    def off_by_one(wf, wfp, we):
+        eps, k = real(wf, wfp, we)
+        return eps, k + 1
+
+    with monkeypatch.context() as mp:
+        mp.setattr(connection, "transport_coefficients", off_by_one)
+        with pytest.raises(connection.ConnectionInconsistency, match="identity"):
+            transition(g, fixed, e)
+    with monkeypatch.context() as mp:
+        mp.setattr(connection.TransitionData, "det_phi", property(lambda d: 2))
+        with pytest.raises(connection.ConnectionInconsistency, match="det phi"):
+            transition(g, fixed, e)
+    assert transition(g, fixed, e).det_phi in (1, -1)
+
+    digon = parse_graph(json.dumps({
+        "vertices": ["a", "b"],
+        "edges": [{"from": "a", "to": "b", "weight": w} for w in ([1, 0], [0, 1])],
+    }))
+    conn = enumerate_connections(digon)[0]
+    with pytest.raises(ValueError, match="3-valent"):
+        transition(digon, conn, e)
+    with pytest.raises(ValueError, match="3-valent"):
+        loop_holonomy(digon, conn, ConnectionPath((e, DirectedEdge(1, False))))
+
+
 def test_paths_require_trivalent(theta):
     g = parse_graph(json.dumps({
         "vertices": ["a", "b"],
@@ -372,7 +461,7 @@ def test_block_acceptance_matches_pairwise_oracle(name, data):
     block[str(eid)] = {"forward": {str(a): b for a, b in fmap.items()}}
     if oracles.block_map_compatible(g, eid, fmap):
         conn = connection_from_block(g, block, space.options)
-        assert conn.as_dict(DirectedEdge(eid, True)) == fmap
+        assert dict(conn.maps[(eid, True)]) == fmap
     else:
         with pytest.raises(GraphSemanticError, match=f"edge {eid} map is not"):
             connection_from_block(g, block, space.options)

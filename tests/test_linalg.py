@@ -53,12 +53,28 @@ def test_nullspace_is_right_kernel(rows):
 @given(int_matrices())
 @settings(max_examples=60, deadline=None)
 def test_hnf_transform_contract(rows):
-    # The echelon of [A | I] carries the transform in its identity columns.
+    # hnf_transform is the echelon of [A | I] with the entries above each
+    # pivot of A's part reduced: the reduction acts on the whole rows, so
+    # it carries the transform along.
     A = rows
     n = len(A[0])
-    E = linalg.echelon([row + e for row, e in zip(A, linalg.eye(len(A)))], n)
-    H, U = [row[:n] for row in E], [row[n:] for row in E]
-    assert (H, U) == linalg.hnf_transform(A)
+    R = linalg.echelon([row + e for row, e in zip(A, linalg.eye(len(A)))], n)
+    # Reduce [H | U] as one matrix, top pivot first; only its first n
+    # columns hold pivots.
+    for r, row in enumerate(R):
+        nz = [j for j in range(n) if row[j]]
+        if not nz:
+            break
+        p = nz[0]
+        for i in range(r):
+            q = R[i][p] // row[p]
+            R[i] = [a - q * b for a, b in zip(R[i], row)]
+    H, U = linalg.hnf_transform(A)
+    assert (H, U) == ([row[:n] for row in R], [row[n:] for row in R])
+    # The same row operations as reducing inside the elimination.
+    assert R == oracles.reducing_echelon(
+        [row + e for row, e in zip(A, linalg.eye(len(A)))], n
+    )
     assert _sym(U) * _sym(A) == _sym(H)
     assert abs(_sym(U).det()) == 1
     # Row-HNF shape: pivots strictly right of the previous, entries above a
@@ -74,6 +90,23 @@ def test_hnf_transform_contract(rows):
         assert H[i][p] > 0
         for r in range(i):
             assert 0 <= H[r][p] < H[i][p]
+
+
+@given(int_matrices())
+@settings(max_examples=60, deadline=None)
+def test_echelon_has_the_pivots_and_lattice_of_hnf(rows):
+    # echelon leaves the entries above its pivots unreduced; its nonzero
+    # rows keep hnf's pivot columns and values and span the same lattice.
+    E = linalg.echelon_basis(rows)
+    assert E == [row for row in linalg.echelon(rows, len(rows[0])) if any(row)]
+    H = linalg.hnf(rows)
+
+    def pivots(M):
+        return [next((j, x) for j, x in enumerate(row) if x) for row in M]
+
+    assert pivots(E) == pivots(H)
+    assert oracles.lattice_equal(E, H)
+    assert linalg.q_rank(rows) == len(H)
 
 
 @given(int_matrices())

@@ -282,3 +282,49 @@ def test_verdict_builds_each_transition_once(flag, monkeypatch):
     first = connection.transition(flag, a.connection, e)
     assert connection.transition(flag, a.connection, e) is first
     assert len(built) == len(set(built))
+
+
+def test_loop_holonomy_trivial_reports_both_outcomes():
+    # Every face of nonorientable's connection 0 has trivial holonomy; one
+    # face of its connection 12 does not.
+    text = (Path(verdict.__file__).parent / "corpus" / "nonorientable.json").read_text()
+    outcomes = [
+        realizability_report(parse_graph(text), connection_index=i)
+        ["connections"]["loop_holonomy_trivial"]
+        for i in (0, 12)
+    ]
+    assert outcomes == [True, False]
+
+
+@pytest.mark.parametrize(
+    "name", CORPUS_NAMES + ["cp3", "prism4", "prism6"]
+)
+def test_verdict_runs_no_reduction_pass_and_lifts_without_eye(name, monkeypatch):
+    # Every echelon a verdict reads is read for its pivots, ranks or
+    # solves, so the reduction above the pivots (hnf, hnf_transform) never
+    # runs; ht_basis_z lifts unit vectors from their one nonzero entry.
+    reductions, eyes, inside = [], [], []
+    reduced, eye, basis = linalg._reduced, linalg.eye, cohomology.ht_basis_z
+
+    def spy_reduced(E, n):
+        reductions.append(n)
+        return reduced(E, n)
+
+    def spy_eye(n):
+        if inside:
+            eyes.append(n)
+        return eye(n)
+
+    def spy_basis(g, d):
+        inside.append(d)
+        try:
+            return basis(g, d)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "_reduced", spy_reduced)
+    monkeypatch.setattr(linalg, "eye", spy_eye)
+    monkeypatch.setattr(cohomology, "ht_basis_z", spy_basis)
+    realizability_report(corpus_graph(name))
+    assert reductions == []
+    assert eyes == []
