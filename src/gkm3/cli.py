@@ -116,9 +116,11 @@ def _cmd_validate(a: Analysis, args) -> Tuple[dict, bool]:
 
 def _cmd_connections(a: Analysis, args) -> Tuple[dict, bool]:
     conns, explicit = a.connections
+    if conns.count > sys.maxsize:  # where len() and list indices end
+        raise InputError(f"{conns.count} compatible connections, too many to list")
     payload = {
         "name": a.graph.name,
-        "count": len(conns),
+        "count": conns.count,
         "explicit": explicit,
         "connections": [
             {str(eid): {"forward": {str(x): y for x, y in c.maps[(eid, True)]}}
@@ -126,7 +128,7 @@ def _cmd_connections(a: Analysis, args) -> Tuple[dict, bool]:
             for c in conns
         ],
     }
-    return payload, len(conns) == 0
+    return payload, not conns
 
 
 def _cmd_orientability(a: Analysis, args) -> Tuple[dict, bool]:

@@ -14,8 +14,8 @@ class lattice is the integer solution set of those equations and
 congruences, and its Hermite form is reduced modulo its index on the free
 coordinates, so that reduction never meets an entry above the index.  The
 lattice also spans the rational classes (see ht_basis_q), so one integral
-quotient per degree gives the Betti numbers, the duality pairing and the
-torsion test.
+quotient per degree gives the Betti numbers and the torsion test, and one
+functional of the degree-6 quotient reads the whole duality pairing.
 When the lifts of the quotients' bases up to the valence are a free basis
 of all classes, one determinant proves it (z_freeness), and with it
 freeness and the Betti numbers in every degree, so the quotients above are
@@ -35,7 +35,7 @@ from .graph import GkmGraph
 
 __all__ = [
     "DEFAULT_DEGREE_CAP", "poly_mul", "poly_eval", "mult_x", "mult_y",
-    "ht_basis_q", "ht_basis_z", "class_product", "BettiResult",
+    "ht_basis_q", "ht_basis_z", "BettiResult",
     "betti_numbers", "cohomology_table", "thom_class_vertex",
     "thom_class_edge", "PoincareResult", "poincare_duality",
     "FreenessResult", "z_freeness",
@@ -233,14 +233,6 @@ def _pivot_product(H: linalg.Matrix) -> int:
     return math.prod(row[_pivot(row)] for row in H)
 
 
-def class_product(g: GkmGraph, u: Sequence, du: int, v: Sequence, dv: int) -> list:
-    """Vertexwise product of a degree-2du and a degree-2dv class."""
-    out: list = []
-    for pu, pv in zip(_blocks(g, u, du), _blocks(g, v, dv)):
-        out.extend(poly_mul(pu, pv))
-    return out
-
-
 def _raised(g: GkmGraph, basis: linalg.Matrix, d: int) -> list:
     """x- and y-multiples of degree-2d basis rows, as degree-2(d+1) vectors."""
     out = []
@@ -257,17 +249,16 @@ class _Quotient:
 
     With C the coordinates in L of the raised L_{d-1} rows and S C T = D its
     Smith form, the submodule is spanned by d_i times row i of T^-1 (as
-    coordinates in L) for i < rank.  So a class with lattice coordinates c
-    reduces to (c T)[rank:] in the free part of the quotient, and rows
-    rank.. of T^-1 L lift a basis of that free part.  T and T^-1 both come
-    from the one Smith elimination (linalg.snf_transform).
+    coordinates in L) for i < rank.  So a class c L reduces to (c T)[rank:]
+    in the free part of the quotient (functional reads its first entry
+    without c), and rows rank.. of T^-1 L lift a basis of that free part.
+    T and T^-1 both come from the one Smith elimination (linalg.snf_transform).
     """
 
     lattice: linalg.Matrix
     transform: linalg.Matrix
     inverse: linalg.Matrix  # T^-1: its rows are the adapted basis's coordinates
     divisors: Tuple[int, ...]  # the nonzero d_i, in order
-    solve: Callable[[Sequence[int]], Optional[list]]  # coordinates in lattice
 
     @property
     def rank(self) -> int:
@@ -285,19 +276,25 @@ class _Quotient:
                 out = [s + c * x for s, x in zip(out, row)]
         return out
 
-    def project(self, vec: Sequence) -> list:
-        """Image of a class in the free part of the quotient, (c T)[rank:]."""
-        c = _located(self.solve, vec, "class")
-        return [sum(ci * t for ci, t in zip(c, col)) for col in self._free_columns]
-
-    @cached_property
-    def _free_columns(self) -> list:
-        return list(zip(*self.transform))[self.rank:]
-
     @cached_property
     def reduced_lifts(self) -> list:
         """Classes lifting a basis of the free part of the quotient."""
         return [self.lift(row) for row in self.inverse[self.rank:]]
+
+    def functional(self) -> Tuple[list, int]:
+        """(mu, s), s > 0, with mu . f = s (c T)[rank] for each class f = c L:
+        mu is 0 off L's pivot columns P and solves the upper triangular
+        L[:, P] mu_P = s (column rank of T) from the last row up, scaled by
+        the least factor that makes each pivot divide (s = 2 on cp3)."""
+        mu, s = [0] * len(self.lattice[0]), 1
+        for row, t in zip(reversed(self.lattice), reversed(self.transform)):
+            p = _pivot(row)
+            r = s * t[self.rank] - sum(x * m for x, m in zip(row, mu) if m)
+            scale = row[p] // math.gcd(row[p], r)
+            if scale > 1:
+                mu, s, r = [scale * m for m in mu], scale * s, scale * r
+            mu[p] = r // row[p]
+        return mu, s
 
 
 def _quotient(g: GkmGraph, d: int) -> _Quotient:
@@ -312,7 +309,7 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
     ]
     D, T, Tinv = linalg.snf_transform(coords, len(L))
     divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
-    q = _Quotient(L, T, Tinv, divisors, solve)
+    q = _Quotient(L, T, Tinv, divisors)
     cache[("quotient", d)] = q
     return q
 
@@ -483,6 +480,19 @@ def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
 # Poincare duality
 # ---------------------------------------------------------------------------
 
+def _pairing(g: GkmGraph) -> linalg.Matrix:
+    """mu . (u v) = r_u . v, r_u[w, b] = sum_a u_w[a] mu_w[a + b], for the
+    classes u, v lifting bases of the reduced H^2 and H^4 (poincare_duality)."""
+    reps2, reps4 = (_quotient(g, d).reduced_lifts for d in (1, 2))
+    mu = _blocks(g, _quotient(g, 3).functional()[0], 3)
+    out = []
+    for u in reps2:
+        r_u = [sum(a * m[i + b] for i, a in enumerate(ub))
+               for ub, m in zip(_blocks(g, u, 1), mu) for b in range(3)]
+        out.append([sum(x * y for x, y in zip(r_u, v)) for v in reps4])
+    return out
+
+
 @dataclass(frozen=True)
 class PoincareResult:
     ok: bool
@@ -499,6 +509,12 @@ def poincare_duality(
     Requires b_0 = b_6 = 1, b_2 = b_4, vanishing above degree 6, and a
     nondegenerate product pairing between the reduced degree-2 and degree-4
     parts (reduced means modulo the ideal generated by x and y).
+
+    With (mu, s) the degree-6 _Quotient.functional, the pairing is read as
+    mu . (u v): s > 0 times the image of u v in the reduced H^6, so of the
+    same rank, as a product of classes is a class:
+    f_u g_u - f_v g_v = f_u (g_u - g_v) + g_v (f_u - f_v).  No product is
+    formed or solved for (_pairing).
     """
     res = betti_numbers(g, degree_cap)
     betti = res.betti
@@ -517,24 +533,10 @@ def poincare_duality(
     if reasons:
         return PoincareResult(False, betti, reasons=tuple(reasons))
 
-    # Classes lifting a basis of the reduced H^2 and H^4, paired into the
-    # reduced H^6, which has rank 1.
-    reps2, reps4 = (_quotient(g, d).reduced_lifts for d in (1, 2))
-    h6 = _quotient(g, 3)
-    pairing = [
-        [h6.project(class_product(g, u, 1, v, 2))[0] for v in reps4]
-        for u in reps2
-    ]
-    b2 = len(reps2)
-    rank = linalg.q_rank(pairing)
-    if rank != b2:
-        return PoincareResult(
-            False,
-            betti,
-            pairing_rank=rank,
-            reasons=(f"product pairing has rank {rank}, expected {b2}",),
-        )
-    return PoincareResult(True, betti, pairing_rank=rank)
+    rank = linalg.q_rank(_pairing(g))
+    if rank != padded[1]:
+        reasons.append(f"product pairing has rank {rank}, expected {padded[1]}")
+    return PoincareResult(not reasons, betti, rank, tuple(reasons))
 
 
 # ---------------------------------------------------------------------------

@@ -200,12 +200,7 @@ def hnf_mod(rows: Sequence[Sequence[int]], n: int, D: int) -> Matrix:
             H += eye(n)[c + 1:]
             break
         rows = [r for r in ([x % R for x in row] for row in rows) if any(r)]
-    for c in range(n):
-        for i in range(c):
-            q = H[i][c] // H[c][c]
-            if q != 0:
-                H[i] = [s - q * t for s, t in zip(H[i], H[c])]
-    return H
+    return _reduced(H, n)
 
 
 def q_rank(A: Sequence[Sequence[int]]) -> int:

@@ -16,7 +16,10 @@ kernel's replaced loops stay here as oracles: the elimination that reduced
 above each pivot as soon as it found it, the back-substitution that
 finds a basis's pivots on every call, the Smith form that scans the whole
 remaining submatrix for each pivot, and the lift that sums the transposed
-lattice's columns.  So do the connection's replaced loops: the transition
+lattice's columns.  The duality pairing's replaced path stays as well:
+each product class formed vertex by vertex, solved for in the degree-6
+lattice and projected through the Smith transform.  So do the
+connection's replaced loops: the transition
 data assembled as n x n lists from one map lookup per edge, without the
 memo, and the holonomy multiplied as list comprehensions over those.
 """
@@ -506,6 +509,36 @@ def transposed_lift(lattice: Sequence[Sequence[int]], coords: Sequence[int]) -> 
     """sum_i coords_i lattice_i, one column of the transposed lattice at a
     time."""
     return [sum(c * a for c, a in zip(coords, col)) for col in zip(*lattice)]
+
+
+def class_product(g, u: Sequence, du: int, v: Sequence, dv: int) -> list:
+    """Vertexwise product of a degree-2du and a degree-2dv class."""
+    out: list = []
+    for pu, pv in zip(blocks(g, u, du).values(), blocks(g, v, dv).values()):
+        prod = [0] * (du + dv + 1)
+        for i, a in enumerate(pu):
+            for j, b in enumerate(pv):
+                prod[i + j] += a * b
+        out.extend(prod)
+    return out
+
+
+def project(q, vec: Sequence[int]) -> list:
+    """Image of a class in the free part of a cohomology quotient q,
+    (c T)[rank:] with c the class's coordinates in q.lattice, solved for;
+    RuntimeError when the class is outside the lattice."""
+    c = dense_hnf_solve(q.lattice, vec)
+    if c is None:
+        raise RuntimeError("class escaped the class lattice")
+    return [sum(ci * t for ci, t in zip(c, col))
+            for col in list(zip(*q.transform))[q.rank:]]
+
+
+def projected_pairing(g, reps2, reps4, q) -> List[list]:
+    """The reduced H^2 x H^4 pairing: each product class formed and
+    projected into the degree-6 quotient q."""
+    return [[project(q, class_product(g, u, 1, v, 2))[0] for v in reps4]
+            for u in reps2]
 
 
 def listed_transition(g, conn, e):

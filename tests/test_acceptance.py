@@ -85,9 +85,9 @@ def test_criterion_3_nonorientable(capsys):
     orient = is_orientable(g)
     pd = coh.poincare_duality(g)
     # Image of every vertex Thom class in the degree-6 quotient.
-    proj = coh._quotient(g, 3).project
+    h6 = coh._quotient(g, 3)
     thoms_vanish = all(
-        all(c == 0 for c in proj(coh.thom_class_vertex(g, v)))
+        all(c == 0 for c in oracles.project(h6, coh.thom_class_vertex(g, v)))
         for v in g.vertices
     )
     elapsed = time.monotonic() - t0

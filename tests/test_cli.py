@@ -208,6 +208,10 @@ def test_connection_count_beyond_a_machine_word(capsys):
         code, out, err = run(capsys, cmd, sq22, "--connection", str(count))
         assert code == 2 and out == ""
         assert f"out of range ({count} compatible connections)" in err
+    # Listing them all cannot be done: an input error, not a traceback.
+    code, out, err = run(capsys, "connections", sq22)
+    assert code == 2 and out == ""
+    assert f"{count} compatible connections, too many to list" in err
 
 
 def test_verdict_text_format(capsys):

@@ -247,7 +247,7 @@ def test_project_rejects_a_class_outside_the_lattice(cube):
     vec[0] = 1  # x^3 at the first vertex, 0 elsewhere
     assert not oracles.class_satisfies(cube, vec, 3, over_z=True)
     with pytest.raises(RuntimeError, match="escaped the class lattice"):
-        coh._quotient(cube, 3).project(vec)
+        oracles.project(coh._quotient(cube, 3), vec)
 
 
 def test_thom_classes_outside_a_sublattice_raise(cube, monkeypatch):
@@ -290,7 +290,7 @@ def test_lift_matches_transposed_sum(name):
 
 def _reduced_projector(g, d):
     q = coh._quotient(g, d)
-    return q.betti, q.project
+    return q.betti, lambda vec: oracles.project(q, vec)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -405,10 +405,67 @@ def test_quotient_carries_the_inverse_transform(name):
         assert q.inverse == linalg.unimodular_inverse(q.transform), d
 
 
+HEXPRISM24 = Path(__file__).parent / "hexprism24.json"
+DUAL = ["cp3", "cube", "flag", "prism4", "prism6", "theta"]  # b_6 = 1
+
+
+def _graph(name):
+    if name == "hexprism24":
+        return parse_graph(HEXPRISM24.read_text())
+    return corpus_graph(name)
+
+
+@pytest.mark.parametrize("name", DUAL + ["hexprism24"])
+def test_pairing_is_s_times_the_projected_pairing(name):
+    """The functional's pairing is s times the pairing of formed, solved
+    and projected product classes, and on the vertex Thom classes, which
+    are not products, mu reads s times their projection too."""
+    g = _graph(name)
+    assert coh.betti_numbers(g).betti[3] == 1
+    q = coh._quotient(g, 3)
+    mu, s = q.functional()
+    assert s == (2 if name == "cp3" else 1)  # cp3's last L_3 pivot is 2
+    pivots = {next(j for j, x in enumerate(row) if x) for row in q.lattice}
+    assert all(m == 0 for j, m in enumerate(mu) if j not in pivots)
+    reps2, reps4 = (coh._quotient(g, d).reduced_lifts for d in (1, 2))
+    expected = oracles.projected_pairing(g, reps2, reps4, q)
+    assert coh._pairing(g) == [[s * x for x in row] for row in expected]
+    for v in g.vertices:
+        thom = coh.thom_class_vertex(g, v)
+        assert sum(m * x for m, x in zip(mu, thom)) == (
+            s * oracles.project(q, thom)[0]
+        ), v
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS + ["hexprism24"])
+def test_poincare_duality_solves_nothing_after_betti(name, monkeypatch):
+    """Once the Betti numbers are known, the duality check locates no class
+    in a lattice: no solver is built or called."""
+    g = _graph(name)
+    coh.betti_numbers(g)
+    solves = []
+
+    def counted(solve):
+        def spy(v):
+            solves.append(len(v))
+            return solve(v)
+        return spy
+
+    for key in [k for k in g.memo if k[0] == "solve"]:
+        g.memo[key] = counted(g.memo[key])
+    hnf_solver = linalg.hnf_solver
+    monkeypatch.setattr(linalg, "hnf_solver", lambda H: counted(hnf_solver(H)))
+    monkeypatch.setattr(linalg, "hnf_solve",
+                        lambda H, v: counted(hnf_solver(H))(v))
+    pd = coh.poincare_duality(g)
+    assert solves == []
+    assert pd.ok is (name != "nonorientable")
+
+
 def test_class_product_blockwise(theta):
     u = [1, 0, 1, 0]  # x at both vertices (degree 2)
     v = [0, 1, 0, 1]  # y at both vertices
-    prod = coh.class_product(theta, u, 1, v, 1)
+    prod = oracles.class_product(theta, u, 1, v, 1)
     assert prod == [0, 1, 0, 0, 1, 0]  # xy at both vertices
 
 

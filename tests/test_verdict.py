@@ -303,12 +303,30 @@ def test_verdict_runs_no_reduction_pass_and_lifts_without_eye(name, monkeypatch)
     # Every echelon a verdict reads is read for its pivots, ranks or
     # solves, so the reduction above the pivots (hnf, hnf_transform) never
     # runs; ht_basis_z lifts unit vectors from their one nonzero entry.
-    reductions, eyes, inside = [], [], []
+    # The one reduction is hnf_mod's closing pass, once per call, where a
+    # class lattice takes the modular fallback (cp3 does).
+    reductions, eyes, inside, mods, in_mod, hnfs = [], [], [], [], [], []
     reduced, eye, basis = linalg._reduced, linalg.eye, cohomology.ht_basis_z
+    hnf_mod = linalg.hnf_mod
 
     def spy_reduced(E, n):
-        reductions.append(n)
+        # The number of the hnf_mod call it runs in, None outside one.
+        reductions.append(len(mods) if in_mod else None)
         return reduced(E, n)
+
+    def spy_hnf_mod(rows, n, D):
+        mods.append(n)
+        in_mod.append(n)
+        try:
+            return hnf_mod(rows, n, D)
+        finally:
+            in_mod.pop()
+
+    def spy_hnf(name, real):
+        def spy(A):
+            hnfs.append(name)
+            return real(A)
+        return spy
 
     def spy_eye(n):
         if inside:
@@ -323,8 +341,13 @@ def test_verdict_runs_no_reduction_pass_and_lifts_without_eye(name, monkeypatch)
             inside.pop()
 
     monkeypatch.setattr(linalg, "_reduced", spy_reduced)
+    monkeypatch.setattr(linalg, "hnf_mod", spy_hnf_mod)
+    for real in (linalg.hnf, linalg.hnf_transform):
+        monkeypatch.setattr(linalg, real.__name__, spy_hnf(real.__name__, real))
     monkeypatch.setattr(linalg, "eye", spy_eye)
     monkeypatch.setattr(cohomology, "ht_basis_z", spy_basis)
     realizability_report(corpus_graph(name))
-    assert reductions == []
+    assert hnfs == []
+    assert reductions == list(range(1, len(mods) + 1))
+    assert mods or name != "cp3"
     assert eyes == []
