@@ -116,7 +116,7 @@ def _cmd_validate(a: Analysis, args) -> Tuple[dict, bool]:
 
 def _cmd_connections(a: Analysis, args) -> Tuple[dict, bool]:
     conns, explicit = a.connections
-    if conns.count > sys.maxsize:  # where len() and list indices end
+    if conns.count > sys.maxsize:  # len() raises OverflowError above it
         raise InputError(f"{conns.count} compatible connections, too many to list")
     payload = {
         "name": a.graph.name,

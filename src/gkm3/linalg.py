@@ -8,15 +8,15 @@ explicitly.
 
 The integer routines (HNF, rank, Smith form, HNF back-substitution) carry
 the package.  echelon is the one elimination and leaves the entries above
-its pivots unreduced, as pivots, ranks and solves read none of them; hnf
-and hnf_transform, which return the canonical form, add the reduction pass
-(_reduced).  Callers append only the columns they read (hnf none,
-hnf_transform an identity, cohomology.ht_basis_z some class coordinates).
-hnf_mod is the Hermite form of a full-rank lattice with a known multiple of
-its determinant, all of its entries kept below that multiple.  hnf_solver
-finds an echelon basis's pivots once and returns the back-substitution
-against it, touching only the basis's nonzero entries; hnf_solve is one
-call of it.
+its pivots unreduced, as pivots, ranks and solves read none of them; hnf,
+hnf_transform and hnf_mod, which return the canonical form, end with the
+reduction pass (_reduced).  Callers append only the columns they read (hnf
+none, hnf_transform an identity, cohomology.ht_basis_z some class
+coordinates).  hnf_mod is the Hermite form of a full-rank lattice with a
+known multiple of its determinant, all of its entries kept below that
+multiple.  hnf_solver finds an echelon basis's pivots once and returns the
+back-substitution against it, touching only the basis's nonzero entries;
+hnf_solve is one call of it.
 snf_transform is the one Smith elimination; it carries T and T^-1, the two
 transforms cohomology's quotients read, and its pivot is the first unit
 entry when there is one, else the first entry of smallest magnitude (the

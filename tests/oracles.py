@@ -16,12 +16,12 @@ kernel's replaced loops stay here as oracles: the elimination that reduced
 above each pivot as soon as it found it, the back-substitution that
 finds a basis's pivots on every call, the Smith form that scans the whole
 remaining submatrix for each pivot, and the lift that sums the transposed
-lattice's columns.  The duality pairing's replaced path stays as well:
-each product class formed vertex by vertex, solved for in the degree-6
-lattice and projected through the Smith transform.  So do the
-connection's replaced loops: the transition
-data assembled as n x n lists from one map lookup per edge, without the
-memo, and the holonomy multiplied as list comprehensions over those.
+lattice's columns.  So does the duality pairing's replaced path: each
+product class formed vertex by vertex, solved for in the degree-6 lattice
+and projected through the Smith transform.  So do the connection's
+replaced loops: the transition data assembled as n x n lists from one map
+lookup per edge, without the memo, and the holonomy multiplied as list
+comprehensions over those.
 """
 
 import itertools

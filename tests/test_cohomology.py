@@ -454,7 +454,8 @@ def test_poincare_duality_solves_nothing_after_betti(name, monkeypatch):
     for key in [k for k in g.memo if k[0] == "solve"]:
         g.memo[key] = counted(g.memo[key])
     hnf_solver = linalg.hnf_solver
-    monkeypatch.setattr(linalg, "hnf_solver", lambda H: counted(hnf_solver(H)))
+    monkeypatch.setattr(linalg, "hnf_solver",
+                        lambda H: solves.append("built") or counted(hnf_solver(H)))
     monkeypatch.setattr(linalg, "hnf_solve",
                         lambda H, v: counted(hnf_solver(H))(v))
     pd = coh.poincare_duality(g)
