@@ -11,15 +11,20 @@ The divisibility is decided exactly over Z from one evaluation per edge:
 f_u - f_v must vanish at the root of the primitive part of alpha, and the
 content of alpha must divide each of its coefficients (ht_basis_z).  The
 class lattice is the integer solution set of those equations and
-congruences, and its Hermite form is reduced modulo its index on the free
-coordinates, so that reduction never meets an entry above the index.  The
-lattice also spans the rational classes (see ht_basis_q), so one integral
-quotient per degree gives the Betti numbers and the torsion test, and one
-functional of the degree-6 quotient reads the whole duality pairing.
-When the lifts of the quotients' bases up to the valence are a free basis
-of all classes, one determinant proves it (z_freeness), and with it
-freeness and the Betti numbers in every degree, so the quotients above are
-never formed.
+congruences.  One echelon of the evaluations per degree gives both its
+rank and its Hermite basis, each class lifted from its free coordinates by
+back-substitution; only a lattice that is not all of Z on those
+coordinates eliminates again, for its index.  The lattice also spans the
+rational classes (see ht_basis_q), and over Q the classes are a free
+module: they are the kernel of Q[x, y]^V -> (+)_e Q[x, y] / (alpha_e), a
+target of depth 1, so the kernel has depth 2 and is free (Auslander and
+Buchsbaum).  So every Betti number is a second difference of the lattice
+ranks (betti_numbers), and no quotient is needed for it.  Integral
+quotients per degree give the torsion test, and one functional of the
+degree-6 quotient reads the whole duality pairing.  When the lifts of the
+quotients' bases up to the valence are a free basis of all classes, one
+determinant proves it (z_freeness), and with it freeness and the Betti
+numbers in every degree, so the quotients above are never formed.
 """
 
 from __future__ import annotations
@@ -108,99 +113,158 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     Gauss's lemma the quotient h / alpha' is integral with the same content
     as h.  So each edge gives one evaluation equation, coefficient j of h
     weighted by b'^(d-j) (-a')^j, and an imprimitive edge also gives d + 1
-    congruences h_j + c t_j = 0, each with its own auxiliary unknown t_j.
-    L is the class part of the integer solutions, and as the t_j follow
-    from the class, no two solutions share it.
+    congruences c | h_j.
 
     The Hermite form.  Eliminating the equations gives integer solutions
     whose entries swell (hundreds of bits where L's basis has ten), so L is
     not reduced from them directly.  A class coordinate is fixed when some
     combination of the edge evaluations has its last nonzero entry there:
-    on L it is then a rational combination of the coordinates before it.  So
-    the other, free coordinates F are the pivot columns of L's Hermite
-    form, and L maps one to one onto its part Y on F.  A vector y on F
-    lifts to L when the equations on Q, the fixed coordinates and the t_j,
-    have an integer solution, unique as they follow from F: so it is solved
-    against HQ, an unreduced echelon basis of Q's rows, not a Hermite form.
-    The lifts of the rows of Y's Hermite form are L's Hermite form.  Y is
-    often all of Z^F: every unit vector lifts, from its one nonzero entry,
-    and the lifts are the basis.  Otherwise Z^F / Y is the quotient of the
+    on L it is then a rational combination of the coordinates before it.
+    The one echelon of the evaluations over the class coordinates in
+    reverse order (_evaluation_echelon) has one row per fixed coordinate,
+    which it pivots on.  So the other, free coordinates F are the pivot
+    columns of L's Hermite form, and L maps one to one onto its part Y on
+    F.  A vector y on F lifts to L when back-substitution through that
+    echelon, from the lowest fixed coordinate up, divides exactly at every
+    pivot and the lifted class meets the congruences (_lifts).  The lifts
+    of the rows of Y's Hermite form are L's Hermite form.  Y is often all
+    of Z^F: every unit vector lifts, and the lifts are the basis.
+    Otherwise, with Q the fixed coordinates and the auxiliary unknowns t_j
+    of the congruences h_j + c t_j = 0, Z^F / Y is the quotient of the
     lattice spanned by the equation rows of all unknowns by the one spanned
-    by those of Q, so its order divides det Q, the product of HQ's pivots,
-    and Y's Hermite form is taken mod det Q (linalg.hnf_mod) from the class
-    parts of the solutions on F.
+    by those of Q, so its order divides det Q, the product of the pivots
+    of an echelon basis of Q's rows; Y's Hermite form is taken mod det Q
+    (linalg.hnf_mod) from the class parts of the solutions on F.
     """
     cache = g.memo
     if ("z", d) in cache:
         return cache[("z", d)]
-    eqs, naux = _divisibility_equations(g, d)
-    nf, neq = len(eqs) - naux, naux + len(g.edges)
-    ends = linalg.echelon_basis([[row[col] for row in reversed(eqs[:nf])]
-                                 for col in range(naux, neq)])
-    fixed = sorted(nf - 1 - _pivot(row) for row in ends)
+    nf = len(g.vertices) * (d + 1)
+    steps = []  # per fixed coordinate, lowest first: (it, pivot, terms)
+    for row in reversed(_evaluation_echelon(g, d)):
+        p = _pivot(row)
+        terms = [(nf - 1 - j, row[j]) for j in range(p + 1, nf) if row[j]]
+        steps.append((nf - 1 - p, row[p], terms))
+    fixed = [i for i, _, _ in steps]
     free = sorted(set(range(nf)) - set(fixed))
-    # UQ keeps only the transform's columns of the fixed coordinates.
-    solved_q = linalg.echelon([eqs[i] + [int(i == f) for f in fixed]
-                               for i in fixed + list(range(nf, nf + naux))], neq)
-    HQ, UQ = [row[:neq] for row in solved_q], [row[neq:] for row in solved_q]
-    terms = {i: [(col, w) for col, w in enumerate(eqs[i]) if w] for i in free}
-    solve_q = linalg.hnf_solver(HQ)
-
-    def lifted(y: Sequence[Tuple[int, int]]) -> Optional[list]:
-        """The class whose part on F has the nonzero entries y, as
-        (free coordinate, value) pairs; None if that part is not in Y."""
-        f, values = [0] * nf, [0] * neq
-        for i, v in y:
-            f[i] = v
-            for col, w in terms[i]:
-                values[col] -= v * w
-        coords = solve_q(values)
-        if coords is None:
-            return None
-        for c, urow in zip(coords, UQ):
-            if c:
-                for i, u in zip(fixed, urow):
-                    f[i] += c * u
-        return f
-
-    basis = [lifted([(i, 1)]) for i in free]
+    basis = _lifts(g, d, steps, free, [[(t, 1)] for t in range(len(free))])
     if None in basis:  # Y is not all of Z^F
+        eqs, naux = _divisibility_equations(g, d)
+        neq = naux + len(g.edges)
         solved = linalg.echelon(
             [row + [int(i == f) for f in free] for i, row in enumerate(eqs)], neq
         )
         tails = [row[neq:] for row in solved if not any(row[:neq])]
-        det_q = _pivot_product(HQ)
-        basis = [lifted([(i, v) for i, v in zip(free, row) if v])
-                 for row in linalg.hnf_mod(tails, len(free), det_q)]
+        det_q = _pivot_product(linalg.echelon_basis(
+            [eqs[i] for i in fixed + list(range(nf, nf + naux))]))
+        ys = [[(t, v) for t, v in enumerate(row) if v]
+              for row in linalg.hnf_mod(tails, len(free), det_q)]
+        basis = _lifts(g, d, steps, free, ys)
         if None in basis:
             raise RuntimeError("class lattice row does not lift")
     cache[("z", d)] = basis
     return basis
 
 
-def _divisibility_equations(g: GkmGraph, d: int) -> Tuple[linalg.Matrix, int]:
-    """The equations of ht_basis_z, one row per unknown (the class
-    coordinates, then the t_j): its coefficients in the congruences, then
-    in the evaluations; and the number of t_j."""
+def _lifts(g: GkmGraph, d: int, steps: list, free: Sequence[int],
+           ys: Sequence[Sequence[Tuple[int, int]]]) -> List[Optional[list]]:
+    """The classes whose parts on the free coordinates F have the nonzero
+    entries ys, as (position in F, value) pairs; None where that part is not
+    in Y (ht_basis_z).  Each coordinate holds its nonzero values over the
+    ys, so one back-substitution through the steps lifts them all: a class
+    whose sum a pivot does not divide has no integral lift, and one that
+    breaks a congruence is not in L."""
     k = d + 1
-    nf = len(g.vertices) * k
-    contents = [e.weight.content() for e in g.edges]
-    naux = k * sum(1 for c in contents if c > 1)
-    neq = naux + len(g.edges)
-    eqs = [[0] * neq for _ in range(nf + naux)]
-    aux = 0  # congruences so far: the next one's column and auxiliary row
-    for ei, (e, c) in enumerate(zip(g.edges, contents)):
-        a, b = e.weight.a // c, e.weight.b // c
+    values: List[dict] = [{} for _ in range(len(g.vertices) * k)]
+    for t, y in enumerate(ys):  # coordinate -> {t: nonzero value}
+        for j, v in y:
+            values[free[j]][t] = v
+    bad = set()
+    for i, piv, terms in steps:
+        acc: dict = {}
+        get = acc.get
+        for j, w in terms:
+            for t, v in values[j].items():
+                acc[t] = get(t, 0) - w * v
+        col = values[i]
+        for t, v in acc.items():
+            q, r = divmod(v, piv)
+            if r:
+                bad.add(t)
+            elif q:
+                col[t] = q
+    for e, c in _moduli(g):
         iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
+        for hu, hv in zip(values[iu:iu + k], values[iv:iv + k]):
+            bad.update(t for t in hu.keys() | hv.keys()
+                       if (hu.get(t, 0) - hv.get(t, 0)) % c)
+    out = [[0] * len(values) for _ in ys]
+    for i, col in enumerate(values):
+        for t, v in col.items():
+            out[t][i] = v
+    return [None if t in bad else f for t, f in enumerate(out)]
+
+
+def _evaluation_echelon(g: GkmGraph, d: int) -> linalg.Matrix:
+    """The echelon basis of _evaluations, memoized per graph and degree:
+    ht_basis_z back-substitutes through it and _lattice_rank reads its
+    rank, so each degree's equations are eliminated once."""
+    key = ("evaluations", d)
+    if key not in g.memo:
+        g.memo[key] = linalg.echelon_basis(_evaluations(g, d))
+    return g.memo[key]
+
+
+def _lattice_rank(g: GkmGraph, d: int) -> int:
+    """r_d = rank L_d = dim_Q of the degree-2d classes (ht_basis_q): the
+    class coordinates less the rank of the evaluations, which alone cut out
+    the rational classes."""
+    return len(g.vertices) * (d + 1) - len(_evaluation_echelon(g, d))
+
+
+def _evaluations(g: GkmGraph, d: int) -> linalg.Matrix:
+    """ht_basis_z's evaluation equations, one row per edge over the class
+    coordinates in reverse order: h = f_u - f_v at the root of the label's
+    primitive part, coefficient j of h weighted by b'^(d-j) (-a')^j."""
+    k = d + 1
+    last = len(g.vertices) * k - 1
+    rows = []
+    for e in g.edges:
+        c = e.weight.content()
+        a, b = e.weight.a // c, e.weight.b // c
+        iu, iv = last - g.vertex_index[e.u] * k, last - g.vertex_index[e.v] * k
+        row = [0] * (last + 1)
         for j in range(k):  # coefficient of x^{d-j} y^j
             root = b ** (d - j) * (-a) ** j
-            eqs[iu + j][naux + ei] += root
-            eqs[iv + j][naux + ei] -= root
-            if c > 1:
-                eqs[iu + j][aux] += 1
-                eqs[iv + j][aux] -= 1
-                eqs[nf + aux][aux] = c
-                aux += 1
+            row[iu - j] += root
+            row[iv - j] -= root
+        rows.append(row)
+    return rows
+
+
+def _moduli(g: GkmGraph) -> List[Tuple]:
+    """(edge, content) of each imprimitive edge, in edge order."""
+    return [(e, c) for e in g.edges if (c := e.weight.content()) > 1]
+
+
+def _divisibility_equations(g: GkmGraph, d: int) -> Tuple[linalg.Matrix, int]:
+    """The equations of ht_basis_z, one row per unknown (the class
+    coordinates, then the t_j): its coefficients in the congruences
+    h_j + c t_j = 0, then in the evaluations; and the number of t_j."""
+    k = d + 1
+    nf = len(g.vertices) * k
+    moduli = _moduli(g)
+    naux = k * len(moduli)
+    evals = _evaluations(g, d)
+    eqs = [[0] * naux + [row[nf - 1 - i] for row in evals] for i in range(nf)]
+    eqs += [[0] * (naux + len(evals)) for _ in range(naux)]
+    for m, (e, c) in enumerate(moduli):
+        iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
+        for j in range(k):
+            aux = m * k + j  # the congruence's column and auxiliary row
+            eqs[iu + j][aux] += 1
+            eqs[iv + j][aux] -= 1
+            eqs[nf + aux][aux] = c
     return eqs, naux
 
 
@@ -384,20 +448,26 @@ class BettiResult:
 def betti_numbers(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> BettiResult:
     """Combinatorial Betti numbers b_{2d} = rank H^{2d}_T - rank (x, y) H^{2(d-1)}_T.
 
-    b_{2d} is the Betti number of the degree-2d quotient (_quotient).  When
-    the lifts of the quotients' bases up to some degree 2 top are certified
-    a free basis of H_T (z_freeness), every later quotient is 0, so
-    b_{2d} = 0 above 2 top and no quotient there is formed.
+    Over Q the classes are a free module (see the module docstring), with
+    b_{2k} generators in degree 2k, so the lattice ranks are
+    r_d = sum_k b_{2k} (d - k + 1), and b_{2d} = r_d - 2 r_{d-1} + r_{d-2}
+    is read from the ranks of one echelon per degree (_lattice_rank): no
+    quotient and no basis is formed for it.  When the lifts of the
+    quotients' bases up to some degree 2 top are certified a free basis of
+    H_T (z_freeness), the certificate gives the Betti numbers, and
+    b_{2d} = 0 above 2 top.
     """
     cache = g.memo
     if ("betti", degree_cap) in cache:
         return cache[("betti", degree_cap)]
     free = _free_betti(g)
     betti: List[int] = []
+    ranks = [0, 0]  # r_{-2}, r_{-1}, then r_0, r_1, ...
     stabilized = False
     for d in range(degree_cap // 2 + 1):
         if free is None:
-            betti.append(_quotient(g, d).betti)
+            ranks.append(_lattice_rank(g, d))
+            betti.append(ranks[-1] - 2 * ranks[-2] + ranks[-3])
         else:
             betti.append(free[d] if d < len(free) else 0)
         if (
@@ -416,16 +486,17 @@ def betti_numbers(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> BettiRes
 def cohomology_table(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> List[dict]:
     """Per-degree summary: Q-dimension, Z-rank and Betti number.
 
-    dim_q = rank_z (see ht_basis_q), so both columns read one rank.  With a
-    certified free basis (z_freeness), b_{2k} of whose classes have degree
-    2k, the degree-2d classes are the sums h_c c with h_c of degree d - k,
-    so the rank is counted, not read from a basis.
+    dim_q = rank_z (see ht_basis_q), so both columns read one rank: the
+    rank of the degree's one echelon (_lattice_rank), with no basis formed.
+    With a certified free basis (z_freeness), b_{2k} of whose classes have
+    degree 2k, the degree-2d classes are the sums h_c c with h_c of degree
+    d - k, so the rank is counted instead.
     """
     free = _free_betti(g)
     out = []
     for d, b in enumerate(betti_numbers(g, degree_cap).betti):
         if free is None:
-            rank = len(ht_basis_z(g, d))
+            rank = _lattice_rank(g, d)
         else:
             rank = sum(bk * (d - k + 1) for k, bk in enumerate(free[: d + 1]))
         out.append({"degree": 2 * d, "betti": b, "dim_q": rank, "rank_z": rank})
@@ -482,14 +553,18 @@ def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
 
 def _pairing(g: GkmGraph) -> linalg.Matrix:
     """mu . (u v) = r_u . v, r_u[w, b] = sum_a u_w[a] mu_w[a + b], for the
-    classes u, v lifting bases of the reduced H^2 and H^4 (poincare_duality)."""
-    reps2, reps4 = (_quotient(g, d).reduced_lifts for d in (1, 2))
+    classes u, v lifting bases of the reduced H^2 and H^4 (poincare_duality).
+    Each v is listed once by its nonzero entries, as the lifts are sparse
+    (2.9 % nonzero in degree 4 on the 72-vertex hexagon prism)."""
+    reps2 = _quotient(g, 1).reduced_lifts
+    reps4 = [[(i, x) for i, x in enumerate(v) if x]
+             for v in _quotient(g, 2).reduced_lifts]
     mu = _blocks(g, _quotient(g, 3).functional()[0], 3)
     out = []
     for u in reps2:
         r_u = [sum(a * m[i + b] for i, a in enumerate(ub))
                for ub, m in zip(_blocks(g, u, 1), mu) for b in range(3)]
-        out.append([sum(x * y for x, y in zip(r_u, v)) for v in reps4])
+        out.append([sum(r_u[i] * x for i, x in v) for v in reps4])
     return out
 
 

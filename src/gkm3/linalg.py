@@ -11,10 +11,10 @@ the package.  echelon is the one elimination and leaves the entries above
 its pivots unreduced, as pivots, ranks and solves read none of them; hnf,
 hnf_transform and hnf_mod, which return the canonical form, end with the
 reduction pass (_reduced).  Callers append only the columns they read (hnf
-none, hnf_transform an identity, cohomology.ht_basis_z some class
-coordinates).  hnf_mod is the Hermite form of a full-rank lattice with a
-known multiple of its determinant, all of its entries kept below that
-multiple.  hnf_solver finds an echelon basis's pivots once and returns the
+none, hnf_transform an identity, cohomology.ht_basis_z's fallback the
+free class coordinates' unit columns).  hnf_mod is the Hermite form of a
+full-rank lattice with a known multiple of its determinant, all of its
+entries kept below that multiple.  hnf_solver finds an echelon basis's pivots once and returns the
 back-substitution against it, touching only the basis's nonzero entries;
 hnf_solve is one call of it.
 snf_transform is the one Smith elimination; it carries T and T^-1, the two
@@ -36,7 +36,10 @@ Matrix = List[List[int]]
 
 
 def eye(n: int) -> Matrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from gkm3.graph import parse_graph, validate
 
-CORPUS_DIR = Path(__file__).resolve().parents[1] / "src" / "gkm3" / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS_DIR = ROOT / "src" / "gkm3" / "corpus"
 CORPUS_NAMES = ["cube", "flag", "nonorientable", "theta"]
 
 # A valid K4 labelling with no compatible connection: some edge admits no
@@ -121,3 +124,29 @@ def prism_graph(n: int):
     vertices = [f"{layer}{i}" for layer in "bt" for i in range(n)]
     return parse_graph(json.dumps(
         {"name": f"prism{n}", "vertices": vertices, "edges": edges}))
+
+
+_spec = importlib.util.spec_from_file_location(
+    "scale_sweep", ROOT / "tools" / "scale_sweep.py")
+scale_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scale_sweep)
+
+
+def hexagon_prism(n: int):
+    """The hexagon-labelled prism over an n-gon (tools/scale_sweep.py), whose
+    Betti numbers are (1, n - 1, n - 1, 1)."""
+    return parse_graph(json.dumps(scale_sweep.hexagon_prism(n)))
+
+
+def random_graph_doc(seed: int) -> dict:
+    """A seeded 3-valent multigraph on 2, 4, 6 or 8 vertices, its stubs
+    paired at random (loops and parallel edges allowed), each edge labelled
+    with a nonzero vector in [-3, 3]^2; it need not pass validation."""
+    rng = random.Random(seed)
+    n = rng.choice([2, 4, 6, 8])
+    stubs = [v for v in range(n) for _ in range(3)]
+    rng.shuffle(stubs)
+    labels = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    edges = [{"from": f"v{u}", "to": f"v{v}", "weight": list(rng.choice(labels))}
+             for u, v in zip(stubs[::2], stubs[1::2])]
+    return {"vertices": [f"v{v}" for v in range(n)], "edges": edges}

@@ -18,8 +18,13 @@ finds a basis's pivots on every call, the Smith form that scans the whole
 remaining submatrix for each pivot, and the lift that sums the transposed
 lattice's columns.  So does the duality pairing's replaced path: each
 product class formed vertex by vertex, solved for in the degree-6 lattice
-and projected through the Smith transform.  So do the connection's
-replaced loops: the transition data assembled as n x n lists from one map
+and projected through the Smith transform.  So do the class lattice's
+two eliminations of the same equations, the second solving each lift
+against an echelon basis of the fixed coordinates' and auxiliaries' rows,
+and the Betti loop that reads each b_2d from a Smith form of the raised
+lower lattice, with the table's rank read off a basis.  The lattice ranks
+are also read from sympy's rank of the evaluation matrix.  So do the
+connection's replaced loops: the transition data assembled as n x n lists from one map
 lookup per edge, without the memo, and the holonomy multiplied as list
 comprehensions over those.
 """
@@ -45,6 +50,8 @@ from gkm3.connection import (
     transition,
     transport_coefficients,
 )
+from gkm3 import cohomology as coh
+from gkm3 import linalg
 from gkm3.graph import DirectedEdge, det2
 from gkm3.linalg import exgcd
 
@@ -601,3 +608,146 @@ def listed_holonomy(g, conn, path) -> List[List[int]]:
         acc = [[sum(p * a for p, a in zip(row, col)) for col in zip(*acc)]
                for row in phi]
     return acc
+
+
+def divisibility_equations(g, d: int):
+    """(eqs, naux): one row per unknown, the class coordinates then one
+    auxiliary t_j per congruence h_j + c t_j = 0 of an imprimitive edge;
+    the congruence columns first, then one evaluation column per edge."""
+    k = d + 1
+    nf = len(g.vertices) * k
+    contents = [e.weight.content() for e in g.edges]
+    naux = k * sum(1 for c in contents if c > 1)
+    neq = naux + len(g.edges)
+    eqs = [[0] * neq for _ in range(nf + naux)]
+    aux = 0
+    for ei, (e, c) in enumerate(zip(g.edges, contents)):
+        a, b = e.weight.a // c, e.weight.b // c
+        iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
+        for j in range(k):
+            root = b ** (d - j) * (-a) ** j
+            eqs[iu + j][naux + ei] += root
+            eqs[iv + j][naux + ei] -= root
+            if c > 1:
+                eqs[iu + j][aux] += 1
+                eqs[iv + j][aux] -= 1
+                eqs[nf + aux][aux] = c
+                aux += 1
+    return eqs, naux
+
+
+def _first_nonzero(row: Sequence[int]) -> int:
+    return next(j for j, x in enumerate(row) if x)
+
+
+def two_elimination_basis(g, d: int) -> List[list]:
+    """The Hermite basis of the degree-2d class lattice by two eliminations:
+    the evaluations' echelon finds the fixed coordinates, and a second
+    echelon of the fixed coordinates' and auxiliaries' equation rows, with
+    its transform's fixed columns, lifts each vector on the free
+    coordinates by an integer solve; when some unit vector does not lift,
+    the free parts' Hermite form is taken mod det Q (linalg.hnf_mod).
+    Nothing is memoized."""
+    eqs, naux = divisibility_equations(g, d)
+    nf, neq = len(eqs) - naux, naux + len(g.edges)
+    ends = linalg.echelon_basis([[row[col] for row in reversed(eqs[:nf])]
+                                 for col in range(naux, neq)])
+    fixed = sorted(nf - 1 - _first_nonzero(row) for row in ends)
+    free = sorted(set(range(nf)) - set(fixed))
+    solved_q = linalg.echelon([eqs[i] + [int(i == f) for f in fixed]
+                               for i in fixed + list(range(nf, nf + naux))], neq)
+    HQ, UQ = [row[:neq] for row in solved_q], [row[neq:] for row in solved_q]
+    terms = {i: [(col, w) for col, w in enumerate(eqs[i]) if w] for i in free}
+    solve_q = linalg.hnf_solver(HQ)
+
+    def lifted(y):
+        f, values = [0] * nf, [0] * neq
+        for i, v in y:
+            f[i] = v
+            for col, w in terms[i]:
+                values[col] -= v * w
+        coords = solve_q(values)
+        if coords is None:
+            return None
+        for c, urow in zip(coords, UQ):
+            if c:
+                for i, u in zip(fixed, urow):
+                    f[i] += c * u
+        return f
+
+    basis = [lifted([(i, 1)]) for i in free]
+    if None in basis:
+        solved = linalg.echelon(
+            [row + [int(i == f) for f in free] for i, row in enumerate(eqs)], neq
+        )
+        tails = [row[neq:] for row in solved if not any(row[:neq])]
+        det_q = math.prod(row[_first_nonzero(row)] for row in HQ)
+        basis = [lifted([(i, v) for i, v in zip(free, row) if v])
+                 for row in linalg.hnf_mod(tails, len(free), det_q)]
+        if None in basis:
+            raise RuntimeError("class lattice row does not lift")
+    return basis
+
+
+def quotient_betti(g, d: int, bases: dict) -> int:
+    """b_2d as the free rank of the oracle lattice L_d modulo the raised
+    L_{d-1}: the coordinates of the raised rows, solved for, and the
+    nonzero diagonal of their Smith form.  bases caches the lattices."""
+    for e in (d - 1, d):
+        if e >= 0 and e not in bases:
+            bases[e] = two_elimination_basis(g, e)
+    L = bases[d]
+    coords = []
+    if d > 0:
+        solve = linalg.hnf_solver(L) if L else None
+        for r in coh._raised(g, bases[d - 1], d - 1):
+            c = solve(r)
+            if c is None:
+                raise RuntimeError("product class escaped the class lattice")
+            coords.append(c)
+    D = linalg.snf_transform(coords, len(L))[0]
+    return len(L) - sum(1 for i, row in enumerate(D[: len(L)]) if row[i])
+
+
+def quotient_cohomology(g, degree_cap: int):
+    """(BettiResult, table): the Betti loop reading every b_2d from a
+    quotient (quotient_betti) unless the certificate gives them, with the
+    same stabilization rule, and cohomology_table's rows with every rank
+    read off an oracle basis."""
+    free = coh._free_betti(g)
+    bases: dict = {}
+    betti: List[int] = []
+    stabilized = False
+    for d in range(degree_cap // 2 + 1):
+        if free is None:
+            betti.append(quotient_betti(g, d, bases))
+        else:
+            betti.append(free[d] if d < len(free) else 0)
+        if (sum(betti) == len(g.vertices) and len(betti) >= 2
+                and betti[-1] == 0 and betti[-2] == 0):
+            stabilized = True
+            break
+    table = []
+    for d, b in enumerate(betti):
+        if d not in bases:
+            bases[d] = two_elimination_basis(g, d)
+        table.append({"degree": 2 * d, "betti": b, "dim_q": len(bases[d]),
+                      "rank_z": len(bases[d])})
+    return coh.BettiResult(tuple(betti), stabilized, sum(betti)), table
+
+
+def evaluation_rank(g, d: int) -> int:
+    """sympy's rank of the edge evaluations on the degree-2d cochains: row
+    e holds each coordinate's monomial x^(d-j) y^j evaluated at the root
+    (b, -a) of the whole label a x + b y, signed +1 at e.u and -1 at e.v."""
+    k = d + 1
+    rows = []
+    for e in g.edges:
+        a, b = e.weight.vector
+        row = [sympy.Integer(0)] * (len(g.vertices) * k)
+        for v, sign in ((e.u, 1), (e.v, -1)):
+            for j in range(k):
+                mono = x ** (d - j) * y ** j
+                row[g.vertex_index[v] * k + j] += sign * mono.subs({x: b, y: -a})
+        rows.append(row)
+    return sympy.Matrix(rows).rank() if rows else 0
