@@ -2,7 +2,8 @@
 
 Subcommands: validate, connections, orientability, cohomology, freeness,
 surface, verdict, corpus.  Exit codes: 0 on success, 1 on a negative
-verdict when --strict is given, 2 on input errors.  JSON output is
+verdict when --strict is given or when the reader closes stdout early, 2 on
+input errors.  JSON output is
 bit-exact (sorted keys, two-space indent); text output is a pure rendering
 of the same data.
 """
@@ -341,7 +342,16 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`gkm3 verdict g.json | head`).  Point
+        # stdout at devnull, so that the flush at exit raises nothing, and
+        # exit 1 without a traceback, as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,25 +13,28 @@ content of alpha must divide each of its coefficients (ht_basis_z).  The
 class lattice is the integer solution set of those equations and
 congruences.  One echelon of the evaluations per degree gives both its
 rank and its Hermite basis, each class lifted from its free coordinates by
-back-substitution; only a lattice that is not all of Z on those
-coordinates eliminates again, for its index.  The lattice also spans the
+back-substitution; a lattice that is not all of Z on those coordinates
+takes one more pass through the same back-substitution, which gives its
+index, and a Hermite form modulo that index.  The lattice also spans the
 rational classes (see ht_basis_q), and over Q the classes are a free
 module: they are the kernel of Q[x, y]^V -> (+)_e Q[x, y] / (alpha_e), a
 target of depth 1, so the kernel has depth 2 and is free (Auslander and
 Buchsbaum).  So every Betti number is a second difference of the lattice
 ranks (betti_numbers), and no quotient is needed for it.  Integral
 quotients per degree give the torsion test, and one functional of the
-degree-6 quotient reads the whole duality pairing.  When the lifts of the
-quotients' bases up to the valence are a free basis of all classes, one
-determinant proves it (z_freeness), and with it freeness and the Betti
-numbers in every degree, so the quotients above are never formed.
+degree-6 quotient reads the whole duality pairing.  A quotient whose
+relations reduce with unit pivots is free, and its basis and functional
+are read off that reduction; only the others take a Smith form.  When
+the lifts of the quotients' bases up to the valence are a free basis of
+all classes, one determinant proves it (z_freeness), and with it freeness
+and the Betti numbers in every degree, so the quotients above are never
+formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -129,12 +132,13 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     pivot and the lifted class meets the congruences (_lifts).  The lifts
     of the rows of Y's Hermite form are L's Hermite form.  Y is often all
     of Z^F: every unit vector lifts, and the lifts are the basis.
-    Otherwise, with Q the fixed coordinates and the auxiliary unknowns t_j
-    of the congruences h_j + c t_j = 0, Z^F / Y is the quotient of the
-    lattice spanned by the equation rows of all unknowns by the one spanned
-    by those of Q, so its order divides det Q, the product of the pivots
-    of an echelon basis of Q's rows; Y's Hermite form is taken mod det Q
-    (linalg.hnf_mod) from the class parts of the solutions on F.
+    Otherwise Y still holds the unit vectors that lift, so it is their span
+    plus its part on the others, B, and its Hermite form is those unit
+    vectors and the Hermite form of that part.  One pass over the
+    constraints that define Y, in back-substitution order, narrows the unit
+    vectors on B to a triangular basis of that part and multiplies up its
+    index (_lattice_rows); its Hermite form is then taken mod that index
+    (linalg.hnf_mod), which keeps every entry below it, and lifted.
     """
     cache = g.memo
     if ("z", d) in cache:
@@ -145,23 +149,19 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
         p = _pivot(row)
         terms = [(nf - 1 - j, row[j]) for j in range(p + 1, nf) if row[j]]
         steps.append((nf - 1 - p, row[p], terms))
-    fixed = [i for i, _, _ in steps]
-    free = sorted(set(range(nf)) - set(fixed))
+    free = sorted(set(range(nf)) - {i for i, _, _ in steps})
     basis = _lifts(g, d, steps, free, [[(t, 1)] for t in range(len(free))])
-    if None in basis:  # Y is not all of Z^F
-        eqs, naux = _divisibility_equations(g, d)
-        neq = naux + len(g.edges)
-        solved = linalg.echelon(
-            [row + [int(i == f) for f in free] for i, row in enumerate(eqs)], neq
-        )
-        tails = [row[neq:] for row in solved if not any(row[:neq])]
-        det_q = _pivot_product(linalg.echelon_basis(
-            [eqs[i] for i in fixed + list(range(nf, nf + naux))]))
-        ys = [[(t, v) for t, v in enumerate(row) if v]
-              for row in linalg.hnf_mod(tails, len(free), det_q)]
-        basis = _lifts(g, d, steps, free, ys)
-        if None in basis:
+    bad = [t for t, f in enumerate(basis) if f is None]
+    if bad:  # Y is not all of Z^F, but holds the other unit vectors
+        rows, index = _lattice_rows(g, d, steps, [free[t] for t in bad])
+        H = linalg.hnf_mod([[row[free[t]] for t in bad] for row in rows],
+                           len(bad), index)
+        lifted = _lifts(g, d, steps, free,
+                        [[(bad[j], v) for j, v in enumerate(h) if v] for h in H])
+        if None in lifted:
             raise RuntimeError("class lattice row does not lift")
+        for t, f in zip(bad, lifted):
+            basis[t] = f
     cache[("z", d)] = basis
     return basis
 
@@ -203,6 +203,57 @@ def _lifts(g: GkmGraph, d: int, steps: list, free: Sequence[int],
         for t, v in col.items():
             out[t][i] = v
     return [None if t in bad else f for t, f in enumerate(out)]
+
+
+def _lattice_rows(g: GkmGraph, d: int, steps: list,
+                  start: Sequence[int]) -> Tuple[linalg.Matrix, int]:
+    """For B the free coordinates start, classes of L whose parts on B are
+    a triangular basis of Y on B (its vectors that vanish off B), as full
+    class rows, and [Z^B : Y on B] (ht_basis_z), from one pass over the
+    constraints that define Y, in back-substitution order.  The rows start
+    as the unit vectors on B.  Each pivot's values are the rows' numerators
+    there, each congruence c | h_j's the rows' h_j.  A constraint mod m (the
+    pivot or c) visits the rows from the last up, with G = m and a carry,
+    a combination of the rows below it of value G mod m.  A row of value v
+    becomes a row - q carry, a = G / gcd(v, G) and q = v / gcd(v, G) mod
+    m / G, whose value is 0 mod m and whose pivot is a times its old one;
+    the carry then takes the old row in by exgcd, down to value gcd(v, G).
+    The factors a multiply to the constraint's index, m over the gcd of m
+    and the values.  A pivot then fixes each row's coordinate."""
+    k = d + 1
+    rows = [[int(i == f) for i in range(len(g.vertices) * k)] for f in start]
+    index = 1
+
+    def constrain(values: List[int], m: int) -> None:
+        nonlocal index
+        G, carry, cv = m, [0] * len(rows[0]), 0  # cv = G mod m
+        for t in reversed(range(len(rows))):
+            v, row = values[t], rows[t]
+            if v % m == 0:
+                continue
+            gcd = math.gcd(v, G)
+            a, q = G // gcd, v // gcd % (m // G)  # q = 0 while G = m
+            if q:
+                rows[t] = [a * s - q * u for s, u in zip(row, carry)]
+            elif a > 1:
+                rows[t] = [a * s for s in row]
+            values[t] = a * v - q * cv
+            index *= a
+            if gcd < G:  # the carry takes this row in, and its value is gcd
+                _, x, y = linalg.exgcd(v, G)
+                carry = [x * s + y * u for s, u in zip(row, carry)]
+                G, cv = gcd, x * v + y * cv
+
+    for i, piv, terms in steps:
+        values = [-sum(w * row[j] for j, w in terms) for row in rows]
+        constrain(values, piv)
+        for row, v in zip(rows, values):
+            row[i] = v // piv
+    for e, c in _moduli(g):
+        iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
+        for j in range(k):
+            constrain([row[iu + j] - row[iv + j] for row in rows], c)
+    return rows, index
 
 
 def _evaluation_echelon(g: GkmGraph, d: int) -> linalg.Matrix:
@@ -247,27 +298,6 @@ def _moduli(g: GkmGraph) -> List[Tuple]:
     return [(e, c) for e in g.edges if (c := e.weight.content()) > 1]
 
 
-def _divisibility_equations(g: GkmGraph, d: int) -> Tuple[linalg.Matrix, int]:
-    """The equations of ht_basis_z, one row per unknown (the class
-    coordinates, then the t_j): its coefficients in the congruences
-    h_j + c t_j = 0, then in the evaluations; and the number of t_j."""
-    k = d + 1
-    nf = len(g.vertices) * k
-    moduli = _moduli(g)
-    naux = k * len(moduli)
-    evals = _evaluations(g, d)
-    eqs = [[0] * naux + [row[nf - 1 - i] for row in evals] for i in range(nf)]
-    eqs += [[0] * (naux + len(evals)) for _ in range(naux)]
-    for m, (e, c) in enumerate(moduli):
-        iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
-        for j in range(k):
-            aux = m * k + j  # the congruence's column and auxiliary row
-            eqs[iu + j][aux] += 1
-            eqs[iv + j][aux] -= 1
-            eqs[nf + aux][aux] = c
-    return eqs, naux
-
-
 def _pivot(row: Sequence[int]) -> int:
     """Column of the first nonzero entry."""
     return next(j for j, x in enumerate(row) if x)
@@ -307,22 +337,38 @@ def _raised(g: GkmGraph, basis: linalg.Matrix, d: int) -> list:
     return out
 
 
+def _combination(L: linalg.Matrix, coords: Sequence[int]) -> list:
+    """sum_i coords_i L_i."""
+    out = [0] * (len(L[0]) if L else 0)
+    for c, row in zip(coords, L):
+        if c:
+            out = [s + c * x for s, x in zip(out, row)]
+    return out
+
+
 @dataclass(frozen=True)
 class _Quotient:
     """The degree-2d class lattice L modulo the x- and y-multiples of L_{d-1}.
 
-    With C the coordinates in L of the raised L_{d-1} rows and S C T = D its
-    Smith form, the submodule is spanned by d_i times row i of T^-1 (as
-    coordinates in L) for i < rank.  So a class c L reduces to (c T)[rank:]
-    in the free part of the quotient (functional reads its first entry
-    without c), and rows rank.. of T^-1 L lift a basis of that free part.
-    T and T^-1 both come from the one Smith elimination (linalg.snf_transform).
+    C holds the coordinates in L of the raised L_{d-1} rows.  Mostly C
+    reduces with unit pivots alone (linalg.unit_reduce) to rows E_p, 1 at
+    pivot p and 0 at the other pivots.  Their span is then saturated: the
+    quotient is free, every divisor is 1, and L's rows at the non-pivot
+    columns lift a basis of it.  A class c L has first coordinate lambda . c
+    in that basis, with lambda 1 at the first non-pivot column n_0,
+    -E_p[n_0] at each pivot p and 0 elsewhere.  Otherwise S C T = D is the
+    Smith form (linalg.snf_transform), kept with T^-1 for the torsion
+    witnesses: the submodule is spanned by d_i times row i of T^-1 for
+    i < rank, c L reduces to (c T)[rank:], rows rank.. of T^-1 L lift a
+    basis of the free part, and lambda is column rank of T.
     """
 
     lattice: linalg.Matrix
-    transform: linalg.Matrix
-    inverse: linalg.Matrix  # T^-1: its rows are the adapted basis's coordinates
     divisors: Tuple[int, ...]  # the nonzero d_i, in order
+    reduced_lifts: List[list]  # classes lifting a basis of the free part
+    column: list  # lambda; empty when the quotient is 0
+    transform: Optional[linalg.Matrix] = None  # T and T^-1, Smith form only
+    inverse: Optional[linalg.Matrix] = None
 
     @property
     def rank(self) -> int:
@@ -334,26 +380,17 @@ class _Quotient:
 
     def lift(self, coords: Sequence[int]) -> list:
         """The class with the given coordinates in the lattice basis."""
-        out = [0] * (len(self.lattice[0]) if self.lattice else 0)
-        for c, row in zip(coords, self.lattice):
-            if c:
-                out = [s + c * x for s, x in zip(out, row)]
-        return out
-
-    @cached_property
-    def reduced_lifts(self) -> list:
-        """Classes lifting a basis of the free part of the quotient."""
-        return [self.lift(row) for row in self.inverse[self.rank:]]
+        return _combination(self.lattice, coords)
 
     def functional(self) -> Tuple[list, int]:
-        """(mu, s), s > 0, with mu . f = s (c T)[rank] for each class f = c L:
+        """(mu, s), s > 0, with mu . f = s lambda . c for each class f = c L:
         mu is 0 off L's pivot columns P and solves the upper triangular
-        L[:, P] mu_P = s (column rank of T) from the last row up, scaled by
-        the least factor that makes each pivot divide (s = 2 on cp3)."""
+        L[:, P] mu_P = s lambda from the last row up, scaled by the least
+        factor that makes each pivot divide (s = 2 on cp3)."""
         mu, s = [0] * len(self.lattice[0]), 1
-        for row, t in zip(reversed(self.lattice), reversed(self.transform)):
+        for row, t in zip(reversed(self.lattice), reversed(self.column)):
             p = _pivot(row)
-            r = s * t[self.rank] - sum(x * m for x, m in zip(row, mu) if m)
+            r = s * t - sum(x * m for x, m in zip(row, mu) if m)
             scale = row[p] // math.gcd(row[p], r)
             if scale > 1:
                 mu, s, r = [scale * m for m in mu], scale * s, scale * r
@@ -362,7 +399,8 @@ class _Quotient:
 
 
 def _quotient(g: GkmGraph, d: int) -> _Quotient:
-    """The reduced degree-2d part, from one Smith form; memoized per graph."""
+    """The reduced degree-2d part, from unit pivots when C has them and
+    from a Smith form otherwise (_Quotient); memoized per graph."""
     cache = g.memo
     if ("quotient", d) in cache:
         return cache[("quotient", d)]
@@ -371,9 +409,20 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
         _located(solve, r, "product class")
         for r in _raised(g, ht_basis_z(g, d - 1), d - 1)
     ]
-    D, T, Tinv = linalg.snf_transform(coords, len(L))
-    divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
-    q = _Quotient(L, T, Tinv, divisors)
+    E = linalg.unit_reduce(coords)
+    if E is not None:
+        free = [j for j in range(len(L)) if j not in E]
+        column = []
+        if free:
+            column = [-E[j].get(free[0], 0) if j in E else 0 for j in range(len(L))]
+            column[free[0]] = 1
+        q = _Quotient(L, (1,) * len(E), [L[j] for j in free], column)
+    else:
+        D, T, Tinv = linalg.snf_transform(coords, len(L))
+        divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
+        r = len(divisors)
+        q = _Quotient(L, divisors, [_combination(L, c) for c in Tinv[r:]],
+                      [t[r] for t in T] if r < len(L) else [], T, Tinv)
     cache[("quotient", d)] = q
     return q
 
@@ -666,7 +715,8 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
 
     Otherwise, degree by degree up to the cap: the quotient of the class
     lattice by the x- and y-multiples of the previous degree's lattice is
-    read from its Smith normal form (_quotient); any elementary divisor > 1
+    free when its relations reduce with unit pivots, and is otherwise read
+    from its Smith normal form (_quotient); any elementary divisor > 1
     yields a torsion witness and the verdict "not-free", and checked_degrees
     lists the degrees scanned.
     """

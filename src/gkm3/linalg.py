@@ -11,26 +11,27 @@ the package.  echelon is the one elimination and leaves the entries above
 its pivots unreduced, as pivots, ranks and solves read none of them; hnf,
 hnf_transform and hnf_mod, which return the canonical form, end with the
 reduction pass (_reduced).  Callers append only the columns they read (hnf
-none, hnf_transform an identity, cohomology.ht_basis_z's fallback the
-free class coordinates' unit columns).  hnf_mod is the Hermite form of a
+none, hnf_transform an identity).  hnf_mod is the Hermite form of a
 full-rank lattice with a known multiple of its determinant, all of its
-entries kept below that multiple.  hnf_solver finds an echelon basis's pivots once and returns the
-back-substitution against it, touching only the basis's nonzero entries;
-hnf_solve is one call of it.
-snf_transform is the one Smith elimination; it carries T and T^-1, the two
-transforms cohomology's quotients read, and its pivot is the first unit
-entry when there is one, else the first entry of smallest magnitude (the
-same entry, as a unit is always smallest).  rref and solve_left are the
-only Fraction arithmetic left.  They, z_kernel and its alias nullspace,
-elementary_divisors, unimodular_inverse and lattice_solve have no caller in
-the package; they stay because the benchmark's traced runs
-(benchmark/spans.py) look them up by name.
+entries, in its reduction pass too, kept below that multiple.  hnf_solver
+finds an echelon basis's pivots once and returns the back-substitution
+against it, touching only the basis's nonzero entries; hnf_solve is one
+call of it.  unit_reduce, a sparse Gauss-Jordan elimination on +-1 pivots,
+shows a span saturated; snf_transform, the one Smith elimination, takes
+the cohomology quotients it does not reduce.  snf_transform carries T and
+T^-1, and its pivot is the first unit entry when there is one, else the
+first entry of smallest magnitude (the same entry, as a unit is always
+smallest).  rref and solve_left are the only Fraction arithmetic left.
+They, z_kernel and its alias nullspace, elementary_divisors,
+unimodular_inverse and lattice_solve have no caller in the package; they
+stay because the benchmark's traced runs (benchmark/spans.py) look them up
+by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
 
@@ -137,11 +138,14 @@ def echelon(rows: Sequence[Sequence[int]], n: int) -> Matrix:
     return H
 
 
-def _reduced(E: Matrix, n: int) -> Matrix:
+def _reduced(E: Matrix, n: int, moduli: Sequence[int] = ()) -> Matrix:
     """Reduces an echelon's entries above each pivot of its first n columns
     into [0, pivot), in place, top pivot first.  Row r's reduction reads row
     r and writes rows above it, which the elimination's later steps never
-    touch, so reducing inside the elimination made the same operations."""
+    touch, so reducing inside the elimination made the same operations.
+    moduli[c], when given, times every unit vector right of column c lies
+    in the lattice (hnf_mod), so a row reduced at c is reduced mod it right
+    of c, and no entry outgrows it."""
     c = -1
     for r, row in enumerate(E):
         c = next((j for j in range(c + 1, n) if row[j] != 0), None)
@@ -151,6 +155,9 @@ def _reduced(E: Matrix, n: int) -> Matrix:
             q = E[j][c] // row[c]
             if q != 0:
                 E[j] = [s - q * t for s, t in zip(E[j], row)]
+                if moduli:
+                    m = moduli[c]
+                    E[j][c + 1:] = [s % m for s in E[j][c + 1:]]
     return E
 
 
@@ -183,27 +190,33 @@ def hnf_mod(rows: Sequence[Sequence[int]], n: int, D: int) -> Matrix:
     """
     R = D
     rows = [[x % R for x in row] for row in rows]
-    H = []
+    H, moduli = [], []  # moduli[c]: R once column c is done
     for c in range(n):
         acc = [0] * n
         acc[c] = R  # R e_c lies in the lattice
-        for i, row in enumerate(rows):
+        for row in rows:  # each vanishes left of c
             if row[c] == 0:
                 continue
-            g, x, y = exgcd(acc[c], row[c])
-            p, q = acc[c] // g, row[c] // g
-            acc, rows[i] = (
-                [(x * s + y * t) % R for s, t in zip(acc, row)],
-                [(p * t - q * s) % R for s, t in zip(acc, row)],
-            )
+            a, b = acc[c:], row[c:]
+            if b[0] % a[0] == 0:  # acc stays; only the row is cleared
+                q = b[0] // a[0]
+                row[c:] = [(t - q * s) % R for s, t in zip(a, b)]
+                continue
+            g, x, y = exgcd(a[0], b[0])
+            p, q = a[0] // g, b[0] // g
+            acc[c:] = [(x * s + y * t) % R for s, t in zip(a, b)]
+            row[c:] = [(p * t - q * s) % R for s, t in zip(a, b)]
             acc[c] = g
         H.append(acc)
-        R //= acc[c]
+        if acc[c] > 1:
+            R //= acc[c]
+            rows = [r for r in ([x % R for x in row] for row in rows) if any(r)]
+        moduli.append(R)
         if R == 1:  # the rest of the lattice is all of Z^(n-c-1)
-            H += eye(n)[c + 1:]
+            H += [[int(i == j) for j in range(n)] for i in range(c + 1, n)]
+            moduli += [1] * (n - c - 1)
             break
-        rows = [r for r in ([x % R for x in row] for row in rows) if any(r)]
-    return _reduced(H, n)
+    return _reduced(H, n, moduli)
 
 
 def q_rank(A: Sequence[Sequence[int]]) -> int:
@@ -291,6 +304,50 @@ def snf_transform(
         if D[k][k] < 0:
             D[k] = [-s for s in D[k]]
     return D, T, Tinv
+
+
+def unit_reduce(rows: Sequence[Sequence[int]]) -> Optional[Dict[int, Dict[int, int]]]:
+    """Sparse Gauss-Jordan elimination of rows that pivots only on +-1.
+
+    Returns {p: E_p}, one row per pivot column p, each E_p held as its
+    nonzero entries off p ({column: entry}; its entry at p is 1 and at every
+    other pivot 0), spanning the same lattice as rows; or None when a
+    nonzero row is left with no +-1 entry.  The span is then saturated, as
+    the unit vectors off the pivots complete the E_p to a basis of Z^n.  A
+    row with no unit entry is retried while other rows add pivots.
+    """
+    E: Dict[int, Dict[int, int]] = {}
+    pending = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    while pending:
+        stuck, before = [], len(E)
+        for row in pending:
+            for p in [p for p in row if p in E]:
+                _sub_scaled(row, row.pop(p), E[p])  # E[p] holds no pivot
+            p = next((j for j, x in row.items() if x == 1 or x == -1), None)
+            if p is None:
+                if row:
+                    stuck.append(row)
+                continue
+            if row.pop(p) == -1:
+                row = {j: -x for j, x in row.items()}
+            for tail in E.values():
+                if p in tail:
+                    _sub_scaled(tail, tail.pop(p), row)
+            E[p] = row
+        if stuck and len(E) == before:
+            return None
+        pending = stuck
+    return E
+
+
+def _sub_scaled(row: Dict[int, int], c: int, other: Dict[int, int]) -> None:
+    """row -= c * other, sparse, dropping the entries that cancel."""
+    for j, x in other.items():
+        v = row.get(j, 0) - c * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
 def _first_unit(D: Matrix, k: int, m: int, n: int) -> Optional[Tuple[int, int]]:

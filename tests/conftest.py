@@ -132,6 +132,12 @@ scale_sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scale_sweep)
 
 
+_spec = importlib.util.spec_from_file_location(
+    "gen_blowup", ROOT / "tools" / "gen_blowup.py")
+gen_blowup = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen_blowup)
+
+
 def hexagon_prism(n: int):
     """The hexagon-labelled prism over an n-gon (tools/scale_sweep.py), whose
     Betti numbers are (1, n - 1, n - 1, 1)."""

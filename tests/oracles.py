@@ -18,12 +18,14 @@ finds a basis's pivots on every call, the Smith form that scans the whole
 remaining submatrix for each pivot, and the lift that sums the transposed
 lattice's columns.  So does the duality pairing's replaced path: each
 product class formed vertex by vertex, solved for in the degree-6 lattice
-and projected through the Smith transform.  So do the class lattice's
-two eliminations of the same equations, the second solving each lift
-against an echelon basis of the fixed coordinates' and auxiliaries' rows,
-and the Betti loop that reads each b_2d from a Smith form of the raised
-lower lattice, with the table's rank read off a basis.  The lattice ranks
-are also read from sympy's rank of the evaluation matrix.  So do the
+and projected through a Smith transform of the quotient formed here.  So
+do the class lattice's two eliminations of the same equations, the second
+solving each lift against an echelon basis of the fixed coordinates' and
+auxiliaries' rows, with the replaced fallback, an elimination of every
+unknown taken mod det Q; and the Betti loop that reads each b_2d from a
+Smith form of the raised lower lattice, with the table's rank read off a
+basis.  The lattice ranks are also read from sympy's rank of the
+evaluation matrix.  So do the
 connection's replaced loops: the transition data assembled as n x n lists from one map
 lookup per edge, without the memo, and the holonomy multiplied as list
 comprehensions over those.
@@ -530,21 +532,33 @@ def class_product(g, u: Sequence, du: int, v: Sequence, dv: int) -> list:
     return out
 
 
-def project(q, vec: Sequence[int]) -> list:
-    """Image of a class in the free part of a cohomology quotient q,
-    (c T)[rank:] with c the class's coordinates in q.lattice, solved for;
-    RuntimeError when the class is outside the lattice."""
-    c = dense_hnf_solve(q.lattice, vec)
-    if c is None:
-        raise RuntimeError("class escaped the class lattice")
-    return [sum(ci * t for ci, t in zip(c, col))
-            for col in list(zip(*q.transform))[q.rank:]]
+def projector(g, d: int):
+    """(betti, reps, project) of the degree-2d quotient of the class lattice
+    L by the raised L_{d-1}, read from the Smith form S C T = D of the
+    raised rows' coordinates C in L, each solved for (min_scan_snf): its
+    free rank, the classes T^-1 L rows rank.. lifting a basis of its free
+    part, and project(vec) = (c T)[rank:] for a class vec = c L, solved
+    for, with RuntimeError when vec is outside L."""
+    L = coh.ht_basis_z(g, d)
+    C = [] if d == 0 else [dense_hnf_solve(L, r) for r in
+                           coh._raised(g, coh.ht_basis_z(g, d - 1), d - 1)]
+    D, T, Tinv = min_scan_snf(C, len(L))
+    rank = sum(1 for i, row in enumerate(D[: len(L)]) if row[i])
+    cols = list(zip(*T))[rank:]
+
+    def project(vec: Sequence[int]) -> list:
+        c = dense_hnf_solve(L, vec)
+        if c is None:
+            raise RuntimeError("class escaped the class lattice")
+        return [sum(ci * t for ci, t in zip(c, col)) for col in cols]
+
+    return len(L) - rank, [transposed_lift(L, row) for row in Tinv[rank:]], project
 
 
-def projected_pairing(g, reps2, reps4, q) -> List[list]:
+def projected_pairing(g, reps2, reps4, project) -> List[list]:
     """The reduced H^2 x H^4 pairing: each product class formed and
-    projected into the degree-6 quotient q."""
-    return [[project(q, class_product(g, u, 1, v, 2))[0] for v in reps4]
+    projected into the degree-6 quotient (projector(g, 3))."""
+    return [[project(class_product(g, u, 1, v, 2))[0] for v in reps4]
             for u in reps2]
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -371,3 +374,23 @@ def test_any_json_gives_exit_0_1_or_2(tmp_path, capsys, doc):
     # cover is scanned for torsion up to degree 20.
     assert cli.run(["verdict", str(path)]) in (0, 1, 2)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verdict", str(Path(__file__).parent / "invalid" / "k5.json")],
+    # 0.5 MB: the pipe closes inside print, not at the final flush.
+    ["connections", str(CORPUS_DIR / "flag.json")],
+])
+def test_closed_stdout_exits_without_a_traceback(argv):
+    # The reader goes away before the report is written, as `head` does:
+    # the write meets a closed pipe, and gkm3 exits 1 with nothing on stderr.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from gkm3.cli import main; main()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and err == ""

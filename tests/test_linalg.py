@@ -271,3 +271,38 @@ def test_solve_left():
     c = linalg.solve_left(B, [1, 3, 4])
     assert list(c) == [1, 1]
     assert linalg.solve_left(B, [0, 0, 1]) is None
+
+
+def _dense(E, n):
+    """The rows of unit_reduce's result, as dense rows in pivot order."""
+    rows = []
+    for p in sorted(E):
+        row = [E[p].get(j, 0) for j in range(n)]
+        row[p] = 1
+        rows.append(row)
+    return rows
+
+
+@given(int_matrices(max_dim=6, lo=-3, hi=3))
+@settings(max_examples=200, deadline=None)
+def test_unit_reduce_spans_a_saturated_lattice(rows):
+    # Each E_p is 1 at p and 0 at the other pivots; together they span the
+    # rows' lattice, whose elementary divisors are then all 1.  So a
+    # lattice with a divisor above 1 gives None.
+    n = len(rows[0])
+    E = linalg.unit_reduce(rows)
+    if E is None:
+        return
+    assert all(p not in E[q] for p in E for q in E)
+    dense = _dense(E, n)
+    assert oracles.lattice_equal(dense, rows) if dense else not any(map(any, rows))
+    assert oracles.snf_divisors(rows, n) == [1] * len(E)
+
+
+def test_unit_reduce_explicit_inputs():
+    # A row with no unit is retried once another row adds a pivot.
+    assert linalg.unit_reduce([[2, 3], [1, 1]]) == {0: {}, 1: {}}
+    assert linalg.unit_reduce([[2, 3]]) is None
+    assert linalg.unit_reduce([[2, 0], [0, 1]]) is None  # index 2
+    assert linalg.unit_reduce([[0, -1, 2], [0, 2, -4]]) == {1: {2: -2}}
+    assert linalg.unit_reduce([]) == {}

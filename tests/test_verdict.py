@@ -309,10 +309,10 @@ def test_verdict_runs_no_reduction_pass_and_lifts_without_eye(name, monkeypatch)
     reduced, eye, basis = linalg._reduced, linalg.eye, cohomology.ht_basis_z
     hnf_mod = linalg.hnf_mod
 
-    def spy_reduced(E, n):
+    def spy_reduced(E, n, *moduli):
         # The number of the hnf_mod call it runs in, None outside one.
         reductions.append(len(mods) if in_mod else None)
-        return reduced(E, n)
+        return reduced(E, n, *moduli)
 
     def spy_hnf_mod(rows, n, D):
         mods.append(n)
