@@ -34,8 +34,7 @@ formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .connection import Connection, DirectedEdge, transition
@@ -346,8 +345,7 @@ def _combination(L: linalg.Matrix, coords: Sequence[int]) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class _Quotient:
+class _Quotient(NamedTuple):
     """The degree-2d class lattice L modulo the x- and y-multiples of L_{d-1}.
 
     C holds the coordinates in L of the raised L_{d-1} rows.  Mostly C
@@ -480,8 +478,7 @@ def _certify_free(g: GkmGraph) -> Optional[Tuple[int, ...]]:
 # Betti numbers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BettiResult:
+class BettiResult(NamedTuple):
     """Betti numbers b_0, b_2, ... b_{2d_max} with a stabilization flag.
 
     stabilized is True when the running total reached |V| and two
@@ -617,8 +614,7 @@ def _pairing(g: GkmGraph) -> linalg.Matrix:
     return out
 
 
-@dataclass(frozen=True)
-class PoincareResult:
+class PoincareResult(NamedTuple):
     ok: bool
     betti: Tuple[int, ...]
     pairing_rank: Optional[int] = None
@@ -667,8 +663,7 @@ def poincare_duality(
 # Integral freeness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreenessResult:
+class FreenessResult(NamedTuple):
     """status is "certified" or "not-free"; a torsion witness names a class
     vector and the smallest multiplier that lands it in the product ideal."""
 

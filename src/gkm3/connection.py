@@ -20,8 +20,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .graph import DirectedEdge, GkmGraph, GraphSemanticError, Weight, det2
 
@@ -60,8 +59,7 @@ def transport_coefficients(
     return num // den, k
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(NamedTuple):
     """For each directed edge, the incident-edge bijection, by stable ids.
 
     maps[(edge_id, forward)] is a tuple of pairs (source incident edge id,
@@ -242,8 +240,7 @@ def available_connections(g: GkmGraph) -> Tuple[ConnectionSpace, bool]:
     return ConnectionSpace(space.options, explicit), True
 
 
-@dataclass(frozen=True)
-class TransitionData:
+class TransitionData(NamedTuple):
     """Bookkeeping for one directed edge e: v -> w.
 
     sigma is the edge-order transport permutation relative to the stored
@@ -335,13 +332,15 @@ def transition(g: GkmGraph, conn: Connection, e: DirectedEdge) -> TransitionData
     return data
 
 
-@dataclass(frozen=True)
-class ConnectionPath:
+class ConnectionPath(NamedTuple):
     """A cyclic sequence e_1, ..., e_n with e_{i+1} = transport of e_{i-1}.
 
     steps[i] is the directed edge e_{i+1} leaving its source vertex; the
     stored representative is the canonical one (lexicographically least over
-    all rotations of both orientations).
+    all rotations of both orientations, directed edges ordered as their
+    (edge_id, forward) tuples).  len is the number of steps, so the tuple
+    helpers _make and _replace, which check len against the one field, do
+    not apply.
     """
 
     steps: Tuple[DirectedEdge, ...]
@@ -355,9 +354,7 @@ class ConnectionPath:
             return [tuple(seq[i:]) + tuple(seq[:i]) for i in range(len(seq))]
 
         rev = tuple(s.reversed() for s in reversed(steps))
-        key = lambda seq: [(s.edge_id, s.forward) for s in seq]
-        best = min(rotations(steps) + rotations(rev), key=key)
-        return ConnectionPath(best)
+        return ConnectionPath(min(rotations(steps) + rotations(rev)))
 
 
 def connection_paths(g: GkmGraph, conn: Connection) -> List[ConnectionPath]:
@@ -391,7 +388,7 @@ def connection_paths(g: GkmGraph, conn: Connection) -> List[ConnectionPath]:
             seen.update((steps[(i + 1) % n].edge_id, steps[i].reversed())
                         for i in range(n))
             paths.append(ConnectionPath.canonical(steps))
-    paths.sort(key=lambda p: [(s.edge_id, s.forward) for s in p.steps])
+    paths.sort()
     total = sum(len(p) for p in paths)
     if total != 2 * len(g.edges):
         raise ConnectionInconsistency(

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "Weight",
@@ -46,16 +45,20 @@ class GraphSemanticError(ValueError):
     """Raised for well-formed input with invalid content (zero weight etc.)."""
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A character of the 2-torus: a sign lift in Z^2 of a class in Z^2/±1."""
-
+class _WeightFields(NamedTuple):
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0:
+
+class Weight(_WeightFields):
+    """A character of the 2-torus: a sign lift in Z^2 of a class in Z^2/±1."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> "Weight":
+        if a == 0 and b == 0:
             raise GraphSemanticError("zero weight is not allowed")
+        return super().__new__(cls, a, b)
 
     @staticmethod
     def canonical(a: int, b: int) -> "Weight":
@@ -82,15 +85,13 @@ def det2(w1: Weight, w2: Weight) -> int:
     return w1.a * w2.b - w1.b * w2.a
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     u: str
     v: str
     weight: Weight
 
 
-@dataclass(frozen=True)
-class DirectedEdge:
+class DirectedEdge(NamedTuple):
     """An edge with a direction flag; forward means stored u -> stored v."""
 
     edge_id: int
@@ -100,13 +101,41 @@ class DirectedEdge:
         return DirectedEdge(self.edge_id, not self.forward)
 
 
-@dataclass(frozen=True)
 class GkmGraph:
-    vertices: Tuple[str, ...]
-    edges: Tuple[Edge, ...]
-    name: Optional[str] = None
-    connection_block: Optional[Mapping[str, Any]] = None
-    warnings: Tuple[str, ...] = ()
+    """A labelled graph: five fields, set once, by which it compares and
+    hashes.  Assignment is refused; the cached properties below write to
+    the instance dict directly."""
+
+    _fields = ("vertices", "edges", "name", "connection_block", "warnings")
+
+    def __init__(self, vertices: Tuple[str, ...], edges: Tuple[Edge, ...],
+                 name: Optional[str] = None,
+                 connection_block: Optional[Mapping[str, Any]] = None,
+                 warnings: Tuple[str, ...] = ()):
+        self.__dict__.update(vertices=vertices, edges=edges, name=name,
+                             connection_block=connection_block,
+                             warnings=warnings)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a GkmGraph")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a GkmGraph")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"GkmGraph({fields})"
 
     @cached_property
     def memo(self) -> dict:
@@ -175,10 +204,9 @@ class GkmGraph:
         return GkmGraph(self.vertices, edges, self.name, self.connection_block)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
-    failures: Tuple[Mapping[str, Any], ...] = field(default_factory=tuple)
+    failures: Tuple[Mapping[str, Any], ...] = ()
 
 
 _KNOWN_FIELDS = {"vertices", "edges", "weight", "from", "to", "connection", "name"}

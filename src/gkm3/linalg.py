@@ -21,8 +21,9 @@ shows a span saturated; snf_transform, the one Smith elimination, takes
 the cohomology quotients it does not reduce.  snf_transform carries T and
 T^-1, and its pivot is the first unit entry when there is one, else the
 first entry of smallest magnitude (the same entry, as a unit is always
-smallest).  rref and solve_left are the only Fraction arithmetic left.
-They, z_kernel and its alias nullspace, elementary_divisors,
+smallest).  rref and solve_left are the only Fraction arithmetic left,
+and they import Fraction on call, so no CLI call loads fractions (or the
+decimal and numbers modules it pulls in).  They, z_kernel and its alias nullspace, elementary_divisors,
 unimodular_inverse and lattice_solve have no caller in the package; they
 stay because the benchmark's traced runs (benchmark/spans.py) look them up
 by name.
@@ -30,7 +31,6 @@ by name.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -52,6 +52,8 @@ def rref(A: Sequence[Sequence]) -> Tuple[List[List[Fraction]], list]:
 
     Returns (R, pivot_columns).  A is not modified.
     """
+    from fractions import Fraction
+
     R = [[Fraction(x) for x in row] for row in A]
     m, n = len(R), len(R[0]) if R else 0
     pivots = []
@@ -77,6 +79,8 @@ def rref(A: Sequence[Sequence]) -> Tuple[List[List[Fraction]], list]:
 def solve_left(B: Sequence[Sequence], b: Sequence) -> Optional[List[Fraction]]:
     """Solves c @ B == b for a row vector c over Q, or returns None if
     inconsistent."""
+    from fractions import Fraction
+
     m = len(B)
     aug = [[B[j][i] for j in range(m)] + [b[i]] for i in range(len(b))]
     R, pivots = rref(aug)

@@ -25,8 +25,7 @@ transition_eta in tests/oracles.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .connection import ConnectionInconsistency
 from .graph import GkmGraph, signed_forest
@@ -109,8 +108,7 @@ def potential_from_eta(
     return None, cycle
 
 
-@dataclass(frozen=True)
-class OrientabilityResult:
+class OrientabilityResult(NamedTuple):
     orientable: bool
     eta: Mapping[int, int]
     potential: Optional[Mapping[str, int]] = None

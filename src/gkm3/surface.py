@@ -13,8 +13,7 @@ an edge the same way.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .connection import Connection, ConnectionPath, connection_paths
 from .graph import GkmGraph, signed_forest
@@ -22,8 +21,7 @@ from .graph import GkmGraph, signed_forest
 __all__ = ["SurfaceResult", "build_surface", "classify_surface"]
 
 
-@dataclass(frozen=True)
-class SurfaceResult:
+class SurfaceResult(NamedTuple):
     closed: bool
     faces: Tuple[ConnectionPath, ...]
     face_lengths: Tuple[int, ...]
@@ -45,8 +43,7 @@ def build_surface(g: GkmGraph, conn: Connection) -> SurfaceResult:
     result = SurfaceResult(closed, faces, tuple(len(p) for p in faces))
     if not closed:
         return result
-    return replace(
-        result,
+    return result._replace(
         euler_characteristic=len(g.vertices) - len(g.edges) + len(faces),
         orientable=_orientable(len(faces), occurrences),
     )
@@ -74,8 +71,8 @@ def classify_surface(g: GkmGraph, conn: Connection) -> SurfaceResult:
             raise RuntimeError(f"orientable closed surface with chi = {chi}")
         genus = (2 - chi) // 2
         name = "sphere" if genus == 0 else f"genus-{genus} surface"
-        return replace(s, genus=genus, name=name)
+        return s._replace(genus=genus, name=name)
     crosscaps = 2 - chi
     if crosscaps < 1:
         raise RuntimeError(f"nonorientable closed surface with chi = {chi}")
-    return replace(s, crosscaps=crosscaps, name=f"crosscap-{crosscaps} surface")
+    return s._replace(crosscaps=crosscaps, name=f"crosscap-{crosscaps} surface")

@@ -23,13 +23,21 @@ def test_digest_lines(monkeypatch):
     flag = "src/gkm3/corpus/flag.json"
     assert ["surface", flag, "--connection", "511", "--emit-complex",
             "--format", "json"] in cli_digest.calls()
-    # After the 2^66 connections of sq22, one past the last exits 2, comes
-    # the 48-vertex hexagon prism's verdict.
+    # After the 2^66 connections of sq22, one past the last exits 2, come
+    # the 48-vertex hexagon prism's verdict and the seven subcommands on the
+    # 24-vertex blow-up last10.
     sq22 = ["verdict", "tests/sq22.json", "--connection", str(2 ** 66),
             "--format", "json"]
-    assert cli_digest.calls()[-2:] == [
-        sq22, ["verdict", "tests/hexprism24.json", "--format", "json"]]
+    blowup = "tests/blowup_last10.json"
+    assert cli_digest.calls()[-9:] == [
+        sq22, ["verdict", "tests/hexprism24.json", "--format", "json"]] + [
+        [cmd, blowup, "--format", "json"] for cmd in (
+            "validate", "connections", "orientability", "surface",
+            "cohomology", "freeness", "verdict")]
     assert cli_digest.digest_line(sq22).startswith("2 verdict")
+    # Every subcommand on last10 succeeds.
+    for argv in cli_digest.calls()[-7:]:
+        assert cli_digest.digest_line(argv).startswith(f"0 {argv[0]} ")
     # A verdict's stdout is its golden file, byte for byte.
     golden = (ROOT / "src/gkm3/corpus/theta.golden.json").read_bytes()
     assert cli_digest.digest_line(["verdict", theta]) == (

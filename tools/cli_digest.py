@@ -20,7 +20,9 @@ Last, tests/sq22.json, a prism with 2^66 connections, runs validate,
 cohomology, freeness, orientability, surface and verdict in json, and
 orientability and verdict at --connection 2^66 - 1 (the last connection)
 and 2^66 (out of range); then the verdict of tests/hexprism24.json, the
-48-vertex hexagon-labelled prism.
+48-vertex hexagon-labelled prism, and the seven subcommands in json on
+tests/blowup_last10.json, a 24-vertex blow-up with one connection whose
+labels take the class-lattice fallback.
 Each line holds the exit code, the argv (paths relative to the checkout
 root) and the sha256 of stdout, so a diff of the lines printed in two
 checkouts shows whether their output is byte-identical.
@@ -86,6 +88,9 @@ def calls() -> List[List[str]]:
     out += [[cmd, sq22, "--connection", str(i), "--format", "json"]
             for i in (2 ** 66 - 1, 2 ** 66) for cmd in ("orientability", "verdict")]
     out.append(["verdict", "tests/hexprism24.json", "--format", "json"])
+    out += [[cmd, "tests/blowup_last10.json", "--format", "json"] for cmd in (
+        "validate", "connections", "orientability", "surface", "cohomology",
+        "freeness", "verdict")]
     return out
 
 
