@@ -254,7 +254,7 @@ def _cmd_corpus(args) -> Tuple[dict, bool]:
             else:
                 try:
                     golden = json.loads(golden_path.read_text())
-                except (OSError, ValueError) as exc:
+                except (OSError, ValueError, RecursionError) as exc:
                     raise InputError(f"cannot read {golden_path}: {exc}") from exc
                 diverging = _diff_path(json.loads(_dumps(report)), golden)
                 if diverging is None:

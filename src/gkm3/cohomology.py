@@ -14,21 +14,21 @@ class lattice is the integer solution set of those equations and
 congruences.  One echelon of the evaluations per degree gives both its
 rank and its Hermite basis, each class lifted from its free coordinates by
 back-substitution; a lattice that is not all of Z on those coordinates
-takes one more pass through the same back-substitution, which gives its
-index, and a Hermite form modulo that index.  The lattice also spans the
-rational classes (see ht_basis_q), and over Q the classes are a free
-module: they are the kernel of Q[x, y]^V -> (+)_e Q[x, y] / (alpha_e), a
-target of depth 1, so the kernel has depth 2 and is free (Auslander and
-Buchsbaum).  So every Betti number is a second difference of the lattice
-ranks (betti_numbers), and no quotient is needed for it.  Integral
-quotients per degree give the torsion test, and one functional of the
-degree-6 quotient reads the whole duality pairing.  A quotient whose
-relations reduce with unit pivots is free, and its basis and functional
-are read off that reduction; only the others take a Smith form.  When
-the lifts of the quotients' bases up to the valence are a free basis of
-all classes, one determinant proves it (z_freeness), and with it freeness
-and the Betti numbers in every degree, so the quotients above are never
-formed.
+takes one more pass through the same back-substitution, which gives a
+triangular basis of its part there, whose Hermite form is one reduction
+pass, and lifts that form.  The lattice also spans the rational classes
+(see ht_basis_q), and over Q the classes are a free module: they are the
+kernel of Q[x, y]^V -> (+)_e Q[x, y] / (alpha_e), a target of depth 1, so
+the kernel has depth 2 and is free (Auslander and Buchsbaum).  So every
+Betti number is a second difference of the lattice ranks (betti_numbers),
+and no quotient is needed for it.  Integral quotients per degree give the
+torsion test, and one functional of the degree-6 quotient reads the whole
+duality pairing.  A quotient whose relations reduce with unit pivots is
+free, and its basis and functional are read off that reduction; only the
+others take a Smith form.  When the lifts of the quotients' bases up to
+the valence are a free basis of all classes, one determinant proves it
+(z_freeness), and with it freeness and the Betti numbers in every degree,
+so the quotients above are never formed.
 """
 
 from __future__ import annotations
@@ -135,9 +135,10 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     plus its part on the others, B, and its Hermite form is those unit
     vectors and the Hermite form of that part.  One pass over the
     constraints that define Y, in back-substitution order, narrows the unit
-    vectors on B to a triangular basis of that part and multiplies up its
-    index (_lattice_rows); its Hermite form is then taken mod that index
-    (linalg.hnf_mod), which keeps every entry below it, and lifted.
+    vectors on B to a basis of that part whose rows are upper triangular on
+    B with a positive diagonal (_lattice_rows).  That is an echelon basis,
+    so its Hermite form needs no elimination, only the reduction above its
+    pivots (linalg.reduced), and the rows of that form are lifted.
     """
     cache = g.memo
     if ("z", d) in cache:
@@ -152,9 +153,9 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     basis = _lifts(g, d, steps, free, [[(t, 1)] for t in range(len(free))])
     bad = [t for t, f in enumerate(basis) if f is None]
     if bad:  # Y is not all of Z^F, but holds the other unit vectors
-        rows, index = _lattice_rows(g, d, steps, [free[t] for t in bad])
-        H = linalg.hnf_mod([[row[free[t]] for t in bad] for row in rows],
-                           len(bad), index)
+        B = [free[t] for t in bad]
+        rows = _lattice_rows(g, d, steps, B)
+        H = linalg.reduced([[row[f] for f in B] for row in rows], len(B))
         lifted = _lifts(g, d, steps, free,
                         [[(bad[j], v) for j, v in enumerate(h) if v] for h in H])
         if None in lifted:
@@ -205,26 +206,24 @@ def _lifts(g: GkmGraph, d: int, steps: list, free: Sequence[int],
 
 
 def _lattice_rows(g: GkmGraph, d: int, steps: list,
-                  start: Sequence[int]) -> Tuple[linalg.Matrix, int]:
+                  start: Sequence[int]) -> linalg.Matrix:
     """For B the free coordinates start, classes of L whose parts on B are
     a triangular basis of Y on B (its vectors that vanish off B), as full
-    class rows, and [Z^B : Y on B] (ht_basis_z), from one pass over the
-    constraints that define Y, in back-substitution order.  The rows start
-    as the unit vectors on B.  Each pivot's values are the rows' numerators
-    there, each congruence c | h_j's the rows' h_j.  A constraint mod m (the
-    pivot or c) visits the rows from the last up, with G = m and a carry,
-    a combination of the rows below it of value G mod m.  A row of value v
-    becomes a row - q carry, a = G / gcd(v, G) and q = v / gcd(v, G) mod
-    m / G, whose value is 0 mod m and whose pivot is a times its old one;
-    the carry then takes the old row in by exgcd, down to value gcd(v, G).
-    The factors a multiply to the constraint's index, m over the gcd of m
-    and the values.  A pivot then fixes each row's coordinate."""
+    class rows (ht_basis_z), from one pass over the constraints that define
+    Y, in back-substitution order.  The rows start as the unit vectors on
+    B.  Each pivot's values are the rows' numerators there, each congruence
+    c | h_j's the rows' h_j.  A constraint mod m (the pivot or c) visits
+    the rows from the last up, with G = m and a carry, a combination of the
+    rows below it of value G mod m.  A row of value v becomes
+    a row - q carry, a = G / gcd(v, G) and q = v / gcd(v, G) mod m / G,
+    whose value is 0 mod m and whose pivot is a times its old one; the
+    carry then takes the old row in by exgcd, down to value gcd(v, G).
+    So each row's part on B stays upper triangular with a positive
+    diagonal.  A pivot then fixes each row's coordinate."""
     k = d + 1
     rows = [[int(i == f) for i in range(len(g.vertices) * k)] for f in start]
-    index = 1
 
     def constrain(values: List[int], m: int) -> None:
-        nonlocal index
         G, carry, cv = m, [0] * len(rows[0]), 0  # cv = G mod m
         for t in reversed(range(len(rows))):
             v, row = values[t], rows[t]
@@ -237,7 +236,6 @@ def _lattice_rows(g: GkmGraph, d: int, steps: list,
             elif a > 1:
                 rows[t] = [a * s for s in row]
             values[t] = a * v - q * cv
-            index *= a
             if gcd < G:  # the carry takes this row in, and its value is gcd
                 _, x, y = linalg.exgcd(v, G)
                 carry = [x * s + y * u for s, u in zip(row, carry)]
@@ -252,7 +250,7 @@ def _lattice_rows(g: GkmGraph, d: int, steps: list,
         iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
         for j in range(k):
             constrain([row[iu + j] - row[iv + j] for row in rows], c)
-    return rows, index
+    return rows
 
 
 def _evaluation_echelon(g: GkmGraph, d: int) -> linalg.Matrix:
@@ -532,19 +530,14 @@ def betti_numbers(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> BettiRes
 def cohomology_table(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> List[dict]:
     """Per-degree summary: Q-dimension, Z-rank and Betti number.
 
-    dim_q = rank_z (see ht_basis_q), so both columns read one rank: the
-    rank of the degree's one echelon (_lattice_rank), with no basis formed.
-    With a certified free basis (z_freeness), b_{2k} of whose classes have
-    degree 2k, the degree-2d classes are the sums h_c c with h_c of degree
-    d - k, so the rank is counted instead.
+    dim_q = rank_z (see ht_basis_q), so both columns read one rank, and it
+    is read from the Betti numbers: r_d = sum_k b_{2k} (d - k + 1), as b is
+    the second difference of r (betti_numbers), with no basis formed.
     """
-    free = _free_betti(g)
+    betti = betti_numbers(g, degree_cap).betti
     out = []
-    for d, b in enumerate(betti_numbers(g, degree_cap).betti):
-        if free is None:
-            rank = _lattice_rank(g, d)
-        else:
-            rank = sum(bk * (d - k + 1) for k, bk in enumerate(free[: d + 1]))
+    for d, b in enumerate(betti):
+        rank = sum(bk * (d - k + 1) for k, bk in enumerate(betti[: d + 1]))
         out.append({"degree": 2 * d, "betti": b, "dim_q": rank, "rank_z": rank})
     return out
 
@@ -668,7 +661,7 @@ class FreenessResult(NamedTuple):
     vector and the smallest multiplier that lands it in the product ideal."""
 
     status: str
-    checked_degrees: Tuple[int, ...]
+    checked_degrees: range  # the even degrees 0, 2, ... scanned
     witness: Optional[dict] = None
 
 
@@ -713,21 +706,19 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
     free when its relations reduce with unit pivots, and is otherwise read
     from its Smith normal form (_quotient); any elementary divisor > 1
     yields a torsion witness and the verdict "not-free", and checked_degrees
-    lists the degrees scanned.
+    lists the degrees scanned.  Those are always 0, 2, ... up to the
+    witness or the cap, so checked_degrees is a range, whose size does not
+    grow with the cap.
     """
-    if _free_betti(g) is not None:
-        degrees = tuple(2 * d for d in range(degree_cap // 2 + 1))
-        return FreenessResult("certified", degrees)
-    checked = []
-    for d in range(degree_cap // 2 + 1):
-        checked.append(2 * d)
-        q = _quotient(g, d)
-        for i, di in enumerate(q.divisors):
-            if di > 1:
-                wit = q.lift(q.inverse[i])
-                return FreenessResult(
-                    "not-free",
-                    tuple(checked),
-                    witness={"degree": 2 * d, "order": di, "class": wit},
-                )
-    return FreenessResult("certified", tuple(checked))
+    if _free_betti(g) is None:
+        for d in range(degree_cap // 2 + 1):
+            q = _quotient(g, d)
+            for i, di in enumerate(q.divisors):
+                if di > 1:
+                    wit = q.lift(q.inverse[i])
+                    return FreenessResult(
+                        "not-free",
+                        range(0, 2 * d + 1, 2),
+                        witness={"degree": 2 * d, "order": di, "class": wit},
+                    )
+    return FreenessResult("certified", range(0, degree_cap + 1, 2))

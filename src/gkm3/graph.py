@@ -139,12 +139,12 @@ class GkmGraph:
 
     @cached_property
     def memo(self) -> dict:
-        """Results derived from this graph alone (class lattices, their
-        solvers, quotients, the free-basis certificate, Betti results per
-        degree cap, transition data), filled on first use.  Keys are tuples
-        whose first entry names the kind of result: ("z", d), ("solve", d),
-        ("quotient", d), ("free",), ("betti", cap) and
-        ("transition", edge, map)."""
+        """Results derived from this graph alone (evaluation echelons, class
+        lattices, their solvers, quotients, the free-basis certificate,
+        Betti results per degree cap, transition data), filled on first
+        use.  Keys are tuples whose first entry names the kind of result:
+        ("evaluations", d), ("z", d), ("solve", d), ("quotient", d),
+        ("free",), ("betti", cap) and ("transition", edge, map)."""
         return {}
 
     @cached_property
@@ -226,10 +226,10 @@ def _unique_keys(pairs: list) -> dict:
 def parse_graph(text: str) -> GkmGraph:
     """Parses a graph file, canonicalizing weight lifts.
 
-    Raises GraphSyntaxError for malformed JSON (with position) or a key
-    repeated in one object, and GraphSemanticError for unknown vertices,
-    zero weights and the like.  Unknown fields are recorded as warnings on
-    the returned graph.
+    Raises GraphSyntaxError for malformed JSON (with position), JSON nested
+    too deeply to decode, or a key repeated in one object, and
+    GraphSemanticError for unknown vertices, zero weights and the like.
+    Unknown fields are recorded as warnings on the returned graph.
     """
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
@@ -241,6 +241,8 @@ def parse_graph(text: str) -> GkmGraph:
         ) from exc
     except ValueError as exc:  # an integer past int's digit limit
         raise GraphSyntaxError(str(exc)) from exc
+    except RecursionError as exc:  # arrays or objects nested past the stack
+        raise GraphSyntaxError("JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise GraphSyntaxError("top-level value must be an object")
 

@@ -8,25 +8,25 @@ explicitly.
 
 The integer routines (HNF, rank, Smith form, HNF back-substitution) carry
 the package.  echelon is the one elimination and leaves the entries above
-its pivots unreduced, as pivots, ranks and solves read none of them; hnf,
-hnf_transform and hnf_mod, which return the canonical form, end with the
-reduction pass (_reduced).  Callers append only the columns they read (hnf
-none, hnf_transform an identity).  hnf_mod is the Hermite form of a
-full-rank lattice with a known multiple of its determinant, all of its
-entries, in its reduction pass too, kept below that multiple.  hnf_solver
-finds an echelon basis's pivots once and returns the back-substitution
-against it, touching only the basis's nonzero entries; hnf_solve is one
-call of it.  unit_reduce, a sparse Gauss-Jordan elimination on +-1 pivots,
-shows a span saturated; snf_transform, the one Smith elimination, takes
-the cohomology quotients it does not reduce.  snf_transform carries T and
-T^-1, and its pivot is the first unit entry when there is one, else the
-first entry of smallest magnitude (the same entry, as a unit is always
-smallest).  rref and solve_left are the only Fraction arithmetic left,
-and they import Fraction on call, so no CLI call loads fractions (or the
-decimal and numbers modules it pulls in).  They, z_kernel and its alias nullspace, elementary_divisors,
-unimodular_inverse and lattice_solve have no caller in the package; they
-stay because the benchmark's traced runs (benchmark/spans.py) look them up
-by name.
+its pivots unreduced, as pivots, ranks and solves read none of them; hnf
+and hnf_transform, which return the canonical form, end with the
+reduction pass (reduced).  Callers append only the columns they read (hnf
+none, hnf_transform an identity).  reduced alone is the Hermite form of an
+echelon basis, such as the triangular one of the class lattice's fallback
+(cohomology.ht_basis_z), which needs no elimination.  hnf_solver finds an
+echelon basis's pivots once and returns the back-substitution against it,
+touching only the basis's nonzero entries; hnf_solve is one call of it.
+unit_reduce, a sparse Gauss-Jordan elimination on +-1 pivots, shows a span
+saturated; snf_transform, the one Smith elimination, takes the cohomology
+quotients it does not reduce.  snf_transform carries T and T^-1, and its
+pivot is the first unit entry when there is one, else the first entry of
+smallest magnitude (the same entry, as a unit is always smallest).  rref
+and solve_left are the only Fraction arithmetic left, and they import
+Fraction on call, so no CLI call loads fractions (or the decimal and
+numbers modules it pulls in).  They, z_kernel and its alias nullspace,
+elementary_divisors, unimodular_inverse and lattice_solve have no caller
+in the package; they stay because the benchmark's traced runs
+(benchmark/spans.py) look them up by name.
 """
 
 from __future__ import annotations
@@ -142,14 +142,12 @@ def echelon(rows: Sequence[Sequence[int]], n: int) -> Matrix:
     return H
 
 
-def _reduced(E: Matrix, n: int, moduli: Sequence[int] = ()) -> Matrix:
+def reduced(E: Matrix, n: int) -> Matrix:
     """Reduces an echelon's entries above each pivot of its first n columns
-    into [0, pivot), in place, top pivot first.  Row r's reduction reads row
-    r and writes rows above it, which the elimination's later steps never
-    touch, so reducing inside the elimination made the same operations.
-    moduli[c], when given, times every unit vector right of column c lies
-    in the lattice (hnf_mod), so a row reduced at c is reduced mod it right
-    of c, and no entry outgrows it."""
+    into [0, pivot), in place, top pivot first: the Hermite form of the
+    echelon's row lattice.  Row r's reduction reads row r and writes rows
+    above it, which the elimination's later steps never touch, so reducing
+    inside the elimination made the same operations."""
     c = -1
     for r, row in enumerate(E):
         c = next((j for j in range(c + 1, n) if row[j] != 0), None)
@@ -159,9 +157,6 @@ def _reduced(E: Matrix, n: int, moduli: Sequence[int] = ()) -> Matrix:
             q = E[j][c] // row[c]
             if q != 0:
                 E[j] = [s - q * t for s, t in zip(E[j], row)]
-                if moduli:
-                    m = moduli[c]
-                    E[j][c + 1:] = [s % m for s in E[j][c + 1:]]
     return E
 
 
@@ -169,7 +164,7 @@ def hnf_transform(A: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
     """Row Hermite normal form with transform: returns (H, U), U @ A == H,
     read off the reduced echelon of [A | I]."""
     n = len(A[0]) if A else 0
-    E = _reduced(echelon([list(row) + e for row, e in zip(A, eye(len(A)))], n), n)
+    E = reduced(echelon([list(row) + e for row, e in zip(A, eye(len(A)))], n), n)
     return [row[:n] for row in E], [row[n:] for row in E]
 
 
@@ -180,47 +175,7 @@ def echelon_basis(A: Sequence[Sequence[int]]) -> Matrix:
 
 def hnf(A: Sequence[Sequence[int]]) -> Matrix:
     """Row HNF with zero rows dropped: the canonical basis of the row lattice."""
-    return _reduced(echelon_basis(A), len(A[0]) if A else 0)
-
-
-def hnf_mod(rows: Sequence[Sequence[int]], n: int, D: int) -> Matrix:
-    """Row HNF (n x n) of the full-rank lattice spanned by rows and D Z^n,
-    for D a multiple of that lattice's determinant.
-
-    The lattice vectors that vanish on the first c columns then contain
-    R Z^(n-c), with R = D over the first c pivots; so every entry right of
-    column c is taken mod R, and no entry ever exceeds D.  This is the
-    modular HNF of Domich, Kannan and Trotter (Cohen, GTM 138, Alg. 2.4.8).
-    """
-    R = D
-    rows = [[x % R for x in row] for row in rows]
-    H, moduli = [], []  # moduli[c]: R once column c is done
-    for c in range(n):
-        acc = [0] * n
-        acc[c] = R  # R e_c lies in the lattice
-        for row in rows:  # each vanishes left of c
-            if row[c] == 0:
-                continue
-            a, b = acc[c:], row[c:]
-            if b[0] % a[0] == 0:  # acc stays; only the row is cleared
-                q = b[0] // a[0]
-                row[c:] = [(t - q * s) % R for s, t in zip(a, b)]
-                continue
-            g, x, y = exgcd(a[0], b[0])
-            p, q = a[0] // g, b[0] // g
-            acc[c:] = [(x * s + y * t) % R for s, t in zip(a, b)]
-            row[c:] = [(p * t - q * s) % R for s, t in zip(a, b)]
-            acc[c] = g
-        H.append(acc)
-        if acc[c] > 1:
-            R //= acc[c]
-            rows = [r for r in ([x % R for x in row] for row in rows) if any(r)]
-        moduli.append(R)
-        if R == 1:  # the rest of the lattice is all of Z^(n-c-1)
-            H += [[int(i == j) for j in range(n)] for i in range(c + 1, n)]
-            moduli += [1] * (n - c - 1)
-            break
-    return _reduced(H, n, moduli)
+    return reduced(echelon_basis(A), len(A[0]) if A else 0)
 
 
 def q_rank(A: Sequence[Sequence[int]]) -> int:

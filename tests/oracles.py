@@ -22,12 +22,12 @@ and projected through a Smith transform of the quotient formed here.  So
 do the class lattice's two eliminations of the same equations, the second
 solving each lift against an echelon basis of the fixed coordinates' and
 auxiliaries' rows, with the replaced fallback, an elimination of every
-unknown taken mod det Q; and the Betti loop that reads each b_2d from a
-Smith form of the raised lower lattice, with the table's rank read off a
-basis.  The lattice ranks are also read from sympy's rank of the
-evaluation matrix.  So do the
-connection's replaced loops: the transition data assembled as n x n lists from one map
-lookup per edge, without the memo, and the holonomy multiplied as list
+unknown whose Hermite form sympy takes mod det Q; and the Betti loop that
+reads each b_2d from a Smith form of the raised lower lattice, with the
+table's rank read off a basis.  The lattice ranks are also read from
+sympy's rank of the evaluation matrix.  So do the connection's replaced
+loops: the transition data assembled as n x n lists from one map lookup
+per edge, without the memo, and the holonomy multiplied as list
 comprehensions over those.
 """
 
@@ -660,8 +660,11 @@ def two_elimination_basis(g, d: int) -> List[list]:
     echelon of the fixed coordinates' and auxiliaries' equation rows, with
     its transform's fixed columns, lifts each vector on the free
     coordinates by an integer solve; when some unit vector does not lift,
-    the free parts' Hermite form is taken mod det Q (linalg.hnf_mod).
-    Nothing is memoized."""
+    the free parts' Hermite form is taken mod det Q by sympy's modular
+    hermite_normal_form, not by the package's kernel.  sympy's form is
+    column-style with its pivots at the end, so the rows go in as columns
+    with their coordinates reversed, and come out reversed back, last row
+    first.  Nothing is memoized."""
     eqs, naux = divisibility_equations(g, d)
     nf, neq = len(eqs) - naux, naux + len(g.edges)
     ends = linalg.echelon_basis([[row[col] for row in reversed(eqs[:nf])]
@@ -696,8 +699,10 @@ def two_elimination_basis(g, d: int) -> List[list]:
         )
         tails = [row[neq:] for row in solved if not any(row[:neq])]
         det_q = math.prod(row[_first_nonzero(row)] for row in HQ)
-        basis = [lifted([(i, v) for i, v in zip(free, row) if v])
-                 for row in linalg.hnf_mod(tails, len(free), det_q)]
+        H = hermite_normal_form(sympy.Matrix([r[::-1] for r in tails]).T,
+                                D=det_q)
+        basis = [lifted([(i, int(v)) for i, v in zip(free, row[::-1]) if v])
+                 for row in H.T.tolist()[::-1]]
         if None in basis:
             raise RuntimeError("class lattice row does not lift")
     return basis

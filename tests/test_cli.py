@@ -61,6 +61,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
     mangled.write_text('{"vertices": [], "edges": [], "name": ' + "1" * 5000 + "}")
     code, _, err = run(capsys, "validate", str(mangled))
     assert code == 2 and "limit" in err
+    mangled.write_text("[" * 200000)
+    for cmd in ("validate", "verdict"):
+        code, out, err = run(capsys, cmd, str(mangled))
+        assert code == 2 and out == "" and "nested too deeply" in err
     code, _, err = run(capsys, "verdict", cpath("theta"), "--connection", "99")
     assert code == 2 and "out of range" in err
     # eta reads no connection, but a graph without one still exits 2.
@@ -283,7 +287,8 @@ def test_corpus_missing_golden(capsys, tmp_path):
     assert data["entries"][0]["error"] == "missing golden file"
 
 
-@pytest.mark.parametrize("golden", [b"{not json", b"\xff\xfe"])
+@pytest.mark.parametrize("golden", [
+    b"{not json", b"\xff\xfe", pytest.param(b"[" * 200000, id="deeply-nested")])
 def test_corpus_unreadable_golden(capsys, tmp_path, golden):
     root = tmp_path / "corpus"
     root.mkdir()

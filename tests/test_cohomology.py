@@ -179,21 +179,21 @@ FALLBACK = {("cp3", 3), ("fuzz_k4", 1), ("fuzz_k4", 3), ("single_2x", 1),
 def test_z_lattice_eliminates_one_column_per_edge(name, d, monkeypatch):
     # One evaluation row per edge over the class coordinates, eliminated
     # once, whether or not every unit vector on the free coordinates lifts:
-    # the fallback's pass combines rows with an exgcd carry and takes
-    # hnf_mod, and eliminates nothing.
-    calls, mods = [], []
-    echelon, hnf_mod = linalg.echelon, linalg.hnf_mod
+    # the fallback's pass combines rows with an exgcd carry into a
+    # triangular basis, whose Hermite form is one reduction pass.
+    calls, reductions = [], []
+    echelon, reduced = linalg.echelon, linalg.reduced
 
     def spy(rows, n):
         calls.append((len(rows), n))
         return echelon(rows, n)
 
-    def spy_mod(rows, n, D):
-        mods.append((len(rows), n))
-        return hnf_mod(rows, n, D)
+    def spy_reduced(E, n):
+        reductions.append((len(E), n))
+        return reduced(E, n)
 
     monkeypatch.setattr(linalg, "echelon", spy)
-    monkeypatch.setattr(linalg, "hnf_mod", spy_mod)
+    monkeypatch.setattr(linalg, "reduced", spy_reduced)
     doc = {"fuzz_k4": FUZZ_K4, "single_2x": SINGLE_2X}.get(name) or corpus_json(name)
     g = parse_graph(json.dumps(doc))
     basis = coh.ht_basis_z(g, d)
@@ -202,9 +202,9 @@ def test_z_lattice_eliminates_one_column_per_edge(name, d, monkeypatch):
     fallback = any(p > 1 for p in pivots)
     assert fallback == ((name, d) in FALLBACK)
     assert calls == [(len(g.edges), nf)]
-    # The fallback's one hnf_mod is square, on the free coordinates whose
+    # The fallback's one reduction is square, on the free coordinates whose
     # unit vectors do not lift.
-    assert len(mods) == fallback and all(m == n for m, n in mods)
+    assert len(reductions) == fallback and all(m == n for m, n in reductions)
     # The memoized echelon serves every later reader of the degree.
     coh._lattice_rank(g, d)
     assert len(calls) == 1
@@ -481,9 +481,10 @@ def test_z_freeness_corpus(name):
         # witness is in test_z_freeness_nonorientable_witness).
         assert res.status == "not-free"
         assert (res.witness["degree"], res.witness["order"]) == (6, 2)
+        assert res.checked_degrees == range(0, 7, 2)
     else:
         assert res.status == "certified"
-        assert res.checked_degrees == tuple(range(0, 21, 2))
+        assert res.checked_degrees == range(0, 21, 2)
 
 
 def test_z_freeness_nonorientable_witness(nonorientable):
@@ -721,7 +722,7 @@ def test_no_certificate_for_graphs_with_torsion(nonorientable):
 def test_certified_freeness_checks_every_degree(cube):
     res = coh.z_freeness(cube, 14)
     assert res.status == "certified" and res.witness is None
-    assert res.checked_degrees == tuple(range(0, 15, 2))
+    assert res.checked_degrees == range(0, 15, 2)
 
 
 @pytest.mark.parametrize("name", ["cube", "cp3", "free_no_flow_up"])

@@ -44,6 +44,14 @@ def test_parse_syntax_error_has_position():
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_deeply_nested_json_is_a_syntax_error(opener):
+    # The decoder recurses once per level and runs out of stack.
+    with pytest.raises(GraphSyntaxError) as exc:
+        parse_graph(opener * 200000)
+    assert "nested too deeply" in str(exc.value)
+
+
 @pytest.mark.parametrize(
     "doc,msg",
     [

@@ -119,20 +119,24 @@ def test_hnf_row_lattice_matches_sympy(rows):
     )
 
 
-@given(int_matrices(), st.integers(1, 6))
+@st.composite
+def upper_triangular(draw, max_dim=6):
+    """A square upper triangular matrix with a positive diagonal."""
+    n = draw(st.integers(0, max_dim))
+    return [[draw(st.integers(1, 30)) if j == i
+             else draw(st.integers(-50, 50)) if j > i else 0
+             for j in range(n)] for i in range(n)]
+
+
+@given(upper_triangular())
 @settings(max_examples=80, deadline=None)
-def test_hnf_mod_matches_hnf_of_full_rank_lattices(rows, multiple):
-    # Any multiple of the determinant works as the modulus.
-    n = len(rows[0])
-    H = linalg.hnf(rows)
-    assume(len(H) == n)
-    D = multiple * math.prod(H[i][i] for i in range(n))
-    assert linalg.hnf_mod(rows, n, D) == H
-
-
-def test_hnf_mod_of_unit_determinant_is_identity():
-    assert linalg.hnf_mod([[2, 3], [1, 1]], 2, 1) == linalg.eye(2)
-    assert linalg.hnf_mod([], 0, 1) == []
+def test_reduced_triangular_basis_is_its_hnf(rows):
+    # A triangular basis with a positive diagonal is an echelon basis, so
+    # its Hermite form is the reduction pass alone.
+    H = linalg.reduced([list(r) for r in rows], len(rows))
+    assert H == linalg.hnf(rows)
+    assert oracles.lattice_equal(H, rows)
+    assert all(0 <= H[j][i] < H[i][i] for i in range(len(H)) for j in range(i))
 
 
 @given(int_matrices())

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,19 @@ def test_cube_tier_and_warning(cube):
     assert rep["connections"]["loop_holonomy_trivial"]
     assert rep["surface"]["name"] == "sphere"
     assert rep["findings"] == []
+
+
+def test_verdict_memory_does_not_grow_with_the_degree_cap(theta):
+    # A certified graph's checked degrees are a range, not one entry per
+    # degree up to the cap.
+    tracemalloc.start()
+    try:
+        rep = realizability_report(theta, 2 * 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["z_freeness"]["status"] == "certified"
+    assert peak < 2**20
 
 
 def test_flag_tier(flag):
@@ -302,25 +316,20 @@ def test_loop_holonomy_trivial_reports_both_outcomes():
 def test_verdict_runs_no_reduction_pass_and_lifts_without_eye(name, monkeypatch):
     # Every echelon a verdict reads is read for its pivots, ranks or
     # solves, so the reduction above the pivots (hnf, hnf_transform) never
-    # runs; ht_basis_z lifts unit vectors from their one nonzero entry.
-    # The one reduction is hnf_mod's closing pass, once per call, where a
-    # class lattice takes the modular fallback (cp3 does).
-    reductions, eyes, inside, mods, in_mod, hnfs = [], [], [], [], [], []
-    reduced, eye, basis = linalg._reduced, linalg.eye, cohomology.ht_basis_z
-    hnf_mod = linalg.hnf_mod
+    # runs; ht_basis_z lifts unit vectors from their one nonzero entry, and
+    # each degree's evaluations are eliminated once.  The one reduction is
+    # square, once per class lattice that takes the fallback (cp3 has one).
+    reductions, eyes, inside, evaluated, fallbacks, hnfs = [], [], [], [], [], []
+    reduced, eye, basis = linalg.reduced, linalg.eye, cohomology.ht_basis_z
+    evaluations = cohomology._evaluations
 
-    def spy_reduced(E, n, *moduli):
-        # The number of the hnf_mod call it runs in, None outside one.
-        reductions.append(len(mods) if in_mod else None)
-        return reduced(E, n, *moduli)
+    def spy_reduced(E, n):
+        reductions.append((tuple(inside), len(E), n))
+        return reduced(E, n)
 
-    def spy_hnf_mod(rows, n, D):
-        mods.append(n)
-        in_mod.append(n)
-        try:
-            return hnf_mod(rows, n, D)
-        finally:
-            in_mod.pop()
+    def spy_evaluations(g, d):
+        evaluated.append(d)
+        return evaluations(g, d)
 
     def spy_hnf(name, real):
         def spy(A):
@@ -334,20 +343,26 @@ def test_verdict_runs_no_reduction_pass_and_lifts_without_eye(name, monkeypatch)
         return eye(n)
 
     def spy_basis(g, d):
+        fresh = ("z", d) not in g.memo
         inside.append(d)
         try:
-            return basis(g, d)
+            B = basis(g, d)
         finally:
             inside.pop()
+        if fresh and any(next(x for x in row if x) > 1 for row in B):
+            fallbacks.append(d)
+        return B
 
-    monkeypatch.setattr(linalg, "_reduced", spy_reduced)
-    monkeypatch.setattr(linalg, "hnf_mod", spy_hnf_mod)
+    monkeypatch.setattr(linalg, "reduced", spy_reduced)
+    monkeypatch.setattr(cohomology, "_evaluations", spy_evaluations)
     for real in (linalg.hnf, linalg.hnf_transform):
         monkeypatch.setattr(linalg, real.__name__, spy_hnf(real.__name__, real))
     monkeypatch.setattr(linalg, "eye", spy_eye)
     monkeypatch.setattr(cohomology, "ht_basis_z", spy_basis)
     realizability_report(corpus_graph(name))
     assert hnfs == []
-    assert reductions == list(range(1, len(mods) + 1))
-    assert mods or name != "cp3"
+    assert evaluated and len(evaluated) == len(set(evaluated))
+    assert [where for where, _, _ in reductions] == [(d,) for d in fallbacks]
+    assert all(m == n for _, m, n in reductions)
+    assert fallbacks or name != "cp3"
     assert eyes == []

@@ -101,9 +101,9 @@ def _fallback_bits(text: str) -> int:
     rows_of = cohomology._lattice_rows
 
     def spy(*args):
-        rows, index = rows_of(*args)
+        rows = rows_of(*args)
         bits.append(max(abs(x).bit_length() for row in rows for x in row))
-        return rows, index
+        return rows
 
     cohomology._lattice_rows = spy
     try:
