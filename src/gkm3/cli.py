@@ -24,6 +24,12 @@ from .verdict import MIN_DEGREE_CAP, Analysis, NoSuchConnection, realizability_r
 
 CORPUS_ENV = "GKM3_CORPUS"
 
+# The longest lists that `connections` and `freeness` print; above them the
+# command exits 2.  Listing prism4's 4096 connections peaks at about 100 MiB,
+# and 2^16 checked degrees take about 15 MiB.
+MAX_LISTED_CONNECTIONS = 1 << 13
+MAX_LISTED_DEGREES = 1 << 16
+
 
 class InputError(Exception):
     """User-input problem; reported on stderr with exit code 2."""
@@ -117,7 +123,7 @@ def _cmd_validate(a: Analysis, args) -> Tuple[dict, bool]:
 
 def _cmd_connections(a: Analysis, args) -> Tuple[dict, bool]:
     conns, explicit = a.connections
-    if conns.count > sys.maxsize:  # len() raises OverflowError above it
+    if conns.count > MAX_LISTED_CONNECTIONS:
         raise InputError(f"{conns.count} compatible connections, too many to list")
     payload = {
         "name": a.graph.name,
@@ -157,6 +163,9 @@ def _cmd_cohomology(a: Analysis, args) -> Tuple[dict, bool]:
 
 def _cmd_freeness(a: Analysis, args) -> Tuple[dict, bool]:
     res = a.freeness
+    degrees = res.checked_degrees  # 0, 2, ..., a range
+    if degrees[MAX_LISTED_DEGREES:]:  # sliced, as len() overflows past sys.maxsize
+        raise InputError(f"{degrees[-1] // 2 + 1} checked degrees, too many to list")
     payload = {
         "name": a.graph.name,
         "degree_cap": args.degree_cap,
@@ -247,7 +256,7 @@ def _cmd_corpus(args) -> Tuple[dict, bool]:
         golden_path = gf.with_name(gf.stem + ".golden.json")
         entry = {"name": gf.stem, "file": str(gf)}
         try:
-            report = realizability_report(_open(args, str(gf)).graph)
+            report = _open(args, str(gf)).report()
             if not golden_path.exists():
                 entry.update(status="fail", error="missing golden file")
                 ok = False

@@ -34,7 +34,7 @@ so the quotients above are never formed.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .connection import Connection, DirectedEdge, transition
@@ -300,22 +300,12 @@ def _pivot(row: Sequence[int]) -> int:
     return next(j for j, x in enumerate(row) if x)
 
 
-def _solver(g: GkmGraph, d: int) -> Callable[[Sequence[int]], Optional[list]]:
-    """The back-substitution against ht_basis_z(g, d) (linalg.hnf_solver),
-    built once per graph and degree."""
-    key = ("solve", d)
-    if key not in g.memo:
-        g.memo[key] = linalg.hnf_solver(ht_basis_z(g, d))
-    return g.memo[key]
-
-
-def _located(solve: Callable[[Sequence[int]], Optional[list]],
-             vec: Sequence, what: str) -> list:
-    """Coordinates of vec by a lattice's solver; RuntimeError if outside."""
-    c = solve(vec)
-    if c is None:
+def _located(coords: Optional[list], what: str) -> list:
+    """A solve's coordinates; RuntimeError when it found none, as the
+    vector lies outside the lattice."""
+    if coords is None:
         raise RuntimeError(f"{what} escaped the class lattice")
-    return c
+    return coords
 
 
 def _pivot_product(H: linalg.Matrix) -> int:
@@ -353,18 +343,18 @@ class _Quotient(NamedTuple):
     columns lift a basis of it.  A class c L has first coordinate lambda . c
     in that basis, with lambda 1 at the first non-pivot column n_0,
     -E_p[n_0] at each pivot p and 0 elsewhere.  Otherwise S C T = D is the
-    Smith form (linalg.snf_transform), kept with T^-1 for the torsion
-    witnesses: the submodule is spanned by d_i times row i of T^-1 for
-    i < rank, c L reduces to (c T)[rank:], rows rank.. of T^-1 L lift a
-    basis of the free part, and lambda is column rank of T.
+    Smith form (linalg.snf_transform), of which T^-1 is kept for the
+    torsion witnesses: the submodule is spanned by d_i times row i of T^-1
+    for i < rank, c L reduces to (c T)[rank:], rows rank.. of T^-1 L lift
+    a basis of the free part, and lambda is column rank of T, read when
+    the quotient is formed.
     """
 
     lattice: linalg.Matrix
     divisors: Tuple[int, ...]  # the nonzero d_i, in order
     reduced_lifts: List[list]  # classes lifting a basis of the free part
     column: list  # lambda; empty when the quotient is 0
-    transform: Optional[linalg.Matrix] = None  # T and T^-1, Smith form only
-    inverse: Optional[linalg.Matrix] = None
+    inverse: Optional[linalg.Matrix] = None  # T^-1, Smith form only
 
     @property
     def rank(self) -> int:
@@ -400,11 +390,12 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
     cache = g.memo
     if ("quotient", d) in cache:
         return cache[("quotient", d)]
-    L, solve = ht_basis_z(g, d), _solver(g, d)
-    coords = [] if d == 0 else [
-        _located(solve, r, "product class")
-        for r in _raised(g, ht_basis_z(g, d - 1), d - 1)
-    ]
+    L = ht_basis_z(g, d)
+    coords = []
+    if d:
+        solve = linalg.hnf_solver(L)
+        coords = [_located(solve(r), "product class")
+                  for r in _raised(g, ht_basis_z(g, d - 1), d - 1)]
     E = linalg.unit_reduce(coords)
     if E is not None:
         free = [j for j in range(len(L)) if j not in E]
@@ -418,7 +409,7 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
         divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
         r = len(divisors)
         q = _Quotient(L, divisors, [_combination(L, c) for c in Tinv[r:]],
-                      [t[r] for t in T] if r < len(L) else [], T, Tinv)
+                      [t[r] for t in T] if r < len(L) else [], Tinv)
     cache[("quotient", d)] = q
     return q
 
@@ -431,45 +422,44 @@ def _free_betti(g: GkmGraph) -> Optional[Tuple[int, ...]]:
     """(b_0, ..., b_top) when the reduced lifts of the quotients up to
     degree 2 top are a free basis of H_T (see z_freeness), else None;
     decided once per graph."""
-    if ("free",) not in g.memo:
-        g.memo[("free",)] = _certify_free(g)
-    return g.memo[("free",)]
-
-
-def _certify_free(g: GkmGraph) -> Optional[Tuple[int, ...]]:
-    if any(e.u == e.v for e in g.edges):
-        return None
-    if any(det == 0 for pairs in g.label_pairs.values() for _, _, det in pairs):
-        return None  # the index argument needs independent labels
+    if ("free",) in g.memo:
+        return g.memo[("free",)]
+    free = None
     n = len(g.vertices)
     gens: list = []  # (degree, class)
     betti: List[int] = []
-    for d in range(g.valence + 1):
-        q = _quotient(g, d)
-        if any(di > 1 for di in q.divisors):
-            return None
-        gens += [(d, f) for f in q.reduced_lifts]
-        betti.append(q.betti)
-        if len(gens) >= n:
-            break
-    if len(gens) != n or sum(d for d, _ in gens) != len(g.edges):
-        return None
-    contents = [e.weight.content() for e in g.edges]
-    prims = [(e.weight.a // c, e.weight.b // c) for e, c in zip(g.edges, contents)]
-    t = 1 + max((abs(a) for a, _ in prims), default=0)  # off every alpha' = 0
-    values = [[poly_eval(p, 1, t) for p in _blocks(g, f, d)] for d, f in gens]
-    # N is the order of the image of f -> (f_u - f_v mod c_e): prod c_e
-    # over the index of the incidence rows and the c_e unit vectors.
-    moduli = [(e, c) for e, c in zip(g.edges, contents) if c > 1]
-    incidence = [[(v == e.u) - (v == e.v) for e, _ in moduli] for v in g.vertices]
-    scaled = [[c * (i == j) for j in range(len(moduli))]
-              for i, (_, c) in enumerate(moduli)]
-    index = math.prod(c for _, c in moduli) // _pivot_product(
-        linalg.echelon_basis(incidence + scaled)
-    )
-    H = linalg.echelon_basis(values)
-    target = index * abs(math.prod(a + b * t for a, b in prims))
-    return tuple(betti) if len(H) == n and _pivot_product(H) == target else None
+    # The index argument needs no loop and independent labels.
+    if not any(e.u == e.v for e in g.edges) and not any(
+        det == 0 for pairs in g.label_pairs.values() for _, _, det in pairs
+    ):
+        for d in range(g.valence + 1):
+            q = _quotient(g, d)
+            if any(di > 1 for di in q.divisors):
+                break  # torsion, with fewer than n generators so far
+            gens += [(d, f) for f in q.reduced_lifts]
+            betti.append(q.betti)
+            if len(gens) >= n:
+                break
+    if len(gens) == n and sum(d for d, _ in gens) == len(g.edges):
+        contents = [e.weight.content() for e in g.edges]
+        prims = [(e.weight.a // c, e.weight.b // c) for e, c in zip(g.edges, contents)]
+        t = 1 + max((abs(a) for a, _ in prims), default=0)  # off every alpha' = 0
+        values = [[poly_eval(p, 1, t) for p in _blocks(g, f, d)] for d, f in gens]
+        # N is the order of the image of f -> (f_u - f_v mod c_e): prod c_e
+        # over the index of the incidence rows and the c_e unit vectors.
+        moduli = _moduli(g)
+        incidence = [[(v == e.u) - (v == e.v) for e, _ in moduli] for v in g.vertices]
+        scaled = [[c * (i == j) for j in range(len(moduli))]
+                  for i, (_, c) in enumerate(moduli)]
+        index = math.prod(c for _, c in moduli) // _pivot_product(
+            linalg.echelon_basis(incidence + scaled)
+        )
+        H = linalg.echelon_basis(values)
+        target = index * abs(math.prod(a + b * t for a, b in prims))
+        if len(H) == n and _pivot_product(H) == target:
+            free = tuple(betti)
+    g.memo[("free",)] = free
+    return free
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +491,6 @@ def betti_numbers(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> BettiRes
     H_T (z_freeness), the certificate gives the Betti numbers, and
     b_{2d} = 0 above 2 top.
     """
-    cache = g.memo
-    if ("betti", degree_cap) in cache:
-        return cache[("betti", degree_cap)]
     free = _free_betti(g)
     betti: List[int] = []
     ranks = [0, 0]  # r_{-2}, r_{-1}, then r_0, r_1, ...
@@ -522,9 +509,7 @@ def betti_numbers(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> BettiRes
         ):
             stabilized = True
             break
-    res = BettiResult(tuple(betti), stabilized, sum(betti))
-    cache[("betti", degree_cap)] = res
-    return res
+    return BettiResult(tuple(betti), stabilized, sum(betti))
 
 
 def cohomology_table(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> List[dict]:
@@ -582,7 +567,7 @@ def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
         base = g.vertex_index[v] * (d + 1)
         for j, c in enumerate(prod):
             vec[base + j] += scale * c
-    _located(_solver(g, d), vec, what)
+    _located(linalg.hnf_solve(ht_basis_z(g, d), vec), what)
     return vec
 
 

@@ -139,12 +139,12 @@ class GkmGraph:
 
     @cached_property
     def memo(self) -> dict:
-        """Results derived from this graph alone (evaluation echelons, class
-        lattices, their solvers, quotients, the free-basis certificate,
-        Betti results per degree cap, transition data), filled on first
-        use.  Keys are tuples whose first entry names the kind of result:
-        ("evaluations", d), ("z", d), ("solve", d), ("quotient", d),
-        ("free",), ("betti", cap) and ("transition", edge, map)."""
+        """Results derived from this graph alone that more than one reader
+        takes (evaluation echelons, class lattices, quotients, the
+        free-basis certificate, transition data), filled on first use.
+        Keys are tuples whose first entry names the kind of result:
+        ("evaluations", d), ("z", d), ("quotient", d), ("free",) and
+        ("transition", edge, map)."""
         return {}
 
     @cached_property

@@ -15,7 +15,9 @@ none, hnf_transform an identity).  reduced alone is the Hermite form of an
 echelon basis, such as the triangular one of the class lattice's fallback
 (cohomology.ht_basis_z), which needs no elimination.  hnf_solver finds an
 echelon basis's pivots once and returns the back-substitution against it,
-touching only the basis's nonzero entries; hnf_solve is one call of it.
+touching only the basis's nonzero entries; each cohomology quotient builds
+one to locate its raised rows.  hnf_solve is one call of it, which each
+Thom class takes.
 unit_reduce, a sparse Gauss-Jordan elimination on +-1 pivots, shows a span
 saturated; snf_transform, the one Smith elimination, takes the cohomology
 quotients it does not reduce.  snf_transform carries T and T^-1, and its

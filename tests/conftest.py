@@ -109,6 +109,35 @@ def small_graph_docs(draw):
     return doc
 
 
+# Label triples (w1, w2, w3) that fit at one vertex, in that order.
+_PALETTES = [(w1, w2, w3) for w1 in _LABELS for w2 in _LABELS if _fits(w2, [w1])
+             for w3 in _LABELS if _fits(w3, [w1, w2])]
+
+
+@st.composite
+def coloured_graph_docs(draw):
+    """Documents of valid 3-valent graphs with a compatible transport at
+    every edge: 2, 4 or 6 vertices, weights in [-2, 2].  The edges are
+    3-coloured, colour c labelled +-w_c from one palette that fits at a
+    vertex, so every vertex sees the same labels up to sign, and each edge
+    transports the other two colours onto themselves.  Colours 1 and 2 form
+    a Hamiltonian cycle, so the graph is connected; colour 3 is a random
+    perfect matching, and may double an edge of the cycle."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    palette = draw(st.sampled_from(_PALETTES))
+    order = draw(st.permutations(range(n)))
+    third = draw(st.permutations(range(n)))
+    pairs = ([(order[i], order[i + 1], 0) for i in range(0, n, 2)]
+             + [(order[i + 1], order[(i + 2) % n], 1) for i in range(0, n, 2)]
+             + [(third[i], third[i + 1], 2) for i in range(0, n, 2)])
+    edges = []
+    for u, v, c in draw(st.permutations(pairs)):
+        sign = draw(st.sampled_from([1, -1]))
+        edges.append({"from": f"v{u}", "to": f"v{v}",
+                      "weight": [sign * x for x in palette[c]]})
+    return {"vertices": [f"v{v}" for v in range(n)], "edges": edges}
+
+
 def prism_graph(n: int):
     """The standard-label prism: two n-gons with edges labelled (1, 0), (0, 1)
     alternately, joined by n edges labelled (1, 1).  For n = 4 it is the GKM

@@ -221,6 +221,47 @@ def test_connection_count_beyond_a_machine_word(capsys):
     assert f"{count} compatible connections, too many to list" in err
 
 
+def test_connections_beyond_the_listing_bound(capsys, monkeypatch):
+    # The hexagon prism with n = 24 has 2^40 connections: fewer than
+    # sys.maxsize, but far too many to list.
+    code, out, err = run(capsys, "connections", str(TESTS_DIR / "hexprism24.json"))
+    assert code == 2 and out == ""
+    assert f"{2 ** 40} compatible connections, too many to list" in err
+    # prism4's 4096 connections are the most that any call lists.
+    assert cli.MAX_LISTED_CONNECTIONS >= 4096
+    # The bound itself is listed; one more is refused.
+    monkeypatch.setattr(cli, "MAX_LISTED_CONNECTIONS", 8)
+    code, out, _ = run(capsys, "connections", cpath("theta"))
+    assert code == 0 and len(json.loads(out)["connections"]) == 8
+    monkeypatch.setattr(cli, "MAX_LISTED_CONNECTIONS", 7)
+    code, out, err = run(capsys, "connections", cpath("theta"))
+    assert code == 2 and out == ""
+    assert "8 compatible connections, too many to list" in err
+
+
+def test_freeness_beyond_the_listing_bound(capsys):
+    theta = cpath("theta")
+    top = 2 * (cli.MAX_LISTED_DEGREES - 1)  # the last degree that is listed
+    code, out, _ = run(capsys, "freeness", theta, "--degree-cap", str(top))
+    data = json.loads(out)
+    assert code == 0 and data["status"] == "certified"
+    assert data["checked_degrees"] == list(range(0, top + 1, 2))
+    for cap, count in ((top + 2, cli.MAX_LISTED_DEGREES + 1),
+                       (200_000_000, 100_000_001), (2 ** 70, 2 ** 69 + 1)):
+        for fmt in ("json", "text"):
+            code, out, err = run(capsys, "freeness", theta, "--degree-cap",
+                                 str(cap), "--format", fmt)
+            assert code == 2 and out == ""
+            assert f"error: {count} checked degrees, too many to list" in err
+    # A torsion witness ends the scan, so a not-free graph lists its few
+    # degrees at any cap; the verdict lists none.
+    code, out, _ = run(capsys, "freeness", cpath("nonorientable"),
+                       "--degree-cap", "200000000")
+    assert code == 0 and json.loads(out)["checked_degrees"] == [0, 2, 4, 6]
+    code, out, _ = run(capsys, "verdict", theta, "--degree-cap", "2000000000")
+    assert code == 0 and json.loads(out)["tier"] == "rigid-class"
+
+
 def test_verdict_text_format(capsys):
     code, out, _ = run(capsys, "verdict", cpath("cube"), "--format", "text")
     assert code == 0

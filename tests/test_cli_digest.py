@@ -24,20 +24,27 @@ def test_digest_lines(monkeypatch):
     assert ["surface", flag, "--connection", "511", "--emit-complex",
             "--format", "json"] in cli_digest.calls()
     # After the 2^66 connections of sq22, one past the last exits 2, come
-    # the 48-vertex hexagon prism's verdict and the seven subcommands on the
-    # 24-vertex blow-up last10.
+    # the 48-vertex hexagon prism's verdict, the seven subcommands on the
+    # 24-vertex blow-up last10, and two lists too long to print.
     sq22 = ["verdict", "tests/sq22.json", "--connection", str(2 ** 66),
             "--format", "json"]
     blowup = "tests/blowup_last10.json"
-    assert cli_digest.calls()[-9:] == [
+    refused = [
+        ["connections", "tests/hexprism24.json", "--format", "json"],
+        ["freeness", theta, "--degree-cap", "200000000", "--format", "json"]]
+    assert cli_digest.calls()[-11:] == [
         sq22, ["verdict", "tests/hexprism24.json", "--format", "json"]] + [
         [cmd, blowup, "--format", "json"] for cmd in (
             "validate", "connections", "orientability", "surface",
-            "cohomology", "freeness", "verdict")]
+            "cohomology", "freeness", "verdict")] + refused
     assert cli_digest.digest_line(sq22).startswith("2 verdict")
     # Every subcommand on last10 succeeds.
-    for argv in cli_digest.calls()[-7:]:
+    for argv in cli_digest.calls()[-9:-2]:
         assert cli_digest.digest_line(argv).startswith(f"0 {argv[0]} ")
+    # The two refusals exit 2 with nothing on stdout.
+    for argv in refused:
+        assert cli_digest.digest_line(argv) == (
+            f"2 {' '.join(argv)} {hashlib.sha256(b'').hexdigest()}")
     # A verdict's stdout is its golden file, byte for byte.
     golden = (ROOT / "src/gkm3/corpus/theta.golden.json").read_bytes()
     assert cli_digest.digest_line(["verdict", theta]) == (

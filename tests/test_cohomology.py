@@ -380,9 +380,6 @@ def test_thom_classes_outside_a_sublattice_raise(cube, monkeypatch):
     """With the class lattice replaced by 2L, whose classes have only even
     coefficients, each Thom class (leading coefficient 1) escapes it."""
     conn = available_connections(cube)[0][0]
-    # The solvers are memoized, so none may exist yet: each must be built
-    # from the patched lattice.
-    assert not [key for key in cube.memo if key[0] == "solve"]
     full = coh.ht_basis_z
     monkeypatch.setattr(
         coh, "ht_basis_z",
@@ -394,7 +391,8 @@ def test_thom_classes_outside_a_sublattice_raise(cube, monkeypatch):
         coh.thom_class_vertex(cube, v)
     with pytest.raises(RuntimeError, match="Thom class of edge 0 escaped"):
         coh.thom_class_edge(cube, conn, 0)
-    assert ("solve", 2) in cube.memo and ("solve", 3) in cube.memo
+    # Each solve reads the lattice afresh, and no solver is cached.
+    assert {key[0] for key in cube.memo} == {"evaluations", "z", "transition"}
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -531,18 +529,26 @@ SMITH = {("nonorientable", 3), ("torsion_k4", 3)}
 
 @pytest.mark.parametrize("name", ALL_CORPUS + ["torsion_k4"])
 def test_quotient_carries_the_inverse_transform(name):
-    # The Smith elimination carries T^-1; a second elimination, the HNF of
-    # [T | I] in unimodular_inverse, is the oracle.  Quotients reduced with
+    # The Smith elimination carries T^-1 and reads lambda, column rank of T.
+    # T comes from the Smith form of the raised rows' coordinates, solved
+    # for here, and a second elimination, the HNF of [T | I] in
+    # unimodular_inverse, is the oracle for T^-1.  Quotients reduced with
     # unit pivots keep no transform.
     doc = TORSION_K4 if name == "torsion_k4" else corpus_json(name)
     g = parse_graph(json.dumps(doc))
+    assert "transform" not in coh._Quotient._fields
     for d in range(4):
         q = coh._quotient(g, d)
         assert (q.inverse is not None) == ((name, d) in SMITH), d
         if q.inverse is not None:
-            assert q.inverse == linalg.unimodular_inverse(q.transform), d
+            L = coh.ht_basis_z(g, d)
+            C = [oracles.dense_hnf_solve(L, r)
+                 for r in coh._raised(g, coh.ht_basis_z(g, d - 1), d - 1)]
+            T = linalg.snf_transform(C, len(L))[1]
+            assert q.inverse == linalg.unimodular_inverse(T), d
+            assert q.column == ([t[q.rank] for t in T] if q.betti else []), d
         else:
-            assert q.transform is None and set(q.divisors) <= {1}, d
+            assert set(q.divisors) <= {1}, d
 
 
 def _test_graphs():
@@ -630,8 +636,6 @@ def test_poincare_duality_solves_nothing_after_betti(name, monkeypatch):
             return solve(v)
         return spy
 
-    for key in [k for k in g.memo if k[0] == "solve"]:
-        g.memo[key] = counted(g.memo[key])
     hnf_solver = linalg.hnf_solver
     monkeypatch.setattr(linalg, "hnf_solver",
                         lambda H: solves.append("built") or counted(hnf_solver(H)))

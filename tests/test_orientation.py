@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkm3.connection import (
@@ -18,7 +18,13 @@ from gkm3.graph import DirectedEdge, parse_graph, validate
 from gkm3.orientation import eta, eta_assignment, is_orientable, potential_from_eta
 
 import oracles
-from conftest import CORPUS_NAMES, corpus_graph, corpus_json, small_graph_docs
+from conftest import (
+    CORPUS_NAMES,
+    coloured_graph_docs,
+    corpus_graph,
+    corpus_json,
+    small_graph_docs,
+)
 
 
 def test_eta_cube_all_minus_one(cube):
@@ -200,14 +206,15 @@ def test_eta_is_label_only_random(doc):
     _check_eta_lemma(parse_graph(json.dumps(doc)))
 
 
-@given(small_graph_docs())
+@given(coloured_graph_docs())
 @settings(max_examples=60, deadline=None)
 def test_eta_matches_transition_data_random(doc):
     """On graphs with connections, eta agrees with the transition data of
     every option at every edge."""
     g = parse_graph(json.dumps(doc))
+    assert validate(g).ok
     options = [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
-    assume(all(options))
+    assert all(options)
     for eid, opts in enumerate(options):
         for m in opts:
             conn = Connection.from_forward_maps({eid: m})

@@ -163,21 +163,38 @@ def test_valence_other_than_3_is_invalid(doc, found):
 
 def test_analysis_runs_each_stage_once(theta, monkeypatch):
     calls = []
-    real = verdict.is_orientable
 
-    def counting(g):
-        calls.append(g)
-        return real(g)
+    def counting(real):
+        def spy(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return spy
 
-    monkeypatch.setattr(verdict, "is_orientable", counting)
+    for name in ("is_orientable", "betti_numbers"):
+        monkeypatch.setattr(verdict, name, counting(getattr(verdict, name)))
     a = Analysis(theta, connection_index=3)
     rep = a.report()
     assert a.report() == rep
     conns, _ = a.connections
-    assert calls == [theta]  # exactly one call
+    assert sorted(calls) == ["betti_numbers", "is_orientable"]  # one call each
     assert a.connection.maps == conns[3].maps
-    # The Betti stage is the memo entry that poincare_duality reads too.
-    assert cohomology.betti_numbers(theta, a.degree_cap) is a.betti
+    # The Betti stage is cached on the analysis, not on the graph: a second
+    # run reads the memoized certificate and gives the same numbers.
+    assert cohomology.betti_numbers(theta, a.degree_cap) == a.betti
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["cp3", "prism4", "prism6"])
+def test_verdict_caches_each_result_in_one_place(name):
+    """After a verdict the graph's memo holds only the kinds that more than
+    one reader takes; solvers and Betti results are not cached there."""
+    g = corpus_graph(name)
+    realizability_report(g)
+    assert {key[0] for key in g.memo} <= {
+        "evaluations", "z", "quotient", "free", "transition"}
+    assert ("free",) in g.memo and ("quotient", 0) in g.memo
+    assert not hasattr(cohomology, "_solver")
+    assert not hasattr(cohomology, "_certify_free")
+    assert "transform" not in cohomology._Quotient._fields
 
 
 def test_prism6_verdict_never_builds_the_product(monkeypatch):
