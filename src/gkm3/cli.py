@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -214,6 +213,9 @@ def _corpus_root(args) -> Path:
     env = os.environ.get(CORPUS_ENV)
     if env:
         return Path(env)
+    # Imported here, as only `gkm3 corpus` reads the packaged corpus.
+    from importlib import resources
+
     return Path(str(resources.files("gkm3") / "corpus"))
 
 

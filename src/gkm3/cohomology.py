@@ -22,13 +22,16 @@ kernel of Q[x, y]^V -> (+)_e Q[x, y] / (alpha_e), a target of depth 1, so
 the kernel has depth 2 and is free (Auslander and Buchsbaum).  So every
 Betti number is a second difference of the lattice ranks (betti_numbers),
 and no quotient is needed for it.  Integral quotients per degree give the
-torsion test, and one functional of the degree-6 quotient reads the whole
-duality pairing.  A quotient whose relations reduce with unit pivots is
-free, and its basis and functional are read off that reduction; only the
-others take a Smith form.  When the lifts of the quotients' bases up to
-the valence are a free basis of all classes, one determinant proves it
-(z_freeness), and with it freeness and the Betti numbers in every degree,
-so the quotients above are never formed.
+torsion test.  A quotient whose relations reduce with unit pivots is free,
+and its basis is read off that reduction; only the others take a Smith
+form.  When the lifts of the quotients' bases below the valence, closed by
+the Thom class of one vertex (or, if that fails, by the lifts of the top
+quotient), are a free basis of all classes, one determinant of their values
+at a point proves it (z_freeness), and with it freeness and the Betti
+numbers in every degree, so the quotients above are never formed.  The
+duality pairing is read from the same values: one solve against them gives
+a functional on the vertex values that reads a degree-6 class's image in
+the reduced H^6 (poincare_duality).
 """
 
 from __future__ import annotations
@@ -340,20 +343,15 @@ class _Quotient(NamedTuple):
     reduces with unit pivots alone (linalg.unit_reduce) to rows E_p, 1 at
     pivot p and 0 at the other pivots.  Their span is then saturated: the
     quotient is free, every divisor is 1, and L's rows at the non-pivot
-    columns lift a basis of it.  A class c L has first coordinate lambda . c
-    in that basis, with lambda 1 at the first non-pivot column n_0,
-    -E_p[n_0] at each pivot p and 0 elsewhere.  Otherwise S C T = D is the
-    Smith form (linalg.snf_transform), of which T^-1 is kept for the
-    torsion witnesses: the submodule is spanned by d_i times row i of T^-1
-    for i < rank, c L reduces to (c T)[rank:], rows rank.. of T^-1 L lift
-    a basis of the free part, and lambda is column rank of T, read when
-    the quotient is formed.
+    columns lift a basis of it.  Otherwise S C T = D is the Smith form
+    (linalg.snf_transform), of which T^-1 is kept for the torsion
+    witnesses: the submodule is spanned by d_i times row i of T^-1 for
+    i < rank, and rows rank.. of T^-1 L lift a basis of the free part.
     """
 
     lattice: linalg.Matrix
     divisors: Tuple[int, ...]  # the nonzero d_i, in order
     reduced_lifts: List[list]  # classes lifting a basis of the free part
-    column: list  # lambda; empty when the quotient is 0
     inverse: Optional[linalg.Matrix] = None  # T^-1, Smith form only
 
     @property
@@ -367,21 +365,6 @@ class _Quotient(NamedTuple):
     def lift(self, coords: Sequence[int]) -> list:
         """The class with the given coordinates in the lattice basis."""
         return _combination(self.lattice, coords)
-
-    def functional(self) -> Tuple[list, int]:
-        """(mu, s), s > 0, with mu . f = s lambda . c for each class f = c L:
-        mu is 0 off L's pivot columns P and solves the upper triangular
-        L[:, P] mu_P = s lambda from the last row up, scaled by the least
-        factor that makes each pivot divide (s = 2 on cp3)."""
-        mu, s = [0] * len(self.lattice[0]), 1
-        for row, t in zip(reversed(self.lattice), reversed(self.column)):
-            p = _pivot(row)
-            r = s * t - sum(x * m for x, m in zip(row, mu) if m)
-            scale = row[p] // math.gcd(row[p], r)
-            if scale > 1:
-                mu, s, r = [scale * m for m in mu], scale * s, scale * r
-            mu[p] = r // row[p]
-        return mu, s
 
 
 def _quotient(g: GkmGraph, d: int) -> _Quotient:
@@ -398,18 +381,12 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
                   for r in _raised(g, ht_basis_z(g, d - 1), d - 1)]
     E = linalg.unit_reduce(coords)
     if E is not None:
-        free = [j for j in range(len(L)) if j not in E]
-        column = []
-        if free:
-            column = [-E[j].get(free[0], 0) if j in E else 0 for j in range(len(L))]
-            column[free[0]] = 1
-        q = _Quotient(L, (1,) * len(E), [L[j] for j in free], column)
+        q = _Quotient(L, (1,) * len(E), [L[j] for j in range(len(L)) if j not in E])
     else:
-        D, T, Tinv = linalg.snf_transform(coords, len(L))
+        D, _, Tinv = linalg.snf_transform(coords, len(L))
         divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
-        r = len(divisors)
-        q = _Quotient(L, divisors, [_combination(L, c) for c in Tinv[r:]],
-                      [t[r] for t in T] if r < len(L) else [], Tinv)
+        q = _Quotient(L, divisors, [_combination(L, c) for c in Tinv[len(divisors):]],
+                      Tinv)
     cache[("quotient", d)] = q
     return q
 
@@ -418,13 +395,97 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
 # Free basis certificate
 # ---------------------------------------------------------------------------
 
+class _Basis(NamedTuple):
+    """n = |V| classes of H_T, read at (x, y) = (1, t) (_point): their
+    degrees, and V, one row of values per class and one column per vertex.
+    z solves V z = s e_top, with s != 0 and e_top the last class's unit
+    vector, from the echelon of [V | e_top] that also gives |det V|, the
+    product of its pivots (0 and no z when V is singular)."""
+
+    degrees: Tuple[int, ...]
+    values: linalg.Matrix
+    det: int
+    z: Optional[list]
+
+
+def _point(g: GkmGraph) -> int:
+    """t with (1, t) off every line alpha'_e = 0: 1 + max |a'_e|."""
+    return 1 + max((abs(e.weight.a // e.weight.content()) for e in g.edges),
+                   default=0)
+
+
+def _basis(g: GkmGraph, gens: Sequence[Tuple[int, list]]) -> _Basis:
+    """The _Basis of n (degree, class) pairs.  The echelon's rows are
+    U [V | e_top] = [H | b] with H upper triangular, so z is H z = s b
+    solved from the last row up, scaled by the least factor that makes each
+    pivot divide."""
+    t, n = _point(g), len(gens)
+    V = [[poly_eval(p, 1, t) for p in _blocks(g, f, d)] for d, f in gens]
+    E = linalg.echelon([row + [int(i == n - 1)] for i, row in enumerate(V)], n)
+    det = math.prod(row[i] for i, row in enumerate(E))
+    z: Optional[list] = None
+    if det:
+        z, s = [0] * n, 1
+        for i in reversed(range(n)):
+            row = E[i]
+            r = s * row[n] - sum(x * w for x, w in zip(row[i + 1:n], z[i + 1:]) if w)
+            scale = row[i] // math.gcd(row[i], r)
+            if scale > 1:
+                z, s, r = [scale * w for w in z], scale * s, scale * r
+            z[i] = r // row[i]
+    return _Basis(tuple(d for d, _ in gens), V, det, z)
+
+
+def _vertex_thom(g: GkmGraph) -> list:
+    """The Thom class tau_p of the first vertex p, of degree 2 valence: the
+    product of the labels at p, placed at p.  It vanishes off p, so it is a
+    class when it meets the equations of the edges at p (ht_basis_z): for
+    each, h = tau_p(p) vanishes at the root of the label's primitive part,
+    and the label's content divides its coefficients.  It does, as the
+    label divides tau_p(p); no lattice is formed for the check."""
+    p = g.vertices[0]
+    vec = _thom_vector(g, [(p, 1)], None)
+    k = g.valence + 1
+    i = g.vertex_index[p] * k
+    h = vec[i:i + k]
+    for eid in g.incident[p]:
+        w = g.edges[eid].weight
+        c = w.content()
+        if poly_eval(h, w.b // c, -w.a // c) or any(x % c for x in h):
+            raise RuntimeError(f"Thom class of vertex {p!r} escaped the class lattice")
+    return vec
+
+
+def _certified(g: GkmGraph, gens: list) -> Optional[_Basis]:
+    """The _Basis of gens when they are a free basis of H_T (z_freeness),
+    else None."""
+    if len(gens) != len(g.vertices) or sum(d for d, _ in gens) != len(g.edges):
+        return None
+    t = _point(g)
+    # N is the order of the image of f -> (f_u - f_v mod c_e): prod c_e
+    # over the index of the incidence rows and the c_e unit vectors.
+    moduli = _moduli(g)
+    incidence = [[(v == e.u) - (v == e.v) for e, _ in moduli] for v in g.vertices]
+    scaled = [[c * (i == j) for j in range(len(moduli))]
+              for i, (_, c) in enumerate(moduli)]
+    index = math.prod(c for _, c in moduli) // _pivot_product(
+        linalg.echelon_basis(incidence + scaled)
+    )
+    target = index * abs(math.prod(
+        (e.weight.a + e.weight.b * t) // e.weight.content() for e in g.edges))
+    basis = _basis(g, gens)
+    return basis if basis.det == target else None
+
+
 def _free_betti(g: GkmGraph) -> Optional[Tuple[int, ...]]:
-    """(b_0, ..., b_top) when the reduced lifts of the quotients up to
-    degree 2 top are a free basis of H_T (see z_freeness), else None;
-    decided once per graph."""
+    """(b_0, ..., b_top) when the reduced lifts of the quotients below the
+    valence and tau_p (_vertex_thom), or else the reduced lifts of the
+    quotients up to the valence, are a free basis of H_T (see z_freeness),
+    else None; decided once per graph, and kept with that basis (_Basis,
+    None without the certificate), which _pairing reads."""
     if ("free",) in g.memo:
-        return g.memo[("free",)]
-    free = None
+        return g.memo[("free",)][0]
+    out: tuple = (None, None)
     n = len(g.vertices)
     gens: list = []  # (degree, class)
     betti: List[int] = []
@@ -433,33 +494,23 @@ def _free_betti(g: GkmGraph) -> Optional[Tuple[int, ...]]:
         det == 0 for pairs in g.label_pairs.values() for _, _, det in pairs
     ):
         for d in range(g.valence + 1):
+            if d == g.valence and len(gens) == n - 1:
+                basis = _certified(g, gens + [(d, _vertex_thom(g))])
+                if basis is not None:
+                    out = (tuple(betti) + (1,), basis)
+                    break
             q = _quotient(g, d)
             if any(di > 1 for di in q.divisors):
                 break  # torsion, with fewer than n generators so far
             gens += [(d, f) for f in q.reduced_lifts]
             betti.append(q.betti)
             if len(gens) >= n:
+                basis = _certified(g, gens)
+                if basis is not None:
+                    out = (tuple(betti), basis)
                 break
-    if len(gens) == n and sum(d for d, _ in gens) == len(g.edges):
-        contents = [e.weight.content() for e in g.edges]
-        prims = [(e.weight.a // c, e.weight.b // c) for e, c in zip(g.edges, contents)]
-        t = 1 + max((abs(a) for a, _ in prims), default=0)  # off every alpha' = 0
-        values = [[poly_eval(p, 1, t) for p in _blocks(g, f, d)] for d, f in gens]
-        # N is the order of the image of f -> (f_u - f_v mod c_e): prod c_e
-        # over the index of the incidence rows and the c_e unit vectors.
-        moduli = _moduli(g)
-        incidence = [[(v == e.u) - (v == e.v) for e, _ in moduli] for v in g.vertices]
-        scaled = [[c * (i == j) for j in range(len(moduli))]
-                  for i, (_, c) in enumerate(moduli)]
-        index = math.prod(c for _, c in moduli) // _pivot_product(
-            linalg.echelon_basis(incidence + scaled)
-        )
-        H = linalg.echelon_basis(values)
-        target = index * abs(math.prod(a + b * t for a, b in prims))
-        if len(H) == n and _pivot_product(H) == target:
-            free = tuple(betti)
-    g.memo[("free",)] = free
-    return free
+    g.memo[("free",)] = out
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +606,17 @@ def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
 
 def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
                 skip: Optional[int], what: str) -> list:
+    """_thom_vector, checked to lie in the class lattice."""
+    vec = _thom_vector(g, ends, skip)
+    d = g.valence - (skip is not None)
+    _located(linalg.hnf_solve(ht_basis_z(g, d), vec), what)
+    return vec
+
+
+def _thom_vector(g: GkmGraph, ends: Sequence[Tuple[str, int]],
+                 skip: Optional[int]) -> list:
     """Sum over (v, scale) in ends of scale times the product of the weights
-    at v but skip's, placed at v; checked to lie in the class lattice."""
+    at v but skip's, placed at v."""
     d = g.valence - (skip is not None)
     vec = [0] * (len(g.vertices) * (d + 1))
     for v, scale in ends:
@@ -567,7 +627,6 @@ def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
         base = g.vertex_index[v] * (d + 1)
         for j, c in enumerate(prod):
             vec[base + j] += scale * c
-    _located(linalg.hnf_solve(ht_basis_z(g, d), vec), what)
     return vec
 
 
@@ -576,20 +635,27 @@ def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
 # ---------------------------------------------------------------------------
 
 def _pairing(g: GkmGraph) -> linalg.Matrix:
-    """mu . (u v) = r_u . v, r_u[w, b] = sum_a u_w[a] mu_w[a + b], for the
-    classes u, v lifting bases of the reduced H^2 and H^4 (poincare_duality).
-    Each v is listed once by its nonzero entries, as the lifts are sparse
-    (2.9 % nonzero in degree 4 on the 72-vertex hexagon prism)."""
-    reps2 = _quotient(g, 1).reduced_lifts
-    reps4 = [[(i, x) for i, x in enumerate(v) if x]
-             for v in _quotient(g, 2).reduced_lifts]
-    mu = _blocks(g, _quotient(g, 3).functional()[0], 3)
-    out = []
-    for u in reps2:
-        r_u = [sum(a * m[i + b] for i, a in enumerate(ub))
-               for ub, m in zip(_blocks(g, u, 1), mu) for b in range(3)]
-        out.append([sum(r_u[i] * x for i, x in v) for v in reps4])
-    return out
+    """z . (u v)(1, t) = sum_q z_q u_q(1, t) v_q(1, t) for the classes u, v
+    lifting bases of the reduced H^2 and H^4 (poincare_duality), read from
+    a _Basis of H_T (x) Q whose last class has degree 6: the certificate's,
+    or else the reduced lifts of the quotients below degree 6 closed by
+    tau_p (_vertex_thom), or by the degree-6 quotient's lift when tau_p
+    leaves V singular.  Each u is listed once by its nonzero values."""
+    # The certificate's basis, once _free_betti has decided it.
+    basis = None if _free_betti(g) is None else g.memo[("free",)][1]
+    if basis is None:
+        gens = [(d, f) for d in range(3) for f in _quotient(g, d).reduced_lifts]
+        if g.valence == 3:
+            basis = _basis(g, gens + [(3, _vertex_thom(g))])
+        if basis is None or not basis.det:
+            basis = _basis(g, gens + [(3, f) for f in _quotient(g, 3).reduced_lifts])
+        if not basis.det:
+            raise RuntimeError("the reduced lifts are not a basis over Q")
+    rows = list(zip(basis.degrees, basis.values))
+    weighted2 = [[(q, x * z) for q, (x, z) in enumerate(zip(u, basis.z)) if x]
+                 for d, u in rows if d == 1]
+    values4 = [v for d, v in rows if d == 2]
+    return [[sum(w * v[q] for q, w in u) for v in values4] for u in weighted2]
 
 
 class PoincareResult(NamedTuple):
@@ -608,11 +674,20 @@ def poincare_duality(
     nondegenerate product pairing between the reduced degree-2 and degree-4
     parts (reduced means modulo the ideal generated by x and y).
 
-    With (mu, s) the degree-6 _Quotient.functional, the pairing is read as
-    mu . (u v): s > 0 times the image of u v in the reduced H^6, so of the
-    same rank, as a product of classes is a class:
+    Let u_1 .. u_n be classes whose images in the reduced parts are a
+    Q-basis of each, the last of degree 6 (_pairing).  They are a basis of
+    H_T (x) Q over Q[x, y] (graded Nakayama, as that module is free).  The
+    determinant of their values is then a nonzero polynomial whose only
+    prime factors are the primitive labels alpha'_e (at any other
+    height-one prime every congruence is a unit), so V, their values at
+    (1, t) off every line alpha'_e = 0, is invertible.  A degree-6 class f
+    is sum_i c_i u_i with c_n a constant, the image of f in the reduced H^6
+    in units of u_n's; f(1, t) = sum_i c_i(1, t) u_i(1, t), so with
+    V z = s e_n, z . f(1, t) = s c_n.  The pairing is read as
+    z . (u v)(1, t), s times the image of u v, so of the same rank, as a
+    product of classes is a class:
     f_u g_u - f_v g_v = f_u (g_u - g_v) + g_v (f_u - f_v).  No product is
-    formed or solved for (_pairing).
+    formed or solved for.
     """
     res = betti_numbers(g, degree_cap)
     betti = res.betti
@@ -655,7 +730,10 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
 
     First, one determinant.  Let F be spanned by the classes lifting the
     bases of the quotients (_quotient) of degree 0, 2, ..., stopping once
-    there are |V| of them and at the valence.  Write each label as
+    there are |V| of them and at the valence.  When the quotients below the
+    valence leave one class to find, the first try closes F with the Thom
+    class tau_p of the first vertex (_vertex_thom), and the top quotient is
+    formed only when the test below fails for it.  Write each label as
     alpha_e = c_e alpha'_e with c_e its content and alpha'_e primitive, and
     let N = [Z^V : {f : c_e | f_u - f_v}].  F is tested when no quotient so
     far has an elementary divisor > 1, there is no loop, the labels at
@@ -679,8 +757,12 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
        top generator degree.  The result is "certified", with every even
        degree up to the cap in checked_degrees.
     4. Conversely, if H_T is free with generators of degree at most twice
-       the valence, graded Nakayama makes the lifts a basis, and the test
-       passes.
+       the valence, graded Nakayama makes the quotients' lifts a basis, and
+       the test passes, with tau_p or, when it fails, with the top
+       quotient's lifts.
+
+    Steps 1-3 hold for any |V| classes of H_T whose degrees sum to |E|,
+    tau_p among them; only step 4 needs the quotients' lifts.
 
     N is prod c_e over the index of the lattice spanned by the imprimitive
     edges' signed incidence rows and c_e times their unit vectors, and both

@@ -41,6 +41,12 @@ def corpus_json(name: str) -> dict:
     return json.loads(corpus_text(name))
 
 
+def named_graph(name: str):
+    """The graph of tests/<name>.json, or else the corpus graph name."""
+    path = ROOT / "tests" / f"{name}.json"
+    return parse_graph(path.read_text()) if path.exists() else corpus_graph(name)
+
+
 @pytest.fixture(params=CORPUS_NAMES)
 def any_corpus_graph(request):
     return corpus_graph(request.param)

@@ -11,15 +11,18 @@ from gkm3 import cohomology as coh
 from gkm3 import linalg
 from gkm3.connection import available_connections
 from gkm3.graph import parse_graph, serialize_graph, validate
+from gkm3.verdict import realizability_report
 
 import oracles
 from conftest import (
     CORPUS_NAMES,
+    coloured_graph_docs,
     corpus_graph,
     corpus_json,
     corpus_text,
     gen_blowup,
     hexagon_prism,
+    named_graph,
     random_graph_doc,
     scale_sweep,
     small_graph_docs,
@@ -439,10 +442,14 @@ def test_h4_spanned_by_edge_thoms_and_scalars(name):
     assert oracles.q_rank_rows(spanning) == dim
 
 
-@pytest.mark.parametrize("name", CORPUS_NAMES)
+@pytest.mark.parametrize("name", CORPUS_NAMES + [
+    "cp3", "prism4", "free_no_flow_up", "blowup_last10"])
 def test_vertex_thoms_in_h6_quotient(name):
-    """Vertex Thom classes agree up to sign in H^6; zero iff nonorientable."""
-    g = corpus_graph(name)
+    """Vertex Thom classes agree up to sign in H^6; zero iff nonorientable.
+    This is why the certificate may close its basis with one of them.
+    fuzz_k4 is left out: its Thom classes agree only modulo torsion of the
+    oracle's quotient, so their images differ."""
+    g = named_graph(name)
     b6, _, proj = oracles.projector(g, 3)
     assert b6 == coh._quotient(g, 3).betti
     images = [proj(coh.thom_class_vertex(g, v)) for v in g.vertices]
@@ -529,14 +536,14 @@ SMITH = {("nonorientable", 3), ("torsion_k4", 3)}
 
 @pytest.mark.parametrize("name", ALL_CORPUS + ["torsion_k4"])
 def test_quotient_carries_the_inverse_transform(name):
-    # The Smith elimination carries T^-1 and reads lambda, column rank of T.
-    # T comes from the Smith form of the raised rows' coordinates, solved
-    # for here, and a second elimination, the HNF of [T | I] in
-    # unimodular_inverse, is the oracle for T^-1.  Quotients reduced with
-    # unit pivots keep no transform.
+    # The Smith elimination carries T^-1, and nothing of T.  T comes from
+    # the Smith form of the raised rows' coordinates, solved for here, and
+    # a second elimination, the HNF of [T | I] in unimodular_inverse, is
+    # the oracle for T^-1.  Quotients reduced with unit pivots keep no
+    # transform.
     doc = TORSION_K4 if name == "torsion_k4" else corpus_json(name)
     g = parse_graph(json.dumps(doc))
-    assert "transform" not in coh._Quotient._fields
+    assert {"transform", "column"} & set(coh._Quotient._fields) == set()
     for d in range(4):
         q = coh._quotient(g, d)
         assert (q.inverse is not None) == ((name, d) in SMITH), d
@@ -546,7 +553,6 @@ def test_quotient_carries_the_inverse_transform(name):
                  for r in coh._raised(g, coh.ht_basis_z(g, d - 1), d - 1)]
             T = linalg.snf_transform(C, len(L))[1]
             assert q.inverse == linalg.unimodular_inverse(T), d
-            assert q.column == ([t[q.rank] for t in T] if q.betti else []), d
         else:
             assert set(q.divisors) <= {1}, d
 
@@ -581,52 +587,76 @@ def test_unit_pivot_quotients_take_no_smith_form(text, request, monkeypatch):
         assert smith == [] and calls == []
 
 
-HEXPRISM24 = Path(__file__).parent / "hexprism24.json"
 DUAL = ["cp3", "cube", "flag", "prism4", "prism6", "theta"]  # b_6 = 1
 
 
-def _graph(name):
-    if name == "hexprism24":
-        return parse_graph(HEXPRISM24.read_text())
-    return corpus_graph(name)
-
-
-@pytest.mark.parametrize("name", DUAL + ["hexprism24"])
+@pytest.mark.parametrize("name", DUAL + ["hexprism24", "fuzz_k4"])
 def test_pairing_is_s_times_the_projected_pairing(name):
-    """The functional's pairing has the rank of the pairing of formed,
-    solved and projected product classes of the oracle's own reduced lifts,
-    and s^b_2 times its Gram determinant up to sign, as the two bases
-    differ by unimodular changes; on the vertex Thom classes, which are not
-    products, mu reads s times their projection, up to one sign."""
-    g = _graph(name)
+    """With V z = s e_top, the basis-read pairing of the reduced lifts is
+    s / i times the pairing of the same lifts' products, formed, solved and
+    projected into the oracle's degree-6 quotient, i the projection of the
+    basis's top class (tau_p, or the degree-6 quotient's lift on fuzz_k4);
+    z reads each vertex Thom class, which is not a product, as the same
+    multiple of its projection."""
+    g = named_graph(name)
     assert coh.betti_numbers(g).betti[3] == 1
-    q = coh._quotient(g, 3)
-    mu, s = q.functional()
-    assert s == (2 if name == "cp3" else 1)  # cp3's last L_3 pivot is 2
-    pivots = {next(j for j, x in enumerate(row) if x) for row in q.lattice}
-    assert all(m == 0 for j, m in enumerate(mu) if j not in pivots)
+    basis = g.memo[("free",)][1]  # all of these are certified
+    top = (coh._quotient(g, 3).reduced_lifts[0] if ("quotient", 3) in g.memo
+           else coh.thom_class_vertex(g, g.vertices[0]))
+    assert (("quotient", 3) in g.memo) == (name == "fuzz_k4")
+    s = sum(v * z for v, z in zip(basis.values[-1], basis.z))
+    assert s != 0
+    reps2 = coh._quotient(g, 1).reduced_lifts
+    reps4 = coh._quotient(g, 2).reduced_lifts
+    _, _, project = oracles.projector(g, 3)
+    k = Fraction(s, project(top)[0])
+    expected = oracles.projected_pairing(g, reps2, reps4, project)
+    pairing = coh._pairing(g)
+    assert len(pairing) == len(expected) == coh.betti_numbers(g).betti[1]
+    assert all(len(row) == len(reps4) for row in pairing)
+    assert [[x * k for x in row] for row in expected] == pairing
+    assert linalg.q_rank(pairing) == sympy.Matrix(expected).rank() == len(reps2)
+    t = coh._point(g)
+    for v in g.vertices:
+        thom = coh.thom_class_vertex(g, v)
+        read = sum(z * coh.poly_eval(p, 1, t)
+                   for z, p in zip(basis.z, coh._blocks(g, thom, 3)))
+        assert read == k * project(thom)[0], v
+
+
+def _pairing_rank_agrees_with_the_oracle(doc):
+    g = parse_graph(json.dumps(doc))
+    betti = coh.betti_numbers(g).betti
+    if not (betti[:1] == betti[3:4] == (1,) and betti[1] == betti[2]
+            and not any(betti[4:])):
+        return
     _, reps2, _ = oracles.projector(g, 1)
     _, reps4, _ = oracles.projector(g, 2)
     _, _, project = oracles.projector(g, 3)
-    expected = sympy.Matrix(oracles.projected_pairing(g, reps2, reps4, project))
-    pairing = sympy.Matrix(coh._pairing(g))
-    assert pairing.shape == expected.shape
-    assert pairing.rank() == expected.rank() == len(reps2)
-    assert abs(pairing.det()) == s ** len(reps2) * abs(expected.det())
-    signs = set()
-    for v in g.vertices:
-        thom = coh.thom_class_vertex(g, v)
-        read, image = sum(m * x for m, x in zip(mu, thom)), project(thom)[0]
-        assert read in (s * image, -s * image), v
-        signs.add(read == s * image)
-    assert len(signs) == 1
+    rank = sympy.Matrix(oracles.projected_pairing(g, reps2, reps4, project)).rank()
+    assert linalg.q_rank(coh._pairing(g)) == rank
+    with pytest.MonkeyPatch.context() as patch:  # the uncertified path
+        patch.setattr(coh, "_free_betti", lambda g: None)
+        assert linalg.q_rank(coh._pairing(parse_graph(json.dumps(doc)))) == rank
+
+
+@given(doc=small_graph_docs())
+@settings(max_examples=40, deadline=None, database=None)
+def test_pairing_rank_equals_the_oracles(doc):
+    _pairing_rank_agrees_with_the_oracle(doc)
+
+
+@given(doc=coloured_graph_docs())
+@settings(max_examples=40, deadline=None, database=None)
+def test_pairing_rank_equals_the_oracles_on_coloured_graphs(doc):
+    _pairing_rank_agrees_with_the_oracle(doc)
 
 
 @pytest.mark.parametrize("name", ALL_CORPUS + ["hexprism24"])
 def test_poincare_duality_solves_nothing_after_betti(name, monkeypatch):
     """Once the Betti numbers are known, the duality check locates no class
     in a lattice: no solver is built or called."""
-    g = _graph(name)
+    g = named_graph(name)
     coh.betti_numbers(g)
     solves = []
 
@@ -660,12 +690,6 @@ def test_class_product_blockwise(theta):
 CERTIFIED = ["cube", "flag", "theta", "cp3", "prism4", "prism6", "free_no_flow_up"]
 
 
-def _certified_graph(name):
-    if name == "free_no_flow_up":
-        return parse_graph(json.dumps(FREE_NO_FLOW_UP))
-    return corpus_graph(name)
-
-
 def _assert_certificate_agrees_with_scan(g, cap):
     """A certificate must mean no torsion up to the cap, its Betti numbers
     and lattice ranks sum b_k (d - k + 1), all read from quotients formed
@@ -695,18 +719,25 @@ def test_certificate_implies_free_with_its_betti(doc):
 
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_certificate_agrees_with_cap_20_scan(name):
-    _assert_certificate_agrees_with_scan(_certified_graph(name), 20)
+    _assert_certificate_agrees_with_scan(named_graph(name), 20)
 
 
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_certificate_determinant_matches_sympy(name):
-    # sympy's symbolic determinant of the generators' values is
-    # +-N prod alpha'_e, N counted over (Z/lcm c_e)^V.
-    g = _certified_graph(name)
+    # The certificate's basis is the reduced lifts below degree 6 and the
+    # Thom class of the first vertex, and sympy's symbolic determinant of
+    # their values is +-N prod alpha'_e, N counted over (Z/lcm c_e)^V.
+    g = named_graph(name)
     free = coh._free_betti(g)
-    assert free is not None
-    gens = [(d, f) for d in range(len(free)) for f in coh._quotient(g, d).reduced_lifts]
+    assert free is not None and len(free) == 4
+    gens = [(d, f) for d in range(3) for f in coh._quotient(g, d).reduced_lifts]
+    gens.append((3, coh.thom_class_vertex(g, g.vertices[0])))
     assert [d for d, _ in gens] == [d for d, b in enumerate(free) for _ in range(b)]
+    basis = g.memo[("free",)][1]
+    t = coh._point(g)
+    assert basis.degrees == tuple(d for d, _ in gens)
+    assert basis.values == [[coh.poly_eval(p, 1, t) for p in coh._blocks(g, f, d)]
+                            for d, f in gens]
     det = oracles.value_determinant(g, gens)
     expected = oracles.content_index(g) * oracles.primitive_label_product(g)
     assert det in (expected, -expected)
@@ -731,14 +762,42 @@ def test_certified_freeness_checks_every_degree(cube):
 
 @pytest.mark.parametrize("name", ["cube", "cp3", "free_no_flow_up"])
 def test_scan_without_certificate_gives_same_answers(name, monkeypatch):
-    certified = _certified_graph(name)
+    certified = named_graph(name)
     expected = (coh.betti_numbers(certified, 12), coh.z_freeness(certified, 12),
                 coh.cohomology_table(certified, 12))
     monkeypatch.setattr(coh, "_free_betti", lambda g: None)
-    scanned = _certified_graph(name)
+    scanned = named_graph(name)
     assert (coh.betti_numbers(scanned, 12), coh.z_freeness(scanned, 12),
             coh.cohomology_table(scanned, 12)) == expected
     assert ("quotient", 6) in scanned.memo and ("quotient", 6) not in certified.memo
+
+
+def _doubled(thom):
+    return lambda g: [2 * c for c in thom(g)]
+
+
+def _zero(thom):
+    return lambda g: [0] * len(thom(g))
+
+
+@pytest.mark.parametrize("name", CERTIFIED + ["fuzz_k4"])
+@pytest.mark.parametrize("forced", [_doubled, _zero], ids=["2tau", "zero"])
+@pytest.mark.parametrize("scanned", [False, True], ids=["certified", "scanned"])
+def test_forced_fallbacks_give_identical_reports(name, forced, scanned, monkeypatch):
+    """With tau_p replaced by 2 tau_p, which fails the determinant test, or
+    by 0, which leaves V singular, the certificate forms the degree-6
+    quotient and closes its basis with that quotient's lift, and the
+    pairing of a graph read without the certificate does likewise (for
+    2 tau_p, only when V is singular): every report is unchanged."""
+    if scanned:
+        monkeypatch.setattr(coh, "_free_betti", lambda g: None)
+    expected = realizability_report(named_graph(name))
+    monkeypatch.setattr(coh, "_vertex_thom", forced(coh._vertex_thom))
+    g = named_graph(name)
+    assert realizability_report(g) == expected
+    assert ("quotient", 3) in g.memo
+    if not scanned:
+        assert g.memo[("free",)][1].degrees[-1] == 3
 
 
 @pytest.mark.parametrize("doc, betti", [

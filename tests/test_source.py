@@ -80,6 +80,16 @@ def test_cli_import_loads_no_dataclasses_inspect_fractions_or_decimal():
     assert {"dataclasses", "inspect", "fractions", "decimal"} & set(out) == set()
 
 
+def test_cli_import_loads_no_importlib_resources():
+    # -S skips site, whose .pth files may import importlib.resources
+    # themselves; only `gkm3 corpus` needs it, and imports it on call.
+    code = ("import sys; import gkm3.cli; "
+            "print('importlib.resources' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code], cwd=SRC.parent,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
 def test_rational_routines_still_return_fractions():
     from gkm3 import linalg
 

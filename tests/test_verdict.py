@@ -4,6 +4,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from gkm3 import cohomology, connection, linalg
 from gkm3 import verdict
@@ -11,7 +12,15 @@ from gkm3.connection import Connection, _compatible_bijections
 from gkm3.graph import parse_graph
 from gkm3.verdict import SCHEMA, Analysis, realizability_report
 
-from conftest import CORPUS_NAMES, NOT_GKM_K4, corpus_graph, prism_graph
+from conftest import (
+    CORPUS_NAMES,
+    NOT_GKM_K4,
+    coloured_graph_docs,
+    corpus_graph,
+    named_graph,
+    prism_graph,
+    small_graph_docs,
+)
 
 # Free, but no vertex order of it has flow-up classes.
 FREE_NO_FLOW_UP = (Path(__file__).parent / "free_no_flow_up.json").read_text()
@@ -192,9 +201,65 @@ def test_verdict_caches_each_result_in_one_place(name):
     assert {key[0] for key in g.memo} <= {
         "evaluations", "z", "quotient", "free", "transition"}
     assert ("free",) in g.memo and ("quotient", 0) in g.memo
+    # The certificate keeps its Betti numbers and, when it holds, its basis,
+    # which the pairing reads; no degree-6 functional is kept anywhere.
+    free, basis = g.memo[("free",)]
+    assert (basis is None) == (free is None) == (name == "nonorientable")
     assert not hasattr(cohomology, "_solver")
     assert not hasattr(cohomology, "_certify_free")
-    assert "transform" not in cohomology._Quotient._fields
+    assert not hasattr(cohomology._Quotient, "functional")
+    assert {"transform", "column"} & set(cohomology._Quotient._fields) == set()
+
+
+@pytest.mark.parametrize("name", [
+    "cube", "flag", "theta", "cp3", "prism4", "prism6", "free_no_flow_up",
+    "blowup_last10", "hexprism24"])
+def test_certified_verdict_forms_no_degree_6_lattice(name):
+    """The Thom class of the first vertex closes the certificate's basis,
+    and the pairing is read from that basis, so neither the degree-6 class
+    lattice nor its quotient is formed."""
+    g = named_graph(name)
+    rep = realizability_report(g)
+    assert rep["z_freeness"]["status"] == "certified"
+    assert rep["poincare_duality"]["ok"]
+    assert ("quotient", 3) not in g.memo and ("z", 3) not in g.memo
+    assert max(key[1] for key in g.memo if key[0] in ("z", "quotient")) == 2
+
+
+# The duality and freeness sections of the three graphs whose certificate
+# does not close with a Thom class: their degree-6 quotients take a Smith
+# form, fuzz_k4's without torsion.
+UNCLOSED = {
+    "nonorientable": {
+        "betti": [1, 0, 3, 0, 0],
+        "poincare_duality": {"ok": False, "pairing_rank": None, "reasons": [
+            "b_6 = 0, expected 1", "b_2 = 0 differs from b_4 = 3"]},
+        "z_freeness": {"status": "not-free", "witness": {
+            "degree": 6, "order": 2,
+            "class": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0]}},
+        "tier": "not-realizable"},
+    "fuzz_k4": {
+        "betti": [1, 1, 1, 1, 0, 0],
+        "poincare_duality": {"ok": True, "pairing_rank": 1, "reasons": []},
+        "z_freeness": {"status": "certified", "witness": None},
+        "tier": "not-gkm"},
+    "torsion_k4": {
+        "betti": [1, 0, 3, 0, 0],
+        "poincare_duality": {"ok": False, "pairing_rank": None, "reasons": [
+            "b_6 = 0, expected 1", "b_2 = 0 differs from b_4 = 3"]},
+        "z_freeness": {"status": "not-free", "witness": {
+            "degree": 6, "order": 9,
+            "class": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 12, -2, -2, 0]}},
+        "tier": "not-gkm"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCLOSED))
+def test_reports_that_form_the_degree_6_quotient(name):
+    g = named_graph(name)
+    rep = realizability_report(g)
+    assert {key: rep[key] for key in UNCLOSED[name]} == UNCLOSED[name]
+    assert ("quotient", 3) in g.memo
 
 
 def test_prism6_verdict_never_builds_the_product(monkeypatch):
@@ -283,14 +348,38 @@ def test_free_graph_without_flow_up_order_is_certified():
     assert rep["tier"] == "integer-gkm-realizable"
     assert rep["betti"] == [1, 2, 2, 1, 0, 0]
     assert rep["z_freeness"] == {"status": "certified", "witness": None}
-    # The determinant certifies freeness from the quotients up to degree 6.
-    assert max(key[1] for key in g.memo if key[0] == "quotient") == 3
+    # The determinant certifies freeness from the quotients up to degree 4
+    # and the Thom class of the first vertex.
+    assert max(key[1] for key in g.memo if key[0] == "quotient") == 2
 
 
 def test_certified_report_equals_scanned_report(monkeypatch):
     certified = realizability_report(parse_graph(FREE_NO_FLOW_UP))
     monkeypatch.setattr(cohomology, "_free_betti", lambda g: None)
     assert realizability_report(parse_graph(FREE_NO_FLOW_UP)) == certified
+
+
+def _scan_agrees_with_certificate(doc):
+    """Without the certificate, Betti numbers come from the lattice ranks,
+    freeness from a quotient scan and the pairing from the quotients'
+    lifts; the report is the same."""
+    text = json.dumps(doc)
+    certified = realizability_report(parse_graph(text))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "_free_betti", lambda g: None)
+        assert realizability_report(parse_graph(text)) == certified
+
+
+@given(doc=small_graph_docs())
+@settings(max_examples=40, deadline=None, database=None)
+def test_certified_report_equals_scanned_report_on_random_graphs(doc):
+    _scan_agrees_with_certificate(doc)
+
+
+@given(doc=coloured_graph_docs())
+@settings(max_examples=40, deadline=None, database=None)
+def test_certified_report_equals_scanned_report_on_coloured_graphs(doc):
+    _scan_agrees_with_certificate(doc)
 
 
 def test_verdict_builds_each_transition_once(flag, monkeypatch):
@@ -328,14 +417,16 @@ def test_loop_holonomy_trivial_reports_both_outcomes():
 
 
 @pytest.mark.parametrize(
-    "name", CORPUS_NAMES + ["cp3", "prism4", "prism6"]
+    "name", CORPUS_NAMES + ["cp3", "prism4", "prism6", "blowup_last10"]
 )
 def test_verdict_runs_no_reduction_pass_and_lifts_without_eye(name, monkeypatch):
     # Every echelon a verdict reads is read for its pivots, ranks or
     # solves, so the reduction above the pivots (hnf, hnf_transform) never
     # runs; ht_basis_z lifts unit vectors from their one nonzero entry, and
     # each degree's evaluations are eliminated once.  The one reduction is
-    # square, once per class lattice that takes the fallback (cp3 has one).
+    # square, once per class lattice that takes the fallback: blowup_last10
+    # has two, in degrees 2 and 4; cp3's one is in degree 6, which its
+    # certified verdict no longer forms.
     reductions, eyes, inside, evaluated, fallbacks, hnfs = [], [], [], [], [], []
     reduced, eye, basis = linalg.reduced, linalg.eye, cohomology.ht_basis_z
     evaluations = cohomology._evaluations
@@ -376,10 +467,10 @@ def test_verdict_runs_no_reduction_pass_and_lifts_without_eye(name, monkeypatch)
         monkeypatch.setattr(linalg, real.__name__, spy_hnf(real.__name__, real))
     monkeypatch.setattr(linalg, "eye", spy_eye)
     monkeypatch.setattr(cohomology, "ht_basis_z", spy_basis)
-    realizability_report(corpus_graph(name))
+    realizability_report(named_graph(name))
     assert hnfs == []
     assert evaluated and len(evaluated) == len(set(evaluated))
     assert [where for where, _, _ in reductions] == [(d,) for d in fallbacks]
     assert all(m == n for _, m, n in reductions)
-    assert fallbacks or name != "cp3"
+    assert fallbacks == ([1, 2] if name == "blowup_last10" else [])
     assert eyes == []
