@@ -31,12 +31,15 @@ at a point proves it (z_freeness), and with it freeness and the Betti
 numbers in every degree, so the quotients above are never formed.  The
 duality pairing is read from the same values: one solve against them gives
 a functional on the vertex values that reads a degree-6 class's image in
-the reduced H^6 (poincare_duality).
+the reduced H^6 (poincare_duality), up to a common factor that its rank
+(linalg.q_rank) divides out.  A Thom class is checked against the equations
+of the edges at its support (_thom_class), forming no lattice.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
@@ -303,14 +306,6 @@ def _pivot(row: Sequence[int]) -> int:
     return next(j for j, x in enumerate(row) if x)
 
 
-def _located(coords: Optional[list], what: str) -> list:
-    """A solve's coordinates; RuntimeError when it found none, as the
-    vector lies outside the lattice."""
-    if coords is None:
-        raise RuntimeError(f"{what} escaped the class lattice")
-    return coords
-
-
 def _pivot_product(H: linalg.Matrix) -> int:
     """The product of an echelon basis's pivots: the index of its lattice
     when it has full rank, the absolute determinant when it is square."""
@@ -362,10 +357,6 @@ class _Quotient(NamedTuple):
     def betti(self) -> int:
         return len(self.lattice) - self.rank
 
-    def lift(self, coords: Sequence[int]) -> list:
-        """The class with the given coordinates in the lattice basis."""
-        return _combination(self.lattice, coords)
-
 
 def _quotient(g: GkmGraph, d: int) -> _Quotient:
     """The reduced degree-2d part, from unit pivots when C has them and
@@ -377,13 +368,14 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
     coords = []
     if d:
         solve = linalg.hnf_solver(L)
-        coords = [_located(solve(r), "product class")
-                  for r in _raised(g, ht_basis_z(g, d - 1), d - 1)]
+        coords = [solve(r) for r in _raised(g, ht_basis_z(g, d - 1), d - 1)]
+        if None in coords:
+            raise RuntimeError("product class escaped the class lattice")
     E = linalg.unit_reduce(coords)
     if E is not None:
         q = _Quotient(L, (1,) * len(E), [L[j] for j in range(len(L)) if j not in E])
     else:
-        D, _, Tinv = linalg.snf_transform(coords, len(L))
+        D, Tinv = linalg.snf_transform(coords, len(L))
         divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
         q = _Quotient(L, divisors, [_combination(L, c) for c in Tinv[len(divisors):]],
                       Tinv)
@@ -438,22 +430,8 @@ def _basis(g: GkmGraph, gens: Sequence[Tuple[int, list]]) -> _Basis:
 
 def _vertex_thom(g: GkmGraph) -> list:
     """The Thom class tau_p of the first vertex p, of degree 2 valence: the
-    product of the labels at p, placed at p.  It vanishes off p, so it is a
-    class when it meets the equations of the edges at p (ht_basis_z): for
-    each, h = tau_p(p) vanishes at the root of the label's primitive part,
-    and the label's content divides its coefficients.  It does, as the
-    label divides tau_p(p); no lattice is formed for the check."""
-    p = g.vertices[0]
-    vec = _thom_vector(g, [(p, 1)], None)
-    k = g.valence + 1
-    i = g.vertex_index[p] * k
-    h = vec[i:i + k]
-    for eid in g.incident[p]:
-        w = g.edges[eid].weight
-        c = w.content()
-        if poly_eval(h, w.b // c, -w.a // c) or any(x % c for x in h):
-            raise RuntimeError(f"Thom class of vertex {p!r} escaped the class lattice")
-    return vec
+    product of the labels at p, placed at p (thom_class_vertex)."""
+    return thom_class_vertex(g, g.vertices[0])
 
 
 def _certified(g: GkmGraph, gens: list) -> Optional[_Basis]:
@@ -585,7 +563,7 @@ def cohomology_table(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> List[
 def thom_class_vertex(g: GkmGraph, v: str) -> list:
     """Degree-6 class: product of the three incident weights at v, 0 elsewhere.
 
-    Membership in the integral class lattice is checked.
+    It is checked to be an integral class (_thom_class).
     """
     return _thom_class(g, [(v, 1)], None, f"Thom class of vertex {v!r}")
 
@@ -595,7 +573,7 @@ def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
 
     At the source it is the product of the other two incident weights; at
     the target the same product is scaled by the product of the transport
-    signs.  Membership in the integral class lattice is checked.
+    signs.  It is checked to be an integral class (_thom_class).
     """
     e = g.edges[edge_id]
     # eps is 1 at the edge itself, so this is the side transport sign.
@@ -606,27 +584,29 @@ def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
 
 def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
                 skip: Optional[int], what: str) -> list:
-    """_thom_vector, checked to lie in the class lattice."""
-    vec = _thom_vector(g, ends, skip)
-    d = g.valence - (skip is not None)
-    _located(linalg.hnf_solve(ht_basis_z(g, d), vec), what)
-    return vec
-
-
-def _thom_vector(g: GkmGraph, ends: Sequence[Tuple[str, int]],
-                 skip: Optional[int]) -> list:
     """Sum over (v, scale) in ends of scale times the product of the weights
-    at v but skip's, placed at v."""
-    d = g.valence - (skip is not None)
-    vec = [0] * (len(g.vertices) * (d + 1))
+    at v but skip's, placed at v; RuntimeError unless it is a class: at each
+    edge, h = f_u - f_v vanishes at the root of the label's primitive part
+    and the label's content divides its coefficients (ht_basis_z).  Only
+    the edges at the vector's own support can fail; no lattice is formed."""
+    k = g.valence - (skip is not None) + 1
+    vec = [0] * (len(g.vertices) * k)
     for v, scale in ends:
         prod: Tuple = (1,)
         for eid in g.incident[v]:
             if eid != skip:
                 prod = poly_mul(prod, g.edges[eid].weight.vector)
-        base = g.vertex_index[v] * (d + 1)
+        base = g.vertex_index[v] * k
         for j, c in enumerate(prod):
             vec[base + j] += scale * c
+    for eid in {eid for i in compress(range(len(vec)), vec)
+                for eid in g.incident[g.vertices[i // k]]}:
+        e = g.edges[eid]
+        iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
+        h = [a - b for a, b in zip(vec[iu:iu + k], vec[iv:iv + k])]
+        c = e.weight.content()
+        if poly_eval(h, e.weight.b // c, -e.weight.a // c) or any(x % c for x in h):
+            raise RuntimeError(f"{what} escaped the class lattice")
     return vec
 
 
@@ -782,7 +762,7 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
             q = _quotient(g, d)
             for i, di in enumerate(q.divisors):
                 if di > 1:
-                    wit = q.lift(q.inverse[i])
+                    wit = _combination(q.lattice, q.inverse[i])
                     return FreenessResult(
                         "not-free",
                         range(0, 2 * d + 1, 2),

@@ -7,32 +7,36 @@ snf_transform, which meets one in the degree-0 quotient, takes it
 explicitly.
 
 The integer routines (HNF, rank, Smith form, HNF back-substitution) carry
-the package.  echelon is the one elimination and leaves the entries above
-its pivots unreduced, as pivots, ranks and solves read none of them; hnf
-and hnf_transform, which return the canonical form, end with the
-reduction pass (reduced).  Callers append only the columns they read (hnf
-none, hnf_transform an identity).  reduced alone is the Hermite form of an
-echelon basis, such as the triangular one of the class lattice's fallback
-(cohomology.ht_basis_z), which needs no elimination.  hnf_solver finds an
-echelon basis's pivots once and returns the back-substitution against it,
-touching only the basis's nonzero entries; each cohomology quotient builds
-one to locate its raised rows.  hnf_solve is one call of it, which each
-Thom class takes.
-unit_reduce, a sparse Gauss-Jordan elimination on +-1 pivots, shows a span
-saturated; snf_transform, the one Smith elimination, takes the cohomology
-quotients it does not reduce.  snf_transform carries T and T^-1, and its
-pivot is the first unit entry when there is one, else the first entry of
-smallest magnitude (the same entry, as a unit is always smallest).  rref
-and solve_left are the only Fraction arithmetic left, and they import
-Fraction on call, so no CLI call loads fractions (or the decimal and
-numbers modules it pulls in).  They, z_kernel and its alias nullspace,
-elementary_divisors, unimodular_inverse and lattice_solve have no caller
-in the package; they stay because the benchmark's traced runs
-(benchmark/spans.py) look them up by name.
+the package.  echelon is the lattices' one elimination and leaves the
+entries above its pivots unreduced, as pivots, ranks and solves read none
+of them; hnf and hnf_transform, which return the canonical form, end with
+the reduction pass (reduced).  Callers append only the columns they read
+(hnf none, hnf_transform an identity).  reduced alone is the Hermite form
+of an echelon basis, such as the triangular one of the class lattice's
+fallback (cohomology.ht_basis_z), which needs no elimination.  hnf_solver
+finds an echelon basis's pivots once and returns the back-substitution
+against it, touching only the basis's nonzero entries; each cohomology
+quotient builds one to locate its raised rows.  q_rank, which only counts,
+eliminates fraction-free and divides each new row by its content, so a
+factor common to the entries (thousands of bits in a large duality
+pairing) is not multiplied into every step.  unit_reduce, a sparse
+Gauss-Jordan elimination on +-1 pivots, shows a span saturated;
+snf_transform, the one Smith elimination, takes the cohomology quotients
+it does not reduce.  snf_transform carries T^-1 alone, as no caller reads
+T, and its pivot is the first unit entry when there is one, else the first
+entry of smallest magnitude (the same entry, as a unit is always
+smallest).  rref and solve_left are the only Fraction arithmetic left, and
+they import Fraction on call, so no CLI call loads fractions (or the
+decimal and numbers modules it pulls in).  They, z_kernel and its alias
+nullspace, elementary_divisors, unimodular_inverse, lattice_solve and
+hnf_solve (one call of hnf_solver) have no caller in the package, which
+checks each Thom class on its own edges; they stay because the
+benchmark's traced runs (benchmark/spans.py) look them up by name.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -181,8 +185,25 @@ def hnf(A: Sequence[Sequence[int]]) -> Matrix:
 
 
 def q_rank(A: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix: the row count of its echelon basis."""
-    return len(echelon_basis(A))
+    """Rank over Q of an integer matrix, by fraction-free elimination: each
+    column's pivot is its entry of smallest magnitude, the other rows take
+    integer combinations with the pivot row, and every row is divided by its
+    content, which keeps the rank exact and never multiplies a factor
+    common to the entries into them."""
+    rows, rank = [_primitive(row) for row in A], 0
+    for j in range(len(rows[0]) if rows else 0):
+        hits = [i for i, row in enumerate(rows) if row[j]]
+        if hits:
+            pivot, rank = rows.pop(min(hits, key=lambda i: abs(rows[i][j]))), rank + 1
+            rows = [_primitive([pivot[j] * s - row[j] * t for s, t in zip(row, pivot)])
+                    if row[j] else row for row in rows]
+    return rank
+
+
+def _primitive(row: Sequence[int]) -> List[int]:
+    """row over its content, the gcd of its entries (a zero row as it is)."""
+    c = math.gcd(*row)
+    return [x // c for x in row] if c > 1 else list(row)
 
 
 def z_kernel(A: Sequence[Sequence[int]]) -> Matrix:
@@ -201,18 +222,18 @@ nullspace = z_kernel
 
 def snf_transform(
     A: Sequence[Sequence[int]], ncols: int = 0
-) -> Tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form with its column transform: returns (D, T, T^-1).
+) -> Tuple[Matrix, Matrix]:
+    """Smith normal form with the inverse of its column transform: returns
+    (D, T^-1).
 
-    S @ A @ T == D for a unimodular S that no caller reads, so it is not
-    kept; T is unimodular, and each column operation on T is mirrored by
-    its inverse row operation on T^-1.  D is diagonal with nonnegative
-    entries satisfying d_1 | d_2 | ... .  ncols is the column count when A
-    has no rows.
+    S @ A @ T == D for unimodular S and T that no caller reads, so neither
+    is kept; each column operation on D is mirrored by its inverse row
+    operation on T^-1.  D is diagonal with nonnegative entries satisfying
+    d_1 | d_2 | ... .  ncols is the column count when A has no rows.
     """
     D = [list(row) for row in A]
     m, n = len(D), len(D[0]) if D else ncols
-    T, Tinv = eye(n), eye(n)
+    Tinv = eye(n)
     for k in range(min(m, n)):
         while True:
             # Smallest-magnitude pivot keeps the intermediate entries tame;
@@ -228,9 +249,8 @@ def snf_transform(
             if i != k:
                 D[k], D[i] = D[i], D[k]
             if j != k:
-                for M in (D, T):
-                    for row in M:
-                        row[k], row[j] = row[j], row[k]
+                for row in D:
+                    row[k], row[j] = row[j], row[k]
                 Tinv[k], Tinv[j] = Tinv[j], Tinv[k]
             piv = D[k][k]
             clean = True
@@ -243,9 +263,8 @@ def snf_transform(
             for j in range(k + 1, n):
                 q = D[k][j] // piv
                 if q:
-                    for M in (D, T):
-                        for row in M:
-                            row[j] -= q * row[k]
+                    for row in D:
+                        row[j] -= q * row[k]
                     Tinv[k] = [s + q * t for s, t in zip(Tinv[k], Tinv[j])]
                 if D[k][j] != 0:
                     clean = False
@@ -264,7 +283,7 @@ def snf_transform(
             D[k] = [s + t for s, t in zip(D[k], D[bad])]
         if D[k][k] < 0:
             D[k] = [-s for s in D[k]]
-    return D, T, Tinv
+    return D, Tinv
 
 
 def unit_reduce(rows: Sequence[Sequence[int]]) -> Optional[Dict[int, Dict[int, int]]]:

@@ -16,9 +16,12 @@ kernel's replaced loops stay here as oracles: the elimination that reduced
 above each pivot as soon as it found it, the back-substitution that
 finds a basis's pivots on every call, the Smith form that scans the whole
 remaining submatrix for each pivot, and the lift that sums the transposed
-lattice's columns.  So does the duality pairing's replaced path: each
+lattice's columns.  So does the Thom classes' replaced check, each class
+solved for in the whole class lattice of its degree.  So does the duality
+pairing's replaced path: each
 product class formed vertex by vertex, solved for in the degree-6 lattice
-and projected through a Smith transform of the quotient formed here.  So
+and projected through a Smith transform of the quotient formed here, its
+T the inverse of T^-1 by sympy's domain matrices.  So
 do the class lattice's two eliminations of the same equations, the second
 solving each lift against an echelon basis of the fixed coordinates' and
 auxiliaries' rows, with the replaced fallback, an elimination of every
@@ -37,6 +40,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import (
     hermite_normal_form,
     smith_normal_decomp,
@@ -459,12 +463,11 @@ def dense_hnf_solve(H: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[li
 
 
 def min_scan_snf(A: Sequence[Sequence[int]], ncols: int = 0):
-    """(D, T, T^-1) of the Smith form, each pivot the first smallest-magnitude
+    """(D, T^-1) of the Smith form, each pivot the first smallest-magnitude
     entry of the whole remaining submatrix, found by one full scan."""
     D = [list(row) for row in A]
     m, n = len(D), len(D[0]) if D else ncols
-    T = [[int(i == j) for j in range(n)] for i in range(n)]
-    Tinv = [list(row) for row in T]
+    Tinv = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(min(m, n)):
         while True:
             pos = min(
@@ -478,7 +481,7 @@ def min_scan_snf(A: Sequence[Sequence[int]], ncols: int = 0):
             if i != k:
                 D[k], D[i] = D[i], D[k]
             if j != k:
-                for row in D + T:
+                for row in D:
                     row[k], row[j] = row[j], row[k]
                 Tinv[k], Tinv[j] = Tinv[j], Tinv[k]
             piv = D[k][k]
@@ -492,7 +495,7 @@ def min_scan_snf(A: Sequence[Sequence[int]], ncols: int = 0):
             for j in range(k + 1, n):
                 q = D[k][j] // piv
                 if q:
-                    for row in D + T:
+                    for row in D:
                         row[j] -= q * row[k]
                     Tinv[k] = [s + q * t for s, t in zip(Tinv[k], Tinv[j])]
                 if D[k][j] != 0:
@@ -511,7 +514,54 @@ def min_scan_snf(A: Sequence[Sequence[int]], ncols: int = 0):
             D[k] = [s + t for s, t in zip(D[k], D[bad])]
         if D[k][k] < 0:
             D[k] = [-s for s in D[k]]
-    return D, T, Tinv
+    return D, Tinv
+
+
+def lattice_thom_class(g, ends, skip, what: str) -> list:
+    """The replaced Thom-class route: the vector built as cohomology builds
+    it (through coh.poly_mul), then solved for in the whole class lattice of
+    its degree (linalg.hnf_solve against coh.ht_basis_z); RuntimeError with
+    cohomology's message when there is no solution."""
+    d = g.valence - (skip is not None)
+    vec = [0] * (len(g.vertices) * (d + 1))
+    for v, scale in ends:
+        prod = (1,)
+        for eid in g.incident[v]:
+            if eid != skip:
+                prod = coh.poly_mul(prod, g.edges[eid].weight.vector)
+        base = g.vertex_index[v] * (d + 1)
+        for j, c in enumerate(prod):
+            vec[base + j] += scale * c
+    if linalg.hnf_solve(coh.ht_basis_z(g, d), vec) is None:
+        raise RuntimeError(f"{what} escaped the class lattice")
+    return vec
+
+
+def lattice_thom_class_vertex(g, v: str) -> list:
+    """coh.thom_class_vertex by the lattice route."""
+    return lattice_thom_class(g, [(v, 1)], None, f"Thom class of vertex {v!r}")
+
+
+def lattice_thom_class_edge(g, conn, eid: int) -> list:
+    """coh.thom_class_edge by the lattice route, its sign read through
+    coh.transition."""
+    e = g.edges[eid]
+    sign = math.prod(coh.transition(g, conn, DirectedEdge(eid, True)).eps)
+    return lattice_thom_class(g, [(e.u, 1), (e.v, sign)], eid,
+                              f"Thom class of edge {eid}")
+
+
+def inverse(M: Sequence[Sequence[int]]) -> List[list]:
+    """The inverse of an invertible integer matrix with integral inverse,
+    by sympy's domain-matrix inverse over Q; ValueError when it is not
+    integral."""
+    if not M:
+        return []
+    inv = DomainMatrix.from_list_sympy(len(M), len(M), M).convert_to(sympy.QQ).inv()
+    rows = inv.to_Matrix().tolist()
+    if any(not c.is_integer for row in rows for c in row):
+        raise ValueError("the inverse is not integral")
+    return [[int(c) for c in row] for row in rows]
 
 
 def transposed_lift(lattice: Sequence[Sequence[int]], coords: Sequence[int]) -> list:
@@ -538,13 +588,13 @@ def projector(g, d: int):
     raised rows' coordinates C in L, each solved for (min_scan_snf): its
     free rank, the classes T^-1 L rows rank.. lifting a basis of its free
     part, and project(vec) = (c T)[rank:] for a class vec = c L, solved
-    for, with RuntimeError when vec is outside L."""
+    for, with RuntimeError when vec is outside L, T the inverse of T^-1."""
     L = coh.ht_basis_z(g, d)
     C = [] if d == 0 else [dense_hnf_solve(L, r) for r in
                            coh._raised(g, coh.ht_basis_z(g, d - 1), d - 1)]
-    D, T, Tinv = min_scan_snf(C, len(L))
+    D, Tinv = min_scan_snf(C, len(L))
     rank = sum(1 for i, row in enumerate(D[: len(L)]) if row[i])
-    cols = list(zip(*T))[rank:]
+    cols = list(zip(*inverse(Tinv)))[rank:]
 
     def project(vec: Sequence[int]) -> list:
         c = dense_hnf_solve(L, vec)

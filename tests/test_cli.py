@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gkm3 import cli, verdict
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, gen_blowup, scale_sweep
 
 
 def run(capsys, *argv):
@@ -440,3 +440,21 @@ def test_closed_stdout_exits_without_a_traceback(argv):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and err == ""
+
+
+def test_verdict_on_the_k40_last_blowup_finishes(tmp_path):
+    # The duality pairing of this 84-vertex blow-up is 41 x 41, its entries
+    # share a factor of about 2000 bits, and an elimination that multiplies
+    # that factor into every step ran past 14 minutes.
+    path = tmp_path / "last40.json"
+    path.write_text(json.dumps(
+        gen_blowup.blowup_document(40, "last", scale_sweep.BLOWUP_P)))
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "from gkm3.cli import main; main()", "verdict", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    report = json.loads(proc.stdout)
+    assert report["betti"][:4] == [1, 41, 41, 1]
+    assert report["poincare_duality"]["pairing_rank"] == 41

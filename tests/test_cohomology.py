@@ -379,23 +379,110 @@ def test_project_rejects_a_class_outside_the_lattice(cube):
         oracles.projector(cube, 3)[2](vec)
 
 
+def _raised_leading(mul):
+    """poly_mul whose degree-3 products, the vertex products of a 3-valent
+    graph, gain 1 in their leading coefficient."""
+    def raised(p, q):
+        out = mul(p, q)
+        return (out[0] + (len(out) == 4),) + out[1:]
+    return raised
+
+
+def _spilled(mul):
+    """poly_mul whose degree-3 products gain a fifth coefficient, which
+    spills into the next vertex's block."""
+    def spilled(p, q):
+        out = mul(p, q)
+        return out + (1,) * (len(out) == 4)
+    return spilled
+
+
+def _flipped(transition):
+    """transition whose transport signs multiply to the opposite sign, so
+    an edge class's target sign flips."""
+    def flipped(g, conn, e):
+        t = transition(g, conn, e)
+        return t._replace(eps=(-t.eps[0],) + t.eps[1:])
+    return flipped
+
+
 def test_thom_classes_outside_a_sublattice_raise(cube, monkeypatch):
-    """With the class lattice replaced by 2L, whose classes have only even
-    coefficients, each Thom class (leading coefficient 1) escapes it."""
+    """A vertex product whose leading coefficient gains 1, or an edge class
+    whose target sign flips, is no class, and the check of the edges the
+    vector reaches says so with no lattice and no evaluation formed."""
     conn = available_connections(cube)[0][0]
-    full = coh.ht_basis_z
-    monkeypatch.setattr(
-        coh, "ht_basis_z",
-        lambda g, d: [[2 * c for c in row] for row in full(g, d)],
-    )
     v = cube.vertices[0]
-    with pytest.raises(RuntimeError,
-                       match=re.escape(f"Thom class of vertex {v!r} escaped")):
-        coh.thom_class_vertex(cube, v)
-    with pytest.raises(RuntimeError, match="Thom class of edge 0 escaped"):
-        coh.thom_class_edge(cube, conn, 0)
-    # Each solve reads the lattice afresh, and no solver is cached.
-    assert {key[0] for key in cube.memo} == {"evaluations", "z", "transition"}
+    with monkeypatch.context() as patch:
+        patch.setattr(coh, "poly_mul", _raised_leading(coh.poly_mul))
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"Thom class of vertex {v!r} escaped the class lattice")):
+            coh.thom_class_vertex(cube, v)
+    with monkeypatch.context() as patch:
+        patch.setattr(coh, "transition", _flipped(coh.transition))
+        with pytest.raises(RuntimeError,
+                           match="Thom class of edge 0 escaped the class lattice"):
+            coh.thom_class_edge(cube, conn, 0)
+    assert not [key for key in cube.memo if key[0] in ("z", "evaluations")]
+
+
+def _test_graphs():
+    here = Path(__file__).parent
+    return [pytest.param(corpus_text(name), id=name) for name in ALL_CORPUS] + [
+        pytest.param(path.read_text(), id=path.stem)
+        for path in sorted(here.glob("*.json"))]
+
+
+def _outcome(thom, *args):
+    """A Thom class, or the type and message of the error it raised."""
+    try:
+        return thom(*args)
+    except (RuntimeError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_thom_routes_agree(text):
+    """Every vertex and edge Thom class (edges under the first connection)
+    is the same, or raises the same error, by the edge check and by the
+    lattice route (oracles.lattice_thom_class), as built and with each
+    fault injected; each class returned is one by the sympy divisibility
+    check."""
+    g = parse_graph(text)
+    conns = available_connections(g)[0]
+    cases = [(coh.thom_class_vertex, oracles.lattice_thom_class_vertex, (v,), 3)
+             for v in g.vertices]
+    cases += [(coh.thom_class_edge, oracles.lattice_thom_class_edge, (conns[0], eid), 2)
+              for eid in range(len(g.edges)) if conns]
+    faults = [None, ("poly_mul", _raised_leading), ("poly_mul", _spilled),
+              ("transition", _flipped)]
+    for fault in faults:
+        with pytest.MonkeyPatch.context() as patch:
+            if fault is not None:
+                name, wrap = fault
+                patch.setattr(coh, name, wrap(getattr(coh, name)))
+            for mine, lattice, args, d in cases:
+                out = _outcome(mine, g, *args)
+                assert out == _outcome(lattice, g, *args), (fault, args)
+                if isinstance(out, list):
+                    assert oracles.class_satisfies(g, out, d, over_z=True), args
+                else:
+                    assert fault is not None, out
+
+
+@pytest.mark.parametrize("text", _test_graphs())
+def test_thom_classes_match_the_lattice_route(text):
+    _assert_thom_routes_agree(text)
+
+
+@given(doc=small_graph_docs())
+@settings(max_examples=40, deadline=None, database=None)
+def test_thom_classes_match_the_lattice_route_on_random_graphs(doc):
+    _assert_thom_routes_agree(json.dumps(doc))
+
+
+@given(doc=coloured_graph_docs())
+@settings(max_examples=40, deadline=None, database=None)
+def test_thom_classes_match_the_lattice_route_on_coloured_graphs(doc):
+    _assert_thom_routes_agree(json.dumps(doc))
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -414,7 +501,8 @@ def test_lift_matches_transposed_sum(name):
         k = len(q.lattice)
         mixed = [(-1) ** i * (i + 2) for i in range(k)]
         for coords in (q.inverse or []) + linalg.eye(k) + [mixed]:
-            assert q.lift(coords) == oracles.transposed_lift(q.lattice, coords)
+            assert coh._combination(q.lattice, coords) == oracles.transposed_lift(
+                q.lattice, coords)
         assert len(q.reduced_lifts) == q.betti, d
         if q.inverse is not None:
             assert q.reduced_lifts == [oracles.transposed_lift(q.lattice, row)
@@ -536,11 +624,11 @@ SMITH = {("nonorientable", 3), ("torsion_k4", 3)}
 
 @pytest.mark.parametrize("name", ALL_CORPUS + ["torsion_k4"])
 def test_quotient_carries_the_inverse_transform(name):
-    # The Smith elimination carries T^-1, and nothing of T.  T comes from
-    # the Smith form of the raised rows' coordinates, solved for here, and
-    # a second elimination, the HNF of [T | I] in unimodular_inverse, is
-    # the oracle for T^-1.  Quotients reduced with unit pivots keep no
-    # transform.
+    # The Smith elimination carries T^-1, and nothing of T.  The oracle
+    # Smith form that scans for every pivot, of the raised rows'
+    # coordinates solved for here, gives the same T^-1; T, sympy's inverse
+    # of it, is unimodular, and C T spans the lattice of D's rows.
+    # Quotients reduced with unit pivots keep no transform.
     doc = TORSION_K4 if name == "torsion_k4" else corpus_json(name)
     g = parse_graph(json.dumps(doc))
     assert {"transform", "column"} & set(coh._Quotient._fields) == set()
@@ -551,17 +639,14 @@ def test_quotient_carries_the_inverse_transform(name):
             L = coh.ht_basis_z(g, d)
             C = [oracles.dense_hnf_solve(L, r)
                  for r in coh._raised(g, coh.ht_basis_z(g, d - 1), d - 1)]
-            T = linalg.snf_transform(C, len(L))[1]
-            assert q.inverse == linalg.unimodular_inverse(T), d
+            D, Tinv = oracles.min_scan_snf(C, len(L))
+            assert q.inverse == Tinv, d
+            T = oracles.inverse(Tinv)
+            assert abs(sympy.Matrix(T).det()) == 1, d
+            CT = [[sum(c * t for c, t in zip(row, col)) for col in zip(*T)] for row in C]
+            assert oracles.lattice_equal(CT, D), d
         else:
             assert set(q.divisors) <= {1}, d
-
-
-def _test_graphs():
-    here = Path(__file__).parent
-    return [pytest.param(corpus_text(name), id=name) for name in ALL_CORPUS] + [
-        pytest.param(path.read_text(), id=path.stem)
-        for path in sorted(here.glob("*.json"))]
 
 
 @pytest.mark.parametrize("text", _test_graphs())

@@ -154,13 +154,26 @@ def test_z_kernel_contract(rows):
         ] * len(K)
 
 
+@given(int_matrices(max_dim=7, lo=-3, hi=3), st.sampled_from([1, -6, 3**200]))
+@settings(max_examples=80, deadline=None)
+def test_q_rank_matches_sympy(rows, scale):
+    """The content-reducing elimination counts sympy's rank, also when one
+    large factor is common to every entry, as in a large duality pairing;
+    rows with a repeated or zero combination are rank deficient."""
+    A = [[scale * a for a in row] for row in rows]
+    assert linalg.q_rank(A) == oracles.q_rank_rows(A)
+    doubled = A + [[a + 2 * b for a, b in zip(A[0], A[-1])]]
+    assert linalg.q_rank(doubled) == oracles.q_rank_rows(doubled)
+
+
 def _check_snf(A, ncols):
-    """(D, T, T^-1) is a Smith form of A: T T^-1 = I, |det T| = 1, D
-    diagonal with d_1 | d_2 | ..., and the rows of A T span the lattice of
-    D's rows.  With equal row counts that last holds exactly when some
-    unimodular S has S A T = D, the S that snf_transform does not keep."""
-    D, T, Tinv = linalg.snf_transform(A, ncols)
-    assert _sym(T) * _sym(Tinv) == sympy.eye(ncols)
+    """(D, T^-1) is a Smith form of A: T, sympy's inverse of T^-1, is
+    integral with |det T| = 1, D is diagonal with d_1 | d_2 | ..., and the
+    rows of A T span the lattice of D's rows.  With equal row counts that
+    last holds exactly when some unimodular S has S A T = D, the S that
+    snf_transform does not keep."""
+    D, Tinv = linalg.snf_transform(A, ncols)
+    T = oracles.inverse(Tinv)
     assert abs(_sym(T).det()) == 1
     assert len(D) == len(A) and all(len(row) == ncols for row in D)
     for i, row in enumerate(D):
@@ -189,7 +202,7 @@ def test_snf_explicit_inputs():
     assert _check_snf([[2, 0], [0, 3]], 2) == [[1, 0], [0, 6]]
     assert linalg.elementary_divisors([[2, 0], [0, 3]]) == [1, 6]
     # The degree-0 quotient: no rows, so the column count is given.
-    assert linalg.snf_transform([], 3) == ([], linalg.eye(3), linalg.eye(3))
+    assert linalg.snf_transform([], 3) == ([], linalg.eye(3))
     assert _check_snf([], 3) == []
 
 
@@ -246,7 +259,7 @@ def test_hnf_solver_matches_dense_oracle(rows, coeffs, noise):
 @settings(max_examples=80, deadline=None)
 def test_snf_matches_min_scan_oracle(rows, scale):
     """Taking the first unit as the pivot picks the entry the full
-    smallest-magnitude scan picks, so D, T and T^-1 are the same; scaled
+    smallest-magnitude scan picks, so D and T^-1 are the same; scaled
     matrices have no unit and take the scan itself."""
     A = [[scale * a for a in row] for row in rows]
     assert linalg.snf_transform(A) == oracles.min_scan_snf(A)

@@ -116,3 +116,17 @@ def test_benchmark_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"gkm3.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_only_linalg_names_hnf_solve():
+    # Thom classes are checked on their own edges, so no module but linalg,
+    # which keeps hnf_solve for the traced runs, solves against a lattice
+    # by that name.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py")) if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "hnf_solve" in (getattr(node, "id", None), getattr(node, "attr", None),
+                           getattr(node, "name", None))
+    ]
+    assert found == []
