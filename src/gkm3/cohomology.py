@@ -24,16 +24,19 @@ Betti number is a second difference of the lattice ranks (betti_numbers),
 and no quotient is needed for it.  Integral quotients per degree give the
 torsion test.  A quotient whose relations reduce with unit pivots is free,
 and its basis is read off that reduction; only the others take a Smith
-form.  When the lifts of the quotients' bases below the valence, closed by
-the Thom class of one vertex (or, if that fails, by the lifts of the top
-quotient), are a free basis of all classes, one determinant of their values
+form.  Both realizability conditions are read from one closed basis per
+graph (_closed_basis): the lifts of the quotients' bases below the
+valence, closed by the Thom class of one vertex when its determinant test
+below passes, and by the lifts of the top quotient otherwise.  When these
+classes are a free basis of all classes, one determinant of their values
 at a point proves it (z_freeness), and with it freeness and the Betti
 numbers in every degree, so the quotients above are never formed.  The
-duality pairing is read from the same values: one solve against them gives
-a functional on the vertex values that reads a degree-6 class's image in
-the reduced H^6 (poincare_duality), up to a common factor that its rank
-(linalg.q_rank) divides out.  A Thom class is checked against the equations
-of the edges at its support (_thom_class), forming no lattice.
+duality pairing is read from the same values, certified or not: one solve
+against them gives a functional on the vertex values that reads a
+degree-6 class's image in the reduced H^6 (poincare_duality), up to a
+common factor that its rank (linalg.q_rank) divides out.  A Thom class is
+checked against the equations of the edges at its support (_thom_class),
+forming no lattice.
 """
 
 from __future__ import annotations
@@ -349,14 +352,6 @@ class _Quotient(NamedTuple):
     reduced_lifts: List[list]  # classes lifting a basis of the free part
     inverse: Optional[linalg.Matrix] = None  # T^-1, Smith form only
 
-    @property
-    def rank(self) -> int:
-        return len(self.divisors)
-
-    @property
-    def betti(self) -> int:
-        return len(self.lattice) - self.rank
-
 
 def _quotient(g: GkmGraph, d: int) -> _Quotient:
     """The reduced degree-2d part, from unit pivots when C has them and
@@ -392,12 +387,14 @@ class _Basis(NamedTuple):
     degrees, and V, one row of values per class and one column per vertex.
     z solves V z = s e_top, with s != 0 and e_top the last class's unit
     vector, from the echelon of [V | e_top] that also gives |det V|, the
-    product of its pivots (0 and no z when V is singular)."""
+    product of its pivots (0 and no z when V is singular).  target is the
+    |det V| of a free basis (_target)."""
 
     degrees: Tuple[int, ...]
     values: linalg.Matrix
     det: int
     z: Optional[list]
+    target: int
 
 
 def _point(g: GkmGraph) -> int:
@@ -406,7 +403,24 @@ def _point(g: GkmGraph) -> int:
                    default=0)
 
 
-def _basis(g: GkmGraph, gens: Sequence[Tuple[int, list]]) -> _Basis:
+def _target(g: GkmGraph) -> int:
+    """N prod |alpha'_e(1, t)|, the |det V| of |V| classes that are a free
+    basis of H_T (z_freeness).  N is the order of the image of
+    f -> (f_u - f_v mod c_e): prod c_e over the index of the incidence rows
+    and the c_e unit vectors."""
+    t = _point(g)
+    moduli = _moduli(g)
+    incidence = [[(v == e.u) - (v == e.v) for e, _ in moduli] for v in g.vertices]
+    scaled = [[c * (i == j) for j in range(len(moduli))]
+              for i, (_, c) in enumerate(moduli)]
+    index = math.prod(c for _, c in moduli) // _pivot_product(
+        linalg.echelon_basis(incidence + scaled)
+    )
+    return index * abs(math.prod(
+        (e.weight.a + e.weight.b * t) // e.weight.content() for e in g.edges))
+
+
+def _basis(g: GkmGraph, gens: Sequence[Tuple[int, list]], target: int) -> _Basis:
     """The _Basis of n (degree, class) pairs.  The echelon's rows are
     U [V | e_top] = [H | b] with H upper triangular, so z is H z = s b
     solved from the last row up, scaled by the least factor that makes each
@@ -425,7 +439,7 @@ def _basis(g: GkmGraph, gens: Sequence[Tuple[int, list]]) -> _Basis:
             if scale > 1:
                 z, s, r = [scale * w for w in z], scale * s, scale * r
             z[i] = r // row[i]
-    return _Basis(tuple(d for d, _ in gens), V, det, z)
+    return _Basis(tuple(d for d, _ in gens), V, det, z, target)
 
 
 def _vertex_thom(g: GkmGraph) -> list:
@@ -434,61 +448,49 @@ def _vertex_thom(g: GkmGraph) -> list:
     return thom_class_vertex(g, g.vertices[0])
 
 
-def _certified(g: GkmGraph, gens: list) -> Optional[_Basis]:
-    """The _Basis of gens when they are a free basis of H_T (z_freeness),
-    else None."""
-    if len(gens) != len(g.vertices) or sum(d for d, _ in gens) != len(g.edges):
-        return None
-    t = _point(g)
-    # N is the order of the image of f -> (f_u - f_v mod c_e): prod c_e
-    # over the index of the incidence rows and the c_e unit vectors.
-    moduli = _moduli(g)
-    incidence = [[(v == e.u) - (v == e.v) for e, _ in moduli] for v in g.vertices]
-    scaled = [[c * (i == j) for j in range(len(moduli))]
-              for i, (_, c) in enumerate(moduli)]
-    index = math.prod(c for _, c in moduli) // _pivot_product(
-        linalg.echelon_basis(incidence + scaled)
-    )
-    target = index * abs(math.prod(
-        (e.weight.a + e.weight.b * t) // e.weight.content() for e in g.edges))
-    basis = _basis(g, gens)
-    return basis if basis.det == target else None
+def _closed_basis(g: GkmGraph) -> Optional[_Basis]:
+    """The _Basis of the reduced lifts of the quotients (_quotient) of
+    degree 0, 2, ..., taken until there are n = |V| of them or the valence
+    is reached; None when they are not n.  When the quotients below the
+    valence leave one class to find, tau_p (_vertex_thom) closes them if
+    |det V| is then the target, and the top quotient's lift does otherwise.
+    Memoized per graph: _free_betti certifies this basis, and _pairing
+    reads the pairing from it."""
+    if ("basis",) in g.memo:
+        return g.memo[("basis",)]
+    n, target = len(g.vertices), _target(g)
+    gens: list = []  # (degree, class)
+    basis = None
+    for d in range(g.valence + 1):
+        if d == g.valence and len(gens) == n - 1:
+            closed = _basis(g, gens + [(d, _vertex_thom(g))], target)
+            if closed.det == target:
+                basis = closed
+                break
+        gens += [(d, f) for f in _quotient(g, d).reduced_lifts]
+        if len(gens) >= n:
+            break
+    if basis is None and len(gens) == n:
+        basis = _basis(g, gens, target)
+    g.memo[("basis",)] = basis
+    return basis
 
 
 def _free_betti(g: GkmGraph) -> Optional[Tuple[int, ...]]:
-    """(b_0, ..., b_top) when the reduced lifts of the quotients below the
-    valence and tau_p (_vertex_thom), or else the reduced lifts of the
-    quotients up to the valence, are a free basis of H_T (see z_freeness),
-    else None; decided once per graph, and kept with that basis (_Basis,
-    None without the certificate), which _pairing reads."""
-    if ("free",) in g.memo:
-        return g.memo[("free",)][0]
-    out: tuple = (None, None)
-    n = len(g.vertices)
-    gens: list = []  # (degree, class)
-    betti: List[int] = []
+    """(b_0, ..., b_top), the closed basis's classes counted per degree,
+    when that basis (_closed_basis) is a free basis of H_T: its degrees sum
+    to |E| and |det V| is the target (z_freeness); else None."""
     # The index argument needs no loop and independent labels.
-    if not any(e.u == e.v for e in g.edges) and not any(
+    if any(e.u == e.v for e in g.edges) or any(
         det == 0 for pairs in g.label_pairs.values() for _, _, det in pairs
     ):
-        for d in range(g.valence + 1):
-            if d == g.valence and len(gens) == n - 1:
-                basis = _certified(g, gens + [(d, _vertex_thom(g))])
-                if basis is not None:
-                    out = (tuple(betti) + (1,), basis)
-                    break
-            q = _quotient(g, d)
-            if any(di > 1 for di in q.divisors):
-                break  # torsion, with fewer than n generators so far
-            gens += [(d, f) for f in q.reduced_lifts]
-            betti.append(q.betti)
-            if len(gens) >= n:
-                basis = _certified(g, gens)
-                if basis is not None:
-                    out = (tuple(betti), basis)
-                break
-    g.memo[("free",)] = out
-    return out[0]
+        return None
+    basis = _closed_basis(g)
+    if (basis is None or sum(basis.degrees) != len(g.edges)
+            or basis.det != basis.target):
+        return None
+    top = basis.degrees[-1] if basis.degrees else -1
+    return tuple(map(basis.degrees.count, range(top + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +619,12 @@ def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
 def _pairing(g: GkmGraph) -> linalg.Matrix:
     """z . (u v)(1, t) = sum_q z_q u_q(1, t) v_q(1, t) for the classes u, v
     lifting bases of the reduced H^2 and H^4 (poincare_duality), read from
-    a _Basis of H_T (x) Q whose last class has degree 6: the certificate's,
-    or else the reduced lifts of the quotients below degree 6 closed by
-    tau_p (_vertex_thom), or by the degree-6 quotient's lift when tau_p
-    leaves V singular.  Each u is listed once by its nonzero values."""
-    # The certificate's basis, once _free_betti has decided it.
-    basis = None if _free_betti(g) is None else g.memo[("free",)][1]
-    if basis is None:
-        gens = [(d, f) for d in range(3) for f in _quotient(g, d).reduced_lifts]
-        if g.valence == 3:
-            basis = _basis(g, gens + [(3, _vertex_thom(g))])
-        if basis is None or not basis.det:
-            basis = _basis(g, gens + [(3, f) for f in _quotient(g, 3).reduced_lifts])
-        if not basis.det:
-            raise RuntimeError("the reduced lifts are not a basis over Q")
+    the closed basis of H_T (x) Q (_closed_basis), whose last class has
+    degree 6: tau_p, or the degree-6 quotient's lift when tau_p fails the
+    determinant test.  Each u is listed once by its nonzero values."""
+    basis = _closed_basis(g)
+    if basis is None or not basis.det:
+        raise RuntimeError("the reduced lifts are not a basis over Q")
     rows = list(zip(basis.degrees, basis.values))
     weighted2 = [[(q, x * z) for q, (x, z) in enumerate(zip(u, basis.z)) if x]
                  for d, u in rows if d == 1]
@@ -708,19 +702,19 @@ class FreenessResult(NamedTuple):
 def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessResult:
     """Whether the integral classes H_T form a free Z[x, y]-module.
 
-    First, one determinant.  Let F be spanned by the classes lifting the
-    bases of the quotients (_quotient) of degree 0, 2, ..., stopping once
-    there are |V| of them and at the valence.  When the quotients below the
-    valence leave one class to find, the first try closes F with the Thom
-    class tau_p of the first vertex (_vertex_thom), and the top quotient is
-    formed only when the test below fails for it.  Write each label as
-    alpha_e = c_e alpha'_e with c_e its content and alpha'_e primitive, and
-    let N = [Z^V : {f : c_e | f_u - f_v}].  F is tested when no quotient so
-    far has an elementary divisor > 1, there is no loop, the labels at
-    every vertex are pairwise independent (so the edges whose labels are
-    multiples of one alpha' form a matching), and F has |V| generators whose
-    degrees sum to |E|.  Then G, the |V| x |V| matrix of their values, has
-    det G = +-N prod_e alpha'_e exactly when F = H_T:
+    First, one determinant.  Let F be spanned by the closed basis
+    (_closed_basis): the classes lifting the bases of the quotients
+    (_quotient) of degree 0, 2, ..., stopping once there are |V| of them
+    and at the valence.  When the quotients below the valence leave one
+    class to find, the first try closes F with the Thom class tau_p of the
+    first vertex (_vertex_thom), and the top quotient is formed only when
+    the test below fails for it.  Write each label as alpha_e = c_e alpha'_e
+    with c_e its content and alpha'_e primitive, and let
+    N = [Z^V : {f : c_e | f_u - f_v}].  F is tested when there is no loop,
+    the labels at every vertex are pairwise independent (so the edges whose
+    labels are multiples of one alpha' form a matching), and F has |V|
+    generators whose degrees sum to |E|.  Then G, the |V| x |V| matrix of
+    their values, has det G = +-N prod_e alpha'_e exactly when F = H_T:
 
     1. At a height-one prime P of Z[x, y], (H_T)_P is free over the
        discrete valuation ring Z[x, y]_P, and its index in Z[x, y]_P^V is
@@ -739,10 +733,12 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
     4. Conversely, if H_T is free with generators of degree at most twice
        the valence, graded Nakayama makes the quotients' lifts a basis, and
        the test passes, with tau_p or, when it fails, with the top
-       quotient's lifts.
+       quotient's lifts.  So the closed basis is the one to test.
 
     Steps 1-3 hold for any |V| classes of H_T whose degrees sum to |E|,
-    tau_p among them; only step 4 needs the quotients' lifts.
+    tau_p among them; only step 4 needs the quotients' lifts.  So no
+    quotient is checked for torsion first: were det G = +-N prod alpha'_e
+    on a graph with torsion, step 3 would make H_T free.
 
     N is prod c_e over the index of the lattice spanned by the imprimitive
     edges' signed incidence rows and c_e times their unit vectors, and both

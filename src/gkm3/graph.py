@@ -140,11 +140,11 @@ class GkmGraph:
     @cached_property
     def memo(self) -> dict:
         """Results derived from this graph alone that more than one reader
-        takes (evaluation echelons, class lattices, quotients, the
-        free-basis certificate with the basis the pairing reads, transition
-        data), filled on first use.  Keys are tuples whose first entry
-        names the kind of result: ("evaluations", d), ("z", d),
-        ("quotient", d), ("free",) and ("transition", edge, map)."""
+        takes (evaluation echelons, class lattices, quotients, the closed
+        basis that the freeness certificate tests and the pairing reads,
+        transition data), filled on first use.  Keys are tuples whose first
+        entry names the kind of result: ("evaluations", d), ("z", d),
+        ("quotient", d), ("basis",) and ("transition", edge, map)."""
         return {}
 
     @cached_property

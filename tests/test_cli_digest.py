@@ -54,3 +54,16 @@ def test_digest_lines(monkeypatch):
     assert cli_digest.digest_line(["surface", "tests/torsion_k4.json"]) == (
         f"2 surface tests/torsion_k4.json {hashlib.sha256(b'').hexdigest()}"
     )
+
+
+def test_digest_matches_the_committed_digest(monkeypatch):
+    """Every call's exit code and stdout hash equal tests/cli_digest.txt,
+    so a change to any report shows here, named by its first lines."""
+    monkeypatch.chdir(ROOT)
+    expected = (ROOT / "tests" / "cli_digest.txt").read_text().splitlines()
+    got = [cli_digest.digest_line(argv) for argv in cli_digest.calls()]
+    differing = [f"line {i + 1}: expected {e!r}, got {g!r}"
+                 for i, (e, g) in enumerate(zip(expected, got)) if e != g]
+    assert len(got) == len(expected) and not differing, (
+        f"{len(got)} lines against {len(expected)}, {len(differing)} differ; "
+        + "; ".join(differing[:3]))

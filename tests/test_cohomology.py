@@ -503,10 +503,10 @@ def test_lift_matches_transposed_sum(name):
         for coords in (q.inverse or []) + linalg.eye(k) + [mixed]:
             assert coh._combination(q.lattice, coords) == oracles.transposed_lift(
                 q.lattice, coords)
-        assert len(q.reduced_lifts) == q.betti, d
+        assert len(q.reduced_lifts) == len(q.lattice) - len(q.divisors), d
         if q.inverse is not None:
             assert q.reduced_lifts == [oracles.transposed_lift(q.lattice, row)
-                                       for row in q.inverse[q.rank:]], d
+                                       for row in q.inverse[len(q.divisors):]], d
         if all(di == 1 for di in q.divisors):
             raised = [] if d == 0 else coh._raised(
                 g, coh.ht_basis_z(g, d - 1), d - 1)
@@ -539,7 +539,7 @@ def test_vertex_thoms_in_h6_quotient(name):
     oracle's quotient, so their images differ."""
     g = named_graph(name)
     b6, _, proj = oracles.projector(g, 3)
-    assert b6 == coh._quotient(g, 3).betti
+    assert b6 == len(coh._quotient(g, 3).reduced_lifts)
     images = [proj(coh.thom_class_vertex(g, v)) for v in g.vertices]
     pd = coh.poincare_duality(g)
     if pd.ok:
@@ -685,7 +685,12 @@ def test_pairing_is_s_times_the_projected_pairing(name):
     multiple of its projection."""
     g = named_graph(name)
     assert coh.betti_numbers(g).betti[3] == 1
-    basis = g.memo[("free",)][1]  # all of these are certified
+    basis = coh._closed_basis(g)  # all of these are certified
+    assert coh._free_betti(g) is not None
+    # The pairing reads the certificate's basis and forms nothing more.
+    formed = set(g.memo)
+    pairing = coh._pairing(g)
+    assert set(g.memo) == formed
     top = (coh._quotient(g, 3).reduced_lifts[0] if ("quotient", 3) in g.memo
            else coh.thom_class_vertex(g, g.vertices[0]))
     assert (("quotient", 3) in g.memo) == (name == "fuzz_k4")
@@ -696,7 +701,6 @@ def test_pairing_is_s_times_the_projected_pairing(name):
     _, _, project = oracles.projector(g, 3)
     k = Fraction(s, project(top)[0])
     expected = oracles.projected_pairing(g, reps2, reps4, project)
-    pairing = coh._pairing(g)
     assert len(pairing) == len(expected) == coh.betti_numbers(g).betti[1]
     assert all(len(row) == len(reps4) for row in pairing)
     assert [[x * k for x in row] for row in expected] == pairing
@@ -720,8 +724,8 @@ def _pairing_rank_agrees_with_the_oracle(doc):
     _, _, project = oracles.projector(g, 3)
     rank = sympy.Matrix(oracles.projected_pairing(g, reps2, reps4, project)).rank()
     assert linalg.q_rank(coh._pairing(g)) == rank
-    with pytest.MonkeyPatch.context() as patch:  # the uncertified path
-        patch.setattr(coh, "_free_betti", lambda g: None)
+    with pytest.MonkeyPatch.context() as patch:  # closed by the top quotient
+        patch.setattr(coh, "_vertex_thom", _zero(coh._vertex_thom))
         assert linalg.q_rank(coh._pairing(parse_graph(json.dumps(doc)))) == rank
 
 
@@ -786,20 +790,31 @@ def _assert_certificate_agrees_with_scan(g, cap):
     for d in range(cap // 2 + 1):
         q = coh._quotient(fresh, d)
         assert all(di == 1 for di in q.divisors), (d, q.divisors)
-        assert q.betti == betti[d], d
+        assert len(q.reduced_lifts) == betti[d], d
         assert len(q.lattice) == sum(
             b * (d - k + 1) for k, b in enumerate(betti[: d + 1])
         ), d
 
 
-@given(doc=small_graph_docs())
-@settings(max_examples=40, deadline=None, database=None)
-def test_certificate_implies_free_with_its_betti(doc):
+def _certificate_implies_free(doc):
     # To the default cap 20: with one evaluation per edge, even the
-    # degree-20 lattices take milliseconds on these graphs.
+    # degree-20 lattices take milliseconds on these graphs.  No quotient's
+    # torsion is looked at first, so the determinant alone must reject it.
     g = parse_graph(json.dumps(doc))
     if coh._free_betti(g) is not None:
         _assert_certificate_agrees_with_scan(g, coh.DEFAULT_DEGREE_CAP)
+
+
+@given(doc=small_graph_docs())
+@settings(max_examples=40, deadline=None, database=None)
+def test_certificate_implies_free_with_its_betti(doc):
+    _certificate_implies_free(doc)
+
+
+@given(doc=coloured_graph_docs())
+@settings(max_examples=40, deadline=None, database=None)
+def test_certificate_implies_free_with_its_betti_on_coloured_graphs(doc):
+    _certificate_implies_free(doc)
 
 
 @pytest.mark.parametrize("name", CERTIFIED)
@@ -818,7 +833,7 @@ def test_certificate_determinant_matches_sympy(name):
     gens = [(d, f) for d in range(3) for f in coh._quotient(g, d).reduced_lifts]
     gens.append((3, coh.thom_class_vertex(g, g.vertices[0])))
     assert [d for d, _ in gens] == [d for d, b in enumerate(free) for _ in range(b)]
-    basis = g.memo[("free",)][1]
+    basis = coh._closed_basis(g)
     t = coh._point(g)
     assert basis.degrees == tuple(d for d, _ in gens)
     assert basis.values == [[coh.poly_eval(p, 1, t) for p in coh._blocks(g, f, d)]
@@ -826,6 +841,8 @@ def test_certificate_determinant_matches_sympy(name):
     det = oracles.value_determinant(g, gens)
     expected = oracles.content_index(g) * oracles.primitive_label_product(g)
     assert det in (expected, -expected)
+    assert basis.det == basis.target == abs(
+        expected.subs({oracles.x: 1, oracles.y: t}))
 
 
 def test_content_index_of_the_fixtures():
@@ -870,10 +887,9 @@ def _zero(thom):
 @pytest.mark.parametrize("scanned", [False, True], ids=["certified", "scanned"])
 def test_forced_fallbacks_give_identical_reports(name, forced, scanned, monkeypatch):
     """With tau_p replaced by 2 tau_p, which fails the determinant test, or
-    by 0, which leaves V singular, the certificate forms the degree-6
-    quotient and closes its basis with that quotient's lift, and the
-    pairing of a graph read without the certificate does likewise (for
-    2 tau_p, only when V is singular): every report is unchanged."""
+    by 0, which leaves V singular, the closed basis forms the degree-6
+    quotient and closes with that quotient's lift, whether or not the
+    certificate is read from it: every report is unchanged."""
     if scanned:
         monkeypatch.setattr(coh, "_free_betti", lambda g: None)
     expected = realizability_report(named_graph(name))
@@ -881,8 +897,7 @@ def test_forced_fallbacks_give_identical_reports(name, forced, scanned, monkeypa
     g = named_graph(name)
     assert realizability_report(g) == expected
     assert ("quotient", 3) in g.memo
-    if not scanned:
-        assert g.memo[("free",)][1].degrees[-1] == 3
+    assert coh._closed_basis(g).degrees[-1] == 3
 
 
 @pytest.mark.parametrize("doc, betti", [

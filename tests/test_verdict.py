@@ -199,12 +199,14 @@ def test_verdict_caches_each_result_in_one_place(name):
     g = corpus_graph(name)
     realizability_report(g)
     assert {key[0] for key in g.memo} <= {
-        "evaluations", "z", "quotient", "free", "transition"}
-    assert ("free",) in g.memo and ("quotient", 0) in g.memo
-    # The certificate keeps its Betti numbers and, when it holds, its basis,
-    # which the pairing reads; no degree-6 functional is kept anywhere.
-    free, basis = g.memo[("free",)]
-    assert (basis is None) == (free is None) == (name == "nonorientable")
+        "evaluations", "z", "quotient", "basis", "transition"}
+    assert ("basis",) in g.memo and ("quotient", 0) in g.memo
+    # One closed basis, which the certificate tests and the pairing reads;
+    # no Betti numbers and no degree-6 functional are kept anywhere.
+    basis = g.memo[("basis",)]
+    assert (basis.det == basis.target) == (name != "nonorientable")
+    assert (cohomology._free_betti(g) is None) == (name == "nonorientable")
+    assert not hasattr(cohomology, "_certified")
     assert not hasattr(cohomology, "_solver")
     assert not hasattr(cohomology, "_certify_free")
     assert not hasattr(cohomology._Quotient, "functional")

@@ -28,7 +28,12 @@ theta at --degree-cap 200000000, whose 10^8 + 1 checked degrees are too
 many to list.
 Each line holds the exit code, the argv (paths relative to the checkout
 root) and the sha256 of stdout, so a diff of the lines printed in two
-checkouts shows whether their output is byte-identical.
+checkouts shows whether their output is byte-identical.  The expected
+lines are committed as tests/cli_digest.txt, which
+tests/test_cli_digest.py compares with this tool's output; a change meant
+to alter some output regenerates it:
+
+    python3 tools/cli_digest.py > tests/cli_digest.txt
 """
 
 from __future__ import annotations
