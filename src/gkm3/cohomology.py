@@ -36,7 +36,8 @@ against them gives a functional on the vertex values that reads a
 degree-6 class's image in the reduced H^6 (poincare_duality), up to a
 common factor that its rank (linalg.q_rank) divides out.  A Thom class is
 checked against the equations of the edges at its support (_thom_class),
-forming no lattice.
+forming no lattice; an edge's target sign is -eta (gkm3.orientation), so
+no connection is read.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from itertools import compress
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .connection import Connection, DirectedEdge, transition
 from .graph import GkmGraph
+from .orientation import eta
 
 __all__ = [
     "DEFAULT_DEGREE_CAP", "poly_mul", "poly_eval", "mult_x", "mult_y",
@@ -570,17 +571,15 @@ def thom_class_vertex(g: GkmGraph, v: str) -> list:
     return _thom_class(g, [(v, 1)], None, f"Thom class of vertex {v!r}")
 
 
-def thom_class_edge(g: GkmGraph, conn: Connection, edge_id: int) -> list:
+def thom_class_edge(g: GkmGraph, edge_id: int) -> list:
     """Degree-4 class supported on the endpoints of an edge.
 
-    At the source it is the product of the other two incident weights; at
-    the target the same product is scaled by the product of the transport
-    signs.  It is checked to be an integral class (_thom_class).
+    At the source it is the product of the other two incident weights, at
+    the target that product times -eta(e) = eps_2 * eps_3 (the lemma of
+    gkm3.orientation); it is checked to be an integral class (_thom_class).
     """
     e = g.edges[edge_id]
-    # eps is 1 at the edge itself, so this is the side transport sign.
-    sign = math.prod(transition(g, conn, DirectedEdge(edge_id, True)).eps)
-    return _thom_class(g, [(e.u, 1), (e.v, sign)], edge_id,
+    return _thom_class(g, [(e.u, 1), (e.v, -eta(g, edge_id))], edge_id,
                        f"Thom class of edge {edge_id}")
 
 

@@ -289,7 +289,7 @@ def transition(g: GkmGraph, conn: Connection, e: DirectedEdge) -> TransitionData
 
     The data read the connection only through its map at e, so they are
     memoized per graph by (e, that map): every connection that agrees at e
-    shares them, as do loop_holonomy and thom_class_edge.
+    shares them, as does loop_holonomy.
     """
     pairs = conn.maps[(e.edge_id, e.forward)]
     key = ("transition", e, pairs)

@@ -209,7 +209,8 @@ class ValidationReport(NamedTuple):
     failures: Tuple[Mapping[str, Any], ...] = ()
 
 
-_KNOWN_FIELDS = {"vertices", "edges", "weight", "from", "to", "connection", "name"}
+_GRAPH_FIELDS = {"vertices", "edges", "connection", "name"}
+_EDGE_FIELDS = {"from", "to", "weight"}
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -246,7 +247,7 @@ def parse_graph(text: str) -> GkmGraph:
     if not isinstance(data, dict):
         raise GraphSyntaxError("top-level value must be an object")
 
-    warnings = [f"unknown field {k!r}" for k in data if k not in _KNOWN_FIELDS]
+    warnings = [f"unknown field {k!r}" for k in data if k not in _GRAPH_FIELDS]
     vertices = data.get("vertices")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise GraphSemanticError("'vertices' must be a list of strings")
@@ -261,9 +262,8 @@ def parse_graph(text: str) -> GkmGraph:
     for i, rec in enumerate(raw_edges):
         if not isinstance(rec, dict):
             raise GraphSemanticError(f"edge {i}: must be an object")
-        warnings += [
-            f"edge {i}: unknown field {k!r}" for k in rec if k not in _KNOWN_FIELDS
-        ]
+        warnings += [f"edge {i}: unknown field {k!r}"
+                     for k in rec if k not in _EDGE_FIELDS]
         u, v, w = rec.get("from"), rec.get("to"), rec.get("weight")
         for end in (u, v):
             if not isinstance(end, str) or end not in vset:

@@ -16,10 +16,10 @@ prod_{f in E_v - e} det(w(f), w(e)), in which sigma does not appear.
 
 The lemma is the definition here: eta reads the label determinants of
 GkmGraph.label_pairs and no connection, so every compatible connection has
-the same eta vector and the same orientability.  The transition-data route
-(both directions, the eps product against -sign(sigma) * det(phi), and
-agreement across the options of each edge) is the test oracle
-transition_eta in tests/oracles.py.
+the same eta vector, orientability and edge Thom class (whose target sign
+is -eta(e) = eps_2 * eps_3).  The transition-data route (both directions,
+the eps product against -sign(sigma) * det(phi), and agreement across the
+options of each edge) is the test oracle transition_eta in tests/oracles.py.
 """
 
 from __future__ import annotations

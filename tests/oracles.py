@@ -543,10 +543,10 @@ def lattice_thom_class_vertex(g, v: str) -> list:
 
 
 def lattice_thom_class_edge(g, conn, eid: int) -> list:
-    """coh.thom_class_edge by the lattice route, its sign read through
-    coh.transition."""
+    """coh.thom_class_edge by the lattice route, its sign read through the
+    transition data of conn rather than through eta."""
     e = g.edges[eid]
-    sign = math.prod(coh.transition(g, conn, DirectedEdge(eid, True)).eps)
+    sign = math.prod(transition(g, conn, DirectedEdge(eid, True)).eps)
     return lattice_thom_class(g, [(e.u, 1), (e.v, sign)], eid,
                               f"Thom class of edge {eid}")
 

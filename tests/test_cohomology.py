@@ -336,9 +336,8 @@ def test_vertex_thom_classes(name):
 def test_edge_thom_relation(name):
     """alpha(e) * Th_e equals Th_u +/- Th_w in degree 6."""
     g = corpus_graph(name)
-    conn = available_connections(g)[0][0]
     for eid, e in enumerate(g.edges):
-        th_e = coh.thom_class_edge(g, conn, eid)
+        th_e = coh.thom_class_edge(g, eid)
         lhs = []
         for blk in oracles.blocks(g, th_e, 2).values():
             lhs.extend(coh.poly_mul(blk, e.weight.vector))
@@ -350,14 +349,24 @@ def test_edge_thom_relation(name):
 
 
 def test_edge_thom_connection_independent(theta, nonorientable, flag):
+    """The edge class, which reads eta, is the class that the transport
+    signs of each connection give (oracles.edge_thom_class)."""
     for g, limit in ((theta, None), (nonorientable, None), (flag, 16)):
         conns, _ = available_connections(g)
         conns = conns[:limit] if limit else conns
         for eid in range(len(g.edges)):
-            classes = {
-                tuple(coh.thom_class_edge(g, c, eid)) for c in conns
-            }
-            assert len(classes) == 1
+            th = coh.thom_class_edge(g, eid)
+            for c in conns:
+                assert oracles.edge_thom_class(g, c, eid) == th, eid
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_edge_thom_class_adds_no_memo_entry(name):
+    """An edge class builds no transition data and caches nothing."""
+    g = corpus_graph(name)
+    for eid in range(len(g.edges)):
+        coh.thom_class_edge(g, eid)
+    assert g.memo == {}
 
 
 @pytest.mark.parametrize("name", ["cp3", "cube", "flag", "nonorientable",
@@ -366,7 +375,7 @@ def test_edge_thom_class_matches_sympy(name):
     g = corpus_graph(name)
     for conn in available_connections(g)[0][:8]:
         for eid in range(len(g.edges)):
-            assert coh.thom_class_edge(g, conn, eid) == (
+            assert coh.thom_class_edge(g, eid) == (
                 oracles.edge_thom_class(g, conn, eid)
             ), eid
 
@@ -397,9 +406,14 @@ def _spilled(mul):
     return spilled
 
 
+def _negated(eta):
+    """eta with the opposite sign, so an edge class's target sign flips."""
+    return lambda g, edge_id: -eta(g, edge_id)
+
+
 def _flipped(transition):
     """transition whose transport signs multiply to the opposite sign, so
-    an edge class's target sign flips."""
+    the lattice route's edge class flips its target sign too."""
     def flipped(g, conn, e):
         t = transition(g, conn, e)
         return t._replace(eps=(-t.eps[0],) + t.eps[1:])
@@ -410,7 +424,6 @@ def test_thom_classes_outside_a_sublattice_raise(cube, monkeypatch):
     """A vertex product whose leading coefficient gains 1, or an edge class
     whose target sign flips, is no class, and the check of the edges the
     vector reaches says so with no lattice and no evaluation formed."""
-    conn = available_connections(cube)[0][0]
     v = cube.vertices[0]
     with monkeypatch.context() as patch:
         patch.setattr(coh, "poly_mul", _raised_leading(coh.poly_mul))
@@ -418,10 +431,10 @@ def test_thom_classes_outside_a_sublattice_raise(cube, monkeypatch):
                 f"Thom class of vertex {v!r} escaped the class lattice")):
             coh.thom_class_vertex(cube, v)
     with monkeypatch.context() as patch:
-        patch.setattr(coh, "transition", _flipped(coh.transition))
+        patch.setattr(coh, "eta", _negated(coh.eta))
         with pytest.raises(RuntimeError,
                            match="Thom class of edge 0 escaped the class lattice"):
-            coh.thom_class_edge(cube, conn, 0)
+            coh.thom_class_edge(cube, 0)
     assert not [key for key in cube.memo if key[0] in ("z", "evaluations")]
 
 
@@ -441,31 +454,30 @@ def _outcome(thom, *args):
 
 
 def _assert_thom_routes_agree(text):
-    """Every vertex and edge Thom class (edges under the first connection)
-    is the same, or raises the same error, by the edge check and by the
-    lattice route (oracles.lattice_thom_class), as built and with each
-    fault injected; each class returned is one by the sympy divisibility
-    check."""
+    """Every vertex and edge Thom class is the same, or raises the same
+    error, by the edge check and by the lattice route
+    (oracles.lattice_thom_class, which reads an edge's sign from the
+    transition data of the first connection), as built and with each fault
+    injected; each class returned is one by the sympy divisibility check."""
     g = parse_graph(text)
     conns = available_connections(g)[0]
-    cases = [(coh.thom_class_vertex, oracles.lattice_thom_class_vertex, (v,), 3)
+    cases = [(coh.thom_class_vertex, (v,), oracles.lattice_thom_class_vertex, (v,), 3)
              for v in g.vertices]
-    cases += [(coh.thom_class_edge, oracles.lattice_thom_class_edge, (conns[0], eid), 2)
-              for eid in range(len(g.edges)) if conns]
-    faults = [None, ("poly_mul", _raised_leading), ("poly_mul", _spilled),
-              ("transition", _flipped)]
+    cases += [(coh.thom_class_edge, (eid,), oracles.lattice_thom_class_edge,
+               (conns[0], eid), 2) for eid in range(len(g.edges)) if conns]
+    faults = [(), [(coh, "poly_mul", _raised_leading)], [(coh, "poly_mul", _spilled)],
+              [(coh, "eta", _negated), (oracles, "transition", _flipped)]]
     for fault in faults:
         with pytest.MonkeyPatch.context() as patch:
-            if fault is not None:
-                name, wrap = fault
-                patch.setattr(coh, name, wrap(getattr(coh, name)))
-            for mine, lattice, args, d in cases:
+            for module, name, wrap in fault:
+                patch.setattr(module, name, wrap(getattr(module, name)))
+            for mine, args, lattice, lattice_args, d in cases:
                 out = _outcome(mine, g, *args)
-                assert out == _outcome(lattice, g, *args), (fault, args)
+                assert out == _outcome(lattice, g, *lattice_args), (fault, args)
                 if isinstance(out, list):
                     assert oracles.class_satisfies(g, out, d, over_z=True), args
                 else:
-                    assert fault is not None, out
+                    assert fault, out
 
 
 @pytest.mark.parametrize("text", _test_graphs())
@@ -516,11 +528,10 @@ def test_lift_matches_transposed_sum(name):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_h4_spanned_by_edge_thoms_and_scalars(name):
     g = corpus_graph(name)
-    conn = available_connections(g)[0][0]
     ones = [1] * len(g.vertices)
     spanning = []
     for eid in range(len(g.edges)):
-        spanning.append(coh.thom_class_edge(g, conn, eid))
+        spanning.append(coh.thom_class_edge(g, eid))
     for mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         vec = []
         for _ in g.vertices:

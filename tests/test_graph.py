@@ -82,6 +82,20 @@ def test_unknown_fields_become_warnings():
     assert any("color" in w for w in g.warnings)
 
 
+def test_fields_of_the_other_level_become_warnings():
+    """An edge's fields at the top level, and a graph's in an edge record,
+    are unknown where they stand."""
+    doc = json.loads(corpus_text("theta"))
+    doc.update({"from": "a", "to": "b", "weight": [1, 0]})
+    doc["edges"][1].update({"vertices": [], "edges": [], "connection": {},
+                            "name": "x"})
+    assert parse_graph(json.dumps(doc)).warnings == (
+        "unknown field 'from'", "unknown field 'to'", "unknown field 'weight'",
+        "edge 1: unknown field 'vertices'", "edge 1: unknown field 'edges'",
+        "edge 1: unknown field 'connection'", "edge 1: unknown field 'name'",
+    )
+
+
 def test_serialize_round_trip():
     for name in ("cube", "flag", "nonorientable", "theta"):
         g = parse_graph(corpus_text(name))

@@ -130,3 +130,16 @@ def test_only_linalg_names_hnf_solve():
                            getattr(node, "name", None))
     ]
     assert found == []
+
+
+def test_cohomology_imports_nothing_from_connection():
+    # An edge Thom class reads its sign from orientation.eta, which needs no
+    # connection, so cohomology stays out of the connection layer.
+    found = []
+    for node in ast.walk(ast.parse((SRC / "cohomology.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            names += [alias.name for alias in node.names]
+            if any(name.split(".")[-1] == "connection" for name in names):
+                found.append(f"cohomology.py:{node.lineno}")
+    assert found == []
