@@ -4,8 +4,8 @@ Subcommands: validate, connections, orientability, cohomology, freeness,
 surface, verdict, corpus.  Exit codes: 0 on success, 1 on a negative
 verdict when --strict is given or when the reader closes stdout early, 2 on
 input errors.  JSON output is
-bit-exact (sorted keys, two-space indent); text output is a pure rendering
-of the same data.
+bit-exact: its bytes are those of json.dumps(indent=2, sort_keys=True),
+written directly (_dumps); text output is a pure rendering of the same data.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii  # the C escaper
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -60,7 +61,38 @@ def _open(args, path: str) -> Analysis:
 
 
 def _dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+    """json.dumps(data, indent=2, sort_keys=True), byte for byte, for dicts
+    with str keys, lists, tuples, str, int, bool and None; TypeError on
+    anything else.  json's encoder is pure Python once an indent is set."""
+    out: List[str] = []
+    put = out.append
+
+    def write(x, nl: str) -> None:
+        if isinstance(x, str):
+            put(encode_basestring_ascii(x))
+        elif x is None or isinstance(x, bool):
+            put("null" if x is None else "true" if x else "false")
+        elif isinstance(x, int):
+            put(int.__repr__(x))
+        elif isinstance(x, (list, tuple)):
+            sep, inner = "[", nl + "  "
+            for v in x:
+                put(sep + inner)
+                write(v, inner)
+                sep = ","
+            put(nl + "]" if x else "[]")
+        elif isinstance(x, dict) and all(isinstance(k, str) for k in x):
+            sep, inner = "{", nl + "  "
+            for k in sorted(x):
+                put(sep + inner + encode_basestring_ascii(k) + ": ")
+                write(x[k], inner)
+                sep = ","
+            put(nl + "}" if x else "{}")
+        else:
+            raise TypeError(f"{type(x).__name__} is not written as JSON")
+
+    write(data, "\n")
+    return "".join(out)
 
 
 def _render_text(data, indent: int = 0) -> List[str]:
@@ -87,14 +119,8 @@ def _render_text(data, indent: int = 0) -> List[str]:
 
 
 def _scalar(v) -> str:
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if v is None:
-        return "null"
-    if isinstance(v, (dict, list)):
-        return "{}" if isinstance(v, dict) else "[]"
+    if v is None or isinstance(v, (bool, dict, list)):  # null, true, {} and []
+        return _dumps(v)
     return str(v)
 
 

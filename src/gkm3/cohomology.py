@@ -11,9 +11,11 @@ The divisibility is decided exactly over Z from one evaluation per edge:
 f_u - f_v must vanish at the root of the primitive part of alpha, and the
 content of alpha must divide each of its coefficients (ht_basis_z).  The
 class lattice is the integer solution set of those equations and
-congruences.  One echelon of the evaluations per degree gives both its
-rank and its Hermite basis, each class lifted from its free coordinates by
-back-substitution; a lattice that is not all of Z on those coordinates
+congruences.  In degree 0 they are the functions constant on each
+component, with no elimination (ht_basis_z).  In each other degree one
+echelon of the evaluations gives both its rank and its Hermite basis, each
+class lifted from its free coordinates by back-substitution; a lattice
+that is not all of Z on those coordinates
 takes one more pass through the same back-substitution, which gives a
 triangular basis of its part there, whose Hermite form is one reduction
 pass, and lifts that form.  The lattice also spans the rational classes
@@ -127,6 +129,10 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     weighted by b'^(d-j) (-a')^j, and an imprimitive edge also gives d + 1
     congruences c | h_j.
 
+    Degree 0.  A label divides the constant h only when h = 0, so L is
+    spanned by the indicator vectors of the components (GkmGraph.components),
+    whose disjoint 0/1 rows, ordered by first vertex, are its Hermite form.
+
     The Hermite form.  Eliminating the equations gives integer solutions
     whose entries swell (hundreds of bits where L's basis has ten), so L is
     not reduced from them directly.  A class coordinate is fixed when some
@@ -153,6 +159,10 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     cache = g.memo
     if ("z", d) in cache:
         return cache[("z", d)]
+    if d == 0:  # the components' indicator vectors (see above)
+        basis = [[int(v in c) for v in g.vertices] for c in map(set, g.components)]
+        cache[("z", 0)] = basis
+        return basis
     nf = len(g.vertices) * (d + 1)
     steps = []  # per fixed coordinate, lowest first: (it, pivot, terms)
     for row in reversed(_evaluation_echelon(g, d)):
@@ -264,9 +274,9 @@ def _lattice_rows(g: GkmGraph, d: int, steps: list,
 
 
 def _evaluation_echelon(g: GkmGraph, d: int) -> linalg.Matrix:
-    """The echelon basis of _evaluations, memoized per graph and degree:
-    ht_basis_z back-substitutes through it and _lattice_rank reads its
-    rank, so each degree's equations are eliminated once."""
+    """The echelon basis of _evaluations, memoized per graph and degree
+    d >= 1: ht_basis_z back-substitutes through it and _lattice_rank reads
+    its rank, so each degree's equations are eliminated once."""
     key = ("evaluations", d)
     if key not in g.memo:
         g.memo[key] = linalg.echelon_basis(_evaluations(g, d))
@@ -276,7 +286,9 @@ def _evaluation_echelon(g: GkmGraph, d: int) -> linalg.Matrix:
 def _lattice_rank(g: GkmGraph, d: int) -> int:
     """r_d = rank L_d = dim_Q of the degree-2d classes (ht_basis_q): the
     class coordinates less the rank of the evaluations, which alone cut out
-    the rational classes."""
+    the rational classes; r_0 is the number of components (ht_basis_z)."""
+    if d == 0:
+        return len(g.components)
     return len(g.vertices) * (d + 1) - len(_evaluation_echelon(g, d))
 
 
@@ -308,12 +320,6 @@ def _moduli(g: GkmGraph) -> List[Tuple]:
 def _pivot(row: Sequence[int]) -> int:
     """Column of the first nonzero entry."""
     return next(j for j, x in enumerate(row) if x)
-
-
-def _pivot_product(H: linalg.Matrix) -> int:
-    """The product of an echelon basis's pivots: the index of its lattice
-    when it has full rank, the absolute determinant when it is square."""
-    return math.prod(row[_pivot(row)] for row in H)
 
 
 def _raised(g: GkmGraph, basis: linalg.Matrix, d: int) -> list:
@@ -414,9 +420,9 @@ def _target(g: GkmGraph) -> int:
     incidence = [[(v == e.u) - (v == e.v) for e, _ in moduli] for v in g.vertices]
     scaled = [[c * (i == j) for j in range(len(moduli))]
               for i, (_, c) in enumerate(moduli)]
-    index = math.prod(c for _, c in moduli) // _pivot_product(
-        linalg.echelon_basis(incidence + scaled)
-    )
+    # The product of a full-rank echelon basis's pivots is its lattice's index.
+    index = math.prod(c for _, c in moduli) // math.prod(
+        row[_pivot(row)] for row in linalg.echelon_basis(incidence + scaled))
     return index * abs(math.prod(
         (e.weight.a + e.weight.b * t) // e.weight.content() for e in g.edges))
 

@@ -25,18 +25,12 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from .graph import DirectedEdge, GkmGraph, GraphSemanticError, Weight, det2
 
 __all__ = [
-    "Connection",
-    "ConnectionSpace",
-    "TransitionData",
-    "ConnectionPath",
-    "transport_coefficients",
-    "enumerate_connections",
-    "connection_from_block",
-    "available_connections",
-    "transition",
-    "connection_paths",
-    "loop_holonomy",
+    "Connection", "ConnectionSpace", "TransitionData", "ConnectionPath",
+    "transport_coefficients", "enumerate_connections", "connection_from_block",
+    "available_connections", "transition", "connection_paths", "loop_holonomy",
 ]
+
+_EDGE_ID = re.compile("-?[0-9]+")  # ASCII digits only, unlike int()
 
 
 def transport_coefficients(
@@ -175,7 +169,7 @@ def enumerate_connections(g: GkmGraph) -> ConnectionSpace:
 
 def _edge_id(x) -> int:
     """An edge id of a connection block: an int or a string of digits."""
-    if type(x) is int or (isinstance(x, str) and re.fullmatch("-?[0-9]+", x)):
+    if type(x) is int or (isinstance(x, str) and _EDGE_ID.fullmatch(x)):
         return int(x)
     raise GraphSemanticError(f"connection: edge id {x!r} is not an integer")
 

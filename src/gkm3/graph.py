@@ -10,9 +10,9 @@ positive; all lift-dependent outputs elsewhere are relative to this
 canonical lift.
 
 signed_forest is the one graph walk of the package: a depth-first
-spanning forest of a multigraph with ±1 edge signs.  It gives validate its
-components, orientation the eta potential and surface the coherent face
-flips.
+spanning forest of a multigraph with ±1 edge signs.  It gives
+GkmGraph.components (which validate and the degree-0 classes read),
+orientation the eta potential and surface the coherent face flips.
 """
 
 from __future__ import annotations
@@ -143,9 +143,23 @@ class GkmGraph:
         takes (evaluation echelons, class lattices, quotients, the closed
         basis that the freeness certificate tests and the pairing reads,
         transition data), filled on first use.  Keys are tuples whose first
-        entry names the kind of result: ("evaluations", d), ("z", d),
+        entry names the kind of result: ("evaluations", d) for d >= 1, ("z", d),
         ("quotient", d), ("basis",) and ("transition", edge, map)."""
         return {}
+
+    @cached_property
+    def components(self) -> Tuple[Tuple[str, ...], ...]:
+        """Each connected component's vertices in the order signed_forest
+        reaches them, ordered by first vertex: validate reports them, and the
+        degree-0 classes are their indicator vectors (cohomology)."""
+        tau, parent = signed_forest(self.vertices,
+                                    [(e.u, e.v, 1) for e in self.edges])
+        comps: list = []
+        for v in tau:  # a component is reached in one run, from its root on
+            if v not in parent:
+                comps.append([])
+            comps[-1].append(v)
+        return tuple(map(tuple, comps))
 
     @cached_property
     def vertex_index(self) -> Mapping[str, int]:
@@ -341,16 +355,6 @@ def signed_forest(
     return tau, parent
 
 
-def _components(g: GkmGraph) -> list:
-    tau, parent = signed_forest(g.vertices, [(e.u, e.v, 1) for e in g.edges])
-    comps: list = []
-    for v in tau:  # a component is reached in one run, from its root on
-        if v not in parent:
-            comps.append([])
-        comps[-1].append(v)
-    return comps
-
-
 def validate(g: GkmGraph) -> ValidationReport:
     """Checks the abstract-graph axioms and effectivity.
 
@@ -378,10 +382,9 @@ def validate(g: GkmGraph) -> ValidationReport:
                  "expected": 3}
             )
 
-    comps = _components(g)
-    if len(comps) > 1:
+    if len(g.components) > 1:
         failures.append(
-            {"kind": "disconnected", "components": [sorted(c) for c in comps]}
+            {"kind": "disconnected", "components": [sorted(c) for c in g.components]}
         )
 
     for v in g.vertices:

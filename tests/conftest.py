@@ -90,9 +90,12 @@ def _fits(w, placed) -> bool:
 @st.composite
 def small_graph_docs(draw):
     """Documents of valid 3-valent graphs: 2, 4 or 6 vertices, weights in
-    [-2, 2].  Each edge joins the first free stub to a free stub at another
-    vertex, and its weight is drawn among those that fit at both ends, so
-    that most drawn graphs pass validation."""
+    [-2, 2].  Each edge joins a free stub of the vertex with the most of
+    them to a free stub at another vertex, so a loop is never forced, and
+    its weight is drawn among the palette's labels that fit at both ends,
+    or among all labels that do when none of the palette's does.  So most
+    draws pass validation; the rest end at an edge that no label fits or
+    in a disconnected graph."""
     n = draw(st.sampled_from([2, 4, 6]))
     # A few labels per graph, so that labels recur and transports match.
     palette = draw(st.lists(st.sampled_from(_LABELS), min_size=3, max_size=5))
@@ -100,11 +103,13 @@ def small_graph_docs(draw):
     at = {v: [] for v in range(n)}
     edges = []
     while stubs:
-        u = stubs.pop(0)
+        # No vertex holds more than half of the free stubs, before or after.
+        u = max(stubs, key=stubs.count)
+        stubs.remove(u)
         others = [i for i, v in enumerate(stubs) if v != u]
-        assume(others)
         v = stubs.pop(draw(st.sampled_from(others)))
-        free = [w for w in palette if _fits(w, at[u]) and _fits(w, at[v])]
+        fit = [w for w in _LABELS if _fits(w, at[u]) and _fits(w, at[v])]
+        free = [w for w in palette if w in fit] or fit
         assume(free)
         w = draw(st.sampled_from(free))
         at[u].append(w)

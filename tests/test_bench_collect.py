@@ -28,6 +28,9 @@ def test_medians_and_pair_wins(tmp_path):
     data = json.loads(out.read_text())["workloads"]["corpus"]
     assert data["parent"]["metrics"]["throughput_ops_per_s"]["median"] == 2
     assert data["change"]["metrics"]["throughput_ops_per_s"]["median"] == 10
+    # Quartiles by linear interpolation over the runs (inclusive method).
+    assert data["parent"]["metrics"]["throughput_ops_per_s"]["q1"] == 1.5
+    assert data["parent"]["metrics"]["throughput_ops_per_s"]["q3"] == 2.5
     pairs = data["end_to_end_pairs"]
     assert pairs["throughput_ops_per_s"]["wins"] == 2  # 10 > 1, 1 < 2, 30 > 3
     assert pairs["latency_p50_s"]["wins"] == 3  # lower is better

@@ -458,3 +458,45 @@ def test_verdict_on_the_k40_last_blowup_finishes(tmp_path):
     report = json.loads(proc.stdout)
     assert report["betti"][:4] == [1, 41, 41, 1]
     assert report["poincare_duality"]["pairing_rank"] == 41
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers() | st.integers(min_value=-(1 << 200), max_value=1 << 200),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+@example({"": [], "\x00\"\\": {}, "é \U0001f600": (True, None, -(1 << 64) - 1)})
+@settings(max_examples=300, deadline=None)
+def test_the_writer_writes_the_bytes_of_json_dumps(data):
+    """cli._dumps is json.dumps(indent=2, sort_keys=True), byte for byte:
+    keys with non-ASCII, control, quote and backslash characters, ints past
+    2^64, tuples as lists and empty containers included."""
+    assert cli._dumps(data) == json.dumps(data, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("data", [
+    1.5, [0, 2.0], {1: "a"}, {"a": {None: 1}}, object(), {"a": [set()]},
+])
+def test_the_writer_refuses_what_it_does_not_write(data):
+    with pytest.raises(TypeError):
+        cli._dumps(data)
+
+
+def test_the_writer_calls_no_json_dumps(monkeypatch):
+    monkeypatch.setattr(cli.json, "dumps", None)
+    assert cli._dumps({"b": [1, (2,)], "a": None}) == (
+        '{\n  "a": null,\n  "b": [\n    1,\n    [\n      2\n    ]\n  ]\n}')
+
+
+def test_text_renders_literals_and_empty_containers_as_json():
+    data = {"a": None, "b": True, "c": False, "d": {}, "e": [], "f": -3, "g": "x y",
+            "h": [None, {}, []]}
+    assert cli._render_text(data) == [
+        "a: null", "b: true", "c: false", "d: {}", "e: []", "f: -3", "g: x y",
+        "h:", "  - null", "  - {}", "  - []"]

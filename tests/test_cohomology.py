@@ -165,6 +165,7 @@ def test_z_lattice_matches_smith_oracle(doc, d):
 @settings(max_examples=15, deadline=None)
 def test_z_lattice_matches_smith_oracle_on_random_graphs(doc):
     g = parse_graph(json.dumps(doc))
+    _assert_degree_0_is_the_components(g)
     for d in range(4):
         assert oracles.lattice_equal(
             [list(r) for r in coh.ht_basis_z(g, d)], oracles.class_lattice(g, d)
@@ -183,7 +184,8 @@ def test_z_lattice_eliminates_one_column_per_edge(name, d, monkeypatch):
     # One evaluation row per edge over the class coordinates, eliminated
     # once, whether or not every unit vector on the free coordinates lifts:
     # the fallback's pass combines rows with an exgcd carry into a
-    # triangular basis, whose Hermite form is one reduction pass.
+    # triangular basis, whose Hermite form is one reduction pass.  Degree 0
+    # eliminates nothing: its basis is the components' indicator vectors.
     calls, reductions = [], []
     echelon, reduced = linalg.echelon, linalg.reduced
 
@@ -204,13 +206,14 @@ def test_z_lattice_eliminates_one_column_per_edge(name, d, monkeypatch):
     pivots = [next(x for x in row if x) for row in basis]
     fallback = any(p > 1 for p in pivots)
     assert fallback == ((name, d) in FALLBACK)
-    assert calls == [(len(g.edges), nf)]
+    assert calls == ([(len(g.edges), nf)] if d else [])
     # The fallback's one reduction is square, on the free coordinates whose
     # unit vectors do not lift.
     assert len(reductions) == fallback and all(m == n for m, n in reductions)
     # The memoized echelon serves every later reader of the degree.
     coh._lattice_rank(g, d)
-    assert len(calls) == 1
+    assert len(calls) == (d != 0)
+    assert (("evaluations", d) in g.memo) == (d != 0)
 
 
 def _oracle_cases():
@@ -443,6 +446,42 @@ def _test_graphs():
     return [pytest.param(corpus_text(name), id=name) for name in ALL_CORPUS] + [
         pytest.param(path.read_text(), id=path.stem)
         for path in sorted(here.glob("*.json"))]
+
+
+def _is_hermite(rows) -> bool:
+    """Whether the rows are a row-style Hermite form: strictly increasing
+    positive pivots, every entry above a pivot in [0, pivot)."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    return (pivots == sorted(set(pivots))
+            and all(row[p] > 0 for row, p in zip(rows, pivots))
+            and all(0 <= above[p] < row[p]
+                    for i, (row, p) in enumerate(zip(rows, pivots))
+                    for above in rows[:i]))
+
+
+def _assert_degree_0_is_the_components(g):
+    """The degree-0 basis is the Hermite form of the sympy class lattice,
+    one indicator row per component, formed with no evaluation echelon."""
+    basis = coh.ht_basis_z(g, 0)
+    assert _is_hermite(basis)
+    assert oracles.lattice_equal(basis, oracles.class_lattice(g, 0))
+    supports = [{v for v, x in zip(g.vertices, row) if x} for row in basis]
+    assert supports == [set(c) for c in g.components]
+    assert coh._lattice_rank(g, 0) == len(g.components)
+    assert ("evaluations", 0) not in g.memo
+
+
+@pytest.mark.parametrize("text", _test_graphs() + [
+    pytest.param((Path(__file__).parent / "invalid" / f"{s}.json").read_text(), id=s)
+    for s in ("two_components", "isolated_vertex", "loops")])
+def test_degree_0_lattice_is_the_components(text):
+    _assert_degree_0_is_the_components(parse_graph(text))
+
+
+@given(doc=coloured_graph_docs())
+@settings(max_examples=25, deadline=None)
+def test_degree_0_lattice_is_the_components_on_coloured_graphs(doc):
+    _assert_degree_0_is_the_components(parse_graph(json.dumps(doc)))
 
 
 def _outcome(thom, *args):

@@ -148,10 +148,18 @@ def test_connection_block_validation(nonorientable):
         bad["0"] = entry
         with pytest.raises(GraphSemanticError, match=match):
             connection_from_block(g, bad, options)
-    bad = json.loads(json.dumps(doc["connection"]))
-    bad["zero"] = bad.pop("0")
-    with pytest.raises(GraphSemanticError, match="not an integer"):
-        connection_from_block(g, bad, options)
+    # Only ASCII digits with an optional minus sign are ids: int() takes
+    # an Arabic-Indic digit, a plus sign and surrounding blanks, and none
+    # of them is an id, as a key of the block or of a map.
+    for key in ("zero", "\u0661", "+1", " 1", "--1", "1.0"):
+        bad = json.loads(json.dumps(doc["connection"]))
+        bad[key] = bad.pop("0")
+        with pytest.raises(GraphSemanticError, match="not an integer"):
+            connection_from_block(g, bad, options)
+        bad = json.loads(json.dumps(doc["connection"]))
+        bad["0"]["forward"][key] = bad["0"]["forward"].pop(next(iter(bad["0"]["forward"])))
+        with pytest.raises(GraphSemanticError, match="not an integer"):
+            connection_from_block(g, bad, options)
 
     # An id named twice, in the block or in one map, is an error, not a
     # silent overwrite by the later entry.

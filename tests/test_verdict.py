@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from gkm3 import cohomology, connection, linalg
+from gkm3 import cohomology, connection, graph, linalg
 from gkm3 import verdict
 from gkm3.connection import Connection, _compatible_bijections
 from gkm3.graph import parse_graph
@@ -201,6 +202,8 @@ def test_verdict_caches_each_result_in_one_place(name):
     assert {key[0] for key in g.memo} <= {
         "evaluations", "z", "quotient", "basis", "transition"}
     assert ("basis",) in g.memo and ("quotient", 0) in g.memo
+    # Degree 0 is read from the components, with no evaluation echelon.
+    assert ("evaluations", 0) not in g.memo
     # One closed basis, which the certificate tests and the pairing reads;
     # no Betti numbers and no degree-6 functional are kept anywhere.
     basis = g.memo[("basis",)]
@@ -211,6 +214,24 @@ def test_verdict_caches_each_result_in_one_place(name):
     assert not hasattr(cohomology, "_certify_free")
     assert not hasattr(cohomology._Quotient, "functional")
     assert {"transform", "column"} & set(cohomology._Quotient._fields) == set()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["cp3", "prism4", "prism6"])
+def test_verdict_walks_the_components_once(name, monkeypatch):
+    """validate and the degree-0 classes read one GkmGraph.components, so a
+    verdict makes one signed_forest walk for them."""
+    walks = []
+    real = graph.signed_forest
+
+    def spy(nodes, edges):
+        walks.append(sys._getframe(1).f_code.co_name)
+        return real(nodes, edges)
+
+    monkeypatch.setattr(graph, "signed_forest", spy)
+    g = corpus_graph(name)
+    realizability_report(g)
+    assert walks.count("components") == 1
+    assert not hasattr(graph, "_components")
 
 
 @pytest.mark.parametrize("name", [
@@ -472,6 +493,7 @@ def test_verdict_runs_no_reduction_pass_and_lifts_without_eye(name, monkeypatch)
     realizability_report(named_graph(name))
     assert hnfs == []
     assert evaluated and len(evaluated) == len(set(evaluated))
+    assert 0 not in evaluated
     assert [where for where, _, _ in reductions] == [(d,) for d in fallbacks]
     assert all(m == n for _, m, n in reductions)
     assert fallbacks == ([1, 2] if name == "blowup_last10" else [])

@@ -2,8 +2,8 @@
 
 Each input file holds the stdout of one ``benchmark/run.py`` run; its last
 line is the JSON result that run.py prints.  Runs of the parent commit and
-of the change are given separately, in pair order, and the medians of each
-metric go into the output file under the workload's name:
+of the change are given separately, in pair order, and the median and
+quartiles of each metric go into the output file under the workload's name:
 
     python3 tools/bench_collect.py BENCH_7.json --workload corpus \\
         --parent runs/corpus_parent_*.out --change runs/corpus_change_*.out
@@ -43,8 +43,10 @@ def summarize(files: List[Path], results: List[dict]) -> dict:
     for name in names:
         values = [r["metrics"][name]["value"] for r in results if name in r["metrics"]]
         unit = next(r["metrics"][name]["unit"] for r in results if name in r["metrics"])
-        metrics[name] = {"median": statistics.median(values), "unit": unit,
-                         "runs": len(values)}
+        q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                     if len(values) > 1 else values * 3)
+        metrics[name] = {"median": statistics.median(values), "q1": q1, "q3": q3,
+                         "unit": unit, "runs": len(values)}
     return {
         "files": [f.name for f in files],
         "all_correct": all(r["correct"] for r in results),
