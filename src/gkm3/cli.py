@@ -3,9 +3,10 @@
 Subcommands: validate, connections, orientability, cohomology, freeness,
 surface, verdict, corpus.  Exit codes: 0 on success, 1 on a negative
 verdict when --strict is given or when the reader closes stdout early, 2 on
-input errors.  JSON output is
-bit-exact: its bytes are those of json.dumps(indent=2, sort_keys=True),
-written directly (_dumps); text output is a pure rendering of the same data.
+input errors.  JSON output is bit-exact: its bytes are those of
+json.dumps(indent=2, sort_keys=True), written directly (_dumps) by the exact
+types str, int, list, tuple and dict, with json's isinstance tests for every
+other value; text output is a pure rendering of the same data.
 """
 
 from __future__ import annotations
@@ -66,30 +67,56 @@ def _dumps(data) -> str:
     anything else.  json's encoder is pure Python once an indent is set."""
     out: List[str] = []
     put = out.append
+    enc, num = encode_basestring_ascii, int.__repr__
 
     def write(x, nl: str) -> None:
-        if isinstance(x, str):
-            put(encode_basestring_ascii(x))
+        t = type(x)
+        if t is dict or t is list or t is tuple:
+            children(x, nl)
+        # bool, None, subclasses, a str or int at the top: json's isinstance tests
+        elif isinstance(x, str):
+            put(enc(x))
         elif x is None or isinstance(x, bool):
             put("null" if x is None else "true" if x else "false")
         elif isinstance(x, int):
-            put(int.__repr__(x))
-        elif isinstance(x, (list, tuple)):
-            sep, inner = "[", nl + "  "
-            for v in x:
-                put(sep + inner)
-                write(v, inner)
-                sep = ","
-            put(nl + "]" if x else "[]")
-        elif isinstance(x, dict) and all(isinstance(k, str) for k in x):
-            sep, inner = "{", nl + "  "
-            for k in sorted(x):
-                put(sep + inner + encode_basestring_ascii(k) + ": ")
-                write(x[k], inner)
-                sep = ","
-            put(nl + "}" if x else "{}")
+            put(num(x))
+        elif isinstance(x, (list, tuple, dict)):
+            children(x, nl)
         else:
             raise TypeError(f"{type(x).__name__} is not written as JSON")
+
+    def children(x, nl: str) -> None:
+        inner = nl + "  "
+        if isinstance(x, dict):
+            for k in x:
+                if type(k) is not str and not isinstance(k, str):
+                    raise TypeError(f"{type(x).__name__} is not written as JSON")
+            sep = "{" + inner
+            for k in sorted(x):
+                v = x[k]
+                t = type(v)
+                if t is str:
+                    put(sep + enc(k) + ": " + enc(v))
+                elif t is int:
+                    put(sep + enc(k) + ": " + num(v))
+                else:
+                    put(sep + enc(k) + ": ")
+                    write(v, inner)
+                sep = "," + inner
+            put(nl + "}" if x else "{}")
+        else:
+            sep = "[" + inner
+            for v in x:
+                t = type(v)
+                if t is str:
+                    put(sep + enc(v))
+                elif t is int:
+                    put(sep + num(v))
+                else:
+                    put(sep)
+                    write(v, inner)
+                sep = "," + inner
+            put(nl + "]" if x else "[]")
 
     write(data, "\n")
     return "".join(out)

@@ -45,6 +45,7 @@ no connection is read.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import compress
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -53,7 +54,7 @@ from .graph import GkmGraph
 from .orientation import eta
 
 __all__ = [
-    "DEFAULT_DEGREE_CAP", "poly_mul", "poly_eval", "mult_x", "mult_y",
+    "DEFAULT_DEGREE_CAP", "poly_mul", "poly_eval",
     "ht_basis_q", "ht_basis_z", "BettiResult",
     "betti_numbers", "cohomology_table", "thom_class_vertex",
     "thom_class_edge", "PoincareResult", "poincare_duality",
@@ -81,21 +82,6 @@ def poly_eval(p: Sequence, x, y):
     """Evaluates sum p_k x^{d-k} y^k at (x, y)."""
     d = len(p) - 1
     return sum(c * x ** (d - k) * y ** k for k, c in enumerate(p))
-
-
-def mult_x(p: Sequence) -> Tuple:
-    """x * p: the coefficient list gains a trailing zero."""
-    return tuple(p) + (0,)
-
-
-def mult_y(p: Sequence) -> Tuple:
-    """y * p: the coefficient list gains a leading zero."""
-    return (0,) + tuple(p)
-
-
-def _blocks(g: GkmGraph, vec: Sequence, d: int) -> List[Tuple]:
-    k = d + 1
-    return [tuple(vec[i * k : (i + 1) * k]) for i in range(len(g.vertices))]
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +310,14 @@ def _pivot(row: Sequence[int]) -> int:
 
 def _raised(g: GkmGraph, basis: linalg.Matrix, d: int) -> list:
     """x- and y-multiples of degree-2d basis rows, as degree-2(d+1) vectors."""
+    k = d + 1
     out = []
     for row in basis:
-        blocks = _blocks(g, row, d)
-        out.append([c for b in blocks for c in mult_x(b)])
-        out.append([c for b in blocks for c in mult_y(b)])
+        x: list = []
+        for i in range(0, len(g.vertices) * k, k):
+            x += row[i:i + k]
+            x.append(0)
+        out += (x, [0] + x[:-1])  # y * f is x * f moved one place right
     return out
 
 
@@ -431,9 +420,15 @@ def _basis(g: GkmGraph, gens: Sequence[Tuple[int, list]], target: int) -> _Basis
     """The _Basis of n (degree, class) pairs.  The echelon's rows are
     U [V | e_top] = [H | b] with H upper triangular, so z is H z = s b
     solved from the last row up, scaled by the least factor that makes each
-    pivot divide."""
+    pivot divide.  A value is a block dotted with (1, t, ..., t^d) from a
+    power table per degree, or 0 for a zero block."""
     t, n = _point(g), len(gens)
-    V = [[poly_eval(p, 1, t) for p in _blocks(g, f, d)] for d, f in gens]
+    powers = {d: [t ** j for j in range(d + 1)] for d in {d for d, _ in gens}}
+    V = []
+    for d, f in gens:
+        k, pw = d + 1, powers[d]
+        blocks = (f[i:i + k] for i in range(0, len(g.vertices) * k, k))
+        V.append([sum(map(operator.mul, b, pw)) if any(b) else 0 for b in blocks])
     E = linalg.echelon([row + [int(i == n - 1)] for i, row in enumerate(V)], n)
     det = math.prod(row[i] for i, row in enumerate(E))
     z: Optional[list] = None

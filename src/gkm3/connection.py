@@ -22,7 +22,7 @@ import operator
 import re
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .graph import DirectedEdge, GkmGraph, GraphSemanticError, Weight, det2
+from .graph import DirectedEdge, GkmGraph, GraphSemanticError, Weight
 
 __all__ = [
     "Connection", "ConnectionSpace", "TransitionData", "ConnectionPath",
@@ -39,15 +39,17 @@ def transport_coefficients(
     """Solves weight(f') = eps*weight(f) + k*weight(e); None if not compatible.
 
     The pair (wf, we) is assumed linearly independent (a validated graph
-    guarantees this for distinct incident edges).
+    guarantees this for distinct incident edges).  It is the one statement of
+    the rule, which the enumeration and transition both call.
     """
-    den = det2(wf, we)
+    (a, b), (c, d), (p, q) = wf, wfp, we
+    den = a * q - b * p  # det(w(f), w(e))
     if den == 0:
         raise ValueError("weights of f and e are linearly dependent")
-    num = det2(wfp, we)
-    if num not in (den, -den):
+    num = c * q - d * p  # det(w(f'), w(e))
+    if num != den and num != -den:
         return None
-    k, r = divmod(det2(wf, wfp), den)
+    k, r = divmod(a * d - b * c, den)  # det(w(f), w(f'))
     if r:
         return None
     return num // den, k
@@ -84,15 +86,10 @@ def _compatible_bijections(g: GkmGraph, eid: int) -> List[Dict[int, int]]:
     we = e.weight
     src = [f for f in g.incident[e.u] if f != eid]
     tgt = [f for f in g.incident[e.v] if f != eid]
-    allowed = {
-        f: [
-            fp
-            for fp in tgt
-            if transport_coefficients(g.edges[f].weight, g.edges[fp].weight, we)
-            is not None
-        ]
-        for f in src
-    }
+    ws = [edge.weight for edge in g.edges]
+    allowed = {f: {fp for fp in tgt
+                   if transport_coefficients(ws[f], ws[fp], we) is not None}
+               for f in src}
     out = []
     for perm in itertools.permutations(tgt):
         if all(fp in allowed[f] for f, fp in zip(src, perm)):
@@ -285,43 +282,44 @@ def transition(g: GkmGraph, conn: Connection, e: DirectedEdge) -> TransitionData
     memoized per graph by (e, that map): every connection that agrees at e
     shares them, as does loop_holonomy.
     """
-    pairs = conn.maps[(e.edge_id, e.forward)]
+    eid, forward = e
+    pairs = conn.maps[(eid, forward)]
     key = ("transition", e, pairs)
-    if key in g.memo:
-        return g.memo[key]
-    src_ids, tgt_ids = g.incident[g.source(e)], g.incident[g.target(e)]
+    data = g.memo.get(key)
+    if data is not None:
+        return data
+    edges, edge = g.edges, g.edges[eid]
+    src, tgt = (edge.u, edge.v) if forward else (edge.v, edge.u)
+    src_ids, tgt_ids = g.incident[src], g.incident[tgt]
     if len(src_ids) != 3:
         raise ValueError("transition data are defined for 3-valent graphs")
-    to = dict(pairs)
-    m = src_ids.index(e.edge_id)
-    we = g.edges[e.edge_id].weight
-    sigma = tuple(tgt_ids.index(to[f]) for f in src_ids)
+    to, m, we = dict(pairs), src_ids.index(eid), edge.weight
+    src_ws = [edges[f].weight for f in src_ids]
+    tgt_ws = [edges[f].weight for f in tgt_ids]
+    sigma = tuple([tgt_ids.index(to[f]) for f in src_ids])
     eps, k, phi = [1, 1, 1], [0, 0, 0], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    for j, f in enumerate(src_ids):
+    for j, s in enumerate(sigma):
         if j != m:
-            coeffs = transport_coefficients(g.edges[f].weight,
-                                            g.edges[to[f]].weight, we)
+            coeffs = transport_coefficients(src_ws[j], tgt_ws[s], we)
             if coeffs is None:
                 raise ConnectionInconsistency(
-                    f"incompatible transport along edge {e.edge_id}"
+                    f"incompatible transport along edge {eid}"
                 )
             eps[j], k[j] = coeffs
-            phi[sigma[j]][m] = k[j]
-        phi[sigma[j]][j] = eps[j]
+            phi[s][m] = k[j]
+        phi[s][j] = eps[j]
 
     # Weight-transport identity: phi @ (rows of weights at v) matches the
     # sigma-permuted rows of weights at w.
-    (a0, b0), (a1, b1), (a2, b2) = (g.edges[f].weight.vector for f in src_ids)
-    for (p0, p1, p2), f in zip(phi, tgt_ids):
-        if (p0 * a0 + p1 * a1 + p2 * a2,
-                p0 * b0 + p1 * b1 + p2 * b2) != g.edges[f].weight.vector:
+    (a0, b0), (a1, b1), (a2, b2) = src_ws
+    for (p0, p1, p2), w in zip(phi, tgt_ws):
+        if (p0 * a0 + p1 * a1 + p2 * a2, p0 * b0 + p1 * b1 + p2 * b2) != w:
             raise ConnectionInconsistency(
-                f"weight transport identity fails along edge {e.edge_id}"
+                f"weight transport identity fails along edge {eid}"
             )
-    data = TransitionData(e, sigma, tuple(eps), tuple(k),
-                          tuple(tuple(r) for r in phi))
+    data = TransitionData(e, sigma, tuple(eps), tuple(k), tuple(map(tuple, phi)))
     if data.det_phi not in (1, -1):
-        raise ConnectionInconsistency(f"det phi = {data.det_phi} along {e.edge_id}")
+        raise ConnectionInconsistency(f"det phi = {data.det_phi} along {eid}")
     g.memo[key] = data
     return data
 
@@ -343,44 +341,57 @@ class ConnectionPath(NamedTuple):
         return len(self.steps)
 
     @staticmethod
-    def canonical(steps: Sequence[DirectedEdge]) -> "ConnectionPath":
-        def rotations(seq):
-            return [tuple(seq[i:]) + tuple(seq[:i]) for i in range(len(seq))]
-
-        rev = tuple(s.reversed() for s in reversed(steps))
-        return ConnectionPath(min(rotations(steps) + rotations(rev)))
+    def canonical(steps: Sequence[Tuple[int, bool]]) -> "ConnectionPath":
+        """The path through steps, DirectedEdges or (edge id, forward) pairs."""
+        rev = [(eid, not forward) for eid, forward in reversed(steps)]
+        first = min(min(steps), min(rev))  # the least rotation starts with it
+        best = min(tuple(s[i:] + s[:i]) for s in (steps, rev)
+                   for i in range(len(s)) if s[i] == first)
+        return ConnectionPath(tuple(itertools.starmap(DirectedEdge, best)))
 
 
 def connection_paths(g: GkmGraph, conn: Connection) -> List[ConnectionPath]:
     """All connection paths, deduplicated up to starting point and orientation.
 
-    Iterates e_{i+1} = transport of e_{i-1} along e_i from each seed state
-    (predecessor edge, directed edge) on no face yet until the seed recurs,
-    and marks the reverse walk's states too, so each face is walked once.
-    For a 3-valent graph the path lengths sum to 2|E|.
+    Iterates e_{i+1} = transport of e_{i-1} along e_i from each seed state,
+    a plain (predecessor edge id, edge id, forward) tuple, on no face yet
+    until the seed recurs, and marks the reverse walk's states too, so each
+    face is walked once.  A step reads conn.maps as Connection.apply does and
+    orients the next edge as GkmGraph.directed does, with their errors; a
+    face builds its DirectedEdges once.  The path lengths sum to 2|E|.
     """
     if g.valence != 3:
         raise ValueError("connection paths are defined for 3-valent graphs")
+    edges, maps = g.edges, conn.maps
     seen: set = set()
     paths = []
     for v in g.vertices:
         for prev, cur in itertools.permutations(g.incident[v], 2):
-            seed = (prev, g.directed(cur, v))
+            seed = (prev, cur, v == edges[cur].u)
             if seed in seen:
                 continue
             steps = []
             state = seed
             while True:
-                p, d = state
                 seen.add(state)
-                steps.append(d)
-                nxt = conn.apply(d, p)
-                state = (d.edge_id, g.directed(nxt, g.target(d)))
+                p, eid, forward = state
+                steps.append((eid, forward))
+                for a, nxt in maps[(eid, forward)]:
+                    if a == p:
+                        break
+                else:
+                    raise KeyError(f"edge {p} is not incident to the source of "
+                                   f"{DirectedEdge(eid, forward)}")
+                edge, out = edges[eid], edges[nxt]
+                w = edge.v if forward else edge.u
+                if w != out.u and w != out.v:
+                    raise ValueError(f"vertex {w!r} is not an endpoint of edge {nxt}")
+                state = (eid, nxt, w == out.u)
                 if state == seed:
                     break
             n = len(steps)
-            seen.update((steps[(i + 1) % n].edge_id, steps[i].reversed())
-                        for i in range(n))
+            seen.update((steps[(i + 1) % n][0], eid, not forward)
+                        for i, (eid, forward) in enumerate(steps))
             paths.append(ConnectionPath.canonical(steps))
     paths.sort()
     total = sum(len(p) for p in paths)

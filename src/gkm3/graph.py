@@ -230,11 +230,13 @@ _EDGE_FIELDS = {"from", "to", "weight"}
 def _unique_keys(pairs: list) -> dict:
     """json object hook: a key written twice in one object is an error, not
     a value silently replaced by the later one."""
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise GraphSyntaxError(f"key {key!r} appears twice in one object")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) != len(pairs):  # name the first key that recurs
+        seen: set = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise GraphSyntaxError(f"key {key!r} appears twice in one object")
+            seen.add(key)
     return out
 
 

@@ -31,7 +31,8 @@ table's rank read off a basis.  The lattice ranks are also read from
 sympy's rank of the evaluation matrix.  So do the connection's replaced
 loops: the transition data assembled as n x n lists from one map lookup
 per edge, without the memo, and the holonomy multiplied as list
-comprehensions over those.
+comprehensions over those.  The raised rows are formed block by block with
+the x- and y-multiples that the package's cohomology once named.
 """
 
 import itertools
@@ -78,6 +79,17 @@ def blocks(g, vec: Sequence, d: int) -> dict:
     return {
         v: tuple(vec[i * k : (i + 1) * k]) for i, v in enumerate(g.vertices)
     }
+
+
+def raised(g, basis: Sequence[Sequence], d: int) -> List[list]:
+    """The x- and y-multiples of degree-2d rows, vertex block by vertex
+    block: x * p gains a trailing zero, y * p a leading one."""
+    out = []
+    for row in basis:
+        per_vertex = blocks(g, row, d).values()
+        out.append([c for b in per_vertex for c in b + (0,)])
+        out.append([c for b in per_vertex for c in (0,) + b])
+    return out
 
 
 def divides(weight, coeffs: Sequence, over_z: bool) -> bool:

@@ -4,7 +4,10 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import OrderedDict, defaultdict
+from enum import IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -93,18 +96,27 @@ def test_input_errors_exit_2(capsys, tmp_path):
             code, out, err = run(capsys, cmd, str(bad))
             assert code == 2 and out == "" and "connection" in err
 
-    # A key written twice is rejected at any depth, not overwritten.
+    # A key written twice is rejected at any depth, not overwritten, and the
+    # message names the first key that recurs.
     text = (CORPUS_DIR / "nonorientable.json").read_text()
     at = text.index("{", text.index('"connection"')) + 1
+    edge = '{"from": "a", "to": "b", "weight": [1, 0], "to": "a"}'
     repeated = tmp_path / "repeated.json"
-    for doc in (
-        text[:at] + '"0": {"forward": {"0": 0, "1": 1, "5": 5}}, ' + text[at:],
-        '{"vertices": ["a", "b"], "vertices": [], "edges": []}',
+    for doc, key in (
+        (text[:at] + '"0": {"forward": {"0": 0, "1": 1, "5": 5}}, ' + text[at:],
+         "0"),
+        (text[:at] + '"9": {"forward": {"0": 0, "1": 1, "0": 5}}, ' + text[at:],
+         "0"),
+        ('{"vertices": ["a", "b"], "edges": [' + edge + ']}', "to"),
+        ('{"vertices": ["a", "b"], "vertices": [], "edges": []}', "vertices"),
+        ('{"edges": [], "vertices": [], "vertices": [], "edges": [], '
+         '"vertices": []}', "vertices"),
     ):
         repeated.write_text(doc)
         for cmd in ("validate", "connections"):
             code, out, err = run(capsys, cmd, str(repeated))
-            assert code == 2 and out == "" and "appears twice" in err
+            assert code == 2 and out == ""
+            assert f"{repeated}: key '{key}' appears twice in one object" in err
 
 
 def test_bad_connection_index_exits_before_cohomology(capsys, monkeypatch):
@@ -477,6 +489,40 @@ def test_the_writer_writes_the_bytes_of_json_dumps(data):
     """cli._dumps is json.dumps(indent=2, sort_keys=True), byte for byte:
     keys with non-ASCII, control, quote and backslash characters, ints past
     2^64, tuples as lists and empty containers included."""
+    assert cli._dumps(data) == json.dumps(data, indent=2, sort_keys=True)
+
+
+class _Pair(NamedTuple):
+    left: int
+    right: str
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = -(1 << 70)
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize("data", [
+    _Pair(3, "x"),
+    [_Pair(-1, "y"), {"p": _Pair(0, "")}],
+    _Level.HIGH,
+    [_Level.LOW, {"level": _Level.HIGH}],
+    _Name("a\u00e9"),
+    {_Name("k"): _Name("v"), "a": [_Name(""), True]},
+    OrderedDict([("b", 1), ("a", OrderedDict())]),
+    {"o": OrderedDict([("z", [1, "s"])])},
+    defaultdict(list, {"x": [2, None], "w": defaultdict(int)}),
+    [True, False, None, 1, "1"],
+    {"t": True, "f": False, "n": None, "l": [True, [False]]},
+])
+def test_the_writer_falls_through_to_isinstance(data):
+    """Bools, None and subclasses of the exactly dispatched types (a
+    NamedTuple, an IntEnum, a str subclass, OrderedDict, defaultdict) are
+    written as json writes them, at the top and as children."""
     assert cli._dumps(data) == json.dumps(data, indent=2, sort_keys=True)
 
 

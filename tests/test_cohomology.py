@@ -50,8 +50,17 @@ def test_poly_helpers():
     assert coh.poly_mul((1, 2), (3, 4)) == (3, 10, 8)
     assert coh.poly_mul((1,), (5, 6)) == (5, 6)
     assert coh.poly_eval((1, 0, -1), 2, 3) == 4 - 9
-    assert coh.mult_x((7, 8)) == (7, 8, 0)
-    assert coh.mult_y((7, 8)) == (0, 7, 8)
+
+
+def test_raised_rows_are_the_block_multiples(theta):
+    # x * (7x + 8y, x - y) and y * it, at theta's two vertices.
+    assert coh._raised(theta, [[7, 8, 1, -1]], 1) == [
+        [7, 8, 0, 1, -1, 0], [0, 7, 8, 0, 1, -1]]
+    for name in CORPUS_NAMES + ["cp3"]:
+        g = named_graph(name)
+        for d in range(4):
+            basis = coh.ht_basis_z(g, d)
+            assert coh._raised(g, basis, d) == oracles.raised(g, basis, d), (name, d)
 
 
 def test_dimensions_theta(theta):
@@ -759,7 +768,7 @@ def test_pairing_is_s_times_the_projected_pairing(name):
     for v in g.vertices:
         thom = coh.thom_class_vertex(g, v)
         read = sum(z * coh.poly_eval(p, 1, t)
-                   for z, p in zip(basis.z, coh._blocks(g, thom, 3)))
+                   for z, p in zip(basis.z, oracles.blocks(g, thom, 3).values()))
         assert read == k * project(thom)[0], v
 
 
@@ -886,8 +895,9 @@ def test_certificate_determinant_matches_sympy(name):
     basis = coh._closed_basis(g)
     t = coh._point(g)
     assert basis.degrees == tuple(d for d, _ in gens)
-    assert basis.values == [[coh.poly_eval(p, 1, t) for p in coh._blocks(g, f, d)]
-                            for d, f in gens]
+    assert basis.values == [
+        [coh.poly_eval(p, 1, t) for p in oracles.blocks(g, f, d).values()]
+        for d, f in gens]
     det = oracles.value_determinant(g, gens)
     expected = oracles.content_index(g) * oracles.primitive_label_product(g)
     assert det in (expected, -expected)

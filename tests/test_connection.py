@@ -32,6 +32,7 @@ from conftest import (
     NOT_GKM_K4,
     corpus_graph,
     corpus_json,
+    coloured_graph_docs,
     prism_graph,
     small_graph_docs,
 )
@@ -297,6 +298,62 @@ def test_paths_match_two_orientation_walk(name, count):
         assert connection_paths(g, conns[i]) == (
             oracles.two_orientation_paths(g, conns[i])
         ), i
+
+
+def _paths_match_the_oracle(doc):
+    g = parse_graph(json.dumps(doc))
+    conns, _ = available_connections(g)
+    for i in range(min(conns.count, 8)):
+        assert connection_paths(g, conns[i]) == (
+            oracles.two_orientation_paths(g, conns[i])
+        ), i
+
+
+@given(small_graph_docs())
+@settings(max_examples=40, deadline=None)
+def test_paths_match_two_orientation_walk_random(doc):
+    _paths_match_the_oracle(doc)
+
+
+@given(coloured_graph_docs())
+@settings(max_examples=40, deadline=None)
+def test_paths_match_two_orientation_walk_coloured(doc):
+    _paths_match_the_oracle(doc)
+
+
+def _walk_errors(g, conn):
+    """(type, message) of the error of the face walk and of the oracle's
+    walk, which steps with Connection.apply and GkmGraph.directed."""
+    out = []
+    for walk in (connection_paths, oracles.two_orientation_paths):
+        with pytest.raises(Exception) as info:
+            walk(g, conn)
+        out.append((info.type, str(info.value)))
+    return out
+
+
+def test_paths_raise_what_apply_and_directed_raise(theta, cube):
+    """A map that lacks the predecessor raises Connection.apply's KeyError,
+    and a map onto an edge away from the target raises GkmGraph.directed's
+    ValueError, each with its message."""
+    lacking = Connection.from_forward_maps(
+        {0: {0: 0, 1: 1, 2: 2}, 1: {1: 1, 2: 2}, 2: {0: 0, 1: 1, 2: 2}})
+    walk, oracle = _walk_errors(theta, lacking)
+    assert walk == oracle == (KeyError, repr(
+        "edge 0 is not incident to the source of "
+        "DirectedEdge(edge_id=1, forward=True)"))
+
+    # The first seed's edge sends its predecessor to an edge away from its
+    # target; the map back stays whole.
+    maps = dict(enumerate_connections(cube)[0].maps)
+    prev, cur = cube.incident[cube.vertices[0]][:2]
+    d = cube.directed(cur, cube.vertices[0])
+    w = cube.target(d)
+    away = next(x for x in range(len(cube.edges)) if x not in cube.incident[w])
+    maps[d] = tuple((a, away if a == prev else b) for a, b in maps[d])
+    walk, oracle = _walk_errors(cube, Connection(maps))
+    assert walk == oracle == (
+        ValueError, f"vertex {w!r} is not an endpoint of edge {away}")
 
 
 def test_loop_holonomy_identity_on_cube(cube):

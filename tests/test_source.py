@@ -143,3 +143,31 @@ def test_cohomology_imports_nothing_from_connection():
             if any(name.split(".")[-1] == "connection" for name in names):
                 found.append(f"cohomology.py:{node.lineno}")
     assert found == []
+
+
+def _calls(path: Path) -> dict:
+    """Function name -> the names it calls, its nested functions' included."""
+    out = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef):
+            out.setdefault(node.name, set()).update(
+                getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                for call in ast.walk(node) if isinstance(call, ast.Call))
+    return out
+
+
+def test_one_statement_of_the_compatibility_rule():
+    # The enumeration and transition data both ask transport_coefficients,
+    # and no function of connection.py forms its own determinants with det2.
+    calls = _calls(SRC / "connection.py")
+    assert "transport_coefficients" in calls["_compatible_bijections"]
+    assert "transport_coefficients" in calls["transition"]
+    assert [name for name, called in calls.items() if "det2" in called] == []
+
+
+def test_face_walk_and_basis_values_make_no_per_step_calls():
+    # The face walk steps on plain tuples, and the closed basis's values are
+    # dot products with a power table.
+    walk = _calls(SRC / "connection.py")["connection_paths"]
+    assert {"apply", "directed", "target", "source", "reversed"} & walk == set()
+    assert {"poly_eval", "_blocks"} & _calls(SRC / "cohomology.py")["_basis"] == set()
