@@ -9,47 +9,39 @@ graph's vertex order.
 
 The divisibility is decided exactly over Z from one evaluation per edge:
 f_u - f_v must vanish at the root of the primitive part of alpha, and the
-content of alpha must divide each of its coefficients (ht_basis_z).  The
-class lattice is the integer solution set of those equations and
-congruences.  In degree 0 they are the functions constant on each
-component, with no elimination (ht_basis_z).  In each other degree one
-echelon of the evaluations gives both its rank and its Hermite basis, each
-class lifted from its free coordinates by back-substitution; a lattice
-that is not all of Z on those coordinates
-takes one more pass through the same back-substitution, which gives a
-triangular basis of its part there, whose Hermite form is one reduction
-pass, and lifts that form.  The lattice also spans the rational classes
-(see ht_basis_q), and over Q the classes are a free module: they are the
-kernel of Q[x, y]^V -> (+)_e Q[x, y] / (alpha_e), a target of depth 1, so
-the kernel has depth 2 and is free (Auslander and Buchsbaum).  So every
-Betti number is a second difference of the lattice ranks (betti_numbers),
-and no quotient is needed for it.  Integral quotients per degree give the
-torsion test.  A quotient whose relations reduce with unit pivots is free,
-and its basis is read off that reduction; only the others take a Smith
-form.  Both realizability conditions are read from one closed basis per
-graph (_closed_basis): the lifts of the quotients' bases below the
-valence, closed by the Thom class of one vertex when its determinant test
-below passes, and by the lifts of the top quotient otherwise.  When these
-classes are a free basis of all classes, one determinant of their values
-at a point proves it (z_freeness), and with it freeness and the Betti
-numbers in every degree, so the quotients above are never formed.  The
-duality pairing is read from the same values, certified or not: one solve
-against them gives a functional on the vertex values that reads a
-degree-6 class's image in the reduced H^6 (poincare_duality), up to a
-common factor that its rank (linalg.q_rank) divides out.  A Thom class is
-checked against the equations of the edges at its support (_thom_class),
-forming no lattice; an edge's target sign is -eta (gkm3.orientation), so
-no connection is read.
+content of alpha must divide each of its coefficients.  The integer
+solutions are the class lattice (ht_basis_z): in degree 0 the functions
+constant on each component, in each other degree lifted from one echelon
+of the evaluations by back-substitution.  It spans the rational classes
+(ht_basis_q), a free Q[x, y]-module (Auslander and Buchsbaum: the kernel
+of Q[x, y]^V -> (+)_e Q[x, y] / (alpha_e), a target of depth 1, has depth
+2), so every Betti number is a second difference of the lattice ranks
+(betti_numbers).  Integral quotients per degree give the torsion test; one
+whose relations reduce with unit pivots is free, and only the others take
+a Smith form.
+
+Both realizability conditions are read from one basis per graph.  First
+the Thom-class route (gkm3.thom), on a graph with an orientability
+potential: Thom classes of vertices, edges and faces in a greedy peel,
+whose values are triangular (z_freeness), paired by the localized integral
+(poincare_duality).  Otherwise the closed basis (_closed_basis): the lifts
+of the quotients' bases below the valence, closed by a vertex Thom class
+or the top quotient's lifts, paired by one solve against its values.  A
+certified basis gives freeness and every Betti number, so no quotient above
+it is formed.  A Thom class is checked on the edges at its support
+(_check_class), forming no lattice; an edge's target sign is -eta
+(gkm3.orientation), and only gkm3.thom reads a connection.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from functools import reduce
 from itertools import compress
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from . import linalg
+from . import linalg, thom
 from .graph import GkmGraph
 from .orientation import eta
 
@@ -80,8 +72,10 @@ def poly_mul(p: Sequence, q: Sequence) -> Tuple:
 
 def poly_eval(p: Sequence, x, y):
     """Evaluates sum p_k x^{d-k} y^k at (x, y)."""
-    d = len(p) - 1
-    return sum(c * x ** (d - k) * y ** k for k, c in enumerate(p))
+    out, yk = 0, 1
+    for c in p:  # Horner's rule in x
+        out, yk = out * x + c * yk, yk * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +473,16 @@ def _closed_basis(g: GkmGraph) -> Optional[_Basis]:
 
 
 def _free_betti(g: GkmGraph) -> Optional[Tuple[int, ...]]:
-    """(b_0, ..., b_top), the closed basis's classes counted per degree,
-    when that basis (_closed_basis) is a free basis of H_T: its degrees sum
-    to |E| and |det V| is the target (z_freeness); else None."""
+    """(b_0, ..., b_top), the classes counted per degree of the Thom-class
+    peel (gkm3.thom) or else the closed basis (_closed_basis), when it is a
+    free basis of H_T: its degrees sum to |E| and |det V| is the target
+    (z_freeness); else None."""
     # The index argument needs no loop and independent labels.
     if any(e.u == e.v for e in g.edges) or any(
         det == 0 for pairs in g.label_pairs.values() for _, _, det in pairs
     ):
         return None
-    basis = _closed_basis(g)
+    basis = thom.free_basis(g) or _closed_basis(g)
     if (basis is None or sum(basis.degrees) != len(g.edges)
             or basis.det != basis.target):
         return None
@@ -586,30 +581,42 @@ def thom_class_edge(g: GkmGraph, edge_id: int) -> list:
 
 def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
                 skip: Optional[int], what: str) -> list:
-    """Sum over (v, scale) in ends of scale times the product of the weights
-    at v but skip's, placed at v; RuntimeError unless it is a class: at each
-    edge, h = f_u - f_v vanishes at the root of the label's primitive part
-    and the label's content divides its coefficients (ht_basis_z).  Only
-    the edges at the vector's own support can fail; no lattice is formed."""
+    """_thom_values as a vector, checked at its support (_check_class)."""
     k = g.valence - (skip is not None) + 1
     vec = [0] * (len(g.vertices) * k)
-    for v, scale in ends:
-        prod: Tuple = (1,)
-        for eid in g.incident[v]:
-            if eid != skip:
-                prod = poly_mul(prod, g.edges[eid].weight.vector)
+    for v, f in _thom_values(g, ends, skip).items():
         base = g.vertex_index[v] * k
-        for j, c in enumerate(prod):
-            vec[base + j] += scale * c
-    for eid in {eid for i in compress(range(len(vec)), vec)
-                for eid in g.incident[g.vertices[i // k]]}:
-        e = g.edges[eid]
-        iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
-        h = [a - b for a, b in zip(vec[iu:iu + k], vec[iv:iv + k])]
-        c = e.weight.content()
-        if poly_eval(h, e.weight.b // c, -e.weight.a // c) or any(x % c for x in h):
-            raise RuntimeError(f"{what} escaped the class lattice")
+        for j, c in enumerate(f):
+            vec[base + j] += c
+    support = {i // k for i in compress(range(len(vec)), vec)}
+    _check_class(g, {g.vertices[i]: vec[i * k:i * k + k] for i in support}, what)
     return vec
+
+
+def _thom_values(g: GkmGraph, ends: Sequence[Tuple[str, int]],
+                 skip: Optional[int]) -> dict:
+    """v -> the sum over (v, s) in ends of s times v's labels' product but skip's."""
+    out: dict = {}
+    for v, scale in ends:
+        prod = reduce(poly_mul, (g.edges[eid].weight.vector
+                                 for eid in g.incident[v] if eid != skip), (1,))
+        old = out.get(v, (0,) * len(prod))
+        out[v] = tuple(a + scale * c for a, c in zip(old, prod))
+    return out
+
+
+def _check_class(g: GkmGraph, values: dict, what: str) -> dict:
+    """values (vertex -> coefficients, 0 elsewhere), or RuntimeError unless
+    at each edge at a listed vertex h = f_u - f_v is divisible by the label
+    (ht_basis_z's equations); no lattice is formed."""
+    zero, get = (0,) * max(map(len, values.values()), default=0), values.get
+    for eid in {eid for v in values for eid in g.incident[v]}:
+        u, v, (a, b) = g.edges[eid]
+        if (fu := get(u, zero)) != (fv := get(v, zero)):
+            h, c = [p - q for p, q in zip(fu, fv)], math.gcd(a, b)
+            if poly_eval(h, b // c, -a // c) or any(x % c for x in h):
+                raise RuntimeError(f"{what} escaped the class lattice")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +624,12 @@ def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
 # ---------------------------------------------------------------------------
 
 def _pairing(g: GkmGraph) -> linalg.Matrix:
-    """z . (u v)(1, t) = sum_q z_q u_q(1, t) v_q(1, t) for the classes u, v
-    lifting bases of the reduced H^2 and H^4 (poincare_duality), read from
-    the closed basis of H_T (x) Q (_closed_basis), whose last class has
-    degree 6: tau_p, or the degree-6 quotient's lift when tau_p fails the
-    determinant test.  Each u is listed once by its nonzero values."""
+    """The pairing of classes u, v lifting bases of the reduced H^2 and H^4
+    (poincare_duality): int u v from the Thom-class peel (gkm3.thom), or
+    z . (u v)(1, t) = sum_q z_q u_q(1, t) v_q(1, t) from the closed basis
+    (_closed_basis), each u listed once by its nonzero values."""
+    if (peeled := thom.free_basis(g)) is not None:
+        return thom.pairing(g, peeled)
     basis = _closed_basis(g)
     if basis is None or not basis.det:
         raise RuntimeError("the reduced lifts are not a basis over Q")
@@ -648,20 +656,29 @@ def poincare_duality(
     nondegenerate product pairing between the reduced degree-2 and degree-4
     parts (reduced means modulo the ideal generated by x and y).
 
-    Let u_1 .. u_n be classes whose images in the reduced parts are a
-    Q-basis of each, the last of degree 6 (_pairing).  They are a basis of
-    H_T (x) Q over Q[x, y] (graded Nakayama, as that module is free).  The
-    determinant of their values is then a nonzero polynomial whose only
-    prime factors are the primitive labels alpha'_e (at any other
-    height-one prime every congruence is a unit), so V, their values at
-    (1, t) off every line alpha'_e = 0, is invertible.  A degree-6 class f
-    is sum_i c_i u_i with c_n a constant, the image of f in the reduced H^6
-    in units of u_n's; f(1, t) = sum_i c_i(1, t) u_i(1, t), so with
-    V z = s e_n, z . f(1, t) = s c_n.  The pairing is read as
-    z . (u v)(1, t), s times the image of u v, so of the same rank, as a
-    product of classes is a class:
-    f_u g_u - f_v g_v = f_u (g_u - g_v) + g_v (f_u - f_v).  No product is
-    formed or solved for.
+    Let u_1 .. u_n be a basis of H_T (x) Q over Q[x, y], u_n the one class
+    of degree 6; their images in the reduced parts are a basis of each
+    (graded Nakayama).  A degree-6 class f is sum_i c_i u_i, c_n its image
+    in the reduced H^6.  A functional that kills the classes of degree
+    below 6 but not u_n reads c_n up to a factor, so the pairing u v up to
+    it: a product of classes is a class (f g)_u - (f g)_v =
+    f_u (g_u - g_v) + g_v (f_u - f_v).
+
+    The localized integral is one (Atiyah-Bott, Topology 23, 1984;
+    Berline-Vergne, C. R. Acad. Sci. Paris 295, 1982; Goresky-Kottwitz-
+    MacPherson, Invent. Math. 131, 1998; Guillemin-Zara, Duke Math. J. 107,
+    2001): with tau a potential and e_p the product of the labels at p,
+    int f = sum_p tau(p) f(p) / e_p is a polynomial of degree deg f - 3.
+    Its poles could only be primitive labels alpha'; the edges labelled by
+    multiples of one alpha' form a matching, and at such an edge uv with
+    e_u = alpha_e A_u, e_v = alpha_e A_v, on the line alpha' = 0 f(u) = f(v)
+    and A_v / A_u = -eta(e) (gkm3.orientation), so the residues cancel as
+    tau(u) tau(v) = eta(e).  So int kills the classes of degree below 6,
+    and int tau_p = tau(p) = +-1.  The Thom-class route pairs by int u v at
+    (1, t) (gkm3.thom).  The closed basis solves V z = s e_n, V its values
+    at (1, t) off every line alpha'_e = 0 (invertible: their determinant
+    has no other prime factor), so z . f(1, t) = s c_n and z is
+    proportional to tau(p) / e_p(1, t) where a potential exists.
     """
     res = betti_numbers(g, degree_cap)
     betti = res.betti
@@ -702,19 +719,17 @@ class FreenessResult(NamedTuple):
 def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessResult:
     """Whether the integral classes H_T form a free Z[x, y]-module.
 
-    First, one determinant.  Let F be spanned by the closed basis
-    (_closed_basis): the classes lifting the bases of the quotients
-    (_quotient) of degree 0, 2, ..., stopping once there are |V| of them
-    and at the valence.  When the quotients below the valence leave one
-    class to find, the first try closes F with the Thom class tau_p of the
-    first vertex (_vertex_thom), and the top quotient is formed only when
-    the test below fails for it.  Write each label as alpha_e = c_e alpha'_e
-    with c_e its content and alpha'_e primitive, and let
+    First, one determinant, of |V| classes F: the Thom-class peel
+    (gkm3.thom), else the closed basis (_closed_basis), the lifts of the
+    quotients' (_quotient) bases of degree 0, 2, ... up to |V| of them and
+    the valence, closed by the Thom class tau_p of the first vertex
+    (_vertex_thom) or, when the test fails for it, the top quotient's lifts.
+    Write alpha_e = c_e alpha'_e, c_e the content of the label, and
     N = [Z^V : {f : c_e | f_u - f_v}].  F is tested when there is no loop,
     the labels at every vertex are pairwise independent (so the edges whose
-    labels are multiples of one alpha' form a matching), and F has |V|
-    generators whose degrees sum to |E|.  Then G, the |V| x |V| matrix of
-    their values, has det G = +-N prod_e alpha'_e exactly when F = H_T:
+    labels are multiples of one alpha' form a matching), and the degrees of
+    F sum to |E|.  Then G, the |V| x |V| matrix of their values, has
+    det G = +-N prod_e alpha'_e exactly when F = H_T:
 
     1. At a height-one prime P of Z[x, y], (H_T)_P is free over the
        discrete valuation ring Z[x, y]_P, and its index in Z[x, y]_P^V is
@@ -730,28 +745,26 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
        H_T = F is free, no quotient has torsion, and b_{2d} = 0 above the
        top generator degree.  The result is "certified", with every even
        degree up to the cap in checked_degrees.
-    4. Conversely, if H_T is free with generators of degree at most twice
-       the valence, graded Nakayama makes the quotients' lifts a basis, and
-       the test passes, with tau_p or, when it fails, with the top
-       quotient's lifts.  So the closed basis is the one to test.
+    4. Conversely, if H_T is free with generators of degree at most the
+       valence, graded Nakayama makes the quotients' lifts a basis, and the
+       test passes, with tau_p or the top quotient's lifts.
 
-    Steps 1-3 hold for any |V| classes of H_T whose degrees sum to |E|,
-    tau_p among them; only step 4 needs the quotients' lifts.  So no
-    quotient is checked for torsion first: were det G = +-N prod alpha'_e
-    on a graph with torsion, step 3 would make H_T free.
+    Steps 1-3 hold for any |V| classes of H_T whose degrees sum to |E|:
+    for the peel's Thom classes, each checked to be a class, of degree 3 - k
+    at a vertex with k edges back, G is triangular in pick order with
+    det G = +-prod_e alpha_e, which passes when N = prod c_e.  Only step 4
+    needs the quotients' lifts, so no quotient is checked for torsion first.
 
     N is prod c_e over the index of the lattice spanned by the imprimitive
     edges' signed incidence rows and c_e times their unit vectors, and both
     determinants are products of echelon pivots (linalg.echelon_basis).
 
     Otherwise, degree by degree up to the cap: the quotient of the class
-    lattice by the x- and y-multiples of the previous degree's lattice is
-    free when its relations reduce with unit pivots, and is otherwise read
-    from its Smith normal form (_quotient); any elementary divisor > 1
-    yields a torsion witness and the verdict "not-free", and checked_degrees
-    lists the degrees scanned.  Those are always 0, 2, ... up to the
-    witness or the cap, so checked_degrees is a range, whose size does not
-    grow with the cap.
+    lattice by the x- and y-multiples of the previous degree's lattice
+    (_quotient) is free when its relations reduce with unit pivots, and
+    otherwise read from its Smith form; an elementary divisor > 1 yields a
+    torsion witness and "not-free".  checked_degrees, the degrees scanned,
+    is the range 0, 2, ... up to the witness or the cap.
     """
     if _free_betti(g) is None:
         for d in range(degree_cap // 2 + 1):

@@ -22,11 +22,12 @@ import operator
 import re
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .graph import DirectedEdge, GkmGraph, GraphSemanticError, Weight
+from .graph import DirectedEdge, GkmGraph, GraphSemanticError, Weight, per_graph
 
 __all__ = [
     "Connection", "ConnectionSpace", "TransitionData", "ConnectionPath",
-    "transport_coefficients", "enumerate_connections", "connection_from_block",
+    "transport_coefficients", "edge_options", "enumerate_connections",
+    "connection_from_block",
     "available_connections", "transition", "connection_paths", "loop_holonomy",
 ]
 
@@ -154,14 +155,20 @@ class ConnectionSpace(Sequence[Connection]):
         return Connection.from_forward_maps(dict(enumerate(reversed(choice))))
 
 
+@per_graph
+def edge_options(g: GkmGraph) -> List[List[Dict[int, int]]]:
+    """The compatible forward maps of each edge, listed once per graph: the
+    connection space and the Thom-class route (gkm3.thom) both read them.
+    Neither reads the file's connection block, nor changes a list."""
+    return [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
+
+
 def enumerate_connections(g: GkmGraph) -> ConnectionSpace:
     """All compatible connections of g, in a deterministic order.
 
     An empty sequence is the verdict that g is not a GKM graph.
     """
-    return ConnectionSpace(
-        [_compatible_bijections(g, eid) for eid in range(len(g.edges))]
-    )
+    return ConnectionSpace(edge_options(g))
 
 
 def _edge_id(x) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Any, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "serialize_graph",
     "validate",
     "connected_isotropy_check",
+    "per_graph",
 ]
 
 
@@ -144,7 +145,8 @@ class GkmGraph:
         basis that the freeness certificate tests and the pairing reads,
         transition data), filled on first use.  Keys are tuples whose first
         entry names the kind of result: ("evaluations", d) for d >= 1, ("z", d),
-        ("quotient", d), ("basis",) and ("transition", edge, map)."""
+        ("quotient", d), ("basis",), ("thom",) and ("transition", edge, map).
+        Whole-stage results of the layers above are kept by per_graph."""
         return {}
 
     @cached_property
@@ -216,6 +218,24 @@ class GkmGraph:
         """Copy with replaced weight lifts (used for lift-invariance checks)."""
         edges = tuple(Edge(e.u, e.v, w) for e, w in zip(self.edges, weights))
         return GkmGraph(self.vertices, edges, self.name, self.connection_block)
+
+
+def per_graph(fn):
+    """fn(g), computed once per graph and kept in its instance dict, as the
+    cached properties above keep its own derived fields: for a stage of a
+    layer above this one whose result more than one stage reads (the edge
+    options of gkm3.connection, the orientability of gkm3.orientation).  A
+    call that raises keeps nothing."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def cached(g):
+        found = g.__dict__.get(key)
+        if found is None:
+            found = g.__dict__[key] = fn(g)
+        return found
+
+    return cached
 
 
 class ValidationReport(NamedTuple):

@@ -28,7 +28,7 @@ import math
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .connection import ConnectionInconsistency
-from .graph import GkmGraph, signed_forest
+from .graph import GkmGraph, per_graph, signed_forest
 
 __all__ = [
     "OrientabilityResult",
@@ -115,12 +115,14 @@ class OrientabilityResult(NamedTuple):
     violating_cycle: Optional[Tuple[int, ...]] = None
 
 
+@per_graph
 def is_orientable(g: GkmGraph) -> OrientabilityResult:
     """Decides orientability, with a potential or a violating cycle witness.
 
     The closed-path sign product is invariant under re-lifting the weights,
     so deciding it over the canonical lifts decides it for the unsigned
-    labelling.
+    labelling.  Decided once per graph: the verdict's orientability and the
+    localized pairing (gkm3.thom) read the same result.
     """
     eta_map = eta_assignment(g)
     tau, cycle = potential_from_eta(g, eta_map)

@@ -53,6 +53,15 @@ def any_corpus_graph(request):
 
 
 @pytest.fixture
+def closed_basis_route(monkeypatch):
+    """Declines the Thom-class route (gkm3.thom), so every graph takes the
+    closed-basis route of gkm3.cohomology, for the tests that pin it."""
+    from gkm3 import thom
+
+    monkeypatch.setattr(thom, "free_basis", lambda g: None)
+
+
+@pytest.fixture
 def cube():
     return corpus_graph("cube")
 

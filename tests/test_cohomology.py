@@ -545,6 +545,7 @@ def test_thom_classes_match_the_lattice_route_on_coloured_graphs(doc):
     _assert_thom_routes_agree(json.dumps(doc))
 
 
+@pytest.mark.usefixtures("closed_basis_route")
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_lift_matches_transposed_sum(name):
     """Every quotient a verdict forms lifts coordinates as the sum over the
@@ -734,6 +735,7 @@ def test_unit_pivot_quotients_take_no_smith_form(text, request, monkeypatch):
 DUAL = ["cp3", "cube", "flag", "prism4", "prism6", "theta"]  # b_6 = 1
 
 
+@pytest.mark.usefixtures("closed_basis_route")
 @pytest.mark.parametrize("name", DUAL + ["hexprism24", "fuzz_k4"])
 def test_pairing_is_s_times_the_projected_pairing(name):
     """With V z = s e_top, the basis-read pairing of the reduced lifts is
@@ -942,6 +944,7 @@ def _zero(thom):
     return lambda g: [0] * len(thom(g))
 
 
+@pytest.mark.usefixtures("closed_basis_route")
 @pytest.mark.parametrize("name", CERTIFIED + ["fuzz_k4"])
 @pytest.mark.parametrize("forced", [_doubled, _zero], ids=["2tau", "zero"])
 @pytest.mark.parametrize("scanned", [False, True], ids=["certified", "scanned"])

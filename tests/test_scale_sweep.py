@@ -29,6 +29,32 @@ def test_sweep_times_every_stage_and_keeps_the_rest_of_the_file(tmp_path):
     assert sorted(prisms["parent"]["seconds"]) == ["12", "6"]
 
 
+def test_sweep_keeps_every_run_and_records_the_route(tmp_path):
+    """A side's entry is its latest run, and runs keeps every run in order."""
+    out = tmp_path / "bench.json"
+    for side, n in (("parent", "6"), ("change", "6"), ("parent", "12")):
+        assert scale_sweep.main([str(out), "--sizes", n, "--repeat", "1",
+                                 "--side", side]) == 0
+    prisms = json.loads(out.read_text())["hexagon_prisms"]
+    runs = prisms["runs"]
+    assert [(r["side"], sorted(r["seconds"])) for r in runs] == [
+        ("parent", ["6"]), ("change", ["6"]), ("parent", ["12"])]
+    assert prisms["parent"] == {key: runs[2][key] for key in prisms["parent"]}
+    assert set(runs[2]) == set(prisms["parent"]) | {"side"}
+
+
+@pytest.mark.parametrize("declined, route", [(False, "thom"), (True, "closed-basis")])
+def test_blowup_sweep_records_the_certifying_route(tmp_path, request, declined, route):
+    if declined:
+        request.getfixturevalue("closed_basis_route")
+    out = tmp_path / "bench.json"
+    assert scale_sweep.main([str(out), "--family", "blowup", "--sizes", "3",
+                             "--rules", "last", "--repeat", "1"]) == 0
+    record = json.loads(out.read_text())["blowups"]["change"]["seconds"]["last3"]
+    assert record["route"] == route
+    assert (record["fallback_bits"] > 0) == declined
+
+
 def test_sweep_stops_on_wrong_betti_numbers(tmp_path, monkeypatch, capsys):
     time_stages = scale_sweep.time_stages
     monkeypatch.setattr(scale_sweep, "time_stages",
@@ -39,6 +65,7 @@ def test_sweep_stops_on_wrong_betti_numbers(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.usefixtures("closed_basis_route")
 def test_blowup_sweep_records_label_content_and_fallback_bits(tmp_path):
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"hexagon_prisms": {"parent": {}}}))

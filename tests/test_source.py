@@ -133,8 +133,11 @@ def test_only_linalg_names_hnf_solve():
 
 
 def test_cohomology_imports_nothing_from_connection():
-    # An edge Thom class reads its sign from orientation.eta, which needs no
-    # connection, so cohomology stays out of the connection layer.
+    # The layering is cohomology -> thom -> connection: only gkm3.thom, the
+    # Thom-class route, walks the faces of a connection, and cohomology
+    # calls it from _free_betti and _pairing.  An edge Thom class reads its
+    # sign from orientation.eta, so cohomology itself imports nothing from
+    # the connection layer.
     found = []
     for node in ast.walk(ast.parse((SRC / "cohomology.py").read_text())):
         if isinstance(node, (ast.Import, ast.ImportFrom)):

@@ -193,6 +193,7 @@ def test_analysis_runs_each_stage_once(theta, monkeypatch):
     assert cohomology.betti_numbers(theta, a.degree_cap) == a.betti
 
 
+@pytest.mark.usefixtures("closed_basis_route")
 @pytest.mark.parametrize("name", CORPUS_NAMES + ["cp3", "prism4", "prism6"])
 def test_verdict_caches_each_result_in_one_place(name):
     """After a verdict the graph's memo holds only the kinds that more than
@@ -234,6 +235,7 @@ def test_verdict_walks_the_components_once(name, monkeypatch):
     assert not hasattr(graph, "_components")
 
 
+@pytest.mark.usefixtures("closed_basis_route")
 @pytest.mark.parametrize("name", [
     "cube", "flag", "theta", "cp3", "prism4", "prism6", "free_no_flow_up",
     "blowup_last10", "hexprism24"])
@@ -348,6 +350,7 @@ def test_verdict_makes_at_most_one_rational_elimination(name, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.usefixtures("closed_basis_route")
 def test_certified_verdict_stops_at_degree_6(cube, monkeypatch):
     # The free-basis certificate proves freeness and the Betti numbers above
     # degree 6, so no class lattice above degree 6 is built.
@@ -439,6 +442,7 @@ def test_loop_holonomy_trivial_reports_both_outcomes():
     assert outcomes == [True, False]
 
 
+@pytest.mark.usefixtures("closed_basis_route")
 @pytest.mark.parametrize(
     "name", CORPUS_NAMES + ["cp3", "prism4", "prism6", "blowup_last10"]
 )

@@ -16,17 +16,22 @@ tools/gen_blowup.py's: K blow-ups of CP^3 by each --rules rule, projected
 by BLOWUP_P, with Betti numbers (1, 1 + K, 1 + K, 1); each of its records
 also holds the graph's largest label content and the largest entry bit
 length of the class rows that ht_basis_z's fallback pass
-(cohomology._lattice_rows) returned, 0 when no lattice took it.  The sweep
-stops with exit code 1 when a verdict reads other Betti numbers.  Each
-repetition parses the graph afresh and
-times every stage of one gkm3.verdict.Analysis in the order the report
-needs them, then the report itself, which reads them all; a stage's number
-is its best over the repetitions, and verdict_s is the best total.  The
-numbers go into the output file under "hexagon_prisms" (keyed by n) or
-"blowups" (keyed by rule and K, as "last10"), then --side (the commit
-measured: "parent" or "change"); the rest of the file is kept, so one file
-holds both sides and the benchmark workloads (tools/bench_collect.py).
-gkm3 is imported from this checkout's src/.
+(cohomology._lattice_rows) returned, 0 when no lattice took it, and the
+route that certified its cohomology: "thom" (the Thom-class basis of
+gkm3.thom), "closed-basis" (cohomology._closed_basis) or "quotient-scan"
+(no certificate, so the quotients were scanned).  The sweep stops with
+exit code 1 when a verdict reads other Betti numbers.  Each repetition
+parses the graph afresh and times every stage of one gkm3.verdict.Analysis
+in the order the report needs them, then the report itself, which reads
+them all; a stage's number is its best over the repetitions, and
+verdict_s is the best total.  The numbers go into the
+output file under "hexagon_prisms" (keyed by n) or "blowups" (keyed by
+rule and K, as "last10"), then --side (the commit measured: "parent" or
+"change"), which holds that side's latest run; "runs" keeps every run, in
+order, each with its side, so alternating runs of the two sides can be
+told from host drift.  The rest of the file is kept, so one file holds
+both sides and the benchmark workloads (tools/bench_collect.py).  gkm3 is
+imported from the src/ of the checkout that holds this file.
 """
 
 from __future__ import annotations
@@ -94,9 +99,10 @@ def _graphs(family: str, sizes: List[int], rules: List[str]):
              1 + K) for rule in rules for K in sizes]
 
 
-def _fallback_bits(text: str) -> int:
-    """The largest entry bit length of the class rows that the fallback
-    pass returns while one verdict's bases are formed, 0 without one."""
+def _route_and_fallback_bits(text: str) -> Tuple[str, int]:
+    """The route that certified one verdict's cohomology, and the largest
+    entry bit length of the class rows that the fallback pass returned
+    while its bases were formed, 0 without one."""
     bits = [0]
     rows_of = cohomology._lattice_rows
 
@@ -107,10 +113,15 @@ def _fallback_bits(text: str) -> int:
 
     cohomology._lattice_rows = spy
     try:
-        Analysis(parse_graph(text)).report()
+        g = parse_graph(text)
+        Analysis(g).report()
     finally:
         cohomology._lattice_rows = rows_of
-    return max(bits)
+    if g.memo.get(("thom",)) is not None:
+        route = "thom"
+    else:
+        route = "quotient-scan" if cohomology._free_betti(g) is None else "closed-basis"
+    return route, max(bits)
 
 
 def sweep(family: str, sizes: List[int], repeat: int,
@@ -132,7 +143,8 @@ def sweep(family: str, sizes: List[int], repeat: int,
         if family == "blowup":
             g = parse_graph(text)
             results[key]["label_content"] = max(e.weight.content() for e in g.edges)
-            results[key]["fallback_bits"] = _fallback_bits(text)
+            results[key]["route"], results[key]["fallback_bits"] = (
+                _route_and_fallback_bits(text))
     return results
 
 
@@ -169,8 +181,9 @@ def main(argv=None) -> int:
         "Analysis runs, each stage timed in report order")
     if not hexagon:
         section["projection"] = BLOWUP_P
-    section[args.side] = {"host": args.host, "repeat": args.repeat,
-                          "seconds": results}
+    run = {"host": args.host, "repeat": args.repeat, "seconds": results}
+    section[args.side] = run
+    section.setdefault("runs", []).append(dict(run, side=args.side))
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return 0
 
