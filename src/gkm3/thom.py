@@ -97,8 +97,10 @@ def _peel(g: GkmGraph) -> Optional[Peel]:
         orient = is_orientable(g)
     except ConnectionInconsistency:
         return None
+    if not orient.orientable:
+        return None
     options = edge_options(g)
-    if not orient.orientable or not all(options):
+    if not all(options):
         return None
     order = _order(g, options)
     if order is None:
