@@ -11,10 +11,10 @@ The classes.  Besides the constant 1 (degree 0), the edge Thom class
 connection gives one of degree 1 (_face_values): at each vertex v of the
 face, s_v times the label of its normal edge, the edge at v off the face,
 and 0 elsewhere.  A step of the face over an edge e carries the normal edge
-n to n', alpha_n' = eps alpha_n + k alpha_e (connection.transport_
-coefficients), so s_v' = eps s_v makes f_v - f_v' = -eps s_v k alpha_e a
-multiple of alpha_e; such signs exist when the product of the eps around
-the face is +1.  The faces are those of the connection that takes at each
+n to n' with alpha_n' = eps alpha_n + k alpha_e
+(connection.transport_coefficients), so s_v' = eps s_v makes
+f_v - f_v' = -eps s_v k alpha_e a multiple of alpha_e; such signs exist
+when the product of the eps around the face is +1.  The faces are those of the connection that takes at each
 edge the compatible forward map (connection.edge_options) whose two
 transports have the least sum of |k|, ties going to the earlier map, so
 they depend on neither the file's connection block nor the connection
