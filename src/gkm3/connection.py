@@ -11,7 +11,8 @@ k an integer.  The coefficient solver uses exact determinant formulas
 
 and keeps eps in {±1} and integral k.  Both tests stay in the integers:
 eps = ±1 exactly when the two determinants agree up to sign, and k is
-integral exactly when det(w(f), w(e)) divides det(w(f), w(f')).
+integral exactly when det(w(f), w(e)) divides det(w(f), w(f')).  _phi forms
+a step's transition matrix, which transition and loop_holonomy both read.
 """
 
 from __future__ import annotations
@@ -83,20 +84,16 @@ class Connection(NamedTuple):
 
 def _compatible_bijections(g: GkmGraph, eid: int) -> List[Dict[int, int]]:
     """All compatible E_u -> E_v bijections for the forward direction of eid."""
-    e = g.edges[eid]
-    we = e.weight
+    edges, e = g.edges, g.edges[eid]
     src = [f for f in g.incident[e.u] if f != eid]
     tgt = [f for f in g.incident[e.v] if f != eid]
-    ws = [edge.weight for edge in g.edges]
-    allowed = {f: {fp for fp in tgt
-                   if transport_coefficients(ws[f], ws[fp], we) is not None}
-               for f in src}
     out = []
     for perm in itertools.permutations(tgt):
-        if all(fp in allowed[f] for f, fp in zip(src, perm)):
-            m = dict(zip(src, perm))
-            m[eid] = eid
-            out.append(m)
+        for f, fp in zip(src, perm):
+            if not transport_coefficients(edges[f].weight, edges[fp].weight, e.weight):
+                break
+        else:
+            out.append(dict(zip(src + [eid], perm + (eid,))))
     return out
 
 
@@ -174,7 +171,11 @@ def enumerate_connections(g: GkmGraph) -> ConnectionSpace:
 def _edge_id(x) -> int:
     """An edge id of a connection block: an int or a string of digits."""
     if type(x) is int or (isinstance(x, str) and _EDGE_ID.fullmatch(x)):
-        return int(x)
+        try:
+            return int(x)
+        except ValueError:  # past int()'s digit limit, so no edge's id
+            raise GraphSemanticError(
+                f"connection: edge id of {len(x)} digits is out of range") from None
     raise GraphSemanticError(f"connection: edge id {x!r} is not an integer")
 
 
@@ -257,8 +258,7 @@ class TransitionData(NamedTuple):
 
     @property
     def det_phi(self) -> int:
-        (a, b, c), (d, e, f), (g, h, i) = self.phi
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        return _det3(sum(self.phi, ()))
 
     @property
     def sign_sigma(self) -> int:
@@ -271,64 +271,66 @@ def _perm_sign(sigma: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _det3(p: Sequence[int]) -> int:
+    """The determinant of the 3 x 3 matrix with row-major entries p."""
+    a, b, c, d, e, f, g, h, i = p
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 class ConnectionInconsistency(RuntimeError):
     """A validated connection produced inconsistent transition data."""
 
 
-def transition(g: GkmGraph, conn: Connection, e: DirectedEdge) -> TransitionData:
-    """Transition data of a directed edge under a compatible connection.
-
-    The matrix entries follow the bookkeeping recipe: column j /= m carries
-    eps_j in row sigma(j); column m carries 1 in row sigma(m) and the
-    integers k in the remaining rows.  phi is a 3 x 3 tuple built from the
-    map at e, read once as a dict (any other valence is a ValueError).  An
-    incompatible transport, a failing weight-transport identity and
-    det phi /= ±1 raise ConnectionInconsistency.
-
-    The data read the connection only through its map at e, so they are
-    memoized per graph by (e, that map): every connection that agrees at e
-    shares them, as does loop_holonomy.
-    """
-    eid, forward = e
-    pairs = conn.maps[(eid, forward)]
-    key = ("transition", e, pairs)
-    data = g.memo.get(key)
-    if data is not None:
-        return data
+def _phi(g: GkmGraph, pairs, eid: int, forward: bool) -> List[int]:
+    """phi's nine entries, row by row, for the step (eid, forward) with map
+    pairs: column j /= m holds eps_j in row sigma(j), column m (the edge's)
+    1 in row sigma(m) and the k in the others.  Valence /= 3 is a ValueError;
+    an incompatible transport, a failing weight-transport identity and
+    det phi /= ±1 raise ConnectionInconsistency."""
     edges, edge = g.edges, g.edges[eid]
     src, tgt = (edge.u, edge.v) if forward else (edge.v, edge.u)
     src_ids, tgt_ids = g.incident[src], g.incident[tgt]
     if len(src_ids) != 3:
         raise ValueError("transition data are defined for 3-valent graphs")
-    to, m, we = dict(pairs), src_ids.index(eid), edge.weight
-    src_ws = [edges[f].weight for f in src_ids]
-    tgt_ws = [edges[f].weight for f in tgt_ids]
-    sigma = tuple([tgt_ids.index(to[f]) for f in src_ids])
-    eps, k, phi = [1, 1, 1], [0, 0, 0], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    for j, s in enumerate(sigma):
-        if j != m:
-            coeffs = transport_coefficients(src_ws[j], tgt_ws[s], we)
-            if coeffs is None:
-                raise ConnectionInconsistency(
-                    f"incompatible transport along edge {eid}"
-                )
-            eps[j], k[j] = coeffs
-            phi[s][m] = k[j]
-        phi[s][j] = eps[j]
+    if len(pairs) != 3:  # a missing source is a KeyError, others are ignored
+        pairs = [(f, dict(pairs)[f]) for f in src_ids]
+    we, phi, m = edge.weight, [0] * 9, src_ids.index(eid)
+    for f, fp in pairs:
+        j, s = src_ids.index(f), 3 * tgt_ids.index(fp)
+        if j == m:
+            phi[s + j] = 1
+            continue
+        coeffs = transport_coefficients(edges[f].weight, edges[fp].weight, we)
+        if coeffs is None:
+            raise ConnectionInconsistency(f"incompatible transport along edge {eid}")
+        phi[s + j], phi[s + m] = coeffs
+    f0, f1, f2 = src_ids
+    (a0, b0), (a1, b1), (a2, b2) = edges[f0].weight, edges[f1].weight, edges[f2].weight
+    f0, f1, f2 = tgt_ids
+    w0, w1, w2 = edges[f0].weight, edges[f1].weight, edges[f2].weight
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = phi
+    if ((p0 * a0 + p1 * a1 + p2 * a2, p0 * b0 + p1 * b1 + p2 * b2) != w0
+            or (p3 * a0 + p4 * a1 + p5 * a2, p3 * b0 + p4 * b1 + p5 * b2) != w1
+            or (p6 * a0 + p7 * a1 + p8 * a2, p6 * b0 + p7 * b1 + p8 * b2) != w2):
+        raise ConnectionInconsistency(
+            f"weight transport identity fails along edge {eid}")
+    det = _det3(phi)
+    if det not in (1, -1):
+        raise ConnectionInconsistency(f"det phi = {det} along {eid}")
+    return phi
 
-    # Weight-transport identity: phi @ (rows of weights at v) matches the
-    # sigma-permuted rows of weights at w.
-    (a0, b0), (a1, b1), (a2, b2) = src_ws
-    for (p0, p1, p2), w in zip(phi, tgt_ws):
-        if (p0 * a0 + p1 * a1 + p2 * a2, p0 * b0 + p1 * b1 + p2 * b2) != w:
-            raise ConnectionInconsistency(
-                f"weight transport identity fails along edge {eid}"
-            )
-    data = TransitionData(e, sigma, tuple(eps), tuple(k), tuple(map(tuple, phi)))
-    if data.det_phi not in (1, -1):
-        raise ConnectionInconsistency(f"det phi = {data.det_phi} along {eid}")
-    g.memo[key] = data
-    return data
+
+def transition(g: GkmGraph, conn: Connection, e: DirectedEdge) -> TransitionData:
+    """Transition data of a directed edge under a compatible connection: the
+    record of _phi's matrix, with its checks and errors, nothing memoized."""
+    phi = _phi(g, conn.maps[e], *e)
+    to, src_ids = dict(conn.maps[e]), g.incident[g.source(e)]
+    sigma = tuple([g.incident[g.target(e)].index(to[f]) for f in src_ids])
+    m = src_ids.index(e.edge_id)
+    eps = tuple([phi[3 * s + j] for j, s in enumerate(sigma)])
+    k = tuple([0 if j == m else phi[3 * s + m] for j, s in enumerate(sigma)])
+    rows = tuple(phi[:3]), tuple(phi[3:6]), tuple(phi[6:])
+    return TransitionData(e, sigma, eps, k, rows)
 
 
 class ConnectionPath(NamedTuple):
@@ -412,16 +414,14 @@ def connection_paths(g: GkmGraph, conn: Connection) -> List[ConnectionPath]:
 def loop_holonomy(
     g: GkmGraph, conn: Connection, path: ConnectionPath
 ) -> List[List[int]]:
-    """Ordered product of the 3 x 3 transition matrices around a connection
-    path, unrolled over tuples (transition rejects other valences).
-
-    Transition matrices are expressed in the stored incidence orders, so
-    consecutive factors compose directly; the result maps the incident-edge
-    coordinates at the starting vertex to themselves.
-    """
+    """Ordered product of _phi's 3 x 3 matrices around a connection path,
+    unrolled (other valences raise).  The matrices are expressed in the
+    stored incidence orders, so consecutive factors compose directly; the
+    result maps the incident-edge coordinates at the starting vertex to
+    themselves."""
     (a, b, c), (d, e, f), (p, q, r) = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     for step in path.steps:
-        (A, B, C), (D, E, F), (P, Q, R) = transition(g, conn, step).phi
+        A, B, C, D, E, F, P, Q, R = _phi(g, conn.maps[step], *step)
         a, b, c, d, e, f, p, q, r = (
             A * a + B * d + C * p, A * b + B * e + C * q, A * c + B * f + C * r,
             D * a + E * d + F * p, D * b + E * e + F * q, D * c + E * f + F * r,

@@ -142,11 +142,11 @@ class GkmGraph:
     def memo(self) -> dict:
         """Results derived from this graph alone that more than one reader
         takes (evaluation echelons, class lattices, quotients, the closed
-        basis that the freeness certificate tests and the pairing reads,
-        transition data), filled on first use.  Keys are tuples whose first
-        entry names the kind of result: ("evaluations", d) for d >= 1, ("z", d),
-        ("quotient", d), ("basis",), ("thom",) and ("transition", edge, map).
-        Whole-stage results of the layers above are kept by per_graph."""
+        basis that the freeness certificate tests and the pairing reads),
+        filled on first use.  Keys are tuples whose first entry names the
+        kind of result: ("evaluations", d) for d >= 1, ("z", d),
+        ("quotient", d), ("basis",) and ("thom",).  Whole-stage results of
+        the layers above are kept by per_graph."""
         return {}
 
     @cached_property

@@ -30,11 +30,15 @@ reads each b_2d from a Smith form of the raised lower lattice, with the
 table's rank read off a basis.  The lattice ranks are also read from
 sympy's rank of the evaluation matrix.  So do the connection's replaced
 loops: the transition data assembled as n x n lists from one map lookup
-per edge, without the memo, and the holonomy multiplied as list
-comprehensions over those.  The raised rows are formed block by block with
-the x- and y-multiples that the package's cohomology once named.
+per edge, and the holonomy multiplied as list comprehensions over those.
+The transition matrix is also built by its recipe with each (eps, k)
+solved by sympy's LU solve, without transport_coefficients, and the
+holonomy multiplied as sympy matrices.  The raised rows are formed block
+by block with the x- and y-multiples that the package's cohomology once
+named.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -684,6 +688,54 @@ def listed_holonomy(g, conn, path) -> List[List[int]]:
         acc = [[sum(p * a for p, a in zip(row, col)) for col in zip(*acc)]
                for row in phi]
     return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _solved_coefficients(wf, wfp, we):
+    """(eps, k) with w(f') = eps*w(f) + k*w(e), solved over Q by sympy;
+    None unless eps = ±1 and k is an integer."""
+    eps, k = sympy.Matrix([[wf[0], we[0]], [wf[1], we[1]]]).LUsolve(sympy.Matrix(wfp))
+    if eps not in (1, -1) or not k.is_integer:
+        return None
+    return int(eps), int(k)
+
+
+def solved_phi(g, conn, e) -> sympy.Matrix:
+    """phi of a directed edge as a sympy matrix, by the transition record's
+    recipe: with sigma read from conn.apply and each (eps, k) solved by
+    sympy, column j /= m holds eps_j in row sigma(j), and column m, the
+    edge's own, holds 1 in row sigma(m) and k_j in row sigma(j).  The
+    weight-transport identity and det phi = ±1 are checked as matrix
+    equations."""
+    src_ids, tgt_ids = g.incident[g.source(e)], g.incident[g.target(e)]
+    n, m = len(src_ids), src_ids.index(e.edge_id)
+    we = g.edges[e.edge_id].weight.vector
+    phi = sympy.zeros(n, n)
+    for j, f in enumerate(src_ids):
+        fp = conn.apply(e, f)
+        s = tgt_ids.index(fp)
+        if j == m:
+            phi[s, m] = 1
+            continue
+        coeffs = _solved_coefficients(g.edges[f].weight.vector,
+                                      g.edges[fp].weight.vector, we)
+        if coeffs is None:
+            raise ConnectionInconsistency(
+                f"incompatible transport along edge {e.edge_id}")
+        phi[s, j], phi[s, m] = coeffs
+    rows = [sympy.Matrix([g.edges[f].weight.vector for f in ids])
+            for ids in (src_ids, tgt_ids)]
+    if phi * rows[0] != rows[1] or phi.det() not in (1, -1):
+        raise ConnectionInconsistency(f"phi fails its checks along {e.edge_id}")
+    return phi
+
+
+def solved_holonomy(g, conn, path) -> List[List[int]]:
+    """The product of solved_phi's matrices around a path, in sympy."""
+    acc = sympy.eye(g.valence)
+    for step in path.steps:
+        acc = solved_phi(g, conn, step) * acc
+    return [[int(x) for x in row] for row in acc.tolist()]
 
 
 def divisibility_equations(g, d: int):

@@ -119,6 +119,20 @@ def test_input_errors_exit_2(capsys, tmp_path):
             assert f"{repeated}: key '{key}' appears twice in one object" in err
 
 
+def test_connection_block_id_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # An edge id of 5000 digits is more than int() converts; every command
+    # that reads the block exits 2 with a short message, not a traceback.
+    doc = json.loads((CORPUS_DIR / "theta.json").read_text())
+    bad = tmp_path / "long_id.json"
+    for block in ({"1" * 5000: {"forward": {"0": 0, "1": 1, "2": 2}}},
+                  {"0": {"forward": {"0": 0, "1": "1" * 5000, "2": 2}}}):
+        bad.write_text(json.dumps(dict(doc, connection=block)))
+        for cmd in ("verdict", "connections", "surface", "orientability"):
+            code, out, err = run(capsys, cmd, str(bad))
+            assert code == 2 and out == ""
+            assert "edge id of 5000 digits is out of range" in err and len(err) < 300
+
+
 def test_bad_connection_index_exits_before_cohomology(capsys, monkeypatch):
     def no_cohomology(*args):
         raise AssertionError("cohomology computed for an out-of-range index")

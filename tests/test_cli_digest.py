@@ -23,23 +23,32 @@ def test_digest_lines(monkeypatch):
     flag = "src/gkm3/corpus/flag.json"
     assert ["surface", flag, "--connection", "511", "--emit-complex",
             "--format", "json"] in cli_digest.calls()
-    # After the 2^66 connections of sq22, one past the last exits 2, come
-    # the 48-vertex hexagon prism's verdict, the seven subcommands on the
-    # 24-vertex blow-up last10, and two lists too long to print.
+    # The last calls are the verdicts at each of theta's 8 and
+    # nonorientable's 64 connections, which pin their loop holonomy.
+    calls = cli_digest.calls()
+    nonorientable = "src/gkm3/corpus/nonorientable.json"
+    assert calls[-72:] == [
+        ["verdict", path, "--connection", str(i), "--format", "json"]
+        for path, count in ((theta, 8), (nonorientable, 64)) for i in range(count)]
+    calls = calls[:-72]
+    # Before them, after the 2^66 connections of sq22, one past the last
+    # exits 2, come the 48-vertex hexagon prism's verdict, the seven
+    # subcommands on the 24-vertex blow-up last10, and two lists too long
+    # to print.
     sq22 = ["verdict", "tests/sq22.json", "--connection", str(2 ** 66),
             "--format", "json"]
     blowup = "tests/blowup_last10.json"
     refused = [
         ["connections", "tests/hexprism24.json", "--format", "json"],
         ["freeness", theta, "--degree-cap", "200000000", "--format", "json"]]
-    assert cli_digest.calls()[-11:] == [
+    assert calls[-11:] == [
         sq22, ["verdict", "tests/hexprism24.json", "--format", "json"]] + [
         [cmd, blowup, "--format", "json"] for cmd in (
             "validate", "connections", "orientability", "surface",
             "cohomology", "freeness", "verdict")] + refused
     assert cli_digest.digest_line(sq22).startswith("2 verdict")
     # Every subcommand on last10 succeeds.
-    for argv in cli_digest.calls()[-9:-2]:
+    for argv in calls[-9:-2]:
         assert cli_digest.digest_line(argv).startswith(f"0 {argv[0]} ")
     # The two refusals exit 2 with nothing on stdout.
     for argv in refused:

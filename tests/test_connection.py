@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sympy
 from sympy.combinatorics import Permutation
 
 from gkm3 import connection
@@ -25,6 +26,7 @@ from gkm3.graph import (
     DirectedEdge, GkmGraph, GraphSemanticError, Weight, parse_graph,
 )
 from gkm3.orientation import eta_assignment
+from gkm3.verdict import realizability_report
 
 import oracles
 from conftest import (
@@ -144,6 +146,9 @@ def test_connection_block_validation(nonorientable):
         ({"forward": {"0": 1.5}}, "not an integer"),
         ({"forward": {"0": None}}, "not an integer"),
         ({"forward": {"0": True}}, "not an integer"),
+        # More digits than int() converts is a semantic error too, and the
+        # message gives the count, not the digits.
+        ({"forward": {"0": "1" * 5000}}, "edge id of 5000 digits is out of range"),
     ):
         bad = json.loads(json.dumps(doc["connection"]))
         bad["0"] = entry
@@ -161,6 +166,12 @@ def test_connection_block_validation(nonorientable):
         bad["0"]["forward"][key] = bad["0"]["forward"].pop(next(iter(bad["0"]["forward"])))
         with pytest.raises(GraphSemanticError, match="not an integer"):
             connection_from_block(g, bad, options)
+    for key in ("1" * 5000, "0" * 4301):
+        bad = json.loads(json.dumps(doc["connection"]))
+        bad[key] = bad.pop("0")
+        with pytest.raises(GraphSemanticError, match=f"id of {len(key)} digits") as exc:
+            connection_from_block(g, bad, options)
+        assert len(str(exc.value)) < 100
 
     # An id named twice, in the block or in one map, is an error, not a
     # silent overwrite by the later entry.
@@ -409,11 +420,54 @@ def test_transitions_and_holonomy_match_listed_oracles(name, nontrivial):
     assert outcomes == ({True, False} if nontrivial else {True})
 
 
+def _check_solved_oracle(g, conn) -> bool:
+    """loop_holonomy equals solved_holonomy on every face of conn, and each
+    edge's two transition matrices are mutually inverse; True when some
+    face's holonomy is nontrivial."""
+    nontrivial = False
+    for path in connection_paths(g, conn):
+        h = loop_holonomy(g, conn, path)
+        assert h == oracles.solved_holonomy(g, conn, path), path
+        nontrivial |= h != IDENTITY
+    for eid in range(len(g.edges)):
+        forward, back = (sympy.Matrix(transition(g, conn, DirectedEdge(eid, d)).phi)
+                         for d in (True, False))
+        assert back * forward == sympy.eye(3), eid
+    return nontrivial
+
+
+@pytest.mark.parametrize("name", ["theta", "nonorientable", "cp3", "cube", "flag"])
+def test_holonomy_matches_the_solved_oracle(name):
+    """On every connection, the holonomy of every face equals the product of
+    sympy-solved transition matrices, and reversing a step inverts it; 23 of
+    nonorientable's 64 connections, its connection 12 among them, have a
+    face of nontrivial holonomy, and no other graph has one."""
+    g = corpus_graph(name)
+    conns, _ = available_connections(g)
+    nontrivial = [i for i, conn in enumerate(conns) if _check_solved_oracle(g, conn)]
+    if name == "nonorientable":
+        assert 12 in nontrivial and len(nontrivial) == 23
+    else:
+        assert nontrivial == []
+
+
+@given(st.one_of(small_graph_docs(), coloured_graph_docs()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_holonomy_matches_the_solved_oracle_random(doc, data):
+    g = parse_graph(json.dumps(doc))
+    conns, _ = available_connections(g)
+    if conns.count:
+        i = data.draw(st.integers(0, conns.count - 1), label="connection")
+        _check_solved_oracle(g, conns[i])
+
+
 def test_transition_keeps_its_checks(monkeypatch):
-    """Each invariant check of transition raises: an incompatible transport,
-    a failing weight-transport identity (a solver returning a wrong k) and
-    det phi /= +-1; and a valence other than 3 is a ValueError, for
-    loop_holonomy too."""
+    """Each invariant check of the transition kernel raises through
+    transition, loop_holonomy and the verdict: an incompatible transport, a
+    failing weight-transport identity (a solver returning a wrong k) and
+    det phi /= +-1 (a determinant of 2).  A valence other than 3 is a
+    ValueError of transition and loop_holonomy; the verdict refuses such a
+    graph at validation, before any transition matrix is formed."""
     g = parse_graph(json.dumps({
         "vertices": ["u", "w"],
         "edges": [{"from": "u", "to": "w", "weight": w}
@@ -425,23 +479,52 @@ def test_transition_keeps_its_checks(monkeypatch):
     e = DirectedEdge(0, True)
     with pytest.raises(connection.ConnectionInconsistency, match="incompatible"):
         transition(g, swap, e)
+    face = next(p for p in connection_paths(g, swap) if 0 in {s[0] for s in p.steps})
+    with pytest.raises(connection.ConnectionInconsistency, match="incompatible"):
+        loop_holonomy(g, swap, face)
 
     fixed = enumerate_connections(g)[0]
+    faces = connection_paths(g, fixed)
+    # The first verdict keeps the per-graph edge options and Thom classes,
+    # so under a fault only the transition kernel reads the solver.
+    report = realizability_report(g)
     real = connection.transport_coefficients
 
     def off_by_one(wf, wfp, we):
         eps, k = real(wf, wfp, we)
         return eps, k + 1
 
-    with monkeypatch.context() as mp:
-        mp.setattr(connection, "transport_coefficients", off_by_one)
-        with pytest.raises(connection.ConnectionInconsistency, match="identity"):
-            transition(g, fixed, e)
-    with monkeypatch.context() as mp:
-        mp.setattr(connection.TransitionData, "det_phi", property(lambda d: 2))
-        with pytest.raises(connection.ConnectionInconsistency, match="det phi"):
-            transition(g, fixed, e)
+    for name, fault, match in (
+        ("transport_coefficients", lambda wf, wfp, we: None, "incompatible"),
+        ("transport_coefficients", off_by_one, "identity"),
+        ("_det3", lambda p: 2, "det phi"),
+    ):
+        with monkeypatch.context() as mp:
+            mp.setattr(connection, name, fault)
+            with pytest.raises(connection.ConnectionInconsistency, match=match):
+                transition(g, fixed, e)
+            for face in faces:
+                with pytest.raises(connection.ConnectionInconsistency, match=match):
+                    loop_holonomy(g, fixed, face)
+            with pytest.raises(connection.ConnectionInconsistency, match=match):
+                realizability_report(g)
+    # A wrong k in one transport at a time, at every step, so each row of
+    # the weight-transport identity is checked somewhere.
+    for step in (DirectedEdge(eid, d) for eid in range(3) for d in (True, False)):
+        for wrong in (0, 1):
+            calls = []
+
+            def one_off(wf, wfp, we):
+                eps, k = real(wf, wfp, we)
+                calls.append(k)
+                return eps, k + (len(calls) == wrong + 1)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(connection, "transport_coefficients", one_off)
+                with pytest.raises(connection.ConnectionInconsistency, match="identity"):
+                    transition(g, fixed, step)
     assert transition(g, fixed, e).det_phi in (1, -1)
+    assert realizability_report(g) == report
 
     digon = parse_graph(json.dumps({
         "vertices": ["a", "b"],
@@ -452,6 +535,26 @@ def test_transition_keeps_its_checks(monkeypatch):
         transition(digon, conn, e)
     with pytest.raises(ValueError, match="3-valent"):
         loop_holonomy(digon, conn, ConnectionPath((e, DirectedEdge(1, False))))
+    refused = realizability_report(digon)
+    assert refused["tier"] == "invalid" and refused["surface"] is None
+    assert {f["kind"] for f in refused["validity"]["failures"]} >= {"valence"}
+
+
+def test_transition_reads_a_partial_map_as_before(theta):
+    """A map that lacks a source edge is a KeyError of transition and of
+    loop_holonomy, and an extra source that is not incident is ignored, as
+    when the transition data read the map as a dict."""
+    conn = enumerate_connections(theta)[0]
+    e = DirectedEdge(0, True)
+    face = ConnectionPath((e,))
+    lacking = Connection({**conn.maps, e: conn.maps[e][:1] + conn.maps[e][2:]})
+    with pytest.raises(KeyError):
+        transition(theta, lacking, e)
+    with pytest.raises(KeyError):
+        loop_holonomy(theta, lacking, face)
+    extra = Connection({**conn.maps, e: conn.maps[e] + ((99, 99),)})
+    assert transition(theta, extra, e) == transition(theta, conn, e)
+    assert loop_holonomy(theta, extra, face) == loop_holonomy(theta, conn, face)
 
 
 def test_paths_require_trivalent(theta):

@@ -160,11 +160,14 @@ def _calls(path: Path) -> dict:
 
 
 def test_one_statement_of_the_compatibility_rule():
-    # The enumeration and transition data both ask transport_coefficients,
+    # The enumeration and the transition kernel both ask
+    # transport_coefficients, the record and the holonomy read the kernel,
     # and no function of connection.py forms its own determinants with det2.
     calls = _calls(SRC / "connection.py")
     assert "transport_coefficients" in calls["_compatible_bijections"]
-    assert "transport_coefficients" in calls["transition"]
+    assert "transport_coefficients" in calls["_phi"]
+    assert "_phi" in calls["transition"] and "_phi" in calls["loop_holonomy"]
+    assert {"transition", "TransitionData"} & calls["loop_holonomy"] == set()
     assert [name for name, called in calls.items() if "det2" in called] == []
 
 
@@ -174,3 +177,15 @@ def test_face_walk_and_basis_values_make_no_per_step_calls():
     walk = _calls(SRC / "connection.py")["connection_paths"]
     assert {"apply", "directed", "target", "source", "reversed"} & walk == set()
     assert {"poly_eval", "_blocks"} & _calls(SRC / "cohomology.py")["_basis"] == set()
+
+
+def test_edge_options_read_only_the_edges_at_each_edge():
+    # One edge's options read the weights at its two ends, so listing every
+    # edge's options is linear in |E|: no loop or comprehension inside
+    # _compatible_bijections passes over the graph's edges.
+    tree = ast.parse((SRC / "connection.py").read_text())
+    fn = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and node.name == "_compatible_bijections")
+    loops = [ast.unparse(node.iter) for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert loops and [it for it in loops if "edges" in it] == []

@@ -201,7 +201,7 @@ def test_verdict_caches_each_result_in_one_place(name):
     g = corpus_graph(name)
     realizability_report(g)
     assert {key[0] for key in g.memo} <= {
-        "evaluations", "z", "quotient", "basis", "transition"}
+        "evaluations", "z", "quotient", "basis"}
     assert ("basis",) in g.memo and ("quotient", 0) in g.memo
     # Degree 0 is read from the components, with no evaluation echelon.
     assert ("evaluations", 0) not in g.memo
@@ -408,26 +408,30 @@ def test_certified_report_equals_scanned_report_on_coloured_graphs(doc):
     _scan_agrees_with_certificate(doc)
 
 
-def test_verdict_builds_each_transition_once(flag, monkeypatch):
-    # eta, the per-option eta check and the loop holonomy share transition
-    # data: one TransitionData per directed edge and compatible option.
+@pytest.mark.parametrize("name", ["flag", "nonorientable"])
+def test_verdict_builds_no_transition_data(name, monkeypatch):
+    # The loop holonomy multiplies the transition kernel's matrices, and
+    # eta reads the labels: a verdict builds no TransitionData record and
+    # keeps no transition matrix, at any connection.
     built = []
     real = connection.TransitionData
 
     def counting(*args):
-        built.append((args[0], args[1]))
+        built.append(args)
         return real(*args)
 
     monkeypatch.setattr(connection, "TransitionData", counting)
-    a = Analysis(flag)
-    a.report()
-    options = a.connections[0].options
-    assert len(built) == len(set(built))
-    assert len(built) <= 2 * sum(len(opts) for opts in options)
+    g = corpus_graph(name)
+    for i in (0, 12):
+        a = Analysis(g, connection_index=i)
+        a.report()
+        assert a.surface.faces
+    assert built == []
+    assert {key[0] for key in g.memo} <= {
+        "evaluations", "z", "quotient", "basis", "thom"}
+    # The public record is still built on request.
     e = connection.DirectedEdge(0, True)
-    first = connection.transition(flag, a.connection, e)
-    assert connection.transition(flag, a.connection, e) is first
-    assert len(built) == len(set(built))
+    assert connection.transition(g, a.connection, e).edge == e and len(built) == 1
 
 
 def test_loop_holonomy_trivial_reports_both_outcomes():

@@ -22,10 +22,13 @@ orientability and verdict at --connection 2^66 - 1 (the last connection)
 and 2^66 (out of range); then the verdict of tests/hexprism24.json, the
 48-vertex hexagon-labelled prism, and the seven subcommands in json on
 tests/blowup_last10.json, a 24-vertex blow-up with one connection whose
-labels take the class-lattice fallback.  The last two calls are refused
+labels take the class-lattice fallback.  The next two calls are refused
 (exit 2): the 2^40 connections of tests/hexprism24.json, and freeness on
 theta at --degree-cap 200000000, whose 10^8 + 1 checked degrees are too
-many to list.
+many to list.  After them come verdicts in json at every --connection
+index of theta and nonorientable, which pin each connection's
+loop_holonomy_trivial (nonorientable's connection 12 has a face of
+nontrivial holonomy).
 Each line holds the exit code, the argv (paths relative to the checkout
 root) and the sha256 of stdout, so a diff of the lines printed in two
 checkouts shows whether their output is byte-identical.  The expected
@@ -102,6 +105,8 @@ def calls() -> List[List[str]]:
     out.append(["connections", "tests/hexprism24.json", "--format", "json"])
     out.append(["freeness", f"{corpus}/theta.json", "--degree-cap", "200000000",
                 "--format", "json"])
+    out += [["verdict", path, "--connection", i, "--format", "json"]
+            for path, indices in every_connection for i in indices]
     return out
 
 
