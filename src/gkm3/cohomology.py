@@ -42,7 +42,7 @@ from itertools import compress
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg, thom
-from .graph import GkmGraph
+from .graph import GkmGraph, per_graph
 from .orientation import eta
 
 __all__ = [
@@ -97,6 +97,7 @@ def ht_basis_q(g: GkmGraph, d: int) -> linalg.Matrix:
     return ht_basis_z(g, d)
 
 
+@per_graph("z")
 def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     """HNF-canonical Z-basis (rows) of the degree-2d class lattice L.
 
@@ -136,13 +137,8 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
     so its Hermite form needs no elimination, only the reduction above its
     pivots (linalg.reduced), and the rows of that form are lifted.
     """
-    cache = g.memo
-    if ("z", d) in cache:
-        return cache[("z", d)]
     if d == 0:  # the components' indicator vectors (see above)
-        basis = [[int(v in c) for v in g.vertices] for c in map(set, g.components)]
-        cache[("z", 0)] = basis
-        return basis
+        return [[int(v in c) for v in g.vertices] for c in map(set, g.components)]
     nf = len(g.vertices) * (d + 1)
     steps = []  # per fixed coordinate, lowest first: (it, pivot, terms)
     for row in reversed(_evaluation_echelon(g, d)):
@@ -162,7 +158,6 @@ def ht_basis_z(g: GkmGraph, d: int) -> linalg.Matrix:
             raise RuntimeError("class lattice row does not lift")
         for t, f in zip(bad, lifted):
             basis[t] = f
-    cache[("z", d)] = basis
     return basis
 
 
@@ -253,14 +248,12 @@ def _lattice_rows(g: GkmGraph, d: int, steps: list,
     return rows
 
 
+@per_graph("evaluations")
 def _evaluation_echelon(g: GkmGraph, d: int) -> linalg.Matrix:
-    """The echelon basis of _evaluations, memoized per graph and degree
-    d >= 1: ht_basis_z back-substitutes through it and _lattice_rank reads
-    its rank, so each degree's equations are eliminated once."""
-    key = ("evaluations", d)
-    if key not in g.memo:
-        g.memo[key] = linalg.echelon_basis(_evaluations(g, d))
-    return g.memo[key]
+    """The echelon basis of _evaluations in degree d >= 1: ht_basis_z
+    back-substitutes through it and _lattice_rank reads its rank, so each
+    degree's equations are eliminated once."""
+    return linalg.echelon_basis(_evaluations(g, d))
 
 
 def _lattice_rank(g: GkmGraph, d: int) -> int:
@@ -343,12 +336,10 @@ class _Quotient(NamedTuple):
     inverse: Optional[linalg.Matrix] = None  # T^-1, Smith form only
 
 
+@per_graph("quotient")
 def _quotient(g: GkmGraph, d: int) -> _Quotient:
     """The reduced degree-2d part, from unit pivots when C has them and
-    from a Smith form otherwise (_Quotient); memoized per graph."""
-    cache = g.memo
-    if ("quotient", d) in cache:
-        return cache[("quotient", d)]
+    from a Smith form otherwise (_Quotient)."""
     L = ht_basis_z(g, d)
     coords = []
     if d:
@@ -358,14 +349,11 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
             raise RuntimeError("product class escaped the class lattice")
     E = linalg.unit_reduce(coords)
     if E is not None:
-        q = _Quotient(L, (1,) * len(E), [L[j] for j in range(len(L)) if j not in E])
-    else:
-        D, Tinv = linalg.snf_transform(coords, len(L))
-        divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
-        q = _Quotient(L, divisors, [_combination(L, c) for c in Tinv[len(divisors):]],
-                      Tinv)
-    cache[("quotient", d)] = q
-    return q
+        return _Quotient(L, (1,) * len(E), [L[j] for j in range(len(L)) if j not in E])
+    D, Tinv = linalg.snf_transform(coords, len(L))
+    divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
+    return _Quotient(L, divisors, [_combination(L, c) for c in Tinv[len(divisors):]],
+                     Tinv)
 
 
 # ---------------------------------------------------------------------------
@@ -444,32 +432,26 @@ def _vertex_thom(g: GkmGraph) -> list:
     return thom_class_vertex(g, g.vertices[0])
 
 
+@per_graph("basis")
 def _closed_basis(g: GkmGraph) -> Optional[_Basis]:
     """The _Basis of the reduced lifts of the quotients (_quotient) of
     degree 0, 2, ..., taken until there are n = |V| of them or the valence
     is reached; None when they are not n.  When the quotients below the
     valence leave one class to find, tau_p (_vertex_thom) closes them if
     |det V| is then the target, and the top quotient's lift does otherwise.
-    Memoized per graph: _free_betti certifies this basis, and _pairing
-    reads the pairing from it."""
-    if ("basis",) in g.memo:
-        return g.memo[("basis",)]
+    _free_betti certifies this basis, and _pairing reads the pairing from
+    it."""
     n, target = len(g.vertices), _target(g)
     gens: list = []  # (degree, class)
-    basis = None
     for d in range(g.valence + 1):
         if d == g.valence and len(gens) == n - 1:
             closed = _basis(g, gens + [(d, _vertex_thom(g))], target)
             if closed.det == target:
-                basis = closed
-                break
+                return closed
         gens += [(d, f) for f in _quotient(g, d).reduced_lifts]
         if len(gens) >= n:
             break
-    if basis is None and len(gens) == n:
-        basis = _basis(g, gens, target)
-    g.memo[("basis",)] = basis
-    return basis
+    return _basis(g, gens, target) if len(gens) == n else None
 
 
 def _free_betti(g: GkmGraph) -> Optional[Tuple[int, ...]]:

@@ -152,7 +152,7 @@ class ConnectionSpace(Sequence[Connection]):
         return Connection.from_forward_maps(dict(enumerate(reversed(choice))))
 
 
-@per_graph
+@per_graph("options")
 def edge_options(g: GkmGraph) -> List[List[Dict[int, int]]]:
     """The compatible forward maps of each edge, listed once per graph: the
     connection space and the Thom-class route (gkm3.thom) both read them.

@@ -140,13 +140,11 @@ class GkmGraph:
 
     @cached_property
     def memo(self) -> dict:
-        """Results derived from this graph alone that more than one reader
-        takes (evaluation echelons, class lattices, quotients, the closed
-        basis that the freeness certificate tests and the pairing reads),
-        filled on first use.  Keys are tuples whose first entry names the
-        kind of result: ("evaluations", d) for d >= 1, ("z", d),
-        ("quotient", d), ("basis",) and ("thom",).  Whole-stage results of
-        the layers above are kept by per_graph."""
+        """The results that per_graph keeps, filled on first use and keyed
+        (kind, *args): ("options",) and ("orientability",) (gkm3.connection,
+        gkm3.orientation); ("evaluations", d) for d >= 1, ("z", d),
+        ("quotient", d) and ("basis",) (gkm3.cohomology); ("thom",)
+        (gkm3.thom)."""
         return {}
 
     @cached_property
@@ -220,22 +218,23 @@ class GkmGraph:
         return GkmGraph(self.vertices, edges, self.name, self.connection_block)
 
 
-def per_graph(fn):
-    """fn(g), computed once per graph and kept in its instance dict, as the
-    cached properties above keep its own derived fields: for a stage of a
-    layer above this one whose result more than one stage reads (the edge
-    options of gkm3.connection, the orientability of gkm3.orientation).  A
-    call that raises keeps nothing."""
-    key = f"{fn.__module__}.{fn.__qualname__}"
+def per_graph(kind: str):
+    """Decorates fn(g, *args), a result derived from g alone that more than
+    one reader takes, to compute it once per graph and arguments: it is kept
+    in g.memo under (kind, *args), None included.  A call that raises keeps
+    nothing."""
 
-    @wraps(fn)
-    def cached(g):
-        found = g.__dict__.get(key)
-        if found is None:
-            found = g.__dict__[key] = fn(g)
-        return found
+    def decorate(fn):
+        @wraps(fn)
+        def cached(g, *args):
+            memo, key = g.memo, (kind, *args)
+            if key not in memo:
+                memo[key] = fn(g, *args)
+            return memo[key]
 
-    return cached
+        return cached
+
+    return decorate
 
 
 class ValidationReport(NamedTuple):

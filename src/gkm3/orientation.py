@@ -115,7 +115,7 @@ class OrientabilityResult(NamedTuple):
     violating_cycle: Optional[Tuple[int, ...]] = None
 
 
-@per_graph
+@per_graph("orientability")
 def is_orientable(g: GkmGraph) -> OrientabilityResult:
     """Decides orientability, with a potential or a violating cycle witness.
 

@@ -14,11 +14,12 @@ and 0 elsewhere.  A step of the face over an edge e carries the normal edge
 n to n' with alpha_n' = eps alpha_n + k alpha_e
 (connection.transport_coefficients), so s_v' = eps s_v makes
 f_v - f_v' = -eps s_v k alpha_e a multiple of alpha_e; such signs exist
-when the product of the eps around the face is +1.  The faces are those of the connection that takes at each
-edge the compatible forward map (connection.edge_options) whose two
-transports have the least sum of |k|, ties going to the earlier map, so
-they depend on neither the file's connection block nor the connection
-index of a verdict.
+when the product of the eps around the face is +1.
+
+The faces are those of the connection that takes at each edge the
+compatible forward map (connection.edge_options) whose two transports have
+the least sum of |k|, ties going to the earlier map.  So they depend on
+neither the file's connection block nor the connection index of a verdict.
 
 The peel.  The vertices are picked one at a time (_order).  A vertex with
 k edges to vertices already picked gets one class, which vanishes on every
@@ -59,7 +60,7 @@ from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from . import cohomology  # which imports this module: read at call time
 from .connection import ConnectionInconsistency, edge_options, transport_coefficients
-from .graph import GkmGraph
+from .graph import GkmGraph, per_graph
 from .orientation import is_orientable
 
 __all__ = ["Peel", "free_basis", "pairing"]
@@ -79,17 +80,12 @@ class Peel(NamedTuple):
     tau: Mapping[str, int]
 
 
+@per_graph("thom")
 def free_basis(g: GkmGraph) -> Optional[Peel]:
     """The certified Peel of g, or None where the route declines: a vertex
     not of valence 3, a loop, no potential (eta raises or the graph is not
     orientable), an edge with no compatible map, a stall, or a determinant
-    that is not the target.  Memoized per graph (key ("thom",))."""
-    if ("thom",) not in g.memo:
-        g.memo[("thom",)] = _peel(g)
-    return g.memo[("thom",)]
-
-
-def _peel(g: GkmGraph) -> Optional[Peel]:
+    that is not the target."""
     if not g.vertices or any(len(ids) != 3 for ids in g.incident.values()) or any(
             e.u == e.v for e in g.edges):
         return None

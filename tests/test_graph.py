@@ -1,22 +1,26 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkm3.connection import ConnectionInconsistency
 from gkm3.graph import (
     GraphSemanticError,
     GraphSyntaxError,
     Weight,
     connected_isotropy_check,
     parse_graph,
+    per_graph,
     serialize_graph,
     signed_forest,
     validate,
 )
+from gkm3.orientation import is_orientable
 
 import oracles
-from conftest import corpus_text
+from conftest import corpus_graph, corpus_text
 
 
 def mini(vertices, edges, **extra):
@@ -278,3 +282,28 @@ def test_signed_forest_against_brute_force(graph):
         assert root(a) == root(b)
     satisfied = all(tau[a] * tau[b] == s for a, b, s in edges)
     assert satisfied == oracles.has_sign_labelling(nodes, edges)
+
+
+def test_per_graph_computes_each_result_once_per_graph_and_arguments():
+    calls = []
+
+    @per_graph("probe")
+    def probe(g, *args):
+        calls.append((g.name, args))
+        return None  # a None result is kept like any other
+
+    cube, theta = corpus_graph("cube"), corpus_graph("theta")
+    for _ in range(2):
+        assert [probe(cube), probe(cube, 1), probe(cube, 2), probe(theta, 1)] == [None] * 4
+    assert calls == [(cube.name, ()), (cube.name, (1,)), (cube.name, (2,)),
+                     (theta.name, (1,))]
+    assert set(cube.memo) == {("probe",), ("probe", 1), ("probe", 2)}
+    assert set(theta.memo) == {("probe", 1)}
+
+
+def test_per_graph_keeps_nothing_when_the_call_raises():
+    g = parse_graph((Path(__file__).parent / "torsion_k4.json").read_text())
+    for _ in range(2):
+        with pytest.raises(ConnectionInconsistency):
+            is_orientable(g)
+    assert ("orientability",) not in g.memo

@@ -89,8 +89,8 @@ def test_equal_fields_give_equal_records_and_hashes(name):
 
 
 def test_directed_edge_hashes_as_its_pair():
-    # Set and dict orders of directed edges (connection paths' seen states,
-    # transition memo keys) follow this hash.
+    # transition and loop_holonomy look up Connection.maps, keyed by
+    # (edge id, forward) pairs, with DirectedEdges: they hash as their pair.
     assert hash(DirectedEdge(3, False)) == hash((3, False))
     assert hash(Weight(1, -2)) == hash((1, -2))
 

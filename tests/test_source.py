@@ -101,6 +101,19 @@ def test_rational_routines_still_return_fractions():
     assert all(type(x) is Fraction for x in c)
 
 
+def test_only_graph_touches_the_memo_or_a_graph_dict():
+    # Every per-graph result is kept by graph.per_graph, which alone keys
+    # GkmGraph.memo: no other module names .memo (so none subscripts it,
+    # tests membership in it or holds it under another name) or __dict__.
+    found = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted(SRC.rglob("*.py")) if path.name != "graph.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("memo", "__dict__")
+    ]
+    assert found == []
+
+
 def test_benchmark_traced_names_resolve():
     # The benchmark's traced runs wrap these functions by name; a deleted or
     # renamed one would break `benchmark/run.py --trace 1`.

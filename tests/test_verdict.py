@@ -201,7 +201,7 @@ def test_verdict_caches_each_result_in_one_place(name):
     g = corpus_graph(name)
     realizability_report(g)
     assert {key[0] for key in g.memo} <= {
-        "evaluations", "z", "quotient", "basis"}
+        "options", "orientability", "evaluations", "z", "quotient", "basis"}
     assert ("basis",) in g.memo and ("quotient", 0) in g.memo
     # Degree 0 is read from the components, with no evaluation echelon.
     assert ("evaluations", 0) not in g.memo
@@ -428,7 +428,7 @@ def test_verdict_builds_no_transition_data(name, monkeypatch):
         assert a.surface.faces
     assert built == []
     assert {key[0] for key in g.memo} <= {
-        "evaluations", "z", "quotient", "basis", "thom"}
+        "options", "orientability", "evaluations", "z", "quotient", "basis", "thom"}
     # The public record is still built on request.
     e = connection.DirectedEdge(0, True)
     assert connection.transition(g, a.connection, e).edge == e and len(built) == 1
