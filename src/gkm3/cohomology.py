@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 from functools import reduce
-from itertools import compress
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg, thom
@@ -546,7 +545,7 @@ def thom_class_vertex(g: GkmGraph, v: str) -> list:
 
     It is checked to be an integral class (_thom_class).
     """
-    return _thom_class(g, [(v, 1)], None, f"Thom class of vertex {v!r}")
+    return _thom_class(g, [v], None, f"Thom class of vertex {v!r}")
 
 
 def thom_class_edge(g: GkmGraph, edge_id: int) -> list:
@@ -557,21 +556,27 @@ def thom_class_edge(g: GkmGraph, edge_id: int) -> list:
     gkm3.orientation); it is checked to be an integral class (_thom_class).
     """
     e = g.edges[edge_id]
-    return _thom_class(g, [(e.u, 1), (e.v, -eta(g, edge_id))], edge_id,
-                       f"Thom class of edge {edge_id}")
+    return _thom_class(g, [e.u, e.v], edge_id, f"Thom class of edge {edge_id}")
 
 
-def _thom_class(g: GkmGraph, ends: Sequence[Tuple[str, int]],
-                skip: Optional[int], what: str) -> list:
-    """_thom_values as a vector, checked at its support (_check_class)."""
+def _thom_class(g: GkmGraph, ends: Sequence[str], skip: Optional[int],
+                what: str) -> list:
+    """_thom_values as a vector, checked at its support (_check_class): of
+    the vertex ends[0], or of the edge skip, signed -eta(skip) at ends[1].
+    ValueError at an end whose valence is not g.valence, the block size."""
+    for v in ends:
+        if len(g.incident[v]) != g.valence:
+            raise ValueError(f"{what}: vertex {v!r} has valence "
+                             f"{len(g.incident[v])}, not {g.valence}")
     k = g.valence - (skip is not None) + 1
+    signs = (1,) if skip is None else (1, -eta(g, skip))
+    values = _thom_values(g, list(zip(ends, signs)), skip)
     vec = [0] * (len(g.vertices) * k)
-    for v, f in _thom_values(g, ends, skip).items():
+    for v, f in values.items():
         base = g.vertex_index[v] * k
         for j, c in enumerate(f):
             vec[base + j] += c
-    support = {i // k for i in compress(range(len(vec)), vec)}
-    _check_class(g, {g.vertices[i]: vec[i * k:i * k + k] for i in support}, what)
+    _check_class(g, values, what)
     return vec
 
 
@@ -607,19 +612,31 @@ def _check_class(g: GkmGraph, values: dict, what: str) -> dict:
 
 def _pairing(g: GkmGraph) -> linalg.Matrix:
     """The pairing of classes u, v lifting bases of the reduced H^2 and H^4
-    (poincare_duality): int u v from the Thom-class peel (gkm3.thom), or
-    z . (u v)(1, t) = sum_q z_q u_q(1, t) v_q(1, t) from the closed basis
-    (_closed_basis), each u listed once by its nonzero values."""
+    (poincare_duality), from integer factors: per u, vertex -> weight, and
+    per v, vertex -> value at (1, t); an entry sums weight times value over
+    the vertices listed in both.  The Thom-class peel (gkm3.thom.pairing)
+    gives rows L int u v; the closed basis (_closed_basis) gives
+    z . (u v)(1, t), with weights u_q(1, t) z_q and values v_q(1, t)."""
     if (peeled := thom.free_basis(g)) is not None:
-        return thom.pairing(g, peeled)
-    basis = _closed_basis(g)
-    if basis is None or not basis.det:
-        raise RuntimeError("the reduced lifts are not a basis over Q")
-    rows = list(zip(basis.degrees, basis.values))
-    weighted2 = [[(q, x * z) for q, (x, z) in enumerate(zip(u, basis.z)) if x]
-                 for d, u in rows if d == 1]
-    values4 = [v for d, v in rows if d == 2]
-    return [[sum(w * v[q] for q, w in u) for v in values4] for u in weighted2]
+        rows, cols = thom.pairing(g, peeled)
+    else:
+        basis = _closed_basis(g)
+        if basis is None or not basis.det:
+            raise RuntimeError("the reduced lifts are not a basis over Q")
+        classes = list(zip(basis.degrees, basis.values))
+        rows = [{q: x * z for q, (x, z) in enumerate(zip(u, basis.z)) if x}
+                for d, u in classes if d == 1]
+        cols = [{q: x for q, x in enumerate(v) if x} for d, v in classes if d == 2]
+    at: dict = {}  # vertex -> [(row, weight)]
+    for i, u in enumerate(rows):
+        for q, w in u.items():
+            at.setdefault(q, []).append((i, w))
+    out = [[0] * len(cols) for _ in rows]
+    for j, v in enumerate(cols):
+        for q, x in v.items():
+            for i, w in at.get(q, ()):
+                out[i][j] += w * x
+    return out
 
 
 class PoincareResult(NamedTuple):
@@ -656,11 +673,12 @@ def poincare_duality(
     e_u = alpha_e A_u, e_v = alpha_e A_v, on the line alpha' = 0 f(u) = f(v)
     and A_v / A_u = -eta(e) (gkm3.orientation), so the residues cancel as
     tau(u) tau(v) = eta(e).  So int kills the classes of degree below 6,
-    and int tau_p = tau(p) = +-1.  The Thom-class route pairs by int u v at
-    (1, t) (gkm3.thom).  The closed basis solves V z = s e_n, V its values
-    at (1, t) off every line alpha'_e = 0 (invertible: their determinant
-    has no other prime factor), so z . f(1, t) = s c_n and z is
-    proportional to tau(p) / e_p(1, t) where a potential exists.
+    and int tau_p = tau(p) = +-1.  The Thom-class route pairs by L int u v at
+    (1, t), one integer L > 0 per u (gkm3.thom.pairing).  The closed basis
+    solves V z = s e_n, V its values at (1, t) off every line alpha'_e = 0
+    (invertible: their determinant has no other prime factor), so
+    z . f(1, t) = s c_n and z is proportional to tau(p) / e_p(1, t) where a
+    potential exists.
     """
     res = betti_numbers(g, degree_cap)
     betti = res.betti

@@ -50,12 +50,14 @@ tau the orientability potential and e_p the product of the labels at p,
 reads the reduced H^6 (cohomology.poincare_duality).  So the route runs only
 on a graph with a potential (orientation.is_orientable), and the pairing of
 its degree-1 and degree-2 classes is int u v, a constant read at (1, t).
+The route hands cohomology._pairing integer factors (pairing): u's row is
+L int u v, with L the lcm of the e_p(1, t) over u's vertices, which is
+exact, integral and of the same rank.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from . import cohomology  # which imports this module: read at call time
@@ -102,7 +104,6 @@ def free_basis(g: GkmGraph) -> Optional[Peel]:
     if order is None:
         return None
     t, edges, thom_values = cohomology._point(g), g.edges, cohomology._thom_values
-    powers = [1, t, t * t, t ** 3]
     degrees, classes, det = [], [], 1
     for v, degree, data in order:
         if degree == 3:
@@ -117,19 +118,13 @@ def free_basis(g: GkmGraph) -> Optional[Peel]:
         what = f"Thom class of degree {degree} at vertex {v!r}"
         classes.append(cohomology._check_class(g, values, what))
         degrees.append(degree)
-        det *= _at(values[v], powers)
+        det *= cohomology.poly_eval(values[v], 1, t)
     det, target = abs(det), cohomology._target(g)
     if sum(degrees) != len(edges) or det != target:
         return None
     ranked = sorted(zip(degrees, range(len(order))))  # by degree, as _Basis
     return Peel(tuple(d for d, _ in ranked), tuple(classes[i] for _, i in ranked),
                 det, target, orient.potential)
-
-
-def _at(f, powers: List[int]) -> int:
-    """The coefficients f (of x^d, x^(d-1) y, ..., y^d) evaluated at (1, t),
-    from the powers 1, t, t^2, ... of t."""
-    return sum(map(operator.mul, f, powers))
 
 
 def _face_values(g: GkmGraph, face) -> dict:
@@ -266,34 +261,19 @@ def _choose(g: GkmGraph, eid: int, maps) -> dict:
     return best
 
 
-def pairing(g: GkmGraph, peel: Peel) -> List[List[int]]:
-    """int u v = sum_p tau(p) u(p) v(p) / e_p at (1, t), for the peel's
-    degree-1 classes u (rows) and degree-2 classes v (columns), each row
-    scaled by the least common denominator of its entries, which keeps its
-    rank.  u v is supported on the at most two vertices of v's edge, so an
-    entry sums at most two fractions."""
-    t, tau, edges = cohomology._point(g), peel.tau, g.edges
-    powers = [1, t, t * t]
-    rows = [f for d, f in zip(peel.degrees, peel.classes) if d == 1]
-    cols = [f for d, f in zip(peel.degrees, peel.classes) if d == 2]
-    at: dict = {}  # vertex -> [(row, u(v)(1, t))]
-    for i, f in enumerate(rows):
-        for v, c in f.items():
-            at.setdefault(v, []).append((i, _at(c, powers)))
-    num = [[0] * len(cols) for _ in rows]
-    den = [[1] * len(cols) for _ in rows]
-    for j, f in enumerate(cols):
-        for v, c in f.items():
-            if v not in at:
-                continue
-            w = tau[v] * _at(c, powers)
-            e_v = math.prod(_at(edges[eid].weight, powers) for eid in g.incident[v])
-            for i, u in at[v]:
-                a, b = num[i][j], den[i][j]
-                num[i][j], den[i][j] = a * e_v + u * w * b, b * e_v
-    out = []
-    for ns, ds in zip(num, den):
-        common = [math.gcd(a, d) for a, d in zip(ns, ds)]
-        lcm = math.lcm(*(d // c for d, c in zip(ds, common)))
-        out.append([a // c * (lcm * c // d) for a, d, c in zip(ns, ds, common)])
-    return out
+def pairing(g: GkmGraph, peel: Peel) -> Tuple[List[dict], List[dict]]:
+    """The factors of int u v = sum_p tau(p) u(p) v(p) / e_p at (1, t) that
+    cohomology._pairing multiplies: per degree-1 class u of the peel,
+    vertex p -> tau(p) u(p) L / e_p, L the lcm of the e_p over u's vertices,
+    so u's row is L int u v; per degree-2 class v, vertex p -> v(p)."""
+    t, tau, edges, at = cohomology._point(g), peel.tau, g.edges, cohomology.poly_eval
+    rows, cols = [], []
+    for d, f in zip(peel.degrees, peel.classes):
+        if d == 1:
+            e = {p: math.prod(at(edges[eid].weight, 1, t) for eid in g.incident[p])
+                 for p in f}
+            lcm = math.lcm(*e.values())
+            rows.append({p: tau[p] * at(c, 1, t) * (lcm // e[p]) for p, c in f.items()})
+        elif d == 2:
+            cols.append({p: at(c, 1, t) for p, c in f.items()})
+    return rows, cols

@@ -21,14 +21,16 @@ solved for in the whole class lattice of its degree.  So does the duality
 pairing's replaced path: each
 product class formed vertex by vertex, solved for in the degree-6 lattice
 and projected through a Smith transform of the quotient formed here, its
-T the inverse of T^-1 by sympy's domain matrices.  So
-do the class lattice's two eliminations of the same equations, the second
-solving each lift against an echelon basis of the fixed coordinates' and
-auxiliaries' rows, with the replaced fallback, an elimination of every
-unknown whose Hermite form sympy takes mod det Q; and the Betti loop that
-reads each b_2d from a Smith form of the raised lower lattice, with the
-table's rank read off a basis.  The lattice ranks are also read from
-sympy's rank of the evaluation matrix.  So do the connection's replaced
+T the inverse of T^-1 by sympy's domain matrices.  The Thom route's
+pairing is the localized integral summed in Fractions, each product
+multiplied out and read at two points.  So do the class lattice's two
+eliminations of the same equations, the second solving each lift
+against an echelon basis of the fixed coordinates' and auxiliaries' rows,
+with the replaced fallback, an elimination of every unknown whose
+Hermite form sympy takes mod det Q; and the Betti loop that reads each
+b_2d from a Smith form of the raised lower lattice, with the table's rank
+read off a basis.  The lattice ranks are also read from sympy's rank of
+the evaluation matrix.  So do the connection's replaced
 loops: the transition data assembled as n x n lists from one map lookup
 per edge, and the holonomy multiplied as list comprehensions over those.
 The transition matrix is also built by its recipe with each (eps, k)
@@ -626,6 +628,36 @@ def projected_pairing(g, reps2, reps4, project) -> List[list]:
     projected into the degree-6 quotient (projector(g, 3))."""
     return [[project(class_product(g, u, 1, v, 2))[0] for v in reps4]
             for u in reps2]
+
+
+def localized_pairing(g, peel) -> List[list]:
+    """The localized integral int u v = sum_p tau(p) u(p) v(p) / e_p, with
+    tau the peel's potential and e_p the product of the labels at p, for
+    the peel's degree-1 classes u (rows) and degree-2 classes v (columns),
+    exact in Fractions.  Each product u(p) v(p) is multiplied out and read
+    at (1, s) for two s off every line alpha'_e = 0; int u v is a constant,
+    so the two readings must agree."""
+    t = 1 + max(abs(e.weight.a) // math.gcd(*e.weight) for e in g.edges)
+    rows = [f for d, f in zip(peel.degrees, peel.classes) if d == 1]
+    cols = [f for d, f in zip(peel.degrees, peel.classes) if d == 2]
+
+    def integral(u, v, s):
+        total = Fraction(0)
+        for p in u.keys() & v.keys():
+            prod = [0] * (len(u[p]) + len(v[p]) - 1)
+            for i, a in enumerate(u[p]):
+                for j, b in enumerate(v[p]):
+                    prod[i + j] += a * b
+            e_p = math.prod(g.edges[eid].weight.a + g.edges[eid].weight.b * s
+                            for eid in g.incident[p])
+            total += Fraction(peel.tau[p] * sum(c * s ** k for k, c in enumerate(prod)),
+                              e_p)
+        return total
+
+    out = [[integral(u, v, t) for v in cols] for u in rows]
+    if out != [[integral(u, v, t + 1) for v in cols] for u in rows]:
+        raise AssertionError("int u v is not a constant")
+    return out
 
 
 def listed_transition(g, conn, e):

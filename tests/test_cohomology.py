@@ -381,6 +381,32 @@ def test_edge_thom_class_adds_no_memo_entry(name):
     assert g.memo == {}
 
 
+def _graph(vertices, edges):
+    return parse_graph(json.dumps({"vertices": vertices, "edges": [
+        {"from": u, "to": v, "weight": w} for u, v, w in edges]}))
+
+
+def test_thom_classes_need_every_end_at_the_first_vertex_valence():
+    """A block holds valence + 1 coefficients, the first vertex's valence,
+    so a Thom class at a vertex of another valence is a ValueError: x's
+    two labels are not written as a degree-6 block, and w's four labels,
+    whose product is a class, are not reported as escaping the lattice."""
+    g = _graph(["a", "b", "x"], [("a", "b", [1, 0]), ("a", "b", [0, 1]),
+                                 ("a", "x", [1, 1]), ("x", "b", [1, 2])])
+    with pytest.raises(ValueError, match="vertex 'x' has valence 2, not 3"):
+        coh.thom_class_vertex(g, "x")
+    with pytest.raises(ValueError, match="vertex 'x' has valence 2, not 3"):
+        coh.thom_class_edge(g, 3)
+    assert oracles.class_satisfies(g, coh.thom_class_vertex(g, "a"), 3, over_z=True)
+    g = _graph(["a", "w", "b"], [("a", "w", [1, 0]), ("a", "w", [0, 1]),
+                                 ("a", "b", [1, 1]), ("w", "b", [1, 2]),
+                                 ("w", "b", [1, 3])])
+    with pytest.raises(ValueError, match="vertex 'w' has valence 4, not 3"):
+        coh.thom_class_vertex(g, "w")
+    with pytest.raises(ValueError, match="vertex 'w' has valence 4, not 3"):
+        coh.thom_class_edge(g, 3)
+
+
 @pytest.mark.parametrize("name", ["cp3", "cube", "flag", "nonorientable",
                                   "prism4", "theta"])
 def test_edge_thom_class_matches_sympy(name):

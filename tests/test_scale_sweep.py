@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from gkm3.graph import parse_graph
+
 from conftest import scale_sweep
 
 
@@ -94,3 +96,31 @@ def test_blowup_sweep_stops_on_wrong_betti_numbers(tmp_path, monkeypatch, capsys
                              "--rules", "first", "--repeat", "1"]) == 1
     assert "first2: Betti numbers (1, 2, 2, 1)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_records_each_stage_growth_per_pair_of_sizes(tmp_path, monkeypatch):
+    """With every stage taking |V|^2 microseconds and the report |V|, each
+    pair of consecutive sizes grows with exponent 2, the report with 1; a
+    stage that reads 0 has no exponent.  Blow-ups pair sizes within a rule."""
+    def stub(text):
+        g = parse_graph(text)
+        n = len(g.vertices)
+        times = {f"{s}_s": n * n * 1e-6 for s in scale_sweep.STAGES}
+        times.update(report_s=n * 1e-6, surface_s=0.0)
+        times["verdict_s"] = sum(times.values())
+        return times, (1, n // 2 - 1, n // 2 - 1, 1)  # b_2 of both families
+
+    monkeypatch.setattr(scale_sweep, "time_stages", stub)
+    out = tmp_path / "bench.json"
+    assert scale_sweep.main([str(out), "--sizes", "24", "6", "12",
+                             "--repeat", "1"]) == 0
+    growth = json.loads(out.read_text())["hexagon_prisms"]["change"]["growth"]
+    assert growth["betti_s"] == {"6-12": 2.0, "12-24": 2.0}
+    assert growth["report_s"] == {"6-12": 1.0, "12-24": 1.0}
+    assert growth["surface_s"] == {"6-12": None, "12-24": None}
+    assert sorted(growth) == sorted(f"{s}_s" for s in (*scale_sweep.STAGES, "report",
+                                                        "verdict"))
+    assert scale_sweep.main([str(out), "--family", "blowup", "--sizes", "2", "1",
+                             "--rules", "first", "last", "--repeat", "1"]) == 0
+    growth = json.loads(out.read_text())["blowups"]["change"]["growth"]
+    assert growth["betti_s"] == {"first1-first2": 2.0, "last1-last2": 2.0}

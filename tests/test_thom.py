@@ -1,5 +1,6 @@
 """The Thom-class route (gkm3.thom) against the closed-basis route, its
-faults, its coverage, and the localization identity behind its pairing."""
+faults, its coverage, the localization identity behind its pairing, and
+its pairing against the exact localized integral."""
 
 import json
 import math
@@ -8,14 +9,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 
 from gkm3 import cohomology as coh
-from gkm3 import connection, orientation, thom
+from gkm3 import connection, linalg, orientation, thom
 from gkm3.connection import ConnectionInconsistency
 from gkm3.graph import GraphSemanticError, parse_graph, serialize_graph
 from gkm3.verdict import realizability_report
 
+import oracles
 from conftest import (
     coloured_graph_docs,
     corpus_json,
@@ -263,3 +266,44 @@ def test_localization_oracle_on_random_graphs(doc):
 @settings(max_examples=150, deadline=None, database=None)
 def test_localization_oracle_on_coloured_graphs(doc):
     _localization_holds(json.dumps(doc))
+
+
+def _rows_are_localized(text) -> bool:
+    """Whether g has a certified peel; if so, asserts that each row of the
+    pairing is a positive multiple of the exact row of int u v
+    (oracles.localized_pairing) and that q_rank is sympy's rank."""
+    g = parse_graph(text)
+    peel = thom.free_basis(g)
+    if peel is None:
+        return False
+    pairing, exact = coh._pairing(g), oracles.localized_pairing(g, peel)
+    assert len(pairing) == len(exact) == peel.degrees.count(1)
+    for mine, row in zip(pairing, exact):
+        assert len(mine) == len(row) == peel.degrees.count(2)
+        k = next((Fraction(a) / b for a, b in zip(mine, row) if b), None)
+        if k is None:
+            assert not any(mine)
+        else:
+            assert k > 0 and mine == [k * b for b in row]
+    ncols = peel.degrees.count(2)
+    rank = sympy.Matrix(len(exact), ncols, [x for row in exact for x in row]).rank()
+    assert linalg.q_rank(pairing) == rank
+    return True
+
+
+@pytest.mark.parametrize("name", ["cube", "theta", "cp3", "prism4", "prism6", "sq22",
+                                  "hexprism24", "blowup_last10"])
+def test_thom_pairing_rows_are_the_localized_integral(name):
+    assert _rows_are_localized(TEXTS[name])
+
+
+@given(doc=small_graph_docs())
+@settings(max_examples=60, deadline=None, database=None)
+def test_thom_pairing_rows_are_the_localized_integral_on_random_graphs(doc):
+    _rows_are_localized(json.dumps(doc))
+
+
+@given(doc=coloured_graph_docs())
+@settings(max_examples=60, deadline=None, database=None)
+def test_thom_pairing_rows_are_the_localized_integral_on_coloured_graphs(doc):
+    _rows_are_localized(json.dumps(doc))

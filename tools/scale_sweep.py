@@ -24,7 +24,10 @@ exit code 1 when a verdict reads other Betti numbers.  Each repetition
 parses the graph afresh and times every stage of one gkm3.verdict.Analysis
 in the order the report needs them, then the report itself, which reads
 them all; a stage's number is its best over the repetitions, and
-verdict_s is the best total.  The numbers go into the
+verdict_s is the best total.  Beside each run's seconds, growth holds per
+stage, for each pair of consecutive sizes (of one rule, for blow-ups),
+keyed "key1-key2", the exponent log(t2 / t1) / log(|V|2 / |V|1) rounded to
+2 places, None where a time rounds to 0.  The numbers go into the
 output file under "hexagon_prisms" (keyed by n) or "blowups" (keyed by
 rule and K, as "last10"), then --side (the commit measured: "parent" or
 "change"), which holds that side's latest run; "runs" keeps every run, in
@@ -39,6 +42,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -124,12 +128,34 @@ def _route_and_fallback_bits(text: str) -> Tuple[str, int]:
     return route, max(bits)
 
 
-def sweep(family: str, sizes: List[int], repeat: int,
-          rules: List[str] = ()) -> Dict[str, Dict[str, float]]:
-    """Best-of-repeat stage seconds per graph; ValueError when a graph's
-    Betti numbers are not (1, b, b, 1) with b its known b_2."""
-    results = {}
+def growth(seconds: Dict[str, Dict[str, float]],
+           vertices: Dict[str, int]) -> Dict[str, Dict[str, float]]:
+    """Per stage, the growth exponent of each pair of consecutive graphs of
+    one rule (the key less its digits), in order of |V|."""
+    groups: Dict[str, List[str]] = {}
+    for key in sorted(seconds, key=vertices.get):
+        groups.setdefault(key.rstrip("0123456789"), []).append(key)
+    out: Dict[str, Dict[str, float]] = {}
+    for keys in groups.values():
+        for k1, k2 in zip(keys, keys[1:]):
+            scale = math.log(vertices[k2] / vertices[k1])
+            for stage, t1 in seconds[k1].items():
+                t2 = seconds[k2][stage]
+                if stage.endswith("_s"):
+                    out.setdefault(stage, {})[f"{k1}-{k2}"] = (
+                        round(math.log(t2 / t1) / scale, 2) if t1 and t2 else None)
+    return out
+
+
+def sweep(family: str, sizes: List[int], repeat: int, rules: List[str] = ()
+          ) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Dict[str, float]]]:
+    """Best-of-repeat stage seconds per graph, and their growth exponents;
+    ValueError when a graph's Betti numbers are not (1, b, b, 1) with b its
+    known b_2."""
+    results, vertices = {}, {}
     for key, text, b2 in _graphs(family, sizes, rules):
+        g = parse_graph(text)
+        vertices[key] = len(g.vertices)
         best: Dict[str, float] = {}
         for _ in range(repeat):
             times, betti = time_stages(text)
@@ -141,11 +167,10 @@ def sweep(family: str, sizes: List[int], repeat: int,
                 best[stage] = min(best.get(stage, value), value)
         results[key] = {stage: round(value, 6) for stage, value in best.items()}
         if family == "blowup":
-            g = parse_graph(text)
             results[key]["label_content"] = max(e.weight.content() for e in g.edges)
             results[key]["route"], results[key]["fallback_bits"] = (
                 _route_and_fallback_bits(text))
-    return results
+    return results, growth(results, vertices)
 
 
 def main(argv=None) -> int:
@@ -170,7 +195,7 @@ def main(argv=None) -> int:
     if not hexagon and any(K < 0 for K in sizes):
         p.error("every blow-up count must be nonnegative")
     try:
-        results = sweep(args.family, sizes, args.repeat, args.rules)
+        results, exponents = sweep(args.family, sizes, args.repeat, args.rules)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -181,7 +206,8 @@ def main(argv=None) -> int:
         "Analysis runs, each stage timed in report order")
     if not hexagon:
         section["projection"] = BLOWUP_P
-    run = {"host": args.host, "repeat": args.repeat, "seconds": results}
+    run = {"host": args.host, "repeat": args.repeat, "seconds": results,
+           "growth": exponents}
     section[args.side] = run
     section.setdefault("runs", []).append(dict(run, side=args.side))
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
