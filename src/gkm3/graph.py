@@ -221,15 +221,21 @@ class GkmGraph:
 def per_graph(kind: str):
     """Decorates fn(g, *args), a result derived from g alone that more than
     one reader takes, to compute it once per graph and arguments: it is kept
-    in g.memo under (kind, *args), None included.  A call that raises keeps
-    nothing."""
+    in g.memo under (kind, *args), None included, an argument given by name
+    keyed at its position.  A call that raises keeps nothing."""
 
     def decorate(fn):
+        names = fn.__code__.co_varnames[1:fn.__code__.co_argcount]
+
         @wraps(fn)
-        def cached(g, *args):
+        def cached(g, *args, **named):
+            for name in names[len(args):]:  # by position, one key either way
+                if name not in named:
+                    break
+                args += (named.pop(name),)
             memo, key = g.memo, (kind, *args)
-            if key not in memo:
-                memo[key] = fn(g, *args)
+            if key not in memo or named:  # a name left over raises TypeError
+                memo[key] = fn(g, *args, **named)
             return memo[key]
 
         return cached

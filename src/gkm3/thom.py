@@ -33,8 +33,8 @@ vertex not yet picked:
 The greedy order takes the first vertex, in vertex order, with a face class
 available, else the first with k = 1, else the first with k = 0.  With none
 the peel stalls and the route declines.  The whole order is decided before
-any class is built: a face is walked only when a vertex reaches k = 2, and
-an edge's map is chosen only when a walk crosses that edge.
+any class is built: a vertex walks its face once, whole, when it reaches
+k = 2, and an edge's map is chosen only when a walk crosses that edge.
 
 The certificate.  The classes' values at (1, t) (cohomology._point), one
 row per class in pick order and one column per vertex, are triangular.  The
@@ -138,34 +138,22 @@ def _order(g: GkmGraph, options) -> Optional[List[Tuple[str, int, object]]]:
     """The greedy peel as (vertex, degree of its class, the edge id of an
     edge class or the face of a face class), or None at a stall.  Three
     sets of vertex indices hold the vertices not yet picked with a face
-    class available, with k = 1 and with k = 0.  The face of a k = 2 vertex
-    is walked (_walk) up to a vertex not yet picked, and on from there once
-    that vertex is picked; a face that comes back to a vertex, has eps
-    product -1 or leaves the picked set is not used."""
+    class available, with k = 1 and with k = 0.  A vertex w walks its face
+    (_walk) once, when it reaches k = 2, and its class is available only if
+    the face's other vertices are all picked by then.  It cannot become
+    available later: were some still unpicked, the last of them to be
+    picked, z, would find both its face neighbours picked before it, so it
+    would stand at k = 3, or at k = 2 with this very face, which holds w,
+    at its corner, and could not be picked before w."""
     verts, index, incident = g.vertices, g.vertex_index, g.incident
     n = len(verts)
     ends = [index[e.u] + index[e.v] for e in g.edges]  # less one end, the other
     k, picked = [0] * n, [False] * n
-    walks: list = [None] * n  # per k = 2 vertex, the walk of its face
-    faces: list = [None] * n  # per k = 2 vertex, its usable face
-    watchers: List[list] = [[] for _ in range(n)]  # walks waiting on a vertex
+    faces: list = [None] * n  # per k = 2 vertex, its face or None
     ready, single, alone = set(), set(), set(range(n))
     buckets = ((1, ready), (2, single), (3, alone))  # by the degree they give
     chosen: dict = {}  # edge id -> _choose's forward map
     order = []
-
-    def advance(w: int) -> None:
-        try:
-            watchers[index[next(walks[w])]].append(w)
-        except StopIteration as end:
-            if end.value is None:
-                return
-            face, sign = end.value
-            if sign == 1 and len({v for v, _, _ in face}) == len(face) and all(
-                    picked[index[v]] for v, _, _ in face[1:]):
-                faces[w] = face
-                ready.add(w)
-
     for step in range(n):
         for degree, bucket in buckets:
             if bucket:
@@ -184,15 +172,12 @@ def _order(g: GkmGraph, options) -> Optional[List[Tuple[str, int, object]]]:
                 if picked[ends[data] - p]:
                     break
         order.append((v, degree, data))
-        for q in watchers[p]:
-            if not picked[q] and k[q] == 2:
-                advance(q)
-        touched = []
+        touched = set()
         for eid in incident[v]:
             w = ends[eid] - p
             if not picked[w]:
                 k[w] += 1
-                touched.append(w)
+                touched.add(w)  # once, though parallel edges reach it twice
         for w in touched:
             alone.discard(w)
             if k[w] == 1:
@@ -201,39 +186,37 @@ def _order(g: GkmGraph, options) -> Optional[List[Tuple[str, int, object]]]:
             single.discard(w)
             if k[w] > 2:
                 ready.discard(w)
-            elif walks[w] is None:
-                e1, e2 = [eid for eid in incident[verts[w]] if picked[ends[eid] - w]]
-                walks[w] = _walk(g, verts[w], e1, e2, options, chosen, picked)
-                advance(w)
+                continue
+            e1, e2 = [eid for eid in incident[verts[w]] if picked[ends[eid] - w]]
+            faces[w] = face = _walk(g, verts[w], e1, e2, options, chosen)
+            if face and all(picked[index[u]] for u, _, _ in face[1:]):
+                ready.add(w)
     return order
 
 
-def _walk(g: GkmGraph, start: str, e1: int, e2: int, options, chosen: dict,
-          picked: List[bool]):
-    """A generator over the face through the edges e1, e2 at start.  It
-    yields each vertex not yet picked that it reaches, and goes on from it
-    once it is picked.  It returns the face, as (v, normal edge at v, s_v)
-    from start with s_start = 1, and the product of the eps around it; or
-    None once it comes back to a vertex at another corner.  It steps as
+def _walk(g: GkmGraph, start: str, e1: int, e2: int, options, chosen: dict):
+    """The face through the edges e1, e2 at start, as (v, normal edge at v,
+    s_v) from start with s_start = 1; or None once it comes back to a
+    vertex, when its eps product is -1, or once it reaches the far end of
+    start's third edge, whose pick puts start at k = 3.  It steps as
     connection.connection_paths does: the next edge is the transport of the
     one it came by.  An edge's map is chosen on first crossing (_choose)."""
-    edges, incident, index = g.edges, g.incident, g.vertex_index
+    edges, incident = g.edges, g.incident
     face, seen = [], set()
     prev, cur, v, s = e1, e2, start, 1
     while True:
-        if v == start and face:
-            return (face, s) if (prev, cur) == (e1, e2) else None
-        if v in seen:
-            return None
-        seen.add(v)
         a, b, normal = incident[v]
         if normal == prev or normal == cur:
             normal = a if a != prev and a != cur else b
+        if not face:  # the far end of start's third edge
+            e = edges[normal]
+            seen.add(e.v if v == e.u else e.u)
         face.append((v, normal, s))
         e = edges[cur]
         w = e.v if v == e.u else e.u
-        if w != start and not picked[index[w]]:
-            yield w  # before cur's map is chosen
+        if w in seen:
+            return None
+        seen.add(w)
         to = chosen.get(cur)
         if to is None:
             to = chosen[cur] = _choose(g, cur, options[cur])
@@ -242,6 +225,8 @@ def _walk(g: GkmGraph, start: str, e1: int, e2: int, options, chosen: dict,
         s *= transport_coefficients(edges[normal].weight, edges[to[normal]].weight,
                                     e.weight)[0]
         prev, cur, v = cur, to[prev], w
+        if v == start:
+            return face if (prev, cur) == (e1, e2) and s == 1 else None
 
 
 def _choose(g: GkmGraph, eid: int, maps) -> dict:

@@ -916,3 +916,88 @@ def evaluation_rank(g, d: int) -> int:
                 row[g.vertex_index[v] * k + j] += sign * mono.subs({x: b, y: -a})
         rows.append(row)
     return sympy.Matrix(rows).rank() if rows else 0
+
+
+def least_k_connection(g) -> Connection:
+    """The connection that takes at each edge the compatible forward map
+    whose transports have the least sum of |k|, the earlier on a tie, each
+    (eps, k) solved by sympy."""
+    def cost(eid, fmap):
+        we = g.edges[eid].weight.vector
+        return sum(abs(_solved_coefficients(g.edges[f].weight.vector,
+                                            g.edges[fp].weight.vector, we)[1])
+                   for f, fp in fmap.items() if f != eid)
+
+    return Connection.from_forward_maps(
+        {eid: min(_compatible_bijections(g, eid), key=lambda m: cost(eid, m))
+         for eid in range(len(g.edges))})
+
+
+def corner_face(g, conn, v: str, e1: int, e2: int):
+    """The whole orbit of the connection-path state (e1, e2 out of v), as
+    (steps, sign): per step (vertex, its normal edge, s_vertex, the edge it
+    leaves by), s_v = 1 and each next s the last times the eps that carries
+    the normal edge over, and sign the product of those eps all the way
+    round.  Nothing stops the walk early."""
+    seed = state = (e1, g.directed(e2, v))
+    steps, s = [], 1
+    while True:
+        prev, d = state
+        u = g.source(d)
+        normal = next(f for f in g.incident[u] if f != prev and f != d.edge_id)
+        steps.append((u, normal, s, d.edge_id))
+        s *= _solved_coefficients(g.edges[normal].weight.vector,
+                                  g.edges[conn.apply(d, normal)].weight.vector,
+                                  g.edges[d.edge_id].weight.vector)[0]
+        state = (d.edge_id, g.directed(conn.apply(d, prev), g.target(d)))
+        if state == seed:
+            return steps, s
+
+
+def greedy_picks(g):
+    """thom._order's picks recomputed from scratch at every step, up to a
+    stall: each vertex not yet picked gets its k, the number of its edges
+    to picked vertices, and a vertex at k = 2 gets the face of the corner
+    of those two edges (corner_face), usable when it visits each vertex
+    once, its eps product is +1 and its other vertices are all picked.  The
+    first vertex with a usable face gives a degree-1 class, else the first
+    at k = 1 a degree-2 class, else the first at k = 0 a degree-3 one; the
+    last vertex may take the constant (degree 0), and any other step with
+    none is a stall, where the list ends.  Data is the face as
+    (v, normal, s_v), the edge id, or None."""
+    conn, picked, order = least_k_connection(g), set(), []
+
+    def far(eid, v):
+        e = g.edges[eid]
+        return e.v if e.u == v else e.u
+
+    for _ in g.vertices:
+        rest = [v for v in g.vertices if v not in picked]
+        to_picked = {v: [eid for eid in g.incident[v] if far(eid, v) in picked]
+                     for v in rest}
+        found = None
+        for v in rest:
+            if len(to_picked[v]) == 2:
+                steps, sign = corner_face(g, conn, v, *to_picked[v])
+                face = [step[:3] for step in steps]
+                if (sign == 1 and len({u for u, _, _ in face}) == len(face)
+                        and {u for u, _, _ in face[1:]} <= picked):
+                    found = (v, 1, face)
+                    break
+        for k, degree in ((1, 2), (0, 3)):
+            if found is None:
+                found = next(((v, degree, to_picked[v][0] if k else None)
+                              for v in rest if len(to_picked[v]) == k), None)
+        if found is None:
+            if len(rest) > 1:
+                break
+            found = (rest[0], 0, None)
+        order.append(found)
+        picked.add(found[0])
+    return order
+
+
+def greedy_order(g):
+    """greedy_picks, or None where they stall."""
+    picks = greedy_picks(g)
+    return picks if len(picks) == len(g.vertices) else None

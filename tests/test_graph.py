@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkm3.cohomology import ht_basis_z
 from gkm3.connection import ConnectionInconsistency
 from gkm3.graph import (
     GraphSemanticError,
@@ -299,6 +300,19 @@ def test_per_graph_computes_each_result_once_per_graph_and_arguments():
                      (theta.name, (1,))]
     assert set(cube.memo) == {("probe",), ("probe", 1), ("probe", 2)}
     assert set(theta.memo) == {("probe", 1)}
+
+
+def test_per_graph_keys_an_argument_given_by_name_at_its_position():
+    g = corpus_graph("cube")
+    by_name = ht_basis_z(g, d=1)
+    assert ht_basis_z(g, 1) is by_name
+    assert [key for key in g.memo if key[0] == "z"] == [("z", 1)]
+    for bad in ({"e": 1}, {"d": 1, "e": 2}):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'e'"):
+            ht_basis_z(g, **bad)
+    with pytest.raises(TypeError, match="multiple values for argument 'd'"):
+        ht_basis_z(g, 1, d=1)
+    assert [key for key in g.memo if key[0] == "z"] == [("z", 1)]
 
 
 def test_per_graph_keeps_nothing_when_the_call_raises():

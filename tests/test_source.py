@@ -202,3 +202,14 @@ def test_edge_options_read_only_the_edges_at_each_edge():
     loops = [ast.unparse(node.iter) for node in ast.walk(fn)
              if isinstance(node, (ast.For, ast.comprehension))]
     assert loops and [it for it in loops if "edges" in it] == []
+
+
+def test_the_thom_peel_walks_each_face_whole():
+    # No generator pauses a face walk: thom.py yields nothing, and _walk
+    # walks a face whole without reading which vertices are picked.
+    tree = ast.parse((SRC / "thom.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Yield, ast.YieldFrom))] == []
+    walk = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and node.name == "_walk")
+    assert "picked" not in [arg.arg for arg in walk.args.args]

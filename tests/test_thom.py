@@ -1,6 +1,8 @@
 """The Thom-class route (gkm3.thom) against the closed-basis route, its
-faults, its coverage, the localization identity behind its pairing, and
-its pairing against the exact localized integral."""
+faults, its coverage, its face walk and greedy order against the oracles'
+(oracles.corner_face, oracles.greedy_order), the localization identity
+behind its pairing, and its pairing against the exact localized
+integral."""
 
 import json
 import math
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from gkm3 import cohomology as coh
 from gkm3 import connection, linalg, orientation, thom
 from gkm3.connection import ConnectionInconsistency
-from gkm3.graph import GraphSemanticError, parse_graph, serialize_graph
+from gkm3.graph import GraphSemanticError, parse_graph, serialize_graph, validate
 from gkm3.verdict import realizability_report
 
 import oracles
@@ -165,67 +167,170 @@ def test_a_verdict_enumerates_the_options_and_decides_orientability_once(monkeyp
     assert orientation.is_orientable(g) is orientation.is_orientable(g)
 
 
-def _rewritten(change):
-    """A _walk whose face (face, eps product) goes through change."""
-    real = thom._walk
+# A face that visits v2 and v5 at two corners each (the corners of v0's
+# edges 0 and 4, for one), and one with eps product -1 (the digon at v0's
+# edges 2 and 5), both found by Hypothesis among small_graph_docs.
+REVISITING = {"vertices": ["v0", "v1", "v2", "v3", "v4", "v5"], "edges": [
+    {"from": "v0", "to": "v4", "weight": [1, 0]}, {"from": "v1", "to": "v3", "weight": [1, 0]},
+    {"from": "v2", "to": "v5", "weight": [1, 0]}, {"from": "v0", "to": "v1", "weight": [2, -2]},
+    {"from": "v2", "to": "v0", "weight": [0, -1]}, {"from": "v3", "to": "v4", "weight": [2, -2]},
+    {"from": "v5", "to": "v4", "weight": [-2, 1]}, {"from": "v1", "to": "v2", "weight": [-2, 1]},
+    {"from": "v3", "to": "v5", "weight": [0, -1]}]}
+SIGN_MINUS_1 = {"vertices": ["v0", "v1", "v2", "v3"], "edges": [
+    {"from": "v0", "to": "v1", "weight": [-1, 1]}, {"from": "v2", "to": "v1", "weight": [2, 0]},
+    {"from": "v3", "to": "v0", "weight": [0, -1]}, {"from": "v2", "to": "v1", "weight": [0, -1]},
+    {"from": "v3", "to": "v2", "weight": [1, 1]}, {"from": "v0", "to": "v3", "weight": [2, 0]}]}
 
-    def walk(*args):
-        found = yield from real(*args)
-        return None if found is None else change(*found)
 
-    return walk
+def _peelable(g) -> bool:
+    """Whether thom._order can run on g: valid, 3-valent, no loop, and a
+    compatible map at every edge."""
+    return (validate(g).ok and all(len(ids) == 3 for ids in g.incident.values())
+            and not any(e.u == e.v for e in g.edges) and all(connection.edge_options(g)))
+
+
+def _corners(g):
+    """Every (vertex, e1, e2) with e1 != e2 at the vertex, with the whole
+    face of its corner under the oracle's connection (oracles.corner_face)."""
+    conn = oracles.least_k_connection(g)
+    for v in g.vertices:
+        for e1 in g.incident[v]:
+            for e2 in g.incident[v]:
+                if e1 != e2:
+                    yield v, e1, e2, oracles.corner_face(g, conn, v, e1, e2)
+
+
+def _walk(g, v, e1, e2, chosen=None):
+    return thom._walk(g, v, e1, e2, connection.edge_options(g),
+                      {} if chosen is None else chosen)
+
+
+def _far_end_of_third_edge(g, v, e1, e2) -> str:
+    e = g.edges[next(eid for eid in g.incident[v] if eid not in (e1, e2))]
+    return e.v if e.u == v else e.u
+
+
+def _normalized(order):
+    """An order with the data of its degree-0 and degree-3 entries dropped,
+    as oracles.greedy_order gives them."""
+    return order and [(v, d, data if d in (1, 2) else None) for v, d, data in order]
+
+
+def _assert_order_is_the_oracles(g):
+    if _peelable(g):
+        assert _normalized(thom._order(g, connection.edge_options(g))) == oracles.greedy_order(g)
 
 
 def test_a_flipped_sign_at_one_face_vertex_raises(monkeypatch):
-    def flip(face, sign):
-        v, normal, s = face[1]
-        return face[:1] + [(v, normal, -s)] + face[2:], sign
+    real = thom._walk
 
-    monkeypatch.setattr(thom, "_walk", _rewritten(flip))
+    def flipped(*args):
+        face = real(*args)
+        if face is None:
+            return None
+        v, normal, s = face[1]
+        return face[:1] + [(v, normal, -s)] + face[2:]
+
+    monkeypatch.setattr(thom, "_walk", flipped)
     with pytest.raises(RuntimeError, match="escaped the class lattice"):
         thom.free_basis(parse_graph(corpus_text("cube")))
 
 
 @pytest.mark.parametrize("fault", ["revisit", "sign"])
-def test_a_face_that_revisits_or_has_sign_minus_1_is_not_used(fault, monkeypatch):
-    change = ((lambda face, sign: (face + face[:1], sign)) if fault == "revisit"
-              else (lambda face, sign: (face, -sign)))
-    monkeypatch.setattr(thom, "_walk", _rewritten(change))
-    g = parse_graph(corpus_text("cube"))
-    assert thom.free_basis(g) is None  # cube's three degree-2 classes are faces
-    monkeypatch.undo()
-    fresh = parse_graph(corpus_text("cube"))
-    assert realizability_report(g) == realizability_report(fresh)
+def test_a_face_that_revisits_or_has_sign_minus_1_is_not_used(fault):
+    """_walk gives no face at a corner whose whole face (oracles.corner_face)
+    comes back to a vertex or has eps product -1, and the greedy order of
+    the graph is the oracle's."""
+    g = parse_graph(json.dumps(REVISITING if fault == "revisit" else SIGN_MINUS_1))
+    faulty = 0
+    for v, e1, e2, (steps, sign) in _corners(g):
+        revisits = len({u for u, _, _, _ in steps}) < len(steps)
+        if revisits if fault == "revisit" else sign == -1 and not revisits:
+            faulty += 1
+            assert _walk(g, v, e1, e2) is None, (v, e1, e2)
+    assert faulty and _peelable(g)
+    _assert_order_is_the_oracles(g)
+
+
+def test_a_usable_face_is_walked_whole():
+    """At every corner whose whole face visits each vertex once, has eps
+    product +1 and misses the far end of the corner's third edge, _walk
+    gives the oracle's face; at every other corner it gives None."""
+    for name in ("cube", "prism4", "hexprism12", "last5", "first5", "cycle5", "flag"):
+        g = parse_graph(TEXTS[name])
+        for v, e1, e2, (steps, sign) in _corners(g):
+            x = _far_end_of_third_edge(g, v, e1, e2)
+            vertices = [u for u, _, _, _ in steps]
+            usable = sign == 1 and len(set(vertices)) == len(vertices) and x not in vertices
+            assert _walk(g, v, e1, e2) == ([step[:3] for step in steps] if usable else None)
 
 
 def test_a_face_that_leaves_the_picked_set_is_not_used(monkeypatch):
-    """A walk that does not wait for the vertices not yet picked returns
-    faces that leave the picked set; those are not used, so every face
-    class of an order lies in the vertices picked before its own."""
-    real, left = thom._walk, []
-
-    def eager(g, start, e1, e2, options, chosen, picked):
-        walk = real(g, start, e1, e2, options, chosen, picked)
-        while True:
-            try:
-                next(walk)
-            except StopIteration as end:
-                found = end.value
-                break
-        if found is not None:
-            left.append(any(not picked[g.vertex_index[v]] for v, _, _ in found[0][1:]))
-        return found
-        yield
-
-    monkeypatch.setattr(thom, "_walk", eager)
+    """Every face class of an order lies in the vertices picked before its
+    own.  On the stalled peels of first5 and cycle5, some usable face still
+    has a vertex not yet picked when its vertex reaches k = 2 (the later
+    pick of the ends of its first and last edges, read from the oracle's
+    picks), and the peel stalls without it, as the oracle's does."""
+    real, walked, left = thom._walk, [], []
+    monkeypatch.setattr(thom, "_walk", lambda *args: walked.append(real(*args)) or walked[-1])
     for name in ("cube", "prism4", "hexprism12", "last5", "first5", "cycle5", "flag"):
         g = parse_graph(TEXTS[name])
+        walked.clear()
         order = thom._order(g, connection.edge_options(g))
+        picks = [v for v, _, _ in oracles.greedy_picks(g)]
+        at = {v: i for i, v in enumerate(picks)}
+        for face in filter(None, walked):
+            reached = max(at[face[1][0]], at[face[-1][0]])
+            left.append(any(at.get(u, len(picks)) > reached for u, _, _ in face[1:]))
         for i, (v, degree, data) in enumerate(order or ()):
             if degree == 1:
-                earlier = {u for u, _, _ in order[:i]}
-                assert {u for u, _, _ in data} - {v} <= earlier, name
+                assert all(at[u] < i for u, _, _ in data[1:]), name
+        assert (order is None) == (name in ("first5", "cycle5", "flag")), name
     assert any(left)
+
+
+def test_no_walk_on_flag_goes_past_the_far_end_of_its_third_edge():
+    """Flag's faces each pass through all six vertices, so every corner's
+    face meets x, the far end of the corner's third edge, and can never be
+    used; _walk stops there, having chosen the maps of the edges up to x
+    and no further."""
+    g = parse_graph(corpus_text("flag"))
+    corners = 0
+    for v, e1, e2, (steps, _) in _corners(g):
+        x = _far_end_of_third_edge(g, v, e1, e2)
+        vertices = [u for u, _, _, _ in steps]
+        assert x in vertices
+        chosen = {}
+        assert _walk(g, v, e1, e2, chosen) is None
+        assert set(chosen) <= {eid for _, _, _, eid in steps[:vertices.index(x)]}
+        corners += 1
+    assert corners == 6 * 6
+
+
+ORDER_TEXTS = {name: text for name, text in TEXTS.items()
+               if not name.startswith(("hexprism", "first", "last", "cycle"))}
+ORDER_TEXTS.update((f"hexprism{n}", json.dumps(scale_sweep.hexagon_prism(n)))
+                   for n in range(3, 37, 3))
+ORDER_TEXTS.update((f"{rule}{K}", json.dumps(gen_blowup.blowup_document(
+    K, rule, scale_sweep.BLOWUP_P))) for rule in gen_blowup.RULES for K in range(11))
+ORDER_TEXTS.update(revisiting=json.dumps(REVISITING), sign_minus_1=json.dumps(SIGN_MINUS_1))
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_TEXTS))
+def test_greedy_order_is_the_oracles(name):
+    _assert_order_is_the_oracles(parse_graph(ORDER_TEXTS[name]))
+
+
+@given(doc=small_graph_docs())
+@settings(max_examples=60, deadline=None, database=None)
+def test_greedy_order_is_the_oracles_on_random_graphs(doc):
+    _assert_order_is_the_oracles(parse_graph(json.dumps(doc)))
+
+
+@given(doc=coloured_graph_docs())
+@settings(max_examples=60, deadline=None, database=None)
+def test_greedy_order_is_the_oracles_on_coloured_graphs(doc):
+    _assert_order_is_the_oracles(parse_graph(json.dumps(doc)))
 
 
 def _localization_holds(text) -> bool:
