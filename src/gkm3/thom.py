@@ -32,9 +32,9 @@ vertex not yet picked:
   k = 3  the constant 1, as the last vertex only.
 The greedy order takes the first vertex, in vertex order, with a face class
 available, else the first with k = 1, else the first with k = 0.  With none
-the peel stalls and the route declines.  The whole order is decided before
-any class is built: a vertex walks its face once, whole, when it reaches
-k = 2, and an edge's map is chosen only when a walk crosses that edge.
+the peel stalls and the route declines.  The order is decided before any
+class is built: a vertex at k = 2 walks its face once, up to its first
+vertex not yet picked, and an edge's map is chosen only as a walk crosses it.
 
 The certificate.  The classes' values at (1, t) (cohomology._point), one
 row per class in pick order and one column per vertex, are triangular.  The
@@ -135,22 +135,21 @@ def _face_values(g: GkmGraph, face) -> dict:
 
 
 def _order(g: GkmGraph, options) -> Optional[List[Tuple[str, int, object]]]:
-    """The greedy peel as (vertex, degree of its class, the edge id of an
-    edge class or the face of a face class), or None at a stall.  Three
-    sets of vertex indices hold the vertices not yet picked with a face
-    class available, with k = 1 and with k = 0.  A vertex w walks its face
-    (_walk) once, when it reaches k = 2, and its class is available only if
-    the face's other vertices are all picked by then.  It cannot become
-    available later: were some still unpicked, the last of them to be
-    picked, z, would find both its face neighbours picked before it, so it
-    would stand at k = 3, or at k = 2 with this very face, which holds w,
-    at its corner, and could not be picked before w."""
+    """The greedy peel as (vertex, degree of its class, the face of a face
+    class, the edge id of an edge class or None), or None at a stall.
+    Three dicts map the vertex indices not yet picked with a face class
+    available, with k = 1 and with k = 0 to their classes' data.  A vertex
+    w walks its face (_walk) once, when it reaches k = 2, and the walk gives
+    no face at a vertex not yet picked.  Such a face cannot become available
+    later: the last of its other vertices to be picked, z, would find both
+    its face neighbours picked before it, so it would stand at k = 3, or at
+    k = 2 with this very face, which holds w, at its corner, and could not
+    be picked before w."""
     verts, index, incident = g.vertices, g.vertex_index, g.incident
     n = len(verts)
     ends = [index[e.u] + index[e.v] for e in g.edges]  # less one end, the other
     k, picked = [0] * n, [False] * n
-    faces: list = [None] * n  # per k = 2 vertex, its face or None
-    ready, single, alone = set(), set(), set(range(n))
+    ready, single, alone = {}, {}, dict.fromkeys(range(n))
     buckets = ((1, ready), (2, single), (3, alone))  # by the degree they give
     chosen: dict = {}  # edge id -> _choose's forward map
     order = []
@@ -158,63 +157,55 @@ def _order(g: GkmGraph, options) -> Optional[List[Tuple[str, int, object]]]:
         for degree, bucket in buckets:
             if bucket:
                 p = min(bucket)
-                bucket.remove(p)
+                data = bucket.pop(p)
                 break
         else:
             if step < n - 1:
                 return None
-            p, degree = picked.index(False), 0
+            p, degree, data = picked.index(False), 0, None
         picked[p] = True
-        v = verts[p]
-        data = faces[p]
-        if degree == 2:
-            for data in incident[v]:
-                if picked[ends[data] - p]:
-                    break
-        order.append((v, degree, data))
-        touched = set()
-        for eid in incident[v]:
+        order.append((verts[p], degree, data))
+        touched = {}
+        for eid in incident[verts[p]]:
             w = ends[eid] - p
             if not picked[w]:
                 k[w] += 1
-                touched.add(w)  # once, though parallel edges reach it twice
-        for w in touched:
-            alone.discard(w)
+                touched[w] = eid  # once, though parallel edges reach it twice
+        for w, eid in touched.items():
+            alone.pop(w, None)
             if k[w] == 1:
-                single.add(w)
+                single[w] = eid
                 continue
-            single.discard(w)
+            single.pop(w, None)
             if k[w] > 2:
-                ready.discard(w)
+                ready.pop(w, None)
                 continue
             e1, e2 = [eid for eid in incident[verts[w]] if picked[ends[eid] - w]]
-            faces[w] = face = _walk(g, verts[w], e1, e2, options, chosen)
-            if face and all(picked[index[u]] for u, _, _ in face[1:]):
-                ready.add(w)
+            face = _walk(g, verts[w], e1, e2, options, chosen, picked)
+            if face:
+                ready[w] = face
     return order
 
 
-def _walk(g: GkmGraph, start: str, e1: int, e2: int, options, chosen: dict):
+def _walk(g: GkmGraph, start: str, e1: int, e2: int, options, chosen: dict, picked):
     """The face through the edges e1, e2 at start, as (v, normal edge at v,
-    s_v) from start with s_start = 1; or None once it comes back to a
-    vertex, when its eps product is -1, or once it reaches the far end of
-    start's third edge, whose pick puts start at k = 3.  It steps as
-    connection.connection_paths does: the next edge is the transport of the
-    one it came by.  An edge's map is chosen on first crossing (_choose)."""
-    edges, incident = g.edges, g.incident
+    s_v) from start with s_start = 1; or None once it reaches a vertex that
+    is neither start nor picked (by vertex index), before choosing the map
+    of the edge into it, once it comes back to a vertex, or when its eps
+    product is -1.  It steps as connection.connection_paths does: the next
+    edge is the transport of the one it came by.  An edge's map is chosen
+    on first crossing (_choose)."""
+    edges, incident, index = g.edges, g.incident, g.vertex_index
     face, seen = [], set()
     prev, cur, v, s = e1, e2, start, 1
     while True:
         a, b, normal = incident[v]
         if normal == prev or normal == cur:
             normal = a if a != prev and a != cur else b
-        if not face:  # the far end of start's third edge
-            e = edges[normal]
-            seen.add(e.v if v == e.u else e.u)
         face.append((v, normal, s))
         e = edges[cur]
         w = e.v if v == e.u else e.u
-        if w in seen:
+        if w in seen or w != start and not picked[index[w]]:
             return None
         seen.add(w)
         to = chosen.get(cur)

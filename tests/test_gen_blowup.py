@@ -59,12 +59,23 @@ def test_last10_file_is_the_generator_output(capsys):
     assert capsys.readouterr().out == expected
 
 
-def test_last10_verdict_is_quick():
-    # The class lattices of last10 take the fallback at degrees 1 to 3;
-    # an elimination over all unknowns took minutes there.
+def _assert_last10_verdict_is_quick():
     g = parse_graph((ROOT / "tests" / "blowup_last10.json").read_text())
     t0 = time.monotonic()
     report = realizability_report(g)
     assert time.monotonic() - t0 < 20
     assert report["betti"][:4] == [1, 11, 11, 1]
     assert report["tier"] == "integer-gkm-realizable"
+
+
+def test_last10_verdict_is_quick():
+    # The Thom-class route certifies last10 and forms no class lattice.
+    _assert_last10_verdict_is_quick()
+
+
+@pytest.mark.usefixtures("closed_basis_route")
+def test_last10_verdict_is_quick_on_the_closed_basis_route():
+    # Off the Thom-class route, last10's class lattices at degrees 1 and 2
+    # take the fallback pass (cohomology._lattice_rows); an elimination over
+    # all unknowns took minutes there.
+    _assert_last10_verdict_is_quick()

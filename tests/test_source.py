@@ -205,11 +205,8 @@ def test_edge_options_read_only_the_edges_at_each_edge():
 
 
 def test_the_thom_peel_walks_each_face_whole():
-    # No generator pauses a face walk: thom.py yields nothing, and _walk
-    # walks a face whole without reading which vertices are picked.
+    # No generator pauses a face walk: thom.py yields nothing, so a walk
+    # runs in one call, to its end or to its first vertex not yet picked.
     tree = ast.parse((SRC / "thom.py").read_text())
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, (ast.Yield, ast.YieldFrom))] == []
-    walk = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                and node.name == "_walk")
-    assert "picked" not in [arg.arg for arg in walk.args.args]

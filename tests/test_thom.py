@@ -200,25 +200,25 @@ def _corners(g):
                     yield v, e1, e2, oracles.corner_face(g, conn, v, e1, e2)
 
 
-def _walk(g, v, e1, e2, chosen=None):
-    return thom._walk(g, v, e1, e2, connection.edge_options(g),
-                      {} if chosen is None else chosen)
+def _walk(g, v, e1, e2):
+    """thom._walk with every vertex but v picked, so that only a revisit or
+    an eps product of -1 stops it."""
+    return thom._walk(g, v, e1, e2, connection.edge_options(g), {},
+                      [u != v for u in g.vertices])
 
 
-def _far_end_of_third_edge(g, v, e1, e2) -> str:
-    e = g.edges[next(eid for eid in g.incident[v] if eid not in (e1, e2))]
+def _far(g, eid, v) -> str:
+    e = g.edges[eid]
     return e.v if e.u == v else e.u
 
 
-def _normalized(order):
-    """An order with the data of its degree-0 and degree-3 entries dropped,
-    as oracles.greedy_order gives them."""
-    return order and [(v, d, data if d in (1, 2) else None) for v, d, data in order]
+def _far_end_of_third_edge(g, v, e1, e2) -> str:
+    return _far(g, next(eid for eid in g.incident[v] if eid not in (e1, e2)), v)
 
 
 def _assert_order_is_the_oracles(g):
     if _peelable(g):
-        assert _normalized(thom._order(g, connection.edge_options(g))) == oracles.greedy_order(g)
+        assert thom._order(g, connection.edge_options(g)) == oracles.greedy_order(g)
 
 
 def test_a_flipped_sign_at_one_face_vertex_raises(monkeypatch):
@@ -238,9 +238,9 @@ def test_a_flipped_sign_at_one_face_vertex_raises(monkeypatch):
 
 @pytest.mark.parametrize("fault", ["revisit", "sign"])
 def test_a_face_that_revisits_or_has_sign_minus_1_is_not_used(fault):
-    """_walk gives no face at a corner whose whole face (oracles.corner_face)
-    comes back to a vertex or has eps product -1, and the greedy order of
-    the graph is the oracle's."""
+    """With every vertex but the start picked, _walk gives no face at a
+    corner whose whole face (oracles.corner_face) comes back to a vertex or
+    has eps product -1, and the greedy order of the graph is the oracle's."""
     g = parse_graph(json.dumps(REVISITING if fault == "revisit" else SIGN_MINUS_1))
     faulty = 0
     for v, e1, e2, (steps, sign) in _corners(g):
@@ -253,58 +253,86 @@ def test_a_face_that_revisits_or_has_sign_minus_1_is_not_used(fault):
 
 
 def test_a_usable_face_is_walked_whole():
-    """At every corner whose whole face visits each vertex once, has eps
-    product +1 and misses the far end of the corner's third edge, _walk
-    gives the oracle's face; at every other corner it gives None."""
+    """With every vertex but the start picked, _walk gives the oracle's face
+    at every corner whose whole face visits each vertex once and has eps
+    product +1, and None at every other corner."""
     for name in ("cube", "prism4", "hexprism12", "last5", "first5", "cycle5", "flag"):
         g = parse_graph(TEXTS[name])
         for v, e1, e2, (steps, sign) in _corners(g):
-            x = _far_end_of_third_edge(g, v, e1, e2)
             vertices = [u for u, _, _, _ in steps]
-            usable = sign == 1 and len(set(vertices)) == len(vertices) and x not in vertices
+            usable = sign == 1 and len(set(vertices)) == len(vertices)
             assert _walk(g, v, e1, e2) == ([step[:3] for step in steps] if usable else None)
 
 
-def test_a_face_that_leaves_the_picked_set_is_not_used(monkeypatch):
+def test_a_face_that_leaves_the_picked_set_is_not_used():
     """Every face class of an order lies in the vertices picked before its
-    own.  On the stalled peels of first5 and cycle5, some usable face still
-    has a vertex not yet picked when its vertex reaches k = 2 (the later
-    pick of the ends of its first and last edges, read from the oracle's
-    picks), and the peel stalls without it, as the oracle's does."""
-    real, walked, left = thom._walk, [], []
-    monkeypatch.setattr(thom, "_walk", lambda *args: walked.append(real(*args)) or walked[-1])
+    own.  On the stalled peels of first5 and cycle5, some face that visits
+    each vertex once, has eps product +1 and misses the far end of its
+    vertex's third edge still has a vertex not yet picked when its vertex
+    reaches k = 2 (oracles.corner_face, at the oracle's picks), and the
+    peel stalls without it, as the oracle's does."""
+    left = set()
     for name in ("cube", "prism4", "hexprism12", "last5", "first5", "cycle5", "flag"):
         g = parse_graph(TEXTS[name])
-        walked.clear()
         order = thom._order(g, connection.edge_options(g))
         picks = [v for v, _, _ in oracles.greedy_picks(g)]
-        at = {v: i for i, v in enumerate(picks)}
-        for face in filter(None, walked):
-            reached = max(at[face[1][0]], at[face[-1][0]])
-            left.append(any(at.get(u, len(picks)) > reached for u, _, _ in face[1:]))
         for i, (v, degree, data) in enumerate(order or ()):
             if degree == 1:
-                assert all(at[u] < i for u, _, _ in data[1:]), name
+                assert all(picks.index(u) < i for u, _, _ in data[1:]), name
         assert (order is None) == (name in ("first5", "cycle5", "flag")), name
-    assert any(left)
+        conn, reached = oracles.least_k_connection(g), set()
+        for i in range(len(picks)):
+            picked = set(picks[:i + 1])
+            for w in set(g.vertices) - picked - reached:
+                ids = [eid for eid in g.incident[w] if _far(g, eid, w) in picked]
+                if len(ids) < 2:
+                    continue
+                reached.add(w)
+                if len(ids) == 2:
+                    steps, sign = oracles.corner_face(g, conn, w, *ids)
+                    vertices = [u for u, _, _, _ in steps]
+                    if (sign == 1 and len(set(vertices)) == len(vertices)
+                            and _far_end_of_third_edge(g, w, *ids) not in vertices
+                            and not set(vertices[1:]) <= picked):
+                        left.add(name)
+    assert {"first5", "cycle5"} <= left
 
 
-def test_no_walk_on_flag_goes_past_the_far_end_of_its_third_edge():
-    """Flag's faces each pass through all six vertices, so every corner's
-    face meets x, the far end of the corner's third edge, and can never be
-    used; _walk stops there, having chosen the maps of the edges up to x
-    and no further."""
-    g = parse_graph(corpus_text("flag"))
-    corners = 0
-    for v, e1, e2, (steps, _) in _corners(g):
-        x = _far_end_of_third_edge(g, v, e1, e2)
+def test_no_walk_on_flag_goes_past_the_far_end_of_its_third_edge(monkeypatch):
+    """During _order on flag, first5, cycle5, cube and prism4, a walk whose
+    face (oracles.corner_face) comes to a vertex neither its start nor
+    picked gives no face, having chosen the maps of the edges before the
+    one into that vertex and no others.  Flag's faces each pass through all
+    six vertices, so every walk there meets x, the far end of its start's
+    third edge, which is not picked, and stops there or before."""
+    real, meets_x, stops = thom._walk, [], []
+
+    def spy(g, start, e1, e2, options, chosen, picked):
+        before = set(chosen)
+        face = real(g, start, e1, e2, options, chosen, picked)
+        steps, _ = oracles.corner_face(g, conn, start, e1, e2)
         vertices = [u for u, _, _, _ in steps]
-        assert x in vertices
-        chosen = {}
-        assert _walk(g, v, e1, e2, chosen) is None
-        assert set(chosen) <= {eid for _, _, _, eid in steps[:vertices.index(x)]}
-        corners += 1
-    assert corners == 6 * 6
+        meets_x.append(_far_end_of_third_edge(g, start, e1, e2) in vertices)
+        j = next((j for j, u in enumerate(vertices)
+                  if u != start and not picked[g.vertex_index[u]]), None)
+        if j is not None:
+            assert face is None
+            assert set(chosen) - before <= {eid for _, _, _, eid in steps[:j - 1]}
+            stops.append(start)
+        return face
+
+    monkeypatch.setattr(thom, "_walk", spy)
+    for name in ("flag", "first5", "cycle5", "cube", "prism4"):
+        g = parse_graph(TEXTS[name])
+        conn = oracles.least_k_connection(g)
+        meets_x.clear()
+        stops.clear()
+        thom._order(g, connection.edge_options(g))
+        assert meets_x, name
+        if name == "flag":
+            assert all(meets_x) and len(stops) == len(meets_x)
+        elif name in ("first5", "cycle5"):
+            assert stops, name
 
 
 ORDER_TEXTS = {name: text for name, text in TEXTS.items()
@@ -319,6 +347,26 @@ ORDER_TEXTS.update(revisiting=json.dumps(REVISITING), sign_minus_1=json.dumps(SI
 @pytest.mark.parametrize("name", sorted(ORDER_TEXTS))
 def test_greedy_order_is_the_oracles(name):
     _assert_order_is_the_oracles(parse_graph(ORDER_TEXTS[name]))
+
+
+def test_each_order_entry_carries_the_data_of_its_class():
+    """On the oracle's graphs, a degree-0 or degree-3 entry of an order
+    carries None, and a degree-2 entry the edge to its one neighbour picked
+    before it."""
+    seen = set()
+    for name, text in sorted(ORDER_TEXTS.items()):
+        g = parse_graph(text)
+        if not _peelable(g):
+            continue
+        picked = set()
+        for v, degree, data in thom._order(g, connection.edge_options(g)) or ():
+            if degree != 1:
+                to_picked = [eid for eid in g.incident[v] if _far(g, eid, v) in picked]
+                assert data == (to_picked[0] if degree == 2 else None), (name, v)
+                assert len(to_picked) == {0: 3, 2: 1, 3: 0}[degree], (name, v)
+            seen.add(degree)
+            picked.add(v)
+    assert seen == {0, 1, 2, 3}
 
 
 @given(doc=small_graph_docs())

@@ -21,8 +21,8 @@ cohomology, freeness, orientability, surface and verdict in json, and
 orientability and verdict at --connection 2^66 - 1 (the last connection)
 and 2^66 (out of range); then the verdict of tests/hexprism24.json, the
 48-vertex hexagon-labelled prism, and the seven subcommands in json on
-tests/blowup_last10.json, a 24-vertex blow-up with one connection whose
-labels take the class-lattice fallback.  The next two calls are refused
+tests/blowup_last10.json, a 24-vertex blow-up with one connection that
+the Thom-class route certifies.  The next two calls are refused
 (exit 2): the 2^40 connections of tests/hexprism24.json, and freeness on
 theta at --degree-cap 200000000, whose 10^8 + 1 checked degrees are too
 many to list.  After them come verdicts in json at every --connection
