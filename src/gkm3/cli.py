@@ -182,7 +182,7 @@ def _cmd_connections(a: Analysis, args) -> Tuple[dict, bool]:
         "count": conns.count,
         "explicit": explicit,
         "connections": [
-            {str(eid): {"forward": {str(x): y for x, y in c.maps[(eid, True)]}}
+            {str(eid): {"forward": {str(x): y for x, y in c.maps[(eid, True)].items()}}
              for eid in range(len(a.graph.edges))}
             for c in conns
         ],

@@ -349,7 +349,7 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
     E = linalg.unit_reduce(coords)
     if E is not None:
         return _Quotient(L, (1,) * len(E), [L[j] for j in range(len(L)) if j not in E])
-    D, Tinv = linalg.snf_transform(coords, len(L))
+    D, Tinv = linalg.snf_transform(coords)
     divisors = tuple(row[i] for i, row in enumerate(D[: len(L)]) if row[i] != 0)
     return _Quotient(L, divisors, [_combination(L, c) for c in Tinv[len(divisors):]],
                      Tinv)

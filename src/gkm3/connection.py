@@ -60,25 +60,24 @@ def transport_coefficients(
 class Connection(NamedTuple):
     """For each directed edge, the incident-edge bijection, by stable ids.
 
-    maps[(edge_id, forward)] is a tuple of pairs (source incident edge id,
-    target incident edge id); the two directions are mutually inverse.
+    maps[(edge_id, forward)] is a dict from source incident edge id to
+    target incident edge id; the two directions are mutually inverse.
     """
 
-    maps: Mapping[Tuple[int, bool], Tuple[Tuple[int, int], ...]]
+    maps: Mapping[Tuple[int, bool], Dict[int, int]]
 
     def apply(self, e: DirectedEdge, f: int) -> int:
-        for a, b in self.maps[(e.edge_id, e.forward)]:
-            if a == f:
-                return b
-        raise KeyError(f"edge {f} is not incident to the source of {e}")
+        b = self.maps[(e.edge_id, e.forward)].get(f)
+        if b is None:
+            raise KeyError(f"edge {f} is not incident to the source of {e}")
+        return b
 
     @staticmethod
     def from_forward_maps(forward: Mapping[int, Mapping[int, int]]) -> "Connection":
         maps = {}
         for eid, fmap in forward.items():
-            items = tuple(sorted(fmap.items()))
-            maps[(eid, True)] = items
-            maps[(eid, False)] = tuple(sorted((b, a) for a, b in items))
+            maps[(eid, True)] = dict(fmap)  # a copy: fmap may be an edge_options entry
+            maps[(eid, False)] = {b: a for a, b in fmap.items()}
         return Connection(maps)
 
 
@@ -122,7 +121,7 @@ class ConnectionSpace(Sequence[Connection]):
     def _position(self, conn: Connection) -> int:
         j = 0
         for eid, opts in enumerate(self.options):
-            j = j * len(opts) + opts.index(dict(conn.maps[(eid, True)]))
+            j = j * len(opts) + opts.index(conn.maps[(eid, True)])
         return j
 
     def __len__(self) -> int:
@@ -281,22 +280,21 @@ class ConnectionInconsistency(RuntimeError):
     """A validated connection produced inconsistent transition data."""
 
 
-def _phi(g: GkmGraph, pairs, eid: int, forward: bool) -> List[int]:
+def _phi(g: GkmGraph, to, eid: int, forward: bool) -> List[int]:
     """phi's nine entries, row by row, for the step (eid, forward) with map
-    pairs: column j /= m holds eps_j in row sigma(j), column m (the edge's)
-    1 in row sigma(m) and the k in the others.  Valence /= 3 is a ValueError;
-    an incompatible transport, a failing weight-transport identity and
-    det phi /= ±1 raise ConnectionInconsistency."""
+    to: column j /= m holds eps_j in row sigma(j), column m (the edge's)
+    1 in row sigma(m) and the k in the others.  A source missing from to is
+    a KeyError, other keys are ignored; valence /= 3 is a ValueError; an
+    incompatible transport, a failing weight-transport identity and det phi
+    /= ±1 raise ConnectionInconsistency."""
     edges, edge = g.edges, g.edges[eid]
     src, tgt = (edge.u, edge.v) if forward else (edge.v, edge.u)
     src_ids, tgt_ids = g.incident[src], g.incident[tgt]
     if len(src_ids) != 3:
         raise ValueError("transition data are defined for 3-valent graphs")
-    if len(pairs) != 3:  # a missing source is a KeyError, others are ignored
-        pairs = [(f, dict(pairs)[f]) for f in src_ids]
     we, phi, m = edge.weight, [0] * 9, src_ids.index(eid)
-    for f, fp in pairs:
-        j, s = src_ids.index(f), 3 * tgt_ids.index(fp)
+    for j, f in enumerate(src_ids):
+        s = 3 * tgt_ids.index(fp := to[f])
         if j == m:
             phi[s + j] = 1
             continue
@@ -322,9 +320,9 @@ def _phi(g: GkmGraph, pairs, eid: int, forward: bool) -> List[int]:
 
 def transition(g: GkmGraph, conn: Connection, e: DirectedEdge) -> TransitionData:
     """Transition data of a directed edge under a compatible connection: the
-    record of _phi's matrix, with its checks and errors, nothing memoized."""
-    phi = _phi(g, conn.maps[e], *e)
-    to, src_ids = dict(conn.maps[e]), g.incident[g.source(e)]
+    record of _phi's matrix and errors for the dict conn.maps[e], unmemoized."""
+    to, src_ids = conn.maps[e], g.incident[g.source(e)]
+    phi = _phi(g, to, *e)
     sigma = tuple([g.incident[g.target(e)].index(to[f]) for f in src_ids])
     m = src_ids.index(e.edge_id)
     eps = tuple([phi[3 * s + j] for j, s in enumerate(sigma)])
@@ -385,10 +383,8 @@ def connection_paths(g: GkmGraph, conn: Connection) -> List[ConnectionPath]:
                 seen.add(state)
                 p, eid, forward = state
                 steps.append((eid, forward))
-                for a, nxt in maps[(eid, forward)]:
-                    if a == p:
-                        break
-                else:
+                nxt = maps[(eid, forward)].get(p)
+                if nxt is None:
                     raise KeyError(f"edge {p} is not incident to the source of "
                                    f"{DirectedEdge(eid, forward)}")
                 edge, out = edges[eid], edges[nxt]

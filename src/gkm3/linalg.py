@@ -3,8 +3,8 @@
 A matrix is a list of rows, each a list of Python ints, so every
 computation here is exact.  Vectors are rows; a "basis matrix" has one basis
 vector per row.  A matrix with no rows has no column count of its own, so
-snf_transform, which meets one in the degree-0 quotient, takes it
-explicitly.
+snf_transform takes it as ncols from callers that may pass no rows, such
+as the quotient oracle of tests/oracles.py; cohomology never does.
 
 The integer routines (HNF, rank, Smith form, HNF back-substitution) carry
 the package.  echelon is the lattices' one elimination and leaves the

@@ -220,7 +220,7 @@ def test_criterion_6_invariance(capsys):
         conn = available_connections(g)[0][0]
         doc["connection"] = {
             str(eid): {
-                "forward": {str(a): b for a, b in sorted(conn.maps[(eid, True)])}
+                "forward": {str(a): b for a, b in sorted(conn.maps[(eid, True)].items())}
             }
             for eid in range(len(g.edges))
         }

@@ -269,7 +269,7 @@ def test_theta_face_lengths_follow_the_swaps(theta):
     seen = set()
     for conn in enumerate_connections(theta):
         swaps = sum(
-            any(a != b for a, b in conn.maps[(eid, True)]) for eid in range(3)
+            any(a != b for a, b in conn.maps[(eid, True)].items()) for eid in range(3)
         )
         seen.add(swaps)
         lengths = sorted(len(p) for p in connection_paths(theta, conn))
@@ -361,7 +361,7 @@ def test_paths_raise_what_apply_and_directed_raise(theta, cube):
     d = cube.directed(cur, cube.vertices[0])
     w = cube.target(d)
     away = next(x for x in range(len(cube.edges)) if x not in cube.incident[w])
-    maps[d] = tuple((a, away if a == prev else b) for a, b in maps[d])
+    maps[d] = {**maps[d], prev: away}
     walk, oracle = _walk_errors(cube, Connection(maps))
     assert walk == oracle == (
         ValueError, f"vertex {w!r} is not an endpoint of edge {away}")
@@ -542,19 +542,43 @@ def test_transition_keeps_its_checks(monkeypatch):
 
 def test_transition_reads_a_partial_map_as_before(theta):
     """A map that lacks a source edge is a KeyError of transition and of
-    loop_holonomy, and an extra source that is not incident is ignored, as
-    when the transition data read the map as a dict."""
+    loop_holonomy, whatever its size, and an extra source that is not
+    incident is ignored, as when the transition data read the map as a
+    dict."""
     conn = enumerate_connections(theta)[0]
     e = DirectedEdge(0, True)
     face = ConnectionPath((e,))
-    lacking = Connection({**conn.maps, e: conn.maps[e][:1] + conn.maps[e][2:]})
+    lacking = Connection(
+        {**conn.maps, e: {a: b for a, b in conn.maps[e].items() if a != 1}})
     with pytest.raises(KeyError):
         transition(theta, lacking, e)
     with pytest.raises(KeyError):
         loop_holonomy(theta, lacking, face)
-    extra = Connection({**conn.maps, e: conn.maps[e] + ((99, 99),)})
+    extra = Connection({**conn.maps, e: {**conn.maps[e], 99: 99}})
     assert transition(theta, extra, e) == transition(theta, conn, e)
     assert loop_holonomy(theta, extra, face) == loop_holonomy(theta, conn, face)
+    # Source 1 traded for 99: still three entries, and source 1 is missing.
+    traded = Connection({**conn.maps, e: {**lacking.maps[e], 99: 99}})
+    assert len(traded.maps[e]) == 3
+    with pytest.raises(KeyError):
+        transition(theta, traded, e)
+    with pytest.raises(KeyError):
+        loop_holonomy(theta, traded, face)
+
+
+@pytest.mark.parametrize("name", ["flag", "cube"])
+def test_editing_a_connection_map_leaves_the_options(name):
+    """A connection copies its forward maps, so editing one, whether the
+    connection came from the file's block (flag) or from the product of
+    options (cube), changes neither edge_options nor a fresh connection."""
+    g = corpus_graph(name)
+    assert (g.connection_block is not None) == (name == "flag")
+    options = connection.edge_options(g)
+    before = [[dict(m) for m in opts] for opts in options]
+    fresh = [dict(m) for m in available_connections(g)[0][0].maps.values()]
+    available_connections(g)[0][0].maps[(0, True)][0] = 99
+    assert options == before and connection.edge_options(g) == before
+    assert [dict(m) for m in available_connections(g)[0][0].maps.values()] == fresh
 
 
 def test_paths_require_trivalent(theta):
@@ -601,7 +625,7 @@ def test_lazy_connections_match_brute_force(name):
 
 def _block(g, conn):
     return {
-        str(eid): {"forward": {str(a): b for a, b in conn.maps[(eid, True)]}}
+        str(eid): {"forward": {str(a): b for a, b in conn.maps[(eid, True)].items()}}
         for eid in range(len(g.edges))
     }
 

@@ -152,7 +152,7 @@ def _with_primary_block(doc, g):
     doc["connection"] = {
         str(eid): {
             "forward": {
-                str(a): b for a, b in sorted(conn.maps[(eid, True)])
+                str(a): b for a, b in sorted(conn.maps[(eid, True)].items())
             }
         }
         for eid in range(len(g.edges))

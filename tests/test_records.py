@@ -89,8 +89,9 @@ def test_equal_fields_give_equal_records_and_hashes(name):
 
 
 def test_directed_edge_hashes_as_its_pair():
-    # transition and loop_holonomy look up Connection.maps, keyed by
-    # (edge id, forward) pairs, with DirectedEdges: they hash as their pair.
+    # transition and loop_holonomy look up a step's dict in Connection.maps,
+    # keyed by (edge id, forward) pairs, with DirectedEdges: they hash as
+    # their pair.
     assert hash(DirectedEdge(3, False)) == hash((3, False))
     assert hash(Weight(1, -2)) == hash((1, -2))
 
