@@ -2,9 +2,7 @@
 
 A matrix is a list of rows, each a list of Python ints, so every
 computation here is exact.  Vectors are rows; a "basis matrix" has one basis
-vector per row.  A matrix with no rows has no column count of its own, so
-snf_transform takes it as ncols from callers that may pass no rows, such
-as the quotient oracle of tests/oracles.py; cohomology never does.
+vector per row.
 
 The integer routines (HNF, rank, Smith form, HNF back-substitution) carry
 the package.  echelon is the lattices' one elimination and leaves the
@@ -220,19 +218,17 @@ def z_kernel(A: Sequence[Sequence[int]]) -> Matrix:
 nullspace = z_kernel
 
 
-def snf_transform(
-    A: Sequence[Sequence[int]], ncols: int = 0
-) -> Tuple[Matrix, Matrix]:
+def snf_transform(A: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
     """Smith normal form with the inverse of its column transform: returns
     (D, T^-1).
 
     S @ A @ T == D for unimodular S and T that no caller reads, so neither
     is kept; each column operation on D is mirrored by its inverse row
     operation on T^-1.  D is diagonal with nonnegative entries satisfying
-    d_1 | d_2 | ... .  ncols is the column count when A has no rows.
+    d_1 | d_2 | ... .
     """
     D = [list(row) for row in A]
-    m, n = len(D), len(D[0]) if D else ncols
+    m, n = len(D), len(D[0]) if D else 0
     Tinv = eye(n)
     for k in range(min(m, n)):
         while True:

@@ -870,7 +870,7 @@ def quotient_betti(g, d: int, bases: dict) -> int:
             if c is None:
                 raise RuntimeError("product class escaped the class lattice")
             coords.append(c)
-    D = linalg.snf_transform(coords, len(L))[0]
+    D = linalg.snf_transform(coords)[0]
     return len(L) - sum(1 for i, row in enumerate(D[: len(L)]) if row[i])
 
 

@@ -744,7 +744,7 @@ def test_unit_pivot_quotients_take_no_smith_form(text, request, monkeypatch):
     calls = []
     snf = linalg.snf_transform
     monkeypatch.setattr(linalg, "snf_transform",
-                        lambda A, ncols=0: calls.append(len(A)) or snf(A, ncols))
+                        lambda A: calls.append(len(A)) or snf(A))
     g = parse_graph(text)
     coh._free_betti(g)
     coh.poincare_duality(g)

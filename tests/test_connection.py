@@ -198,7 +198,7 @@ def test_connection_block_incompatible_transport(cube):
     conn = enumerate_connections(cube)[0]
     block = {}
     for eid in range(len(cube.edges)):
-        fwd = dict(conn.maps[(eid, True)])
+        fwd = conn.maps[(eid, True)]
         block[str(eid)] = {"forward": {str(a): b for a, b in fwd.items()}}
     fwd0 = block["0"]["forward"]
     others = [k for k in fwd0 if k != "0"]
@@ -654,7 +654,7 @@ def test_block_acceptance_matches_pairwise_oracle(name, data):
     block[str(eid)] = {"forward": {str(a): b for a, b in fmap.items()}}
     if oracles.block_map_compatible(g, eid, fmap):
         conn = connection_from_block(g, block, space.options)
-        assert dict(conn.maps[(eid, True)]) == fmap
+        assert conn.maps[(eid, True)] == fmap
     else:
         with pytest.raises(GraphSemanticError, match=f"edge {eid} map is not"):
             connection_from_block(g, block, space.options)

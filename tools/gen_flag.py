@@ -61,7 +61,7 @@ def flag_document() -> str:
 
     block = {}
     for eid in range(len(edges)):
-        fwd = dict(found.maps[(eid, True)])
+        fwd = found.maps[(eid, True)]
         block[str(eid)] = {"forward": {str(a): b for a, b in sorted(fwd.items())}}
     doc["connection"] = block
     return json.dumps(doc, indent=2) + "\n"
