@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -468,6 +469,48 @@ def test_closed_stdout_exits_without_a_traceback(argv):
     assert "Traceback" not in err and err == ""
 
 
+def _cli_process(*argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+def test_main_freezes_the_import_graph_and_run_does_not(capsys):
+    proc = _cli_process("-c", (
+        "import gc, sys\nfrom gkm3.cli import main\n"
+        "try:\n    main()\nexcept SystemExit as exc:\n"
+        "    print(gc.get_freeze_count() > 0, exc.code, file=sys.stderr)\n"),
+        "validate", cpath("theta"))
+    assert proc.stderr.decode() == "True 0\n"
+    before = gc.get_freeze_count()
+    assert cli.run(["validate", cpath("theta")]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    *(([cmd, cpath("flag")], 0) for cmd in (
+        "validate", "connections", "orientability", "cohomology", "freeness",
+        "surface", "verdict")),
+    (["orientability", cpath("nonorientable"), "--strict"], 1),
+    (["validate", None], 2),  # None: a file that is not JSON
+])
+def test_the_module_entry_point_prints_what_run_prints(
+        capsysbinary, tmp_path, argv, expected):
+    # `python -m gkm3.cli` goes through main(); the digest drives run().
+    if argv[-1] is None:
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{not json")
+        argv = [argv[0], str(malformed)]
+    proc = _cli_process("-m", "gkm3.cli", *argv)
+    code = cli.run(argv)
+    out, err = capsysbinary.readouterr()
+    assert code == expected
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_verdict_on_the_k40_last_blowup_finishes(tmp_path):
     # The duality pairing of this 84-vertex blow-up is 41 x 41, its entries
     # share a factor of about 2000 bits, and an elimination that multiplies
@@ -475,12 +518,7 @@ def test_verdict_on_the_k40_last_blowup_finishes(tmp_path):
     path = tmp_path / "last40.json"
     path.write_text(json.dumps(
         gen_blowup.blowup_document(40, "last", scale_sweep.BLOWUP_P)))
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", "from gkm3.cli import main; main()", "verdict", str(path)],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = _cli_process("-m", "gkm3.cli", "verdict", str(path))
     report = json.loads(proc.stdout)
     assert report["betti"][:4] == [1, 41, 41, 1]
     assert report["poincare_duality"]["pairing_rank"] == 41
