@@ -1,8 +1,5 @@
 """Exact combinatorial realizability checks for 3-valent rank-2 GKM graphs."""
 
-# The Thom-class route first, with the modules it imports: its compile
-# then comes before cohomology's, not on top of the import's peak memory.
-from . import thom
 from .cohomology import (
     DEFAULT_DEGREE_CAP,
     betti_numbers,

@@ -20,29 +20,32 @@ of Q[x, y]^V -> (+)_e Q[x, y] / (alpha_e), a target of depth 1, has depth
 whose relations reduce with unit pivots is free, and only the others take
 a Smith form.
 
-Both realizability conditions are read from one basis per graph.  First
-the Thom-class route (gkm3.thom), on a graph with an orientability
-potential: Thom classes of vertices, edges and faces in a greedy peel,
-whose values are triangular (z_freeness), paired by the localized integral
-(poincare_duality).  Otherwise the closed basis (_closed_basis): the lifts
-of the quotients' bases below the valence, closed by a vertex Thom class
-or the top quotient's lifts, paired by one solve against its values.  A
-certified basis gives freeness and every Betti number, so no quotient above
-it is formed.  A Thom class is checked on the edges at its support
-(_check_class), forming no lattice; an edge's target sign is -eta
+Both realizability conditions are read from one certificate per graph
+(thom.Certificate).  First the Thom-class route (thom.free_basis), on a
+graph with an orientability potential: Thom classes of vertices, edges and
+faces in a greedy peel, whose values are triangular (z_freeness), paired by
+the localized integral (poincare_duality).  Otherwise the closed basis
+(_closed_basis): the lifts of the quotients' bases below the valence,
+closed by a vertex Thom class or the top quotient's lifts, paired by one
+solve against its values (thom.certificate).  A certified basis gives
+freeness and every Betti number, so no quotient above it is formed.
+
+This module keeps the class lattice.  gkm3.thom, which it imports and
+which imports nothing from it, keeps the certificate, the point (1, t),
+the target and the Thom classes, each checked on the edges at its support
+with no lattice formed (thom._check_class); the polynomial helpers and the
+Thom classes are re-exported here.  An edge's target sign is -eta
 (gkm3.orientation), and only gkm3.thom reads a connection.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from functools import reduce
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg, thom
 from .graph import GkmGraph, per_graph
-from .orientation import eta
+from .thom import poly_eval, poly_mul, thom_class_edge, thom_class_vertex  # re-exported
 
 __all__ = [
     "DEFAULT_DEGREE_CAP", "poly_mul", "poly_eval",
@@ -53,28 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_DEGREE_CAP = 20
-
-
-# ---------------------------------------------------------------------------
-# Homogeneous polynomials as coefficient tuples
-# ---------------------------------------------------------------------------
-
-def poly_mul(p: Sequence, q: Sequence) -> Tuple:
-    """Product of homogeneous polynomials (coefficient convolution)."""
-    dp, dq = len(p) - 1, len(q) - 1
-    out = [0] * (dp + dq + 1)
-    for i, pc in enumerate(p):
-        for j, qc in enumerate(q):
-            out[i + j] += pc * qc
-    return tuple(out)
-
-
-def poly_eval(p: Sequence, x, y):
-    """Evaluates sum p_k x^{d-k} y^k at (x, y)."""
-    out, yk = 0, 1
-    for c in p:  # Horner's rule in x
-        out, yk = out * x + c * yk, yk * y
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +168,7 @@ def _lifts(g: GkmGraph, d: int, steps: list, free: Sequence[int],
                 bad.add(t)
             elif q:
                 col[t] = q
-    for e, c in _moduli(g):
+    for e, c in thom._moduli(g):
         iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
         for hu, hv in zip(values[iu:iu + k], values[iv:iv + k]):
             bad.update(t for t in hu.keys() | hv.keys()
@@ -240,7 +221,7 @@ def _lattice_rows(g: GkmGraph, d: int, steps: list,
         constrain(values, piv)
         for row, v in zip(rows, values):
             row[i] = v // piv
-    for e, c in _moduli(g):
+    for e, c in thom._moduli(g):
         iu, iv = g.vertex_index[e.u] * k, g.vertex_index[e.v] * k
         for j in range(k):
             constrain([row[iu + j] - row[iv + j] for row in rows], c)
@@ -282,11 +263,6 @@ def _evaluations(g: GkmGraph, d: int) -> linalg.Matrix:
             row[iv - j] -= root
         rows.append(row)
     return rows
-
-
-def _moduli(g: GkmGraph) -> List[Tuple]:
-    """(edge, content) of each imprimitive edge, in edge order."""
-    return [(e, c) for e in g.edges if (c := e.weight.content()) > 1]
 
 
 def _pivot(row: Sequence[int]) -> int:
@@ -359,72 +335,6 @@ def _quotient(g: GkmGraph, d: int) -> _Quotient:
 # Free basis certificate
 # ---------------------------------------------------------------------------
 
-class _Basis(NamedTuple):
-    """n = |V| classes of H_T, read at (x, y) = (1, t) (_point): their
-    degrees, and V, one row of values per class and one column per vertex.
-    z solves V z = s e_top, with s != 0 and e_top the last class's unit
-    vector, from the echelon of [V | e_top] that also gives |det V|, the
-    product of its pivots (0 and no z when V is singular).  target is the
-    |det V| of a free basis (_target)."""
-
-    degrees: Tuple[int, ...]
-    values: linalg.Matrix
-    det: int
-    z: Optional[list]
-    target: int
-
-
-def _point(g: GkmGraph) -> int:
-    """t with (1, t) off every line alpha'_e = 0: 1 + max |a'_e|."""
-    return 1 + max((abs(e.weight.a // e.weight.content()) for e in g.edges),
-                   default=0)
-
-
-def _target(g: GkmGraph) -> int:
-    """N prod |alpha'_e(1, t)|, the |det V| of |V| classes that are a free
-    basis of H_T (z_freeness).  N is the order of the image of
-    f -> (f_u - f_v mod c_e): prod c_e over the index of the incidence rows
-    and the c_e unit vectors."""
-    t = _point(g)
-    moduli = _moduli(g)
-    incidence = [[(v == e.u) - (v == e.v) for e, _ in moduli] for v in g.vertices]
-    scaled = [[c * (i == j) for j in range(len(moduli))]
-              for i, (_, c) in enumerate(moduli)]
-    # The product of a full-rank echelon basis's pivots is its lattice's index.
-    index = math.prod(c for _, c in moduli) // math.prod(
-        row[_pivot(row)] for row in linalg.echelon_basis(incidence + scaled))
-    return index * abs(math.prod(
-        (e.weight.a + e.weight.b * t) // e.weight.content() for e in g.edges))
-
-
-def _basis(g: GkmGraph, gens: Sequence[Tuple[int, list]], target: int) -> _Basis:
-    """The _Basis of n (degree, class) pairs.  The echelon's rows are
-    U [V | e_top] = [H | b] with H upper triangular, so z is H z = s b
-    solved from the last row up, scaled by the least factor that makes each
-    pivot divide.  A value is a block dotted with (1, t, ..., t^d) from a
-    power table per degree, or 0 for a zero block."""
-    t, n = _point(g), len(gens)
-    powers = {d: [t ** j for j in range(d + 1)] for d in {d for d, _ in gens}}
-    V = []
-    for d, f in gens:
-        k, pw = d + 1, powers[d]
-        blocks = (f[i:i + k] for i in range(0, len(g.vertices) * k, k))
-        V.append([sum(map(operator.mul, b, pw)) if any(b) else 0 for b in blocks])
-    E = linalg.echelon([row + [int(i == n - 1)] for i, row in enumerate(V)], n)
-    det = math.prod(row[i] for i, row in enumerate(E))
-    z: Optional[list] = None
-    if det:
-        z, s = [0] * n, 1
-        for i in reversed(range(n)):
-            row = E[i]
-            r = s * row[n] - sum(x * w for x, w in zip(row[i + 1:n], z[i + 1:]) if w)
-            scale = row[i] // math.gcd(row[i], r)
-            if scale > 1:
-                z, s, r = [scale * w for w in z], scale * s, scale * r
-            z[i] = r // row[i]
-    return _Basis(tuple(d for d, _ in gens), V, det, z, target)
-
-
 def _vertex_thom(g: GkmGraph) -> list:
     """The Thom class tau_p of the first vertex p, of degree 2 valence: the
     product of the labels at p, placed at p (thom_class_vertex)."""
@@ -432,43 +342,41 @@ def _vertex_thom(g: GkmGraph) -> list:
 
 
 @per_graph("basis")
-def _closed_basis(g: GkmGraph) -> Optional[_Basis]:
-    """The _Basis of the reduced lifts of the quotients (_quotient) of
-    degree 0, 2, ..., taken until there are n = |V| of them or the valence
-    is reached; None when they are not n.  When the quotients below the
-    valence leave one class to find, tau_p (_vertex_thom) closes them if
-    |det V| is then the target, and the top quotient's lift does otherwise.
-    _free_betti certifies this basis, and _pairing reads the pairing from
-    it."""
-    n, target = len(g.vertices), _target(g)
+def _closed_basis(g: GkmGraph) -> Optional[thom.Certificate]:
+    """The certificate (thom.certificate) of the reduced lifts of the
+    quotients (_quotient) of degree 0, 2, ..., taken until there are
+    n = |V| of them or the valence is reached; None when they are not n.
+    When the quotients below the valence leave one class to find, tau_p
+    (_vertex_thom) closes them if |det V| is then the target, and the top
+    quotient's lift does otherwise."""
+    n, target = len(g.vertices), thom._target(g)
     gens: list = []  # (degree, class)
     for d in range(g.valence + 1):
         if d == g.valence and len(gens) == n - 1:
-            closed = _basis(g, gens + [(d, _vertex_thom(g))], target)
+            closed = thom.certificate(g, gens + [(d, _vertex_thom(g))], target)
             if closed.det == target:
                 return closed
         gens += [(d, f) for f in _quotient(g, d).reduced_lifts]
         if len(gens) >= n:
             break
-    return _basis(g, gens, target) if len(gens) == n else None
+    return thom.certificate(g, gens, target) if len(gens) == n else None
 
 
 def _free_betti(g: GkmGraph) -> Optional[Tuple[int, ...]]:
-    """(b_0, ..., b_top), the classes counted per degree of the Thom-class
-    peel (gkm3.thom) or else the closed basis (_closed_basis), when it is a
-    free basis of H_T: its degrees sum to |E| and |det V| is the target
-    (z_freeness); else None."""
+    """(b_0, ..., b_top), the classes counted per degree of the certificate
+    of the Thom-class peel (thom.free_basis) or else of the closed basis
+    (_closed_basis), when it is a free basis of H_T: its degrees sum to |E|
+    and |det V| is the target (z_freeness); else None."""
     # The index argument needs no loop and independent labels.
     if any(e.u == e.v for e in g.edges) or any(
         det == 0 for pairs in g.label_pairs.values() for _, _, det in pairs
     ):
         return None
-    basis = thom.free_basis(g) or _closed_basis(g)
-    if (basis is None or sum(basis.degrees) != len(g.edges)
-            or basis.det != basis.target):
+    cert = thom.free_basis(g) or _closed_basis(g)
+    if cert is None or sum(cert.degrees) != len(g.edges) or cert.det != cert.target:
         return None
-    top = basis.degrees[-1] if basis.degrees else -1
-    return tuple(map(basis.degrees.count, range(top + 1)))
+    top = cert.degrees[-1] if cert.degrees else -1
+    return tuple(map(cert.degrees.count, range(top + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,102 +445,24 @@ def cohomology_table(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> List[
 
 
 # ---------------------------------------------------------------------------
-# Thom classes
-# ---------------------------------------------------------------------------
-
-def thom_class_vertex(g: GkmGraph, v: str) -> list:
-    """Degree-6 class: product of the three incident weights at v, 0 elsewhere.
-
-    It is checked to be an integral class (_thom_class).
-    """
-    return _thom_class(g, [v], None, f"Thom class of vertex {v!r}")
-
-
-def thom_class_edge(g: GkmGraph, edge_id: int) -> list:
-    """Degree-4 class supported on the endpoints of an edge.
-
-    At the source it is the product of the other two incident weights, at
-    the target that product times -eta(e) = eps_2 * eps_3 (the lemma of
-    gkm3.orientation); it is checked to be an integral class (_thom_class).
-    """
-    e = g.edges[edge_id]
-    return _thom_class(g, [e.u, e.v], edge_id, f"Thom class of edge {edge_id}")
-
-
-def _thom_class(g: GkmGraph, ends: Sequence[str], skip: Optional[int],
-                what: str) -> list:
-    """_thom_values as a vector, checked at its support (_check_class): of
-    the vertex ends[0], or of the edge skip, signed -eta(skip) at ends[1].
-    ValueError at an end whose valence is not g.valence, the block size."""
-    for v in ends:
-        if len(g.incident[v]) != g.valence:
-            raise ValueError(f"{what}: vertex {v!r} has valence "
-                             f"{len(g.incident[v])}, not {g.valence}")
-    k = g.valence - (skip is not None) + 1
-    signs = (1,) if skip is None else (1, -eta(g, skip))
-    values = _thom_values(g, list(zip(ends, signs)), skip)
-    vec = [0] * (len(g.vertices) * k)
-    for v, f in values.items():
-        base = g.vertex_index[v] * k
-        for j, c in enumerate(f):
-            vec[base + j] += c
-    _check_class(g, values, what)
-    return vec
-
-
-def _thom_values(g: GkmGraph, ends: Sequence[Tuple[str, int]],
-                 skip: Optional[int]) -> dict:
-    """v -> the sum over (v, s) in ends of s times v's labels' product but skip's."""
-    out: dict = {}
-    for v, scale in ends:
-        prod = reduce(poly_mul, (g.edges[eid].weight.vector
-                                 for eid in g.incident[v] if eid != skip), (1,))
-        old = out.get(v, (0,) * len(prod))
-        out[v] = tuple(a + scale * c for a, c in zip(old, prod))
-    return out
-
-
-def _check_class(g: GkmGraph, values: dict, what: str) -> dict:
-    """values (vertex -> coefficients, 0 elsewhere), or RuntimeError unless
-    at each edge at a listed vertex h = f_u - f_v is divisible by the label
-    (ht_basis_z's equations); no lattice is formed."""
-    zero, get = (0,) * max(map(len, values.values()), default=0), values.get
-    for eid in {eid for v in values for eid in g.incident[v]}:
-        u, v, (a, b) = g.edges[eid]
-        if (fu := get(u, zero)) != (fv := get(v, zero)):
-            h, c = [p - q for p, q in zip(fu, fv)], math.gcd(a, b)
-            if poly_eval(h, b // c, -a // c) or any(x % c for x in h):
-                raise RuntimeError(f"{what} escaped the class lattice")
-    return values
-
-
-# ---------------------------------------------------------------------------
 # Poincare duality
 # ---------------------------------------------------------------------------
 
 def _pairing(g: GkmGraph) -> linalg.Matrix:
     """The pairing of classes u, v lifting bases of the reduced H^2 and H^4
-    (poincare_duality), from integer factors: per u, vertex -> weight, and
-    per v, vertex -> value at (1, t); an entry sums weight times value over
-    the vertices listed in both.  The Thom-class peel (gkm3.thom.pairing)
-    gives rows L int u v; the closed basis (_closed_basis) gives
-    z . (u v)(1, t), with weights u_q(1, t) z_q and values v_q(1, t)."""
-    if (peeled := thom.free_basis(g)) is not None:
-        rows, cols = thom.pairing(g, peeled)
-    else:
-        basis = _closed_basis(g)
-        if basis is None or not basis.det:
-            raise RuntimeError("the reduced lifts are not a basis over Q")
-        classes = list(zip(basis.degrees, basis.values))
-        rows = [{q: x * z for q, (x, z) in enumerate(zip(u, basis.z)) if x}
-                for d, u in classes if d == 1]
-        cols = [{q: x for q, x in enumerate(v) if x} for d, v in classes if d == 2]
+    (poincare_duality), from the certificate's integer factors
+    (thom.Certificate): an entry sums u's weight times v's value over the
+    vertices listed in both.  The Thom-class peel (thom.free_basis) gives
+    rows L int u v, and the closed basis (_closed_basis) z . (u v)(1, t)."""
+    cert = thom.free_basis(g) or _closed_basis(g)
+    if cert is None or not cert.det:
+        raise RuntimeError("the reduced lifts are not a basis over Q")
     at: dict = {}  # vertex -> [(row, weight)]
-    for i, u in enumerate(rows):
+    for i, u in enumerate(cert.rows):
         for q, w in u.items():
             at.setdefault(q, []).append((i, w))
-    out = [[0] * len(cols) for _ in rows]
-    for j, v in enumerate(cols):
+    out = [[0] * len(cert.cols) for _ in cert.rows]
+    for j, v in enumerate(cert.cols):
         for q, x in v.items():
             for i, w in at.get(q, ()):
                 out[i][j] += w * x
@@ -674,7 +504,7 @@ def poincare_duality(
     and A_v / A_u = -eta(e) (gkm3.orientation), so the residues cancel as
     tau(u) tau(v) = eta(e).  So int kills the classes of degree below 6,
     and int tau_p = tau(p) = +-1.  The Thom-class route pairs by L int u v at
-    (1, t), one integer L > 0 per u (gkm3.thom.pairing).  The closed basis
+    (1, t), one integer L > 0 per u (thom.free_basis).  The closed basis
     solves V z = s e_n, V its values at (1, t) off every line alpha'_e = 0
     (invertible: their determinant has no other prime factor), so
     z . f(1, t) = s c_n and z is proportional to tau(p) / e_p(1, t) where a
@@ -720,7 +550,7 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
     """Whether the integral classes H_T form a free Z[x, y]-module.
 
     First, one determinant, of |V| classes F: the Thom-class peel
-    (gkm3.thom), else the closed basis (_closed_basis), the lifts of the
+    (thom.free_basis), else the closed basis (_closed_basis), the lifts of the
     quotients' (_quotient) bases of degree 0, 2, ... up to |V| of them and
     the valence, closed by the Thom class tau_p of the first vertex
     (_vertex_thom) or, when the test fails for it, the top quotient's lifts.
@@ -755,9 +585,10 @@ def z_freeness(g: GkmGraph, degree_cap: int = DEFAULT_DEGREE_CAP) -> FreenessRes
     det G = +-prod_e alpha_e, which passes when N = prod c_e.  Only step 4
     needs the quotients' lifts, so no quotient is checked for torsion first.
 
-    N is prod c_e over the index of the lattice spanned by the imprimitive
-    edges' signed incidence rows and c_e times their unit vectors, and both
-    determinants are products of echelon pivots (linalg.echelon_basis).
+    N (thom._target) is prod c_e over the index of the lattice spanned by
+    the imprimitive edges' signed incidence rows and c_e times their unit
+    vectors, and both determinants are products of echelon pivots
+    (linalg.echelon_basis).
 
     Otherwise, degree by degree up to the cap: the quotient of the class
     lattice by the x- and y-multiples of the previous degree's lattice

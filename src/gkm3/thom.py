@@ -1,20 +1,20 @@
-"""The Thom-class route: a free basis of H_T from explicit Thom classes, and
-the Poincare pairing by localization.
-
-gkm3.cohomology tries this route first (_free_betti, _pairing).  A graph it
-does not certify takes cohomology's closed-basis route, unchanged, and the
-torsion witness comes only from that module's quotient scan.
+"""The certificate of both realizability conditions (Certificate): n = |V|
+classes of H_T whose value determinant makes them a free basis, and the
+integer factors of the Poincare pairing.  gkm3.cohomology, which keeps the
+class lattice and imports this module, tries the Thom-class route
+(free_basis) first, and otherwise reads its closed basis into the same
+record (certificate).  This module imports nothing from cohomology.
 
 The classes.  Besides the constant 1 (degree 0), the edge Thom class
-(degree 2, cohomology.thom_class_edge) and the vertex Thom class tau_p
-(degree 3, cohomology.thom_class_vertex), each face of a compatible
-connection gives one of degree 1 (_face_values): at each vertex v of the
-face, s_v times the label of its normal edge, the edge at v off the face,
-and 0 elsewhere.  A step of the face over an edge e carries the normal edge
-n to n' with alpha_n' = eps alpha_n + k alpha_e
-(connection.transport_coefficients), so s_v' = eps s_v makes
-f_v - f_v' = -eps s_v k alpha_e a multiple of alpha_e; such signs exist
-when the product of the eps around the face is +1.
+(degree 2, thom_class_edge) and the vertex Thom class tau_p (degree 3,
+thom_class_vertex), each face of a compatible connection gives one of
+degree 1 (_face_values): at each vertex v of the face, s_v times the label
+of its normal edge, the edge at v off the face, and 0 elsewhere.  A step of
+the face over an edge e carries the normal edge n to n' with
+alpha_n' = eps alpha_n + k alpha_e (connection.transport_coefficients), so
+s_v' = eps s_v makes f_v - f_v' = -eps s_v k alpha_e a multiple of
+alpha_e; such signs exist when the product of the eps around the face is
++1.
 
 The faces are those of the connection that takes at each edge the
 compatible forward map (connection.edge_options) whose two transports have
@@ -36,58 +36,174 @@ the peel stalls and the route declines.  The order is decided before any
 class is built: a vertex at k = 2 walks its face once, up to its first
 vertex not yet picked, and an edge's map is chosen only as a walk crosses it.
 
-The certificate.  The classes' values at (1, t) (cohomology._point), one
-row per class in pick order and one column per vertex, are triangular.  The
-diagonal entry of a vertex is +- the product of its labels to the vertices
-picked after it, so |det| = prod_e |alpha_e(1, t)|, and the degrees sum to
-|E|, each edge counted at its later end.  When |det| is cohomology._target,
-steps 1-3 of cohomology.z_freeness make the classes a free basis of H_T;
-otherwise the route declines.  Every class is checked on the edges at its
-support (cohomology._check_class), and a failed check raises RuntimeError.
+The determinant.  The classes' values at (1, t) (_point), one row per class
+in pick order and one column per vertex, are triangular.  The diagonal
+entry of a vertex is +- the product of its labels to the vertices picked
+after it, so |det| = prod_e |alpha_e(1, t)|, and the degrees sum to |E|,
+each edge counted at its later end.  When |det| is _target, steps 1-3 of
+cohomology.z_freeness make the classes a free basis of H_T; otherwise the
+route declines.  Every class is checked on the edges at its support
+(_check_class), and a failed check raises RuntimeError.
 
 The pairing.  The localized integral  int f = sum_p tau(p) f(p) / e_p,  with
 tau the orientability potential and e_p the product of the labels at p,
 reads the reduced H^6 (cohomology.poincare_duality).  So the route runs only
 on a graph with a potential (orientation.is_orientable), and the pairing of
 its degree-1 and degree-2 classes is int u v, a constant read at (1, t).
-The route hands cohomology._pairing integer factors (pairing): u's row is
-L int u v, with L the lcm of the e_p(1, t) over u's vertices, which is
-exact, integral and of the same rank.
+Its factors make u's row L int u v, with L the lcm of the e_p(1, t) over
+u's vertices, which is exact, integral and of the same rank.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Mapping, NamedTuple, Optional, Tuple
+import operator
+from functools import reduce
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from . import cohomology  # which imports this module: read at call time
+from . import linalg
 from .connection import ConnectionInconsistency, edge_options, transport_coefficients
 from .graph import GkmGraph, per_graph
-from .orientation import is_orientable
+from .orientation import eta, is_orientable
 
-__all__ = ["Peel", "free_basis", "pairing"]
+__all__ = ["Certificate", "certificate", "free_basis"]
 
 
-class Peel(NamedTuple):
-    """A completed peel that the determinant certifies: per class, by degree
-    and then in pick order, its degree and its values (vertex ->
-    coefficients, 0 at every other vertex).  det and target are read as
-    cohomology._Basis's are, and are equal; tau is the potential that the
-    pairing reads."""
+def poly_mul(p: Sequence, q: Sequence) -> Tuple:
+    """Product of homogeneous polynomials (coefficient convolution)."""
+    dp, dq = len(p) - 1, len(q) - 1
+    out = [0] * (dp + dq + 1)
+    for i, pc in enumerate(p):
+        for j, qc in enumerate(q):
+            out[i + j] += pc * qc
+    return tuple(out)
+
+
+def poly_eval(p: Sequence, x, y):
+    """Evaluates sum p_k x^{d-k} y^k at (x, y)."""
+    out, yk = 0, 1
+    for c in p:  # Horner's rule in x
+        out, yk = out * x + c * yk, yk * y
+    return out
+
+
+def _moduli(g: GkmGraph) -> List[Tuple]:
+    """(edge, content) of each imprimitive edge, in edge order."""
+    return [(e, c) for e in g.edges if (c := e.weight.content()) > 1]
+
+
+def _point(g: GkmGraph) -> int:
+    """t with (1, t) off every line alpha'_e = 0: 1 + max |a'_e|."""
+    return 1 + max((abs(e.weight.a // e.weight.content()) for e in g.edges),
+                   default=0)
+
+
+def _target(g: GkmGraph) -> int:
+    """N prod |alpha'_e(1, t)|, the |det V| of |V| classes that are a free
+    basis of H_T (cohomology.z_freeness).  N is the order of the image of
+    f -> (f_u - f_v mod c_e): prod c_e over the index of the incidence rows
+    and the c_e unit vectors."""
+    t = _point(g)
+    moduli = _moduli(g)
+    incidence = [[(v == e.u) - (v == e.v) for e, _ in moduli] for v in g.vertices]
+    scaled = [[c * (i == j) for j in range(len(moduli))]
+              for i, (_, c) in enumerate(moduli)]
+    # The product of a full-rank echelon basis's pivots is its lattice's index.
+    index = math.prod(c for _, c in moduli) // math.prod(
+        next(filter(None, row)) for row in linalg.echelon_basis(incidence + scaled))
+    return index * abs(math.prod(
+        (e.weight.a + e.weight.b * t) // e.weight.content() for e in g.edges))
+
+
+def thom_class_vertex(g: GkmGraph, v: str) -> list:
+    """Degree-6 class: product of the three incident weights at v, 0 elsewhere.
+
+    It is checked to be an integral class (_thom_class).
+    """
+    return _thom_class(g, [v], None, f"Thom class of vertex {v!r}")
+
+
+def thom_class_edge(g: GkmGraph, edge_id: int) -> list:
+    """Degree-4 class supported on the endpoints of an edge.
+
+    At the source it is the product of the other two incident weights, at
+    the target that product times -eta(e) = eps_2 * eps_3 (the lemma of
+    gkm3.orientation); it is checked to be an integral class (_thom_class).
+    """
+    e = g.edges[edge_id]
+    return _thom_class(g, [e.u, e.v], edge_id, f"Thom class of edge {edge_id}")
+
+
+def _thom_class(g: GkmGraph, ends: Sequence[str], skip: Optional[int],
+                what: str) -> list:
+    """_thom_values as a vector, checked at its support (_check_class): of
+    the vertex ends[0], or of the edge skip, signed -eta(skip) at ends[1].
+    ValueError at an end whose valence is not g.valence, the block size."""
+    for v in ends:
+        if len(g.incident[v]) != g.valence:
+            raise ValueError(f"{what}: vertex {v!r} has valence "
+                             f"{len(g.incident[v])}, not {g.valence}")
+    k = g.valence - (skip is not None) + 1
+    signs = (1,) if skip is None else (1, -eta(g, skip))
+    values = _thom_values(g, list(zip(ends, signs)), skip)
+    vec = [0] * (len(g.vertices) * k)
+    for v, f in values.items():
+        base = g.vertex_index[v] * k
+        for j, c in enumerate(f):
+            vec[base + j] += c
+    _check_class(g, values, what)
+    return vec
+
+
+def _thom_values(g: GkmGraph, ends: Sequence[Tuple[str, int]],
+                 skip: Optional[int]) -> dict:
+    """v -> the sum over (v, s) in ends of s times v's labels' product but skip's."""
+    out: dict = {}
+    for v, scale in ends:
+        prod = reduce(poly_mul, (g.edges[eid].weight.vector
+                                 for eid in g.incident[v] if eid != skip), (1,))
+        old = out.get(v, (0,) * len(prod))
+        out[v] = tuple(a + scale * c for a, c in zip(old, prod))
+    return out
+
+
+def _check_class(g: GkmGraph, values: dict, what: str) -> dict:
+    """values (vertex -> coefficients, 0 elsewhere), or RuntimeError unless
+    at each edge at a listed vertex h = f_u - f_v is divisible by the label
+    (cohomology.ht_basis_z's equations); no lattice is formed."""
+    zero, get = (0,) * max(map(len, values.values()), default=0), values.get
+    for eid in {eid for v in values for eid in g.incident[v]}:
+        u, v, (a, b) = g.edges[eid]
+        if (fu := get(u, zero)) != (fv := get(v, zero)):
+            h, c = [p - q for p, q in zip(fu, fv)], math.gcd(a, b)
+            if poly_eval(h, b // c, -a // c) or any(x % c for x in h):
+                raise RuntimeError(f"{what} escaped the class lattice")
+    return values
+
+
+class Certificate(NamedTuple):
+    """n = |V| classes of H_T, read at (x, y) = (1, t) (_point): their
+    degrees, in increasing order; |det V|, V one row of values per class and
+    one column per vertex; target, the |det V| of a free basis (_target);
+    and the Poincare pairing's factors (cohomology._pairing), per degree-1
+    class u a dict vertex -> weight and per degree-2 class v a dict
+    vertex -> v(1, t), both empty when det is 0."""
 
     degrees: Tuple[int, ...]
-    classes: Tuple[dict, ...]
     det: int
     target: int
-    tau: Mapping[str, int]
+    rows: List[dict]
+    cols: List[dict]
 
 
 @per_graph("thom")
-def free_basis(g: GkmGraph) -> Optional[Peel]:
-    """The certified Peel of g, or None where the route declines: a vertex
-    not of valence 3, a loop, no potential (eta raises or the graph is not
-    orientable), an edge with no compatible map, a stall, or a determinant
-    that is not the target."""
+def free_basis(g: GkmGraph) -> Optional[Certificate]:
+    """The Certificate of the peel's classes, or None where the route
+    declines: a vertex not of valence 3, a loop, no potential (eta raises
+    or the graph is not orientable), an edge with no compatible map, a
+    stall, or a determinant that is not the target.  u's weight at p is
+    tau(p) u(p) L / e_p, L the lcm of the e_p over u's vertices, so u's row
+    is L int u v."""
     if not g.vertices or any(len(ids) != 3 for ids in g.incident.values()) or any(
             e.u == e.v for e in g.edges):
         return None
@@ -103,28 +219,35 @@ def free_basis(g: GkmGraph) -> Optional[Peel]:
     order = _order(g, options)
     if order is None:
         return None
-    t, edges, thom_values = cohomology._point(g), g.edges, cohomology._thom_values
-    degrees, classes, det = [], [], 1
+    t, edges, at = _point(g), g.edges, poly_eval
+    classes, det = [], 1  # (degree, values: vertex -> coefficients, 0 elsewhere)
     for v, degree, data in order:
         if degree == 3:
-            values = thom_values(g, [(v, 1)], None)
+            values = _thom_values(g, [(v, 1)], None)
         elif degree == 2:
             e = edges[data]
-            values = thom_values(g, [(e.u, 1), (e.v, -orient.eta[data])], data)
+            values = _thom_values(g, [(e.u, 1), (e.v, -orient.eta[data])], data)
         elif degree == 1:
             values = _face_values(g, data)
         else:
             values = {u: (1,) for u in g.vertices}
         what = f"Thom class of degree {degree} at vertex {v!r}"
-        classes.append(cohomology._check_class(g, values, what))
-        degrees.append(degree)
-        det *= cohomology.poly_eval(values[v], 1, t)
-    det, target = abs(det), cohomology._target(g)
-    if sum(degrees) != len(edges) or det != target:
+        classes.append((degree, _check_class(g, values, what)))
+        det *= at(values[v], 1, t)
+    det, target = abs(det), _target(g)
+    if sum(d for d, _ in classes) != len(edges) or det != target:
         return None
-    ranked = sorted(zip(degrees, range(len(order))))  # by degree, as _Basis
-    return Peel(tuple(d for d, _ in ranked), tuple(classes[i] for _, i in ranked),
-                det, target, orient.potential)
+    classes.sort(key=lambda c: c[0])  # by degree, then in pick order
+    rows, cols, tau = [], [], orient.potential
+    for d, f in classes:
+        if d == 1:
+            e = {p: math.prod(at(edges[eid].weight, 1, t) for eid in g.incident[p])
+                 for p in f}
+            lcm = math.lcm(*e.values())
+            rows.append({p: tau[p] * at(c, 1, t) * (lcm // e[p]) for p, c in f.items()})
+        elif d == 2:
+            cols.append({p: at(c, 1, t) for p, c in f.items()})
+    return Certificate(tuple(d for d, _ in classes), det, target, rows, cols)
 
 
 def _face_values(g: GkmGraph, face) -> dict:
@@ -237,19 +360,50 @@ def _choose(g: GkmGraph, eid: int, maps) -> dict:
     return best
 
 
-def pairing(g: GkmGraph, peel: Peel) -> Tuple[List[dict], List[dict]]:
-    """The factors of int u v = sum_p tau(p) u(p) v(p) / e_p at (1, t) that
-    cohomology._pairing multiplies: per degree-1 class u of the peel,
-    vertex p -> tau(p) u(p) L / e_p, L the lcm of the e_p over u's vertices,
-    so u's row is L int u v; per degree-2 class v, vertex p -> v(p)."""
-    t, tau, edges, at = cohomology._point(g), peel.tau, g.edges, cohomology.poly_eval
+def certificate(g: GkmGraph, gens: Sequence[Tuple[int, list]],
+                target: int) -> Certificate:
+    """The Certificate of n (degree, class vector) pairs, the closed basis
+    (cohomology._closed_basis).  With V z = s e_top (_functional), u's
+    weight at vertex q is u_q(1, t) z_q, so a pairing entry is
+    z . (u v)(1, t), s times the image of u v in the reduced H^6
+    (cohomology.poincare_duality)."""
+    V, det, z = _functional(g, gens)
     rows, cols = [], []
-    for d, f in zip(peel.degrees, peel.classes):
+    for (d, _), u in zip(gens, V if det else ()):
         if d == 1:
-            e = {p: math.prod(at(edges[eid].weight, 1, t) for eid in g.incident[p])
-                 for p in f}
-            lcm = math.lcm(*e.values())
-            rows.append({p: tau[p] * at(c, 1, t) * (lcm // e[p]) for p, c in f.items()})
+            rows.append({q: x * w for q, x, w in zip(g.vertices, u, z) if x})
         elif d == 2:
-            cols.append({p: at(c, 1, t) for p, c in f.items()})
-    return rows, cols
+            cols.append({q: x for q, x in zip(g.vertices, u) if x})
+    return Certificate(tuple(d for d, _ in gens), det, target, rows, cols)
+
+
+def _functional(g: GkmGraph, gens: Sequence[Tuple[int, list]]):
+    """(V, |det V|, z) for n (degree, class vector) pairs: V one row of
+    values per class at (1, t) and one column per vertex, and z solving
+    V z = s e_top, with s != 0 and e_top the last class's unit vector, or
+    None when V is singular.  The echelon of [V | e_top] gives both: its
+    rows are U [V | e_top] = [H | b] with H upper triangular, |det V| is the
+    product of its pivots, and z is H z = s b solved from the last row up,
+    scaled by the least factor that makes each pivot divide.  A value is a
+    block dotted with (1, t, ..., t^d) from a power table per degree, or 0
+    for a zero block."""
+    t, n = _point(g), len(gens)
+    powers = {d: [t ** j for j in range(d + 1)] for d in {d for d, _ in gens}}
+    V = []
+    for d, f in gens:
+        k, pw = d + 1, powers[d]
+        blocks = (f[i:i + k] for i in range(0, len(g.vertices) * k, k))
+        V.append([sum(map(operator.mul, b, pw)) if any(b) else 0 for b in blocks])
+    E = linalg.echelon([row + [int(i == n - 1)] for i, row in enumerate(V)], n)
+    det = math.prod(row[i] for i, row in enumerate(E))
+    z: Optional[list] = None
+    if det:
+        z, s = [0] * n, 1
+        for i in reversed(range(n)):
+            row = E[i]
+            r = s * row[n] - sum(x * w for x, w in zip(row[i + 1:n], z[i + 1:]) if w)
+            scale = row[i] // math.gcd(row[i], r)
+            if scale > 1:
+                z, s, r = [scale * w for w in z], scale * s, scale * r
+            z[i] = r // row[i]
+    return V, det, z

@@ -54,8 +54,11 @@ def any_corpus_graph(request):
 
 @pytest.fixture
 def closed_basis_route(monkeypatch):
-    """Declines the Thom-class route (gkm3.thom), so every graph takes the
-    closed-basis route of gkm3.cohomology, for the tests that pin it."""
+    """Declines the Thom-class route (thom.free_basis), so every certificate
+    (thom.Certificate) that cohomology reads comes from its closed basis
+    (cohomology._closed_basis), for the tests that pin that route.  A name
+    bound to free_basis before the fixture runs still reaches the Thom
+    route."""
     from gkm3 import thom
 
     monkeypatch.setattr(thom, "free_basis", lambda g: None)

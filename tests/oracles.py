@@ -22,8 +22,9 @@ pairing's replaced path: each
 product class formed vertex by vertex, solved for in the degree-6 lattice
 and projected through a Smith transform of the quotient formed here, its
 T the inverse of T^-1 by sympy's domain matrices.  The Thom route's
-pairing is the localized integral summed in Fractions, each product
-multiplied out and read at two points.  So do the class lattice's two
+pairing is the localized integral summed in Fractions over the classes of
+the oracle's own greedy peel, each product multiplied out and read at two
+points.  So do the class lattice's two
 eliminations of the same equations, the second solving each lift
 against an echelon basis of the fixed coordinates' and auxiliaries' rows,
 with the replaced fallback, an elimination of every unknown whose
@@ -37,7 +38,9 @@ The transition matrix is also built by its recipe with each (eps, k)
 solved by sympy's LU solve, without transport_coefficients, and the
 holonomy multiplied as sympy matrices.  The raised rows are formed block
 by block with the x- and y-multiples that the package's cohomology once
-named.
+named.  The cubic form on the degree-2 lattice is the same localized
+integral, summed over one common denominator, with nothing of the package
+but the lattice rows and the potential it reads.
 """
 
 import functools
@@ -64,9 +67,10 @@ from gkm3.connection import (
     transport_coefficients,
 )
 from gkm3 import cohomology as coh
-from gkm3 import linalg
+from gkm3 import linalg, thom
 from gkm3.graph import DirectedEdge, det2
 from gkm3.linalg import exgcd
+from gkm3.orientation import is_orientable
 
 x, y = sympy.symbols("x y")
 
@@ -536,17 +540,17 @@ def min_scan_snf(A: Sequence[Sequence[int]], ncols: int = 0):
 
 
 def lattice_thom_class(g, ends, skip, what: str) -> list:
-    """The replaced Thom-class route: the vector built as cohomology builds
-    it (through coh.poly_mul), then solved for in the whole class lattice of
+    """The replaced Thom-class route: the vector built as gkm3.thom builds
+    it (through thom.poly_mul), then solved for in the whole class lattice of
     its degree (linalg.hnf_solve against coh.ht_basis_z); RuntimeError with
-    cohomology's message when there is no solution."""
+    thom's message when there is no solution."""
     d = g.valence - (skip is not None)
     vec = [0] * (len(g.vertices) * (d + 1))
     for v, scale in ends:
         prod = (1,)
         for eid in g.incident[v]:
             if eid != skip:
-                prod = coh.poly_mul(prod, g.edges[eid].weight.vector)
+                prod = thom.poly_mul(prod, g.edges[eid].weight.vector)
         base = g.vertex_index[v] * (d + 1)
         for j, c in enumerate(prod):
             vec[base + j] += scale * c
@@ -556,12 +560,12 @@ def lattice_thom_class(g, ends, skip, what: str) -> list:
 
 
 def lattice_thom_class_vertex(g, v: str) -> list:
-    """coh.thom_class_vertex by the lattice route."""
+    """thom.thom_class_vertex by the lattice route."""
     return lattice_thom_class(g, [(v, 1)], None, f"Thom class of vertex {v!r}")
 
 
 def lattice_thom_class_edge(g, conn, eid: int) -> list:
-    """coh.thom_class_edge by the lattice route, its sign read through the
+    """thom.thom_class_edge by the lattice route, its sign read through the
     transition data of conn rather than through eta."""
     e = g.edges[eid]
     sign = math.prod(transition(g, conn, DirectedEdge(eid, True)).eps)
@@ -630,16 +634,26 @@ def projected_pairing(g, reps2, reps4, project) -> List[list]:
             for u in reps2]
 
 
-def localized_pairing(g, peel) -> List[list]:
+def localized_pairing(g) -> List[list]:
     """The localized integral int u v = sum_p tau(p) u(p) v(p) / e_p, with
-    tau the peel's potential and e_p the product of the labels at p, for
-    the peel's degree-1 classes u (rows) and degree-2 classes v (columns),
-    exact in Fractions.  Each product u(p) v(p) is multiplied out and read
-    at (1, s) for two s off every line alpha'_e = 0; int u v is a constant,
-    so the two readings must agree."""
+    tau the orientability potential and e_p the product of the labels at p,
+    for the degree-1 classes u (rows) and degree-2 classes v (columns) of
+    the oracle's greedy peel (greedy_order), in pick order, exact in
+    Fractions.  A face class is s_v times the label of the normal edge at
+    each (v, normal, s_v) of its face, and an edge class is multiplied out
+    by sympy under least_k_connection (edge_thom_class).  Each product
+    u(p) v(p) is multiplied out and read at (1, s) for two s off every line
+    alpha'_e = 0; int u v is a constant, so the two readings must agree."""
     t = 1 + max(abs(e.weight.a) // math.gcd(*e.weight) for e in g.edges)
-    rows = [f for d, f in zip(peel.degrees, peel.classes) if d == 1]
-    cols = [f for d, f in zip(peel.degrees, peel.classes) if d == 2]
+    tau, conn = is_orientable(g).potential, least_k_connection(g)
+    rows, cols = [], []
+    for _, degree, data in greedy_order(g):
+        if degree == 1:
+            rows.append({p: tuple(s * c for c in g.edges[n].weight.vector)
+                         for p, n, s in data})
+        elif degree == 2:
+            vec = edge_thom_class(g, conn, data)
+            cols.append({p: b for p, b in blocks(g, vec, 2).items() if any(b)})
 
     def integral(u, v, s):
         total = Fraction(0)
@@ -650,7 +664,7 @@ def localized_pairing(g, peel) -> List[list]:
                     prod[i + j] += a * b
             e_p = math.prod(g.edges[eid].weight.a + g.edges[eid].weight.b * s
                             for eid in g.incident[p])
-            total += Fraction(peel.tau[p] * sum(c * s ** k for k, c in enumerate(prod)),
+            total += Fraction(tau[p] * sum(c * s ** k for k, c in enumerate(prod)),
                               e_p)
         return total
 
@@ -658,6 +672,28 @@ def localized_pairing(g, peel) -> List[list]:
     if out != [[integral(u, v, t + 1) for v in cols] for u in rows]:
         raise AssertionError("int u v is not a constant")
     return out
+
+
+def cubic_form(g, t: int, classes: Sequence[Sequence[int]]) -> dict:
+    """The cubic form mu(a, b, c) = sum_p tau(p) a(p) b(p) c(p) / e_p, in
+    Fractions, over degree-2 class vectors (per vertex the two coefficients
+    of a linear form, as in the rows of coh.ht_basis_z(g, 1)) read at
+    (1, t), with tau the orientability potential (orientation.is_orientable)
+    and e_p the product of the labels at p: {(i, j, k): mu(c_i, c_j, c_k)}
+    for i <= j <= k.  On a graph realized by a 6-manifold M it is the
+    localized <abc, [M]> (Atiyah-Bott), an integer that does not depend on
+    t, and 0 when a class is constant, so it descends to H^2(M).  Summed
+    over one common denominator D, the lcm of the e_p."""
+    tau = is_orientable(g).potential
+    e = [math.prod(g.edges[eid].weight.a + g.edges[eid].weight.b * t
+                   for eid in g.incident[v]) for v in g.vertices]
+    D = math.lcm(*e)
+    weights = [tau[v] * (D // ep) for v, ep in zip(g.vertices, e)]
+    values = [[c[2 * q] + c[2 * q + 1] * t for q in range(len(g.vertices))]
+              for c in classes]
+    return {(i, j, k): Fraction(sum(w * a * b * c for w, a, b, c in zip(
+                weights, values[i], values[j], values[k])), D)
+            for i, j, k in itertools.combinations_with_replacement(range(len(classes)), 3)}
 
 
 def listed_transition(g, conn, e):

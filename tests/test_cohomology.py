@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 
 from gkm3 import cohomology as coh
-from gkm3 import linalg
+from gkm3 import linalg, thom
 from gkm3.connection import available_connections
 from gkm3.graph import parse_graph, serialize_graph, validate
 from gkm3.verdict import realizability_report
@@ -464,12 +464,12 @@ def test_thom_classes_outside_a_sublattice_raise(cube, monkeypatch):
     vector reaches says so with no lattice and no evaluation formed."""
     v = cube.vertices[0]
     with monkeypatch.context() as patch:
-        patch.setattr(coh, "poly_mul", _raised_leading(coh.poly_mul))
+        patch.setattr(thom, "poly_mul", _raised_leading(thom.poly_mul))
         with pytest.raises(RuntimeError, match=re.escape(
                 f"Thom class of vertex {v!r} escaped the class lattice")):
             coh.thom_class_vertex(cube, v)
     with monkeypatch.context() as patch:
-        patch.setattr(coh, "eta", _negated(coh.eta))
+        patch.setattr(thom, "eta", _negated(thom.eta))
         with pytest.raises(RuntimeError,
                            match="Thom class of edge 0 escaped the class lattice"):
             coh.thom_class_edge(cube, 0)
@@ -519,10 +519,10 @@ def test_degree_0_lattice_is_the_components_on_coloured_graphs(doc):
     _assert_degree_0_is_the_components(parse_graph(json.dumps(doc)))
 
 
-def _outcome(thom, *args):
+def _outcome(build, *args):
     """A Thom class, or the type and message of the error it raised."""
     try:
-        return thom(*args)
+        return build(*args)
     except (RuntimeError, IndexError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -539,8 +539,8 @@ def _assert_thom_routes_agree(text):
              for v in g.vertices]
     cases += [(coh.thom_class_edge, (eid,), oracles.lattice_thom_class_edge,
                (conns[0], eid), 2) for eid in range(len(g.edges)) if conns]
-    faults = [(), [(coh, "poly_mul", _raised_leading)], [(coh, "poly_mul", _spilled)],
-              [(coh, "eta", _negated), (oracles, "transition", _flipped)]]
+    faults = [(), [(thom, "poly_mul", _raised_leading)], [(thom, "poly_mul", _spilled)],
+              [(thom, "eta", _negated), (oracles, "transition", _flipped)]]
     for fault in faults:
         with pytest.MonkeyPatch.context() as patch:
             for module, name, wrap in fault:
@@ -781,7 +781,13 @@ def test_pairing_is_s_times_the_projected_pairing(name):
     top = (coh._quotient(g, 3).reduced_lifts[0] if ("quotient", 3) in g.memo
            else coh.thom_class_vertex(g, g.vertices[0]))
     assert (("quotient", 3) in g.memo) == (name == "fuzz_k4")
-    s = sum(v * z for v, z in zip(basis.values[-1], basis.z))
+    # The closed basis's classes: the reduced lifts below degree 6, then top.
+    gens = [(d, f) for d in range(3) for f in coh._quotient(g, d).reduced_lifts]
+    gens.append((3, top))
+    assert basis == thom.certificate(g, gens, basis.target)
+    values, det, z = thom._functional(g, gens)
+    assert det == basis.det
+    s = sum(v * w for v, w in zip(values[-1], z))
     assert s != 0
     reps2 = coh._quotient(g, 1).reduced_lifts
     reps4 = coh._quotient(g, 2).reduced_lifts
@@ -792,12 +798,12 @@ def test_pairing_is_s_times_the_projected_pairing(name):
     assert all(len(row) == len(reps4) for row in pairing)
     assert [[x * k for x in row] for row in expected] == pairing
     assert linalg.q_rank(pairing) == sympy.Matrix(expected).rank() == len(reps2)
-    t = coh._point(g)
+    t = thom._point(g)
     for v in g.vertices:
-        thom = coh.thom_class_vertex(g, v)
-        read = sum(z * coh.poly_eval(p, 1, t)
-                   for z, p in zip(basis.z, oracles.blocks(g, thom, 3).values()))
-        assert read == k * project(thom)[0], v
+        tau_v = coh.thom_class_vertex(g, v)
+        read = sum(w * coh.poly_eval(p, 1, t)
+                   for w, p in zip(z, oracles.blocks(g, tau_v, 3).values()))
+        assert read == k * project(tau_v)[0], v
 
 
 def _pairing_rank_agrees_with_the_oracle(doc):
@@ -921,9 +927,12 @@ def test_certificate_determinant_matches_sympy(name):
     gens.append((3, coh.thom_class_vertex(g, g.vertices[0])))
     assert [d for d, _ in gens] == [d for d, b in enumerate(free) for _ in range(b)]
     basis = coh._closed_basis(g)
-    t = coh._point(g)
+    t = thom._point(g)
     assert basis.degrees == tuple(d for d, _ in gens)
-    assert basis.values == [
+    assert basis == thom.certificate(g, gens, basis.target)
+    values, det, _ = thom._functional(g, gens)
+    assert det == basis.det
+    assert values == [
         [coh.poly_eval(p, 1, t) for p in oracles.blocks(g, f, d).values()]
         for d, f in gens]
     det = oracles.value_determinant(g, gens)
@@ -962,12 +971,12 @@ def test_scan_without_certificate_gives_same_answers(name, monkeypatch):
     assert ("quotient", 6) in scanned.memo and ("quotient", 6) not in certified.memo
 
 
-def _doubled(thom):
-    return lambda g: [2 * c for c in thom(g)]
+def _doubled(vertex_thom):
+    return lambda g: [2 * c for c in vertex_thom(g)]
 
 
-def _zero(thom):
-    return lambda g: [0] * len(thom(g))
+def _zero(vertex_thom):
+    return lambda g: [0] * len(vertex_thom(g))
 
 
 @pytest.mark.usefixtures("closed_basis_route")

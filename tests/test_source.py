@@ -145,12 +145,49 @@ def test_only_linalg_names_hnf_solve():
     assert found == []
 
 
+def _module_imports(path: Path) -> set:
+    """The gkm3 modules that path imports outside any function, by
+    `from . import x`, `from .x import y` or the absolute forms."""
+    out, stack = set(), list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("gkm3."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and (module == "gkm3" or module.startswith("gkm3.")):
+                module = module[len("gkm3."):]  # "" for the package itself
+            elif node.level != 1:
+                continue
+            out.update([module.split(".")[0]] if module else
+                       [alias.name for alias in node.names])
+    return out
+
+
+def test_no_module_imports_one_that_imports_it():
+    # The import graph of the package's modules (__init__ aside) is acyclic:
+    # repeatedly dropping the modules that import no module left finds an
+    # order, and whatever stays lies on a cycle.  cohomology imports thom,
+    # the certificate module, and thom imports nothing from cohomology.
+    modules = {path.stem for path in SRC.glob("*.py") if path.stem != "__init__"}
+    graph = {m: _module_imports(SRC / f"{m}.py") & modules for m in modules}
+    assert "thom" in graph["cohomology"] and "cohomology" not in graph["thom"]
+    while leaves := {m for m, deps in graph.items() if not deps}:
+        graph = {m: deps - leaves for m, deps in graph.items() if m not in leaves}
+    assert graph == {}
+
+
 def test_cohomology_imports_nothing_from_connection():
-    # The layering is cohomology -> thom -> connection: only gkm3.thom, the
-    # Thom-class route, walks the faces of a connection, and cohomology
-    # calls it from _free_betti and _pairing.  An edge Thom class reads its
-    # sign from orientation.eta, so cohomology itself imports nothing from
-    # the connection layer.
+    # The layering is cohomology -> thom -> connection, with no import back
+    # (see the test above): only gkm3.thom, the certificate module, walks the
+    # faces of a connection, and cohomology reads its certificate from
+    # _free_betti and _pairing.  An edge Thom class, which thom builds, reads
+    # its sign from orientation.eta, so cohomology itself imports nothing
+    # from the connection layer.
     found = []
     for node in ast.walk(ast.parse((SRC / "cohomology.py").read_text())):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -189,7 +226,8 @@ def test_face_walk_and_basis_values_make_no_per_step_calls():
     # dot products with a power table.
     walk = _calls(SRC / "connection.py")["connection_paths"]
     assert {"apply", "directed", "target", "source", "reversed"} & walk == set()
-    assert {"poly_eval", "_blocks"} & _calls(SRC / "cohomology.py")["_basis"] == set()
+    thom = _calls(SRC / "thom.py")
+    assert {"poly_eval", "_blocks"} & (thom["certificate"] | thom["_functional"]) == set()
 
 
 def test_edge_options_read_only_the_edges_at_each_edge():

@@ -1,8 +1,9 @@
-"""The Thom-class route (gkm3.thom) against the closed-basis route, its
-faults, its coverage, its face walk and greedy order against the oracles'
-(oracles.corner_face, oracles.greedy_order), the localization identity
-behind its pairing, and its pairing against the exact localized
-integral."""
+"""The Thom-class route (gkm3.thom) against the closed-basis route, verdict
+by verdict and certificate by certificate, its faults, its coverage, its
+face walk and greedy order against the oracles' (oracles.corner_face,
+oracles.greedy_order), the localization identity behind its pairing, its
+pairing against the exact localized integral, and the cubic form that the
+same integral reads on H^2 (oracles.cubic_form)."""
 
 import json
 import math
@@ -12,12 +13,13 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from gkm3 import cohomology as coh
 from gkm3 import connection, linalg, orientation, thom
 from gkm3.connection import ConnectionInconsistency
 from gkm3.graph import GraphSemanticError, parse_graph, serialize_graph, validate
+from gkm3.thom import free_basis as thom_route  # bound before any fixture declines it
 from gkm3.verdict import realizability_report
 
 import oracles
@@ -145,7 +147,7 @@ def test_certified_cube_verdict_forms_no_lattice():
     rep = realizability_report(g)
     assert rep["z_freeness"]["status"] == "certified"
     assert rep["poincare_duality"]["pairing_rank"] == 3
-    assert isinstance(g.memo[("thom",)], thom.Peel)
+    assert isinstance(g.memo[("thom",)], thom.Certificate)
     assert [key for key in g.memo
             if key[0] in ("evaluations", "z", "quotient", "basis")] == []
 
@@ -381,6 +383,22 @@ def test_greedy_order_is_the_oracles_on_coloured_graphs(doc):
     _assert_order_is_the_oracles(parse_graph(json.dumps(doc)))
 
 
+def _closed_functional(g):
+    """The closed basis (coh._closed_basis) and the z of its classes
+    (thom._functional), the classes being those of the builder's last call
+    (thom.certificate), which made the record."""
+    gens, real = [], thom.certificate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thom, "certificate", lambda graph, classes, target: (
+            gens.append(classes) or real(graph, classes, target)))
+        basis = coh._closed_basis(g)
+    if basis is None:
+        return None, None
+    _, det, z = thom._functional(g, gens[-1])
+    assert basis == real(g, gens[-1], basis.target) and det == basis.det
+    return basis, z
+
+
 def _localization_holds(text) -> bool:
     """Whether g has a closed basis and a potential; if so, asserts that the
     closed basis's z is proportional to tau(p) / e_p(1, t), exactly."""
@@ -389,13 +407,13 @@ def _localization_holds(text) -> bool:
         orient = orientation.is_orientable(g)
     except ConnectionInconsistency:
         return False
-    basis = coh._closed_basis(g)
+    basis, z = _closed_functional(g)
     if not orient.orientable or basis is None or not basis.det:
         return False
-    t = coh._point(g)
-    ratios = {Fraction(z * math.prod(g.edges[eid].weight.a + g.edges[eid].weight.b * t
-                                      for eid in g.incident[v]), orient.potential[v])
-              for v, z in zip(g.vertices, basis.z)}
+    t = thom._point(g)
+    ratios = {Fraction(zv * math.prod(g.edges[eid].weight.a + g.edges[eid].weight.b * t
+                                       for eid in g.incident[v]), orient.potential[v])
+              for v, zv in zip(g.vertices, z)}
     assert len(ratios) == 1 and 0 not in ratios, ratios
     return True
 
@@ -429,7 +447,7 @@ def _rows_are_localized(text) -> bool:
     peel = thom.free_basis(g)
     if peel is None:
         return False
-    pairing, exact = coh._pairing(g), oracles.localized_pairing(g, peel)
+    pairing, exact = coh._pairing(g), oracles.localized_pairing(g)
     assert len(pairing) == len(exact) == peel.degrees.count(1)
     for mine, row in zip(pairing, exact):
         assert len(mine) == len(row) == peel.degrees.count(2)
@@ -460,3 +478,97 @@ def test_thom_pairing_rows_are_the_localized_integral_on_random_graphs(doc):
 @settings(max_examples=60, deadline=None, database=None)
 def test_thom_pairing_rows_are_the_localized_integral_on_coloured_graphs(doc):
     _rows_are_localized(json.dumps(doc))
+
+
+def _factors_product(cert):
+    """The pairing of a certificate's factors, multiplied out entry by entry."""
+    return [[sum(w * v.get(q, 0) for q, w in u.items()) for v in cert.cols]
+            for u in cert.rows]
+
+
+def _certificates_agree(text) -> bool:
+    """Whether the Thom route certifies g; if so, asserts that the closed
+    route's certificate, on a fresh copy whose Thom route is declined
+    (closed_basis_route), has the same degrees, det and target, with
+    det == target on both, and a pairing of the same rank."""
+    g = parse_graph(text)
+    mine = thom_route(g)
+    if mine is None:
+        return False
+    closed = parse_graph(text)
+    cert = coh._closed_basis(closed)
+    assert thom.free_basis(closed) is None and isinstance(cert, thom.Certificate)
+    assert cert.degrees == mine.degrees
+    assert cert.det == cert.target == mine.det == mine.target
+    assert linalg.q_rank(coh._pairing(closed)) == linalg.q_rank(_factors_product(mine))
+    return True
+
+
+CERTIFICATE_NAMES = CORPUS + sorted(path.stem for path in HERE.glob("*.json"))
+
+
+@pytest.mark.usefixtures("closed_basis_route")
+@pytest.mark.parametrize("name", CERTIFICATE_NAMES)
+def test_both_routes_give_one_certificate(name):
+    certified = _certificates_agree(TEXTS[name])
+    assert certified == (name in ("cube", "theta", "cp3", "prism4", "prism6", "sq22",
+                                  "hexprism24", "blowup_last10")), name
+
+
+@pytest.mark.usefixtures("closed_basis_route")
+@given(doc=coloured_graph_docs())
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_both_routes_give_one_certificate_on_coloured_graphs(doc):
+    _certificates_agree(json.dumps(doc))
+
+
+REALIZABLE = ("integer-gkm-realizable", "rigid-class")
+
+
+def _off_the_lines(g) -> int:
+    """t with (1, t) off every line alpha'_e = 0."""
+    return 1 + max(abs(e.weight.a) // math.gcd(*e.weight) for e in g.edges)
+
+
+def _constants(g):
+    """The constant classes x 1 and y 1 in degree 2."""
+    n = len(g.vertices)
+    return [[1, 0] * n, [0, 1] * n]
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_NAMES)
+def test_cubic_form_is_integral_and_independent_of_t(name):
+    """On each realizable graph, mu over the constants and the rows of
+    ht_basis_z(g, 1) is an integer, the same at t and t + 1, and 0 when a
+    class is constant."""
+    g = parse_graph(TEXTS[name])
+    if realizability_report(g)["tier"] not in REALIZABLE:
+        assert name in ("nonorientable", "fuzz_k4", "torsion_k4"), name
+        return
+    classes, t = _constants(g) + coh.ht_basis_z(g, 1), _off_the_lines(g)
+    mu = oracles.cubic_form(g, t, classes)
+    assert all(m.denominator == 1 for m in mu.values())
+    assert mu == oracles.cubic_form(g, t + 1, classes)
+    assert [m for (i, _, _), m in mu.items() if i < 2 and m] == []
+
+
+def test_cubic_form_of_cp3_and_of_the_cube():
+    """CP^3: H^2(M) = Z x with |x^3| = 1.  The cube, (CP^1)^3: the rows of
+    square 0 are a, b and c, pulled back from the factors, and they span
+    H^2(M); oriented so that abc = 1, (a + b + c)^3 = 6."""
+    g = parse_graph(TEXTS["cp3"])
+    rows, t = coh.ht_basis_z(g, 1), _off_the_lines(g)
+    gens = [x for x in rows if oracles.lattice_equal([x] + _constants(g), rows)]
+    assert gens and all(abs(oracles.cubic_form(g, t, [x])[0, 0, 0]) == 1 for x in gens)
+
+    g = parse_graph(TEXTS["cube"])
+    rows, t = coh.ht_basis_z(g, 1), _off_the_lines(g)
+    mu = oracles.cubic_form(g, t, rows)
+    a, b, c = [u for i, u in enumerate(rows) if u not in _constants(g) and not any(
+        mu[tuple(sorted((i, i, j)))] for j in range(len(rows)))]
+    assert oracles.lattice_equal([a, b, c] + _constants(g), rows)
+    sign = oracles.cubic_form(g, t, [a, b, c])[0, 1, 2]
+    assert abs(sign) == 1
+    s = [sign * x + y + z for x, y, z in zip(a, b, c)]
+    assert oracles.cubic_form(g, t, [s])[0, 0, 0] == 6

@@ -17,9 +17,11 @@ by BLOWUP_P, with Betti numbers (1, 1 + K, 1 + K, 1); each of its records
 also holds the graph's largest label content and the largest entry bit
 length of the class rows that ht_basis_z's fallback pass
 (cohomology._lattice_rows) returned, 0 when no lattice took it, and the
-route that certified its cohomology: "thom" (the Thom-class basis of
-gkm3.thom), "closed-basis" (cohomology._closed_basis) or "quotient-scan"
-(no certificate, so the quotients were scanned).  The sweep stops with
+route that certified its cohomology: "thom" (thom.free_basis, the
+Thom-class certificate, memo key ("thom",)), "closed-basis"
+(cohomology._closed_basis, whose classes thom.certificate reads into the
+same record, memo key ("basis",)) or "quotient-scan" (no certificate, so
+the quotients were scanned).  The sweep stops with
 exit code 1 when a verdict reads other Betti numbers.  Each repetition
 parses the graph afresh and times every stage of one gkm3.verdict.Analysis
 in the order the report needs them, then the report itself, which reads
