@@ -33,9 +33,9 @@ freeness and every Betti number, so no quotient above it is formed.
 This module keeps the class lattice.  gkm3.thom, which it imports and
 which imports nothing from it, keeps the certificate, the point (1, t),
 the target and the Thom classes, each checked on the edges at its support
-with no lattice formed (thom._check_class); the polynomial helpers and the
-Thom classes are re-exported here.  An edge's target sign is -eta
-(gkm3.orientation), and only gkm3.thom reads a connection.
+with no lattice formed (thom._check_class); the Thom classes are
+re-exported here.  An edge's target sign is -eta (gkm3.orientation), and
+only gkm3.thom reads a connection.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg, thom
 from .graph import GkmGraph, per_graph
-from .thom import poly_eval, poly_mul, thom_class_edge, thom_class_vertex  # re-exported
+from .thom import thom_class_edge, thom_class_vertex  # re-exported
 
 __all__ = [
-    "DEFAULT_DEGREE_CAP", "poly_mul", "poly_eval",
-    "ht_basis_q", "ht_basis_z", "BettiResult",
+    "DEFAULT_DEGREE_CAP", "ht_basis_q", "ht_basis_z", "BettiResult",
     "betti_numbers", "cohomology_table", "thom_class_vertex",
     "thom_class_edge", "PoincareResult", "poincare_duality",
     "FreenessResult", "z_freeness",

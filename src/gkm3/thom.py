@@ -5,16 +5,15 @@ class lattice and imports this module, tries the Thom-class route
 (free_basis) first, and otherwise reads its closed basis into the same
 record (certificate).  This module imports nothing from cohomology.
 
-The classes.  Besides the constant 1 (degree 0), the edge Thom class
-(degree 2, thom_class_edge) and the vertex Thom class tau_p (degree 3,
-thom_class_vertex), each face of a compatible connection gives one of
-degree 1 (_face_values): at each vertex v of the face, s_v times the label
-of its normal edge, the edge at v off the face, and 0 elsewhere.  A step of
-the face over an edge e carries the normal edge n to n' with
+The classes, each made by one builder (_values).  Besides the constant 1
+(degree 0), the edge Thom class (degree 2, thom_class_edge) and the vertex
+Thom class tau_p (degree 3, thom_class_vertex), each face of a compatible
+connection gives one of degree 1: at each vertex v of the face, s_v times
+the label of its normal edge, the edge at v off the face, and 0 elsewhere.
+A step of the face over an edge e carries the normal edge n to n' with
 alpha_n' = eps alpha_n + k alpha_e (connection.transport_coefficients), so
-s_v' = eps s_v makes f_v - f_v' = -eps s_v k alpha_e a multiple of
-alpha_e; such signs exist when the product of the eps around the face is
-+1.
+s_v' = eps s_v makes f_v - f_v' = -eps s_v k alpha_e a multiple of alpha_e;
+such signs exist when the product of the eps around the face is +1.
 
 The faces are those of the connection that takes at each edge the
 compatible forward map (connection.edge_options) whose two transports have
@@ -42,8 +41,10 @@ entry of a vertex is +- the product of its labels to the vertices picked
 after it, so |det| = prod_e |alpha_e(1, t)|, and the degrees sum to |E|,
 each edge counted at its later end.  When |det| is _target, steps 1-3 of
 cohomology.z_freeness make the classes a free basis of H_T; otherwise the
-route declines.  Every class is checked on the edges at its support
-(_check_class), and a failed check raises RuntimeError.
+route declines.  free_basis goes through the picks once: it builds each
+class, checks it on the edges at its support (_check_class; a failed check
+raises RuntimeError), multiplies its diagonal value into det and forms its
+pairing factors.
 
 The pairing.  The localized integral  int f = sum_p tau(p) f(p) / e_p,  with
 tau the orientability potential and e_p the product of the labels at p,
@@ -59,7 +60,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import reduce
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .connection import ConnectionInconsistency, edge_options, transport_coefficients
@@ -116,10 +117,8 @@ def _target(g: GkmGraph) -> int:
 
 
 def thom_class_vertex(g: GkmGraph, v: str) -> list:
-    """Degree-6 class: product of the three incident weights at v, 0 elsewhere.
-
-    It is checked to be an integral class (_thom_class).
-    """
+    """Degree-6 class: product of the three incident weights at v, 0 elsewhere,
+    checked to be an integral class (_thom_class)."""
     return _thom_class(g, [v], None, f"Thom class of vertex {v!r}")
 
 
@@ -136,16 +135,17 @@ def thom_class_edge(g: GkmGraph, edge_id: int) -> list:
 
 def _thom_class(g: GkmGraph, ends: Sequence[str], skip: Optional[int],
                 what: str) -> list:
-    """_thom_values as a vector, checked at its support (_check_class): of
-    the vertex ends[0], or of the edge skip, signed -eta(skip) at ends[1].
-    ValueError at an end whose valence is not g.valence, the block size."""
+    """_values as a vector, checked at its support (_check_class): tau of the
+    vertex ends[0], or the class of the edge skip.  ValueError at an end
+    whose valence is not g.valence, the block size."""
     for v in ends:
         if len(g.incident[v]) != g.valence:
             raise ValueError(f"{what}: vertex {v!r} has valence "
                              f"{len(g.incident[v])}, not {g.valence}")
-    k = g.valence - (skip is not None) + 1
-    signs = (1,) if skip is None else (1, -eta(g, skip))
-    values = _thom_values(g, list(zip(ends, signs)), skip)
+    if skip is None:
+        values, k = _values(g, ends[0], 3, None), g.valence + 1
+    else:
+        values, k = _values(g, ends[0], 2, skip, {skip: eta(g, skip)}), g.valence
     vec = [0] * (len(g.vertices) * k)
     for v, f in values.items():
         base = g.vertex_index[v] * k
@@ -155,15 +155,24 @@ def _thom_class(g: GkmGraph, ends: Sequence[str], skip: Optional[int],
     return vec
 
 
-def _thom_values(g: GkmGraph, ends: Sequence[Tuple[str, int]],
-                 skip: Optional[int]) -> dict:
-    """v -> the sum over (v, s) in ends of s times v's labels' product but skip's."""
-    out: dict = {}
-    for v, scale in ends:
-        prod = reduce(poly_mul, (g.edges[eid].weight.vector
-                                 for eid in g.incident[v] if eid != skip), (1,))
-        old = out.get(v, (0,) * len(prod))
-        out[v] = tuple(a + scale * c for a, c in zip(old, prod))
+def _values(g: GkmGraph, v: str, degree: int, data, eta_map=None) -> dict:
+    """The unchecked values (vertex -> coefficients, 0 elsewhere) of the class
+    of a pick (v, degree, data) of _order.  Degree 3: tau_v, v's labels'
+    product.  2: each end's product but the edge data, times -eta_map[data] at
+    e.v.  1: s_w times the label of n_w at each (w, n_w, s_w) of the face
+    data.  0: the constant 1.  At any valence 3 and 2 name tau and edges."""
+    edges, out = g.edges, {}
+    if degree == 1:
+        return {w: (s * edges[n].weight.a, s * edges[n].weight.b) for w, n, s in data}
+    if degree == 0:
+        return dict.fromkeys(g.vertices, (1,))
+    ends = [(v, 1)] if data is None else [(edges[data].u, 1),
+                                          (edges[data].v, -eta_map[data])]
+    for w, scale in ends:
+        prod = reduce(poly_mul, (edges[eid].weight.vector
+                                 for eid in g.incident[w] if eid != data), (1,))
+        old = out.get(w, (0,) * len(prod))
+        out[w] = tuple(a + scale * c for a, c in zip(old, prod))
     return out
 
 
@@ -198,12 +207,12 @@ class Certificate(NamedTuple):
 
 @per_graph("thom")
 def free_basis(g: GkmGraph) -> Optional[Certificate]:
-    """The Certificate of the peel's classes, or None where the route
-    declines: a vertex not of valence 3, a loop, no potential (eta raises
-    or the graph is not orientable), an edge with no compatible map, a
-    stall, or a determinant that is not the target.  u's weight at p is
-    tau(p) u(p) L / e_p, L the lcm of the e_p over u's vertices, so u's row
-    is L int u v."""
+    """The Certificate of the peel's classes, built in one pass over the
+    picks, or None where the route declines: a vertex not of valence 3, a
+    loop, no potential (eta raises or the graph is not orientable), an edge
+    with no compatible map, a stall, or a determinant that is not the
+    target.  u's weight at p is tau(p) u(p) L / e_p, L the lcm of the e_p
+    over u's vertices, so u's row is L int u v."""
     if not g.vertices or any(len(ids) != 3 for ids in g.incident.values()) or any(
             e.u == e.v for e in g.edges):
         return None
@@ -214,47 +223,26 @@ def free_basis(g: GkmGraph) -> Optional[Certificate]:
     if not orient.orientable:
         return None
     options = edge_options(g)
-    if not all(options):
-        return None
-    order = _order(g, options)
+    order = _order(g, options) if all(options) else None
     if order is None:
         return None
-    t, edges, at = _point(g), g.edges, poly_eval
-    classes, det = [], 1  # (degree, values: vertex -> coefficients, 0 elsewhere)
+    t, edges, at, tau = _point(g), g.edges, poly_eval, orient.potential
+    det, rows, cols = 1, [], []
     for v, degree, data in order:
-        if degree == 3:
-            values = _thom_values(g, [(v, 1)], None)
-        elif degree == 2:
-            e = edges[data]
-            values = _thom_values(g, [(e.u, 1), (e.v, -orient.eta[data])], data)
-        elif degree == 1:
-            values = _face_values(g, data)
-        else:
-            values = {u: (1,) for u in g.vertices}
-        what = f"Thom class of degree {degree} at vertex {v!r}"
-        classes.append((degree, _check_class(g, values, what)))
-        det *= at(values[v], 1, t)
-    det, target = abs(det), _target(g)
-    if sum(d for d, _ in classes) != len(edges) or det != target:
-        return None
-    classes.sort(key=lambda c: c[0])  # by degree, then in pick order
-    rows, cols, tau = [], [], orient.potential
-    for d, f in classes:
-        if d == 1:
+        f = _check_class(g, _values(g, v, degree, data, orient.eta),
+                         f"Thom class of degree {degree} at vertex {v!r}")
+        det *= at(f[v], 1, t)
+        if degree == 1:
             e = {p: math.prod(at(edges[eid].weight, 1, t) for eid in g.incident[p])
                  for p in f}
             lcm = math.lcm(*e.values())
             rows.append({p: tau[p] * at(c, 1, t) * (lcm // e[p]) for p, c in f.items()})
-        elif d == 2:
+        elif degree == 2:
             cols.append({p: at(c, 1, t) for p, c in f.items()})
-    return Certificate(tuple(d for d, _ in classes), det, target, rows, cols)
-
-
-def _face_values(g: GkmGraph, face) -> dict:
-    """The face class: s_v times the label of the normal edge n_v, at each
-    (v, n_v, s_v) of the face."""
-    return {v: (s * g.edges[n].weight.a, s * g.edges[n].weight.b)
-            for v, n, s in face}
+    degrees, det, target = tuple(sorted(d for _, d, _ in order)), abs(det), _target(g)
+    if sum(degrees) != len(edges) or det != target:
+        return None
+    return Certificate(degrees, det, target, rows, cols)
 
 
 def _order(g: GkmGraph, options) -> Optional[List[Tuple[str, int, object]]]:

@@ -40,7 +40,10 @@ holonomy multiplied as sympy matrices.  The raised rows are formed block
 by block with the x- and y-multiples that the package's cohomology once
 named.  The cubic form on the degree-2 lattice is the same localized
 integral, summed over one common denominator, with nothing of the package
-but the lattice rows and the potential it reads.
+but the lattice rows and the potential it reads; so is p_1 z, with p_1 at
+a vertex the sum of its squared labels.  The lift of w_2 to the lattice is
+a GF(2) elimination of the lattice rows as bitmasks, with none of the
+package's integer kernel.
 """
 
 import functools
@@ -694,6 +697,54 @@ def cubic_form(g, t: int, classes: Sequence[Sequence[int]]) -> dict:
     return {(i, j, k): Fraction(sum(w * a * b * c for w, a, b, c in zip(
                 weights, values[i], values[j], values[k])), D)
             for i, j, k in itertools.combinations_with_replacement(range(len(classes)), 3)}
+
+
+def p1_pairing(g, t: int, classes: Sequence[Sequence[int]]) -> List[Fraction]:
+    """p_1 . z = int p_1 z = sum_p tau(p) p_1(p) z(p) / e_p, in Fractions,
+    for each degree-2 class vector z (as in cubic_form) read at (1, t), with
+    p_1(p) the sum of alpha^2 over p's three labels: the first Pontryagin
+    class of the tangent representation at p, whose weights are the labels.
+    On a realized graph it is <p_1 z, [M]>, an integer that does not depend
+    on t, 0 on the constant classes.  One common denominator, as in
+    cubic_form."""
+    tau = is_orientable(g).potential
+    labels = [[g.edges[eid].weight.a + g.edges[eid].weight.b * t
+               for eid in g.incident[v]] for v in g.vertices]
+    e = [math.prod(ls) for ls in labels]
+    D = math.lcm(*e)
+    weights = [tau[v] * sum(a * a for a in ls) * (D // ep)
+               for v, ls, ep in zip(g.vertices, labels, e)]
+    return [Fraction(sum(w * (c[2 * q] + c[2 * q + 1] * t)
+                         for q, w in enumerate(weights)), D) for c in classes]
+
+
+def w2_lift(g) -> Optional[list]:
+    """A class W of the degree-2 lattice, an integer combination of the rows
+    of coh.ht_basis_z(g, 1), that is congruent mod 2 at every vertex, both
+    coefficients, to w_2 = the sum of the vertex's labels; None when there
+    is none.  The rows mod 2 are bitmasks, eliminated over GF(2) with a
+    record of the rows each reduced mask combines."""
+    rows = coh.ht_basis_z(g, 1)
+    want = 0
+    for q, v in enumerate(g.vertices):
+        a = sum(g.edges[eid].weight.a for eid in g.incident[v])
+        b = sum(g.edges[eid].weight.b for eid in g.incident[v])
+        want |= (a % 2) << 2 * q | (b % 2) << 2 * q + 1
+    pivots: dict = {}  # leading bit -> (mask, rows combined)
+    for i, row in enumerate(rows):
+        mask, combo = sum(1 << j for j, c in enumerate(row) if c % 2), 1 << i
+        while mask and mask.bit_length() in pivots:
+            m, c = pivots[mask.bit_length()]
+            mask, combo = mask ^ m, combo ^ c
+        if mask:
+            pivots[mask.bit_length()] = (mask, combo)
+    combo = 0
+    while want:
+        if want.bit_length() not in pivots:
+            return None
+        m, c = pivots[want.bit_length()]
+        want, combo = want ^ m, combo ^ c
+    return [sum(c for i, c in enumerate(col) if combo >> i & 1) for col in zip(*rows)]
 
 
 def listed_transition(g, conn, e):

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from gkm3 import cohomology as coh
+from gkm3 import thom
 from gkm3.connection import (
     available_connections,
     connection_paths,
@@ -164,7 +165,7 @@ def test_criterion_4_property_suite(capsys):
             lhs = []
             for i in range(len(g.vertices)):
                 lhs.extend(
-                    coh.poly_mul(th[i * 3 : (i + 1) * 3], e.weight.vector)
+                    thom.poly_mul(th[i * 3 : (i + 1) * 3], e.weight.vector)
                 )
             thu = coh.thom_class_vertex(g, e.u)
             thv = coh.thom_class_vertex(g, e.v)

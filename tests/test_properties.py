@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gkm3 import cohomology as coh
+from gkm3 import thom
 from gkm3.connection import (
     available_connections,
     connection_paths,
@@ -96,7 +97,7 @@ def test_edge_thom_boundary_relation(name):
         k = 3
         for i in range(len(g.vertices)):
             block = th[i * k : (i + 1) * k]
-            lhs.extend(coh.poly_mul(block, e.weight.vector))
+            lhs.extend(thom.poly_mul(block, e.weight.vector))
         thu = coh.thom_class_vertex(g, e.u)
         thv = coh.thom_class_vertex(g, e.v)
         assert any(

@@ -2,9 +2,11 @@
 by verdict and certificate by certificate, its faults, its coverage, its
 face walk and greedy order against the oracles' (oracles.corner_face,
 oracles.greedy_order), the localization identity behind its pairing, its
-pairing against the exact localized integral, and the cubic form that the
-same integral reads on H^2 (oracles.cubic_form)."""
+pairing against the exact localized integral, and the cubic form and p_1
+that the same integral reads on H^2 (oracles.cubic_form, p1_pairing), with
+the spin^c index congruence they satisfy on a lift of w_2."""
 
+import itertools
 import json
 import math
 import random
@@ -523,6 +525,38 @@ def test_both_routes_give_one_certificate_on_coloured_graphs(doc):
     _certificates_agree(json.dumps(doc))
 
 
+def _cols_are_the_edge_classes(text) -> bool:
+    """Whether the Thom route certifies g; if so, asserts that its columns
+    are the public thom_class_edge of the degree-2 picks of thom._order, in
+    pick order, read at (1, t) (thom._point) at every vertex."""
+    g = parse_graph(text)
+    cert = thom_route(g)
+    if cert is None:
+        return False
+    t, n = thom._point(g), len(g.vertices)
+    picks = [data for _, degree, data in thom._order(g, connection.edge_options(g))
+             if degree == 2]
+    assert len(cert.cols) == len(picks)
+    for col, eid in zip(cert.cols, picks):
+        vec = thom.thom_class_edge(g, eid)
+        assert [col.get(p, 0) for p in g.vertices] == [
+            thom.poly_eval(vec[3 * i:3 * i + 3], 1, t) for i in range(n)], eid
+    return True
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_NAMES)
+def test_thom_columns_are_the_edge_thom_classes(name):
+    certified = _cols_are_the_edge_classes(TEXTS[name])
+    assert certified == (name in ("cube", "theta", "cp3", "prism4", "prism6", "sq22",
+                                  "hexprism24", "blowup_last10")), name
+
+
+@given(doc=coloured_graph_docs())
+@settings(max_examples=60, deadline=None, database=None)
+def test_thom_columns_are_the_edge_thom_classes_on_coloured_graphs(doc):
+    _cols_are_the_edge_classes(json.dumps(doc))
+
+
 REALIZABLE = ("integer-gkm-realizable", "rigid-class")
 
 
@@ -572,3 +606,44 @@ def test_cubic_form_of_cp3_and_of_the_cube():
     assert abs(sign) == 1
     s = [sign * x + y + z for x, y, z in zip(a, b, c)]
     assert oracles.cubic_form(g, t, [s])[0, 0, 0] == 6
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_NAMES)
+def test_spin_c_classes_satisfy_the_index_congruence(name):
+    """On each realizable graph a lattice class W lifts w_2 (oracles.w2_lift),
+    and every z = W, W + 4a and W + 2a + 2b, over rows a != b of
+    ht_basis_z(g, 1), has z^3 = p_1 z (mod 48), read at t and t + 1 off
+    every line: z is c_1 of a spin^c structure on M, and the index of its
+    Dirac operator, int e^{z/2} (1 - p_1/24) = (z^3 - p_1 z) / 48, is an
+    integer.  p_1 z (oracles.p1_pairing) is an integer, the same at both
+    points."""
+    g = parse_graph(TEXTS[name])
+    if realizability_report(g)["tier"] not in REALIZABLE:
+        assert name in ("nonorientable", "fuzz_k4", "torsion_k4"), name
+        return
+    W, rows = oracles.w2_lift(g), coh.ht_basis_z(g, 1)
+    assert W is not None, name
+    zs = [W] + [[w + 4 * x for w, x in zip(W, a)] for a in rows] + [
+        [w + 2 * x + 2 * y for w, x, y in zip(W, a, b)]
+        for a, b in itertools.combinations(rows, 2)]
+    t = _off_the_lines(g)
+    p1z = oracles.p1_pairing(g, t, zs)
+    assert p1z == oracles.p1_pairing(g, t + 1, zs)
+    assert all(p.denominator == 1 for p in p1z)
+    for s in (t, t + 1):
+        cubes = [oracles.cubic_form(g, s, [z])[0, 0, 0] for z in zs]
+        assert [i for i, (c, p) in enumerate(zip(cubes, p1z)) if (c - p) % 48] == [], s
+
+
+def test_p1_of_cp3_and_of_the_products():
+    """CP^3: p_1 = 4 x^2, so p_1 x = +-4 on each row that is not constant.
+    The cube, (CP^1)^3, the flag manifold Fl(C^3) and prism4: p_1 z = 0 for
+    every row z."""
+    g = parse_graph(TEXTS["cp3"])
+    rows, t = coh.ht_basis_z(g, 1), _off_the_lines(g)
+    moving = [x for x in rows if len(set(zip(x[::2], x[1::2]))) > 1]
+    assert moving and {abs(p) for p in oracles.p1_pairing(g, t, moving)} == {4}
+    for name in ("cube", "flag", "prism4"):
+        g = parse_graph(TEXTS[name])
+        rows = coh.ht_basis_z(g, 1)
+        assert set(oracles.p1_pairing(g, _off_the_lines(g), rows)) == {0}, name
